@@ -3,7 +3,8 @@
 Each check returns a list of problems; an empty list means the output is
 correct. The structural checks hold at any seed. The reference checks
 compare against outputs recorded at the default workload seed (see
-``refs/``): train window losses within 1e-9 relative, predicted pixels
+``refs/``): train window losses and a fingerprint of every trained
+parameter and momentum buffer within 1e-9 relative, predicted pixels
 within one gray level, and the evaluate report byte-identical.
 
 PGMs and fixation files are parsed here rather than through tsal, so a
@@ -22,6 +23,10 @@ import numpy as np
 
 LOSS_RTOL = 1e-9
 PIXEL_ATOL = 1
+# the checkpoint stores float32, so drift in the 13th digit can still flip
+# the last stored bit of an element
+FLOAT32_EPS = float(np.finfo(np.float32).eps)
+FINGERPRINT_SEED = 20240917
 
 _P5_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+255\s")
 
@@ -54,17 +59,63 @@ def _manifest(data_dir: str) -> dict:
         return json.load(fh)
 
 
+def fingerprint(arr: np.ndarray) -> dict[str, float]:
+    """A tensor's L2 norm, largest magnitude, and its projections onto two
+    fixed unit vectors: the uniform one and a seeded Gaussian one."""
+    flat = np.asarray(arr, dtype=np.float64).ravel()
+    uniform = np.full(flat.size, 1.0 / math.sqrt(flat.size))
+    gaussian = np.random.default_rng(FINGERPRINT_SEED).standard_normal(flat.size)
+    gaussian /= np.linalg.norm(gaussian)
+    return {
+        "norm": float(np.linalg.norm(flat)),
+        "max_abs": float(np.abs(flat).max()),
+        "uniform": float(flat @ uniform),
+        "gaussian": float(flat @ gaussian),
+    }
+
+
+def checkpoint_fingerprints(model, buffers: dict[str, np.ndarray]) -> dict[str, dict[str, float]]:
+    """Fingerprints of every parameter and momentum buffer of a checkpoint."""
+    out = {}
+    for name, arr in model.named_parameters():
+        out[f"param/{name}"] = fingerprint(arr)
+        out[f"momentum/{name}"] = fingerprint(buffers[name])
+    return out
+
+
+def _fingerprint_problems(got: dict, ref: dict) -> list[str]:
+    """Tensors whose fingerprint differs from the reference by more than
+    LOSS_RTOL of its norm plus one float32 step of its largest element."""
+    if sorted(got) != sorted(ref):
+        return [f"checkpoint holds {sorted(got)}, reference {sorted(ref)}"]
+    problems = []
+    for name, want in ref.items():
+        tol = LOSS_RTOL * want["norm"] + FLOAT32_EPS * want["max_abs"]
+        worst = max(abs(got[name][key] - value) for key, value in want.items())
+        if not worst <= tol:
+            problems.append(f"{name} differs from reference by {worst:.3g} (tolerance {tol:.3g})")
+    return problems
+
+
 def check_train(
-    ckpt: str, variant: str, width: int, steps: int, ref_losses: list[float] | None
+    ckpt: str,
+    variant: str,
+    width: int,
+    steps: int,
+    ref_losses: list[float] | None,
+    ref_checkpoint: dict | None,
 ) -> list[str]:
     from tsal.errors import SaliencyError
     from tsal.train import load_checkpoint
 
     problems = []
+    got_checkpoint = None
     try:
-        model, _ = load_checkpoint(ckpt, expect_variant=variant)
+        model, buffers = load_checkpoint(ckpt, expect_variant=variant)
         if model.hidden_channels != width:
             problems.append(f"checkpoint width {model.hidden_channels}, asked for {width}")
+        else:
+            got_checkpoint = checkpoint_fingerprints(model, buffers)
     except (OSError, SaliencyError) as exc:
         problems.append(f"checkpoint does not load: {exc}")
 
@@ -88,11 +139,15 @@ def check_train(
         losses.append(loss)
     if len(rows) - 1 != steps:
         problems.append(f"loss CSV has {len(rows) - 1} rows for {steps} steps")
-    if ref_losses is not None and not problems:
+    if problems:
+        return problems
+    if ref_losses is not None:
         if len(losses) != len(ref_losses) or not np.allclose(
             losses, ref_losses, rtol=LOSS_RTOL, atol=0.0
         ):
             problems.append(f"losses {losses} differ from reference {ref_losses}")
+    if ref_checkpoint is not None:
+        problems += _fingerprint_problems(got_checkpoint, ref_checkpoint)
     return problems
 
 

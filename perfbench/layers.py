@@ -1,9 +1,9 @@
 """Per-layer metrics reduced from the spans of one traced stage invocation.
 
 Each metric names the traced functions it needs. When one of them has
-vanished from tsal, or its signature no longer yields the extras the
-metric reads, the metric is reported as absent (value 0) rather than
-failing the run. ``trace.overhead_ratio`` and
+vanished from tsal, or a span the metric reads has no extras because the
+function's signature changed, the metric is reported as absent (value 0)
+rather than failing the run. ``trace.overhead_ratio`` and
 ``trace.call_count_mismatches`` are computed over a whole run in
 ``run.py``; ``data.generate_synthetic.busy_s`` comes from the traced
 set-ups.
@@ -23,20 +23,31 @@ METRIC_FNS = tuple(f"metrics.{name}" for name in ("auc_judd", "shuffled_auc", "n
 COUNT, SECONDS, RATIO, BYTES, GFLOP = "count", "s", "ratio", "B", "GFLOP_computed"
 
 
-def _extra_sum(spans: list[Span], name: str, key: str) -> float:
-    return sum(s.extra.get(key, 0) for s in spans if s.name == name)
+def _with_extras(spans: list[Span], name: str) -> list[Span] | None:
+    """The ``name`` spans, or None when any of them has no extras."""
+    found = [s for s in spans if s.name == name]
+    return None if any(s.extra is None for s in found) else found
+
+
+def _extra_sum(spans: list[Span], name: str, key: str) -> float | None:
+    found = _with_extras(spans, name)
+    return None if found is None else sum(s.extra[key] for s in found)
 
 
 def _conv(fn: str, k: int):
-    base, needs = f"{fn}.k{k}", (fn, f"{fn} extras")
+    base, needs = f"{fn}.k{k}", (fn,)
 
-    def matching(spans: list[Span]) -> list[Span]:
-        return [s for s in spans if s.name == fn and s.extra.get("k") == k]
+    def over(value):
+        def metric(spans: list[Span], wall: float) -> float | None:
+            found = _with_extras(spans, fn)
+            return None if found is None else value([s for s in found if s.extra["k"] == k])
+
+        return metric
 
     return [
-        (f"{base}.calls", COUNT, needs, lambda sp, w: len(matching(sp))),
-        (f"{base}.busy_s", SECONDS, needs, lambda sp, w: sum(s.duration for s in matching(sp))),
-        (f"{base}.gflop", GFLOP, needs, lambda sp, w: sum(s.extra["flop"] for s in matching(sp)) / 1e9),
+        (f"{base}.calls", COUNT, needs, over(len)),
+        (f"{base}.busy_s", SECONDS, needs, over(lambda m: sum(s.duration for s in m))),
+        (f"{base}.gflop", GFLOP, needs, over(lambda m: sum(s.extra["flop"] for s in m) / 1e9)),
     ]
 
 
@@ -57,15 +68,17 @@ def _self(fn: str, metric: str | None = None):
 
 
 def _bytes(fn: str):
-    return (f"{fn}.bytes", BYTES, (fn, f"{fn} extras"), lambda sp, w: _extra_sum(sp, fn, "bytes"))
+    return (f"{fn}.bytes", BYTES, (fn,), lambda sp, w: _extra_sum(sp, fn, "bytes"))
 
 
-def _fired_ratio(spans: list[Span], wall: float) -> float:
+def _fired_ratio(spans: list[Span], wall: float) -> float | None:
     steps = calls(spans, "train.clip_gradients")
-    return _extra_sum(spans, "train.clip_gradients", "fired") / steps if steps else 0.0
+    fired = _extra_sum(spans, "train.clip_gradients", "fired")
+    return None if fired is None else fired / steps if steps else 0.0
 
 
-# (name, unit, traced functions it needs, value from (spans, stage wall))
+# (name, unit, traced functions it needs, value from (spans, stage wall),
+# None when a span it reads has no extras)
 STAGE_METRICS = [
     *[m for d in ("forward", "backward") for k in (3, 1) for m in _conv(f"tensor.conv2d_{d}", k)],
     ("tensor.activations.busy_s", SECONDS, ("tensor.sigmoid", "tensor.tanh_act"),
@@ -77,8 +90,7 @@ STAGE_METRICS = [
     _calls("train.sgd_step", "train.steps"),
     _busy("train.bce_loss"),
     _busy("train.clip_gradients"),
-    ("train.clip_gradients.fired_ratio", RATIO, ("train.clip_gradients", "train.clip_gradients extras"),
-     _fired_ratio),
+    ("train.clip_gradients.fired_ratio", RATIO, ("train.clip_gradients",), _fired_ratio),
     _busy("train.sgd_step"),
     _busy("train.save_checkpoint"),
     _bytes("train.save_checkpoint"),
@@ -86,9 +98,9 @@ STAGE_METRICS = [
     _self("metrics.evaluate_video"),
     ("metrics.busy_over_wall", RATIO, METRIC_FNS,
      lambda sp, w: sum(busy(sp, fn) for fn in METRIC_FNS) / w),
-    ("metrics.skipped_no_fixations", COUNT, ("metrics.evaluate_video", "metrics.evaluate_video extras"),
+    ("metrics.skipped_no_fixations", COUNT, ("metrics.evaluate_video",),
      lambda sp, w: _extra_sum(sp, "metrics.evaluate_video", "skipped_no_fixations")),
-    ("metrics.skipped_no_gt_mass", COUNT, ("metrics.evaluate_video", "metrics.evaluate_video extras"),
+    ("metrics.skipped_no_gt_mass", COUNT, ("metrics.evaluate_video",),
      lambda sp, w: _extra_sum(sp, "metrics.evaluate_video", "skipped_no_gt_mass")),
     *_calls_busy("data.load_map"),
     _bytes("data.load_map"),
@@ -115,19 +127,16 @@ def units() -> dict[str, str]:
     return out
 
 
-def _present(need: str, names: set[str], absent: set[str]) -> bool:
-    return need.split(" ")[0] in names and need not in absent
-
-
 def reduce(
-    metrics, spans: list[Span], wall: float, names: set[str], absent: set[str]
+    metrics, spans: list[Span], wall: float, names: set[str]
 ) -> tuple[dict[str, float], list[str]]:
     """Values of ``metrics`` over one invocation, and the names left absent."""
     values, missing = {}, []
     for name, _, needs, fn in metrics:
-        if all(_present(need, names, absent) for need in needs):
-            values[name] = float(fn(spans, wall))
-        else:
+        value = fn(spans, wall) if all(need in names for need in needs) else None
+        if value is None:
             values[name] = 0.0
             missing.append(name)
+        else:
+            values[name] = float(value)
     return values, missing

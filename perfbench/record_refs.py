@@ -10,6 +10,7 @@ moves these outputs is what the references exist to catch.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import shutil
 import sys
@@ -21,12 +22,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import numpy as np  # noqa: E402
 
-from checks import predicted_maps  # noqa: E402
+from checks import checkpoint_fingerprints, predicted_maps  # noqa: E402
 from workloads import DEFAULT_SEED, REFS, WORKLOADS  # noqa: E402
 
 
 def main() -> int:
     import tsal.cli
+    from tsal.train import load_checkpoint
 
     os.makedirs(REFS, exist_ok=True)
     tmp = tempfile.mkdtemp(dir=HERE)
@@ -42,6 +44,10 @@ def main() -> int:
                     losses = [float(row["loss"]) for row in csv.DictReader(fh)]
                 with open(os.path.join(REFS, f"{name}.losses.json"), "w", encoding="utf-8") as fh:
                     fh.write(repr(losses) + "\n")
+                model, buffers = load_checkpoint(os.path.join(out, "model.ckpt"))
+                with open(os.path.join(REFS, f"{name}.checkpoint.json"), "w", encoding="utf-8") as fh:
+                    json.dump(checkpoint_fingerprints(model, buffers), fh, indent=1, sort_keys=True)
+                    fh.write("\n")
             elif name == "predict-convlstm":
                 pixels, problems = predicted_maps(os.path.join(d, "data"), os.path.join(out, "maps"))
                 if problems:

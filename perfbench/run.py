@@ -5,9 +5,11 @@ Usage, from the root of a tsal checkout:
     python3 perfbench/run.py --workload <name|all> --seed N --seconds S --trace 0|1
 
 The benchmark builds its inputs from the seed, sets up SETUP_REPEATS times
-in one process and reports the median set-up time, then invokes the workload's stage
-back to back in fresh processes until S seconds have passed (at least
-once). With ``--trace 0`` it reports the end-to-end metrics; with
+in one process, then invokes the workload's stage back to back in fresh
+processes until S seconds have passed (at least once). Each further
+invocation gets a fresh set-up in a process of its own, so set-up times
+are sampled across the whole run. With ``--trace 0`` it reports the
+end-to-end metrics, medians over the set-ups or invocations; with
 ``--trace 1`` it alternates untraced and traced invocations and reports
 the per-layer metrics, medians over the traced invocations. Every
 invocation's outputs are checked; the last line of standard output is
@@ -36,12 +38,13 @@ RUNS = os.path.join(HERE, "runs")
 sys.path.insert(0, HERE)
 
 import layers  # noqa: E402
+from worker import host_steal_s  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SETUP_REPEATS = 3
 STEP_TIMEOUT_S = 170
 
-END_TO_END = {"frames_per_cpu_s": "1/s", "setup_s": "s", "peak_rss_mib": "MiB"}
+END_TO_END = {"frames_per_s": "1/s", "setup_s": "s", "peak_rss_mib": "MiB"}
 
 
 class StepFailed(Exception):
@@ -67,18 +70,13 @@ def _step(spec: dict, log_path: str) -> dict:
         return json.load(fh)
 
 
-def _host_steal_s() -> float:
-    """CPU time the hypervisor took from this machine since boot, all CPUs."""
-    try:
-        with open("/proc/stat", encoding="ascii") as fh:
-            fields = fh.readline().split()
-    except OSError:
-        return 0.0
-    return int(fields[8]) / os.sysconf("SC_CLK_TCK") if len(fields) > 8 else 0.0
-
-
 def _median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
+
+
+def _setup(common: dict, dirs: list[str], trace: bool, log_path: str) -> dict:
+    spec = {**common, "action": "setup", "dirs": dirs, "trace": trace}
+    return _step({**spec, "run": f"{common['workload']}-setup"}, log_path)
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool, work: str) -> dict:
@@ -87,17 +85,20 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, work: str) -
     common = {"workload": name, "seed": seed}
 
     dirs = [os.path.join(base, f"setup{i}") for i in range(SETUP_REPEATS)]
-    spec = {**common, "action": "setup", "dirs": dirs, "trace": trace, "run": f"{name}-setup"}
-    prepared = _step(spec, os.path.join(base, "setup.log"))
+    prepared = _setup(common, dirs, trace, os.path.join(base, "setup.log"))
     setups, env, setup_dir = prepared["setups"], prepared["env"], dirs[-1]
 
     spans_dir = os.path.join(RUNS, "spans")
     os.makedirs(spans_dir, exist_ok=True)
     invocations = []
-    steal = _host_steal_s()
+    steal = host_steal_s()
     start = time.perf_counter()
     while True:
         i = len(invocations)
+        if i:
+            # a fresh set-up before each further invocation, in its own process
+            setup_dir = os.path.join(base, f"setup-inv{i}")
+            setups += _setup(common, [setup_dir], trace, setup_dir + ".log")["setups"]
         traced = trace and i % 2 == 1
         out = os.path.join(base, f"inv{i}")
         spec = {
@@ -116,30 +117,36 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, work: str) -
         result["traced"] = traced
         invocations.append(result)
         shutil.rmtree(out, ignore_errors=True)
+        shutil.rmtree(setup_dir)
         done = time.perf_counter() - start >= seconds
         if done and (not trace or len(invocations) >= 2):
             break
-    env = {**env, "host_steal_s": _host_steal_s() - steal}
+    env = {**env, "host_steal_s": host_steal_s() - steal}
     return {"env": env, "setups": setups, "invocations": invocations}
 
 
-def end_to_end(name: str, raw: dict) -> tuple[dict, dict]:
-    """The END_TO_END metrics, and wall-clock frames/s, which is printed and
-    saved but not reported: on a shared host, time stolen by the hypervisor
-    moved it by up to 45% between runs, while CPU time stayed within 9%."""
+def net_wall_s(sample: dict, nproc: int) -> float:
+    """Wall time less this sample's share of the time the hypervisor took.
+
+    ``steal_s`` is summed over the machine's ``nproc`` CPUs, so one CPU's
+    worth, ``steal_s / nproc``, is what a sample running on one CPU lost.
+    On a shared host this steal moved plain wall time by up to 45% between
+    runs of unchanged code."""
+    return sample["wall_s"] - sample["steal_s"] / nproc
+
+
+def end_to_end(name: str, raw: dict) -> dict:
     ok = [r for r in raw["invocations"] if not r["problems"]]
-    frames = WORKLOADS[name].frames
+    frames, nproc = WORKLOADS[name].frames, raw["env"]["nproc"]
     samples = {
-        "frames_per_cpu_s": [frames / r["cpu_s"] for r in ok],
-        "setup_s": [s["setup_s"] for s in raw["setups"]],
+        "frames_per_s": [frames / net_wall_s(r, nproc) for r in ok],
+        "setup_s": [net_wall_s(s, nproc) for s in raw["setups"]],
         "peak_rss_mib": [r["peak_rss_mib"] for r in ok],
     }
-    metrics = {
+    return {
         metric: {"value": _median(values), "unit": END_TO_END[metric], "n": len(values)}
         for metric, values in samples.items()
     }
-    wall = [frames / r["wall_s"] for r in ok]
-    return metrics, {"frames_per_s": {"value": _median(wall), "unit": "1/s", "n": len(wall)}}
 
 
 def per_layer(name: str, raw: dict) -> tuple[dict, list[str], list[str]]:
@@ -156,8 +163,9 @@ def per_layer(name: str, raw: dict) -> tuple[dict, list[str], list[str]]:
         values[metric] = _median([r["layers"][metric] for r in source])
         counts[metric] = len(source)
         absent.update(m for r in source for m in r["absent"] if m == metric)
-    untraced_wall = _median([r["wall_s"] for r in plain])
-    traced_wall = _median([r["wall_s"] for r in traced])
+    nproc = raw["env"]["nproc"]
+    untraced_wall = _median([net_wall_s(r, nproc) for r in plain])
+    traced_wall = _median([net_wall_s(r, nproc) for r in traced])
     values["trace.overhead_ratio"] = traced_wall / untraced_wall - 1.0 if untraced_wall else 0.0
     mismatches = [
         f"{metric}: {values[metric]:g} per invocation, shapes imply {expected}"
@@ -215,8 +223,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{name}  call-count mismatch: {line}")
                 _report(name, metrics, len(invs), n_failed, trace)
             else:
-                metrics, wall = end_to_end(name, raw)
-                _report(name, {**metrics, **wall}, len(invs), n_failed, trace)
+                metrics = end_to_end(name, raw)
+                _report(name, metrics, len(invs), n_failed, trace)
             attempted += len(invs)
             failed += n_failed
             with open(

@@ -13,8 +13,9 @@ in the submitting thread as its parent.
 
 A few functions also record extras from their arguments or result (the
 kernel size and computed FLOPs of a convolution, bytes of a file). If a
-function has vanished or its signature no longer fits, the span or extra
-is listed in ``absent`` instead of failing the run.
+function's signature no longer fits, its span keeps ``extra`` unset
+instead of failing the run; a function that has vanished is not in
+``names``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODULES = ("tensor", "model", "train", "metrics", "data", "cli")
 
@@ -42,7 +43,7 @@ class Span:
     parent: int | None
     thread: int
     run: str
-    extra: dict = field(default_factory=dict)
+    extra: dict | None = None
 
     @property
     def duration(self) -> float:
@@ -102,7 +103,6 @@ class Tracer:
     def __init__(self, run: str = "run") -> None:
         self.run = run
         self.spans: list[Span] = []
-        self.absent: set[str] = set()
         self._ids = itertools.count(1)
         self._local = threading.local()
         self.names: set[str] = set()
@@ -144,7 +144,7 @@ class Tracer:
                 try:
                     span.extra = extra_fn(sig.bind(*args, **kwargs).arguments, result)
                 except (TypeError, KeyError, AttributeError, ValueError, OSError):
-                    self.absent.add(f"{name} extras")
+                    pass
             return result
 
         wrapper._perfbench_span = name
@@ -159,7 +159,6 @@ class Tracer:
             try:
                 module = importlib.import_module(f"tsal.{short}")
             except ImportError:
-                self.absent.add(f"tsal.{short}")
                 continue
             for attr, obj in list(vars(module).items()):
                 if attr.startswith("_") or not inspect.isfunction(obj):

@@ -6,8 +6,10 @@ workload, seed, directories, whether to trace, and where to write the
 result JSON. A stage runs
 ``tsal.cli.main`` with the workload's flags, timed from call to return,
 then reads the peak resident memory of this process and checks the
-outputs. Tracing, when asked for, is installed before the stage and
-removed before the check.
+outputs. Each set-up and stage also records ``steal_s``, the CPU time
+the hypervisor took from the machine meanwhile, summed over its CPUs.
+Tracing, when asked for, is installed before the stage and removed
+before the check.
 """
 
 from __future__ import annotations
@@ -21,6 +23,16 @@ import sys
 import time
 import traceback
 from dataclasses import asdict
+
+
+def host_steal_s() -> float:
+    """CPU time the hypervisor took from this machine since boot, all CPUs."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            fields = fh.readline().split()
+    except OSError:
+        return 0.0
+    return int(fields[8]) / os.sysconf("SC_CLK_TCK") if len(fields) > 8 else 0.0
 
 
 def environment() -> dict:
@@ -66,12 +78,16 @@ def run(spec: dict) -> dict:
             if i:
                 shutil.rmtree(spec["dirs"][i - 1])
             first_span = len(tracer.spans) if tracer is not None else 0
-            start, cpu = time.perf_counter(), time.process_time()
+            steal, start, cpu = host_steal_s(), time.perf_counter(), time.process_time()
             workload.setup(d, spec["seed"])
-            one = {"setup_s": time.perf_counter() - start, "cpu_s": time.process_time() - cpu}
+            one = {
+                "wall_s": time.perf_counter() - start,
+                "cpu_s": time.process_time() - cpu,
+                "steal_s": host_steal_s() - steal,
+            }
             if tracer is not None:
                 one["layers"], one["absent"] = layers.reduce(
-                    [layers.SETUP_METRIC], tracer.spans[first_span:], 0.0, tracer.names, tracer.absent
+                    [layers.SETUP_METRIC], tracer.spans[first_span:], 0.0, tracer.names
                 )
             result["setups"].append(one)
         result["env"] = environment()
@@ -81,7 +97,7 @@ def run(spec: dict) -> dict:
 
     os.makedirs(spec["out"])
     argv = workload.argv(spec["dir"], spec["out"])
-    start, cpu = time.perf_counter(), time.process_time()
+    steal, start, cpu = host_steal_s(), time.perf_counter(), time.process_time()
     try:
         code = tsal.cli.main(argv)
     except (Exception, SystemExit):
@@ -89,12 +105,13 @@ def run(spec: dict) -> dict:
         code = None
     wall = time.perf_counter() - start
     result["cpu_s"] = time.process_time() - cpu
+    result["steal_s"] = host_steal_s() - steal
     result["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     result["wall_s"] = wall
     if tracer is not None:
         tracer.uninstall()
         result["layers"], result["absent"] = layers.reduce(
-            layers.STAGE_METRICS, tracer.spans, wall, tracer.names, tracer.absent
+            layers.STAGE_METRICS, tracer.spans, wall, tracer.names
         )
         with open(spec["spans"], "w", encoding="utf-8") as fh:
             for span in tracer.spans:

@@ -75,11 +75,14 @@ def _train_argv(d: str, out: str) -> list[str]:
 
 
 def _train_check(d: str, out: str, seed: int) -> list[str]:
-    ref = None
+    losses = checkpoint = None
     if seed == DEFAULT_SEED:
         with open(_ref_path("train-convlstm.losses.json"), encoding="utf-8") as fh:
-            ref = json.load(fh)
-    return check_train(os.path.join(out, "model.ckpt"), "convlstm", WIDTH, TRAIN_STEPS, ref)
+            losses = json.load(fh)
+        with open(_ref_path("train-convlstm.checkpoint.json"), encoding="utf-8") as fh:
+            checkpoint = json.load(fh)
+    ckpt = os.path.join(out, "model.ckpt")
+    return check_train(ckpt, "convlstm", WIDTH, TRAIN_STEPS, losses, checkpoint)
 
 
 # -- predict-convlstm -------------------------------------------------------
