@@ -19,6 +19,8 @@ import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from . import __version__
 from . import data as D
 from . import metrics as M
@@ -72,7 +74,6 @@ DEFAULTS: dict[str, dict] = {
         "predictions": None,
         "metrics": ",".join(M.METRIC_NAMES),
         "shuffle_seed": 42,
-        "threads": 0,  # 0 means all available cores
         "out": None,
     },
     "report": {
@@ -80,6 +81,15 @@ DEFAULTS: dict[str, dict] = {
         "metric": "nss",
         "grouping": None,
     },
+}
+
+# train's integer settings and their upper bounds (None: unbounded)
+TRAIN_COUNTS: dict[str, int | None] = {
+    "epochs": None,
+    "clip_length": None,
+    "decay_every": None,
+    "max_steps": None,
+    "hidden": Tr.MAX_HIDDEN_CHANNELS,
 }
 
 REQUIRED: dict[str, tuple[str, ...]] = {
@@ -157,6 +167,13 @@ def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
 def cmd_train(cfg: dict) -> None:
     if cfg["variant"] not in Mo.VARIANTS:
         raise ParseError(f"variant must be one of {Mo.VARIANTS}, got {cfg['variant']!r}")
+    for key, top in TRAIN_COUNTS.items():
+        value = cfg[key]
+        if key == "max_steps" and value is None:
+            continue
+        if type(value) is not int or value < 1 or (top is not None and value > top):
+            limit = f"in [1, {top}]" if top is not None else ">= 1"
+            raise ParseError(f"{key} must be an integer {limit}, got {value!r}")
     manifest = D.load_manifest(cfg["manifest"])
     samples = _load_samples(manifest)
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
@@ -232,7 +249,6 @@ def _parse_metric_list(spec: str) -> tuple[str, ...]:
 
 def cmd_evaluate(cfg: dict) -> None:
     metrics = _parse_metric_list(cfg["metrics"])
-    threads = cfg["threads"] or (os.cpu_count() or 1)
     manifest = D.load_manifest(cfg["manifest"])
     videos = {rec.video_id: D.load_video(manifest, rec) for rec in manifest.videos}
 
@@ -248,22 +264,20 @@ def cmd_evaluate(cfg: dict) -> None:
 
     per_video: dict[str, M.VideoScores] = {}
     for rec in manifest.videos:
-        pool_points = [
-            point
+        pool = [
+            fix.points
             for other_id, other in videos.items()
             if other_id != rec.video_id
             for fix in other.fixations
-            for point in fix.points
         ]
         video = videos[rec.video_id]
         per_video[rec.video_id] = M.evaluate_video(
             predictions[rec.video_id],
             video.fixations,
             video.gt_maps,
-            M.FixationSet(pool_points),
+            M.FixationSet(np.concatenate(pool) if pool else []),
             seed=cfg["shuffle_seed"],
             metrics=metrics,
-            threads=threads,
         )
     report = M.aggregate_report(per_video, manifest.groups())
 
@@ -426,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", help="directory of predicted maps")
     p.add_argument("--metrics", help="comma-separated metric names")
     p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
-    p.add_argument("--threads", type=int, help="frame-parallel workers (0 = all cores)")
     p.add_argument("--out", help="write the report JSON here")
 
     p = command("report", "tabulate one metric across models and videos", cmd_report)

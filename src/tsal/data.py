@@ -176,7 +176,7 @@ def write_fixations(fixations: dict[int, FixationSet], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# frame_index,row,col\n")
         for frame in sorted(fixations):
-            for row, col in fixations[frame].points:
+            for row, col in fixations[frame].points.tolist():
                 fh.write(f"{frame},{row},{col}\n")
 
 
@@ -193,7 +193,7 @@ def blur_fixations(fix: FixationSet, dims: tuple[int, int], sigma: float) -> Sal
     span = np.arange(-radius, radius + 1)
     kernel = np.exp(-(span[:, None] ** 2 + span[None, :] ** 2) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
-    for row, col in fix.points:
+    for row, col in fix.points.tolist():
         if row < 0 or row >= h or col < 0 or col >= w:
             raise OutOfBounds(f"fixation ({row}, {col}) outside {h}x{w}")
         r0, r1 = max(0, row - radius), min(h, row + radius + 1)
@@ -234,24 +234,15 @@ def resize_bilinear(sal: SaliencyMap, dims: tuple[int, int]) -> SaliencyMap:
     return SaliencyMap(np.clip(out, 0.0, None))
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def rescale_fixations(
     fix: FixationSet, src_dims: tuple[int, int], dst_dims: tuple[int, int]
 ) -> FixationSet:
     """Proportional coordinate rescale, rounded half-up and clamped in range."""
     if src_dims == dst_dims:
         return fix
-    sh, sw = src_dims
-    dh, dw = dst_dims
-    points = []
-    for row, col in fix.points:
-        r = min(dh - 1, round_half_up(row * dh / sh))
-        c = min(dw - 1, round_half_up(col * dw / sw))
-        points.append((r, c))
-    return FixationSet(points)
+    dst = np.array(dst_dims)
+    points = np.floor(fix.points * dst / np.array(src_dims) + 0.5)
+    return FixationSet(np.minimum(points, dst - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +276,11 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         if not self.videos:
             raise ParseError("manifest lists no videos")
+        seen: set[str] = set()
+        for rec in self.videos:
+            if rec.video_id in seen:
+                raise ParseError(f"video id {rec.video_id!r} is listed twice")
+            seen.add(rec.video_id)
 
     def groups(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
@@ -494,7 +490,7 @@ def generate_synthetic(out_dir: str, config: SyntheticConfig) -> DatasetManifest
 
             weights = future.ravel() / future.sum()
             cells = rng.choice(h * w, size=config.fixations_per_frame, p=weights)
-            fixations[t] = FixationSet([(int(c) // w, int(c) % w) for c in cells])
+            fixations[t] = FixationSet(np.column_stack(np.divmod(cells, w)))
         write_fixations(fixations, os.path.join(video_dir, "fixations.csv"))
 
         group = GROUP_LABELS[v % 2]

@@ -58,24 +58,27 @@ class SaliencyMap:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixationSet:
-    """Discrete gaze landing points as (row, col) pixel coordinates.
+    """Discrete gaze landing points as a read-only (N, 2) int64 array of
+    (row, col) pixel coordinates.
 
     Duplicates are allowed; repeated gaze samples at the same pixel count
     once per occurrence.
     """
 
-    points: tuple[tuple[int, int], ...]
+    points: np.ndarray
 
     def __init__(self, points) -> None:
-        object.__setattr__(self, "points", tuple((int(r), int(c)) for r, c in points))
+        arr = np.array(points, dtype=np.int64).reshape(len(points), 2)
+        arr.flags.writeable = False
+        object.__setattr__(self, "points", arr)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __bool__(self) -> bool:
-        return bool(self.points)
+        return len(self.points) > 0
 
 
 @dataclass
@@ -114,8 +117,7 @@ class EvalReport:
 
 
 def _values_at(sal: SaliencyMap, fix: FixationSet) -> np.ndarray:
-    rows = np.fromiter((p[0] for p in fix.points), dtype=np.int64, count=len(fix))
-    cols = np.fromiter((p[1] for p in fix.points), dtype=np.int64, count=len(fix))
+    rows, cols = fix.points.T
     if np.any(rows < 0) or np.any(rows >= sal.height) or np.any(cols < 0) or np.any(cols >= sal.width):
         raise OutOfBounds(f"fixation outside {sal.height}x{sal.width} map")
     return sal.values[rows, cols]
@@ -187,8 +189,7 @@ def auc_judd(sal: SaliencyMap, fix: FixationSet) -> float:
         raise EmptyFixations("AUC needs at least one fixation")
     positives = _values_at(sal, fix)
     fixated = np.zeros(sal.values.shape, dtype=bool)
-    for r, c in fix.points:
-        fixated[r, c] = True
+    fixated[fix.points[:, 0], fix.points[:, 1]] = True
     negatives = sal.values[~fixated]
     if negatives.size == 0:
         raise AllFixated("every pixel is fixated; no negatives remain")
@@ -226,10 +227,7 @@ def _frame_scores(
     frame_seed: int,
     metrics: tuple[str, ...],
 ) -> tuple[dict[str, float | None], bool, bool]:
-    """Metric values for one frame plus its two skip flags.
-
-    Pure in its arguments, so frames may be computed concurrently.
-    """
+    """Metric values for one frame plus its two skip flags."""
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
     has_fix = bool(fix)
     has_mass = gt.values.sum() > 0.0
@@ -255,7 +253,6 @@ def evaluate_video(
     shuffle_pool: FixationSet,
     seed: int,
     metrics: tuple[str, ...] = METRIC_NAMES,
-    threads: int = 1,
 ) -> VideoScores:
     """Average per-frame metrics over one video.
 
@@ -263,9 +260,8 @@ def evaluate_video(
     least one fixation; CC and SIM use only frames whose ground truth has
     positive mass. A frame where an individual metric is undefined (for
     example CC against a constant map) is excluded from that metric's
-    mean. The sAUC subsampling seed for frame i is ``seed + i`` and the
-    reduction runs in index order, so neither frame evaluation order nor
-    ``threads`` can change the result.
+    mean. The sAUC subsampling seed for frame i is ``seed + i``, so a
+    frame's score does not depend on which other frames are evaluated.
     """
     if not (len(maps) == len(fixs) == len(gts)):
         raise LengthMismatch(
@@ -274,22 +270,12 @@ def evaluate_video(
     if len(maps) == 0:
         raise LengthMismatch("at least one frame is required")
 
-    def frame(i: int):
-        return _frame_scores(maps[i], fixs[i], gts[i], shuffle_pool, seed + i, metrics)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(frame, range(len(maps))))
-    else:
-        results = [frame(i) for i in range(len(maps))]
-
     sums = {name: 0.0 for name in METRIC_NAMES}
     counts = {name: 0 for name in METRIC_NAMES}
     skipped_fix = 0
     skipped_mass = 0
-    for values, no_fix, no_mass in results:
+    for i, (sal, fix, gt) in enumerate(zip(maps, fixs, gts)):
+        values, no_fix, no_mass = _frame_scores(sal, fix, gt, shuffle_pool, seed + i, metrics)
         skipped_fix += no_fix
         skipped_mass += no_mass
         for name in metrics:

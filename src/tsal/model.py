@@ -2,7 +2,7 @@
 
 Both variants map a sequence of 1-channel saliency maps to refined maps
 of the same size. The conv variant treats frames independently; the
-ConvLSTM variant threads a hidden/cell state through time and is trained
+ConvLSTM variant carries a hidden/cell state through time and is trained
 with full backpropagation through time.
 
 ``forward_sequence`` returns the outputs together with a cache of the
@@ -265,7 +265,7 @@ def forward_sequence(
 ) -> tuple[list[Tensor4], ForwardCache]:
     """Run the model over a frame sequence.
 
-    ConvOnly processes frames independently; ConvLSTM threads a zero-
+    ConvOnly processes frames independently; ConvLSTM carries a zero-
     initialized state through time. Returns per-frame outputs and the
     cache required by backward_sequence.
     """

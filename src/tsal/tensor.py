@@ -2,7 +2,7 @@
 
 All values are 64-bit floats in row-major (batch, channel, height, width)
 layout. Operations are pure: inputs are never mutated and outputs are
-freshly allocated, so values are safe to share across threads.
+freshly allocated, so values are safe to share.
 
 Two convolution paths exist: :func:`conv2d_forward` uses an im2col +
 matrix-multiply formulation, while :func:`conv2d_forward_direct` is the

@@ -40,6 +40,7 @@ from .tensor import Tensor4
 BCE_CLAMP = 1e-7
 CHECKPOINT_MAGIC = b"TSAL"
 CHECKPOINT_VERSION = 1
+MAX_HIDDEN_CHANNELS = 0xFFFF  # the checkpoint header stores the width as uint16
 VARIANT_CODES = {CONV_ONLY: 0, CONV_LSTM: 1}
 CODE_VARIANTS = {code: name for name, code in VARIANT_CODES.items()}
 

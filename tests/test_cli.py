@@ -20,6 +20,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("ERROR")]
+
+
 def make_dataset(tmp_path, name="data", videos=2, frames=6, size=16, seed=1, lag=1):
     out = str(tmp_path / name)
     D.generate_synthetic(
@@ -128,6 +132,38 @@ class TestTrain:
         assert lines[0] == "step,loss"
         assert len(lines) == 5  # 2 epochs x 2 windows of 3 frames, plus header
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--max-steps", "0"], None),
+            (["--hidden", "0"], None),
+            (["--epochs", "0"], None),
+            (["--clip-length", "0"], None),
+            (["--decay-every", "0"], None),
+            (["--hidden", "70000"], None),
+            ([], {"epochs": "3"}),
+        ],
+        ids=[
+            "max-steps-0", "hidden-0", "epochs-0", "clip-length-0", "decay-every-0",
+            "hidden-70000", "config-epochs-string",
+        ],
+    )
+    def test_bad_integer_setting(self, tmp_path, capsys, flags, config):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
+        ckpt = tmp_path / "x.tsal"
+        argv = ["train", "--manifest", manifest, "--ckpt", str(ckpt), "--variant", "conv"]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, stdout, stderr = run(capsys, *argv, *flags)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR ParseError:")
+        assert "Traceback" not in stderr
+        assert not ckpt.exists()
+
     def test_bad_variant(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         config = tmp_path / "cfg.json"
@@ -227,7 +263,7 @@ class TestEvaluate:
         out_json = str(tmp_path / "report.json")
         code, stdout, _ = run(
             capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
-            "--out", out_json, "--threads", "1",
+            "--out", out_json,
         )
         assert code == 0
         with open(out_json) as fh:
@@ -251,19 +287,22 @@ class TestEvaluate:
         for other in ("auc_j", "s_auc", "cc", "sim"):
             assert other not in stdout
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=5, size=12)
+    def test_duplicate_video_id_rejected(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
         pred = str(tmp_path / "pred")
         copy_gt_as_predictions(data_dir, pred)
-        outputs = []
-        for threads in ("1", "4"):
-            code, stdout, _ = run(
-                capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
-                "--threads", threads,
-            )
-            assert code == 0
-            outputs.append(stdout)
-        assert outputs[0] == outputs[1]
+        with open(manifest) as fh:
+            payload = json.load(fh)
+        payload["videos"].append(dict(payload["videos"][0]))
+        with open(manifest, "w") as fh:
+            json.dump(payload, fh)
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR ParseError:") and "video_000" in line
 
     def test_missing_prediction(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)

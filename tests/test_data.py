@@ -125,8 +125,8 @@ class TestLoadFixations:
         with open(path, "w") as fh:
             fh.write("0,1,2\n0,3,4\n2,0,0\n")
         fixations = D.load_fixations(path)
-        assert fixations[0].points == ((1, 2), (3, 4))
-        assert fixations[2].points == ((0, 0),)
+        assert fixations[0].points.tolist() == [[1, 2], [3, 4]]
+        assert fixations[2].points.tolist() == [[0, 0]]
         assert 1 not in fixations
 
     def test_empty_file(self, tmp_path):
@@ -138,7 +138,7 @@ class TestLoadFixations:
         path = str(tmp_path / "c.csv")
         with open(path, "w") as fh:
             fh.write("# header\n\n0,1,1\n")
-        assert D.load_fixations(path)[0].points == ((1, 1),)
+        assert D.load_fixations(path)[0].points.tolist() == [[1, 1]]
 
     def test_negative_is_parse_error(self, tmp_path):
         path = str(tmp_path / "neg.csv")
@@ -175,7 +175,7 @@ class TestLoadFixations:
         loaded = D.load_fixations(path)
         assert loaded.keys() == original.keys()
         for frame in original:
-            assert loaded[frame].points == original[frame].points
+            assert loaded[frame].points.tolist() == original[frame].points.tolist()
 
 
 class TestBlurFixations:
@@ -235,11 +235,11 @@ class TestResize:
     def test_fixation_rescale(self):
         fix = M.FixationSet([(1, 2)])
         up = D.rescale_fixations(fix, (4, 4), (8, 8))
-        assert up.points == ((2, 4),)
+        assert up.points.tolist() == [[2, 4]]
         down = D.rescale_fixations(M.FixationSet([(7, 7)]), (8, 8), (4, 4))
-        assert down.points == ((3, 3),)  # round-half-up then clamped in range
+        assert down.points.tolist() == [[3, 3]]  # round-half-up then clamped in range
         same = D.rescale_fixations(fix, (4, 4), (4, 4))
-        assert same.points == fix.points
+        assert same.points.tolist() == fix.points.tolist()
 
 
 def tree_digest(root: str) -> str:

@@ -178,7 +178,7 @@ class TestAucJudd:
             h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
             sal = distinct_map(rng, h, w)
             fix = sample_fixations(rng, h, w, int(rng.integers(1, min(10, h * w - 1) + 1)))
-            fixated = {p for p in fix.points}
+            fixated = {tuple(p) for p in fix.points.tolist()}
             pos = [sal.values[r, c] for r, c in fix.points]
             neg = [
                 sal.values[r, c]
@@ -335,17 +335,20 @@ class TestEvaluateVideo:
         with pytest.raises(LengthMismatch):
             M.evaluate_video([sal], [], [sal], M.FixationSet([]), seed=0)
 
-    def test_threaded_equals_sequential(self):
+    def test_frame_i_uses_seed_plus_i(self):
         rng = np.random.default_rng(17)
         maps = [distinct_map(rng, 8, 8) for _ in range(12)]
         gts = [M.SaliencyMap(rng.uniform(0, 1, size=(8, 8))) for _ in range(12)]
         fixs = [sample_fixations(rng, 8, 8, 3) for _ in range(12)]
-        pool = sample_fixations(rng, 8, 8, 40)
-        serial = M.evaluate_video(maps, fixs, gts, pool, seed=3)
-        parallel = M.evaluate_video(maps, fixs, gts, pool, seed=3, threads=4)
-        for name in M.METRIC_NAMES:
-            assert parallel.scores.get(name) == serial.scores.get(name)
-        assert parallel.skipped_no_fixations == serial.skipped_no_fixations
+        pool = sample_fixations(rng, 8, 8, 40)  # above the cap of 30, so sAUC subsamples
+        whole = M.evaluate_video(maps, fixs, gts, pool, seed=3, metrics=("s_auc",))
+        per_frame = [
+            M.evaluate_video(
+                [maps[i]], [fixs[i]], [gts[i]], pool, seed=3 + i, metrics=("s_auc",)
+            ).scores.s_auc
+            for i in range(12)
+        ]
+        assert whole.scores.s_auc == sum(per_frame) / len(per_frame)
 
 
 class TestAggregateReport:
