@@ -26,7 +26,6 @@ from .tensor import (
     relu_backward,
     sigmoid,
     sigmoid_backward,
-    tanh_act,
 )
 
 CONV_ONLY = "conv"
@@ -38,15 +37,6 @@ GATES = ("i", "f", "o", "g")
 
 DEFAULT_HIDDEN_CHANNELS = 128
 KERNEL_SIZE = 3
-
-
-@dataclass
-class GateParams:
-    """One ConvLSTM gate: input-to-state conv (owns the gate bias) plus
-    state-to-state conv whose bias is fixed at zero and never trained."""
-
-    input_conv: Conv2dParams
-    hidden_conv: Conv2dParams
 
 
 @dataclass
@@ -74,8 +64,10 @@ class LstmState:
 class AdaptationModel:
     """Parameters of one adaptation network.
 
-    ConvOnly uses ``feature_conv`` + ``head``; ConvLSTM uses four
-    ``gates`` + ``head``. The head is a 1x1 convolution to a single
+    ConvOnly uses ``feature_conv`` + ``head``. ConvLSTM stacks its four
+    gates, hc rows each in GATES order, into ``input_conv`` (1 -> 4*hc,
+    owns the gate biases) and ``hidden_conv`` (hc -> 4*hc, bias fixed at
+    zero and never trained). The head is a 1x1 convolution to a single
     channel, followed by a sigmoid, so outputs lie in (0,1).
     """
 
@@ -83,7 +75,8 @@ class AdaptationModel:
     hidden_channels: int
     head: Conv2dParams
     feature_conv: Conv2dParams | None = None
-    gates: dict[str, GateParams] | None = None
+    input_conv: Conv2dParams | None = None
+    hidden_conv: Conv2dParams | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -91,8 +84,9 @@ class AdaptationModel:
         if self.variant == CONV_ONLY and self.feature_conv is None:
             raise ValueError("ConvOnly model requires feature_conv")
         if self.variant == CONV_LSTM:
-            if self.gates is None or tuple(self.gates) != GATES:
-                raise ValueError(f"ConvLSTM model requires gates {GATES}")
+            n = len(GATES) * self.hidden_channels
+            if any(c is None or c.out_channels != n for c in (self.input_conv, self.hidden_conv)):
+                raise ValueError(f"ConvLSTM model requires {n}-row gate convolutions")
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """Trainable tensors in the fixed order used by the optimizer and
@@ -103,15 +97,19 @@ class AdaptationModel:
             out.append(("feature.weights", self.feature_conv.weights))
             out.append(("feature.bias", self.feature_conv.bias))
         else:
-            assert self.gates is not None
-            for name in GATES:
-                gate = self.gates[name]
-                out.append((f"lstm.wx_{name}", gate.input_conv.weights))
-                out.append((f"lstm.wh_{name}", gate.hidden_conv.weights))
-                out.append((f"lstm.b_{name}", gate.input_conv.bias))
+            assert self.input_conv is not None and self.hidden_conv is not None
+            for name, rows in _gate_rows(self.hidden_channels).items():
+                out.append((f"lstm.wx_{name}", self.input_conv.weights[rows]))
+                out.append((f"lstm.wh_{name}", self.hidden_conv.weights[rows]))
+                out.append((f"lstm.b_{name}", self.input_conv.bias[rows]))
         out.append(("head.weights", self.head.weights))
         out.append(("head.bias", self.head.bias))
         return out
+
+
+def _gate_rows(hc: int) -> dict[str, slice]:
+    """Each gate's row block in the stacked gate convolutions, in GATES order."""
+    return {name: slice(j * hc, (j + 1) * hc) for j, name in enumerate(GATES)}
 
 
 def zero_gradients(model: AdaptationModel) -> dict[str, np.ndarray]:
@@ -152,17 +150,16 @@ def init_parameters(
             variant=variant, hidden_channels=hc, head=head, feature_conv=feature
         )
 
-    gates: dict[str, GateParams] = {}
-    for name in GATES:
-        wx = draw(hc, 1, k)
-        wh = draw(hc, hc, k)
-        bias = np.full(hc, 1.0) if name == "f" else np.zeros(hc)
-        gates[name] = GateParams(
-            input_conv=Conv2dParams(wx, bias, padding=k // 2),
-            hidden_conv=Conv2dParams(wh, np.zeros(hc), padding=k // 2),
-        )
+    n = len(GATES) * hc
+    wx, wh, bias = np.empty((n, 1, k, k)), np.empty((n, hc, k, k)), np.zeros(n)
+    for rows in _gate_rows(hc).values():
+        wx[rows] = draw(hc, 1, k)
+        wh[rows] = draw(hc, hc, k)
+    bias[_gate_rows(hc)["f"]] = 1.0
     head = Conv2dParams(draw(1, hc, 1), np.zeros(1), padding=0)
-    return AdaptationModel(variant=variant, hidden_channels=hc, head=head, gates=gates)
+    input_conv = Conv2dParams(wx, bias, padding=k // 2)
+    hidden_conv = Conv2dParams(wh, np.zeros(n), padding=k // 2)
+    return AdaptationModel(variant, hc, head, input_conv=input_conv, hidden_conv=hidden_conv)
 
 
 @dataclass
@@ -178,12 +175,8 @@ class _LstmStepCache:
     x: Tensor4
     h_prev: Tensor4
     c_prev: Tensor4
-    i: Tensor4
-    f: Tensor4
-    o: Tensor4
-    g: Tensor4
+    gates: np.ndarray  # activated i, f, o, g stacked along channels
     c: Tensor4
-    tanh_c: Tensor4
     h: Tensor4
     pre_head: Tensor4
 
@@ -233,7 +226,7 @@ def _convlstm_step_cached(
 ) -> tuple[Tensor4, LstmState, _LstmStepCache]:
     if model.variant != CONV_LSTM:
         raise ValueError("convlstm_step requires a ConvLSTM model")
-    assert model.gates is not None
+    assert model.input_conv is not None and model.hidden_conv is not None
     _check_frame(x)
     h_prev, c_prev = state.hidden, state.cell
     if h_prev.height != x.height or h_prev.width != x.width:
@@ -241,22 +234,21 @@ def _convlstm_step_cached(
             f"state spatial dims {h_prev.dims} do not match frame {x.dims}"
         )
 
-    def gate_pre(name: str) -> np.ndarray:
-        gate = model.gates[name]
-        a = conv2d_forward(x, gate.input_conv)
-        b = conv2d_forward(h_prev, gate.hidden_conv)
-        return a.data + b.data
-
-    i = sigmoid(Tensor4(gate_pre("i")))
-    f = sigmoid(Tensor4(gate_pre("f")))
-    o = sigmoid(Tensor4(gate_pre("o")))
-    g = tanh_act(Tensor4(gate_pre("g")))
-    c = Tensor4(f.data * c_prev.data + i.data * g.data)
-    tanh_c = tanh_act(c)
-    h = Tensor4(o.data * tanh_c.data)
+    # activations run in place on the fresh pre-activation buffer: one tanh
+    # serves all four gates, as tensor.sigmoid is 0.5 * (1 + tanh(0.5 * v))
+    gates = conv2d_forward(h_prev, model.hidden_conv).data
+    gates += conv2d_forward(x, model.input_conv).data
+    hc = model.hidden_channels
+    gates[:, : 3 * hc] *= 0.5
+    np.tanh(gates, out=gates)
+    gates[:, : 3 * hc] += 1.0
+    gates[:, : 3 * hc] *= 0.5
+    i, f, o, g = (gates[:, rows] for rows in _gate_rows(hc).values())
+    c = Tensor4(f * c_prev.data + i * g)
+    h = Tensor4(o * np.tanh(c.data))
     pre_head = conv2d_forward(h, model.head)
     y = sigmoid(pre_head)
-    cache = _LstmStepCache(x, h_prev, c_prev, i, f, o, g, c, tanh_c, h, pre_head)
+    cache = _LstmStepCache(x, h_prev, c_prev, gates, c, h, pre_head)
     return y, LstmState(hidden=h, cell=c), cache
 
 
@@ -342,18 +334,22 @@ def _backward_convlstm(
     model: AdaptationModel,
     grads: dict[str, np.ndarray],
 ) -> None:
-    assert model.gates is not None
+    assert model.input_conv is not None and model.hidden_conv is not None
+    rows = _gate_rows(model.hidden_channels)
+    d_wx = np.zeros_like(model.input_conv.weights)
+    d_wh = np.zeros_like(model.hidden_conv.weights)
+    d_b = np.zeros_like(model.input_conv.bias)
     dh_next = np.zeros_like(steps[-1].h.data)
     dc_next = np.zeros_like(dh_next)
     for step, dy in zip(reversed(steps), reversed(grad_outputs)):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
-        d_h_head, d_wh, d_bh = conv2d_backward(step.h, model.head, d_pre_head)
-        grads["head.weights"] += d_wh.data
-        grads["head.bias"] += d_bh
+        d_h_head, d_w_head, d_b_head = conv2d_backward(step.h, model.head, d_pre_head)
+        grads["head.weights"] += d_w_head.data
+        grads["head.bias"] += d_b_head
 
         dh = d_h_head.data + dh_next
-        i, f, o, g = step.i.data, step.f.data, step.o.data, step.g.data
-        tc = step.tanh_c.data
+        i, f, o, g = (step.gates[:, r] for r in rows.values())
+        tc = np.tanh(step.c.data)
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
         df = dc * step.c_prev.data
@@ -362,20 +358,17 @@ def _backward_convlstm(
         dc_next = dc * f
 
         # gate pre-activation gradients via the cached activations
-        d_pre = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "g": dg * (1.0 - g * g),
-        }
-        dh_prev = np.zeros_like(dh)
-        for name in GATES:
-            gate = model.gates[name]
-            da = Tensor4(d_pre[name])
-            _, d_wx, d_b = conv2d_backward(step.x, gate.input_conv, da)
-            d_hp, d_whh, _ = conv2d_backward(step.h_prev, gate.hidden_conv, da)
-            grads[f"lstm.wx_{name}"] += d_wx.data
-            grads[f"lstm.wh_{name}"] += d_whh.data
-            grads[f"lstm.b_{name}"] += d_b
-            dh_prev += d_hp.data
-        dh_next = dh_prev
+        d_pre = Tensor4(np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
+            axis=1,
+        ))
+        d_hp, step_wh, _ = conv2d_backward(step.h_prev, model.hidden_conv, d_pre)
+        _, step_wx, step_b = conv2d_backward(step.x, model.input_conv, d_pre)
+        d_wx += step_wx.data
+        d_wh += step_wh.data
+        d_b += step_b
+        dh_next = d_hp.data
+    for name, r in rows.items():
+        grads[f"lstm.wx_{name}"] = d_wx[r]
+        grads[f"lstm.wh_{name}"] = d_wh[r]
+        grads[f"lstm.b_{name}"] = d_b[r]

@@ -42,10 +42,6 @@ class Tensor4:
     def zeros(batch: int, channels: int, height: int, width: int) -> "Tensor4":
         return Tensor4(np.zeros((batch, channels, height, width)))
 
-    @staticmethod
-    def full(batch: int, channels: int, height: int, width: int, value: float) -> "Tensor4":
-        return Tensor4(np.full((batch, channels, height, width), float(value)))
-
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.data.shape  # type: ignore[return-value]
@@ -210,9 +206,12 @@ def conv2d_backward(
     g_mat = grad_out.data.reshape(b, params.out_channels, ho * wo)
 
     grad_bias = g_mat.sum(axis=(0, 2))
-    # (C_out, C_in*k*k) summed over batch
-    gw = np.einsum("bop,bcp->oc", g_mat, cols)
-    grad_weights = gw.reshape(params.weights.shape)
+    # one BLAS product over batch and pixels, (C_in*k*k, C_out) then transposed;
+    # tests pin that its bits do not depend on the BLAS thread count
+    cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+    g_flat = g_mat.transpose(1, 0, 2).reshape(params.out_channels, -1)
+    grad_weights = (cols @ g_flat.T).T.reshape(params.weights.shape)
+    del cols  # bounds peak memory: the column gradient below is as large
 
     w_mat = params.weights.reshape(params.out_channels, -1)
     g_cols = np.matmul(w_mat.T[None, :, :], g_mat)
@@ -263,17 +262,3 @@ def relu_backward(input: Tensor4, grad_out: Tensor4) -> Tensor4:
 def _check_same_dims(a: Tensor4, b: Tensor4) -> None:
     if a.dims != b.dims:
         raise DimensionMismatch(f"dims {a.dims} != {b.dims}")
-
-
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
-    _check_same_dims(a, b)
-    return Tensor4(a.data + b.data)
-
-
-def mul(a: Tensor4, b: Tensor4) -> Tensor4:
-    _check_same_dims(a, b)
-    return Tensor4(a.data * b.data)
-
-
-def scale(a: Tensor4, factor: float) -> Tensor4:
-    return Tensor4(a.data * float(factor))

@@ -7,13 +7,15 @@ pass and one optimizer step, with gradients clipped by global norm.
 
 Checkpoints are a little-endian binary format (magic "TSAL") storing
 parameters and momentum buffers as 32-bit floats with a trailing CRC-32;
-writes are atomic (temp file then rename).
+writes are atomic (fsynced unique temp file, then rename), and every stored
+value is finite.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -245,11 +247,15 @@ def _canonical_dims(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
 def _pack_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
     chunks: list[bytes] = []
     for name, arr in named:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise NonFinite(f"{name} holds values that are not finite as 32-bit floats")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<4I", *_canonical_dims(arr.shape)))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        chunks.append(values.tobytes())
     return b"".join(chunks)
 
 
@@ -258,7 +264,9 @@ def save_checkpoint(
 ) -> None:
     """Serialize parameters and momentum buffers at 32-bit precision.
 
-    The write is atomic: a sibling temp file is renamed over the target.
+    Raises NonFinite, writing nothing, if a value is not finite at 32-bit
+    precision. The write is atomic: a unique sibling temp file is fsynced,
+    then renamed over the target.
     """
     named = model.named_parameters()
     for name, arr in named:
@@ -277,10 +285,21 @@ def save_checkpoint(
     body += _pack_tensors([(name, momentum_buffers[name]) for name, _ in named])
     body += struct.pack("<I", zlib.crc32(bytes(body)))
 
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(body))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -316,6 +335,8 @@ def _read_tensor_section(
         count = int(np.prod(dims))
         raw = reader.take(count * 4)
         values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            raise CorruptCheckpoint(f"tensor {name!r} holds NaN or Inf")
         out[name] = values.reshape(exp_arr.shape)
     return out
 

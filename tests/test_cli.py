@@ -3,6 +3,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from tsal import data as D
 from tsal import metrics as M
 from tsal import model as Mo
 from tsal import train as Tr
+import tsal
 from tsal.cli import fmt3, main
 
 
@@ -132,6 +136,27 @@ class TestTrain:
         assert lines[0] == "step,loss"
         assert len(lines) == 5  # 2 epochs x 2 windows of 3 frames, plus header
 
+    @pytest.mark.parametrize("hidden", [64, Mo.DEFAULT_HIDDEN_CHANNELS])
+    def test_artifacts_independent_of_blas_threads(self, tmp_path, hidden):
+        _, manifest = make_dataset(tmp_path, videos=2, frames=20, size=16)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        blobs = {}
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            ckpt, csv = tmp_path / f"t{threads}.tsal", tmp_path / f"t{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "tsal.cli", "train", "--manifest", manifest,
+                 "--ckpt", str(ckpt), "--variant", "convlstm", "--hidden", str(hidden),
+                 "--max-steps", "3", "--loss-csv", str(csv)],
+                env=env, check=True, capture_output=True,
+            )
+            blobs[threads] = (ckpt.read_bytes(), csv.read_bytes())
+        assert len(blobs["1"][1].decode().splitlines()) == 4  # header + 3 steps
+        assert blobs["1"][0] == blobs["2"][0]
+        assert blobs["1"][1] == blobs["2"][1]
+
     @pytest.mark.parametrize(
         "flags, config",
         [
@@ -242,6 +267,27 @@ class TestPredict:
         with open(os.path.join(out, "v", "000000.pgm"), "rb") as a:
             with open(os.path.join(out, "v", "000001.pgm"), "rb") as b:
                 assert a.read() == b.read()
+
+    def test_non_finite_checkpoint_rejected(self, tmp_path, capsys):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
+        ckpt = self.make_zero_checkpoint(tmp_path)
+        with open(ckpt, "rb") as fh:
+            body = bytearray(fh.read()[:-4])
+        # first float32 of the first tensor's payload: name, then four uint32 dims
+        at = body.index(b"feature.weights") + len(b"feature.weights") + 16
+        body[at : at + 4] = np.float32(np.inf).tobytes()
+        with open(ckpt, "wb") as fh:
+            fh.write(bytes(body) + np.uint32(zlib.crc32(bytes(body))).tobytes())
+        out = tmp_path / "pred"
+        code, stdout, stderr = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", ckpt, "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR CorruptCheckpoint:")
+        assert "Traceback" not in stderr
+        assert not out.exists()
 
     def test_missing_static_map(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)

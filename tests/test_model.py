@@ -6,7 +6,14 @@ import pytest
 from helpers import central_difference, max_rel_err
 from tsal import model as Mo
 from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, StaleCache
-from tsal.tensor import Conv2dParams, Tensor4, conv2d_forward_direct
+from tsal.tensor import (
+    Conv2dParams,
+    Tensor4,
+    conv2d_backward,
+    conv2d_forward,
+    conv2d_forward_direct,
+    sigmoid_backward,
+)
 
 
 def zero_model(variant: str, hidden: int = 4) -> Mo.AdaptationModel:
@@ -22,6 +29,16 @@ def random_model(variant: str, seed: int, hidden: int = 4) -> Mo.AdaptationModel
 
 def random_frames(rng, count: int, h: int, w: int) -> list[Tensor4]:
     return [Tensor4(rng.uniform(0, 1, size=(1, 1, h, w))) for _ in range(count)]
+
+
+def gate_convs(m: Mo.AdaptationModel, name: str) -> tuple[Conv2dParams, Conv2dParams]:
+    """One gate's input-to-state and state-to-state convolutions, on their own."""
+    p = dict(m.named_parameters())
+    hc = m.hidden_channels
+    return (
+        Conv2dParams(p[f"lstm.wx_{name}"], p[f"lstm.b_{name}"], padding=1),
+        Conv2dParams(p[f"lstm.wh_{name}"], np.zeros(hc), padding=1),
+    )
 
 
 class TestConvBlockForward:
@@ -72,7 +89,7 @@ class TestConvLstmStep:
 
     def test_saturated_forget_gate_preserves_cell(self):
         m = zero_model(Mo.CONV_LSTM)
-        m.gates["f"].input_conv.bias[...] = 20.0
+        dict(m.named_parameters())["lstm.b_f"][...] = 20.0
         rng = np.random.default_rng(3)
         cell = Tensor4(rng.uniform(-1, 1, size=(1, 4, 4, 4)))
         state = Mo.LstmState(hidden=Tensor4.zeros(1, 4, 4, 4), cell=cell)
@@ -89,10 +106,10 @@ class TestConvLstmStep:
         y, new_state = Mo.convlstm_step(x, Mo.LstmState(hidden=h, cell=c), m)
 
         def pre(name):
-            gate = m.gates[name]
+            input_conv, hidden_conv = gate_convs(m, name)
             return (
-                conv2d_forward_direct(x, gate.input_conv).data
-                + conv2d_forward_direct(h, gate.hidden_conv).data
+                conv2d_forward_direct(x, input_conv).data
+                + conv2d_forward_direct(h, hidden_conv).data
             )
 
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -138,8 +155,9 @@ class TestForwardSequence:
         # true per-frame independence
         rng = np.random.default_rng(7)
         m = random_model(Mo.CONV_LSTM, seed=8)
+        params = dict(m.named_parameters())
         for name in Mo.GATES:
-            m.gates[name].hidden_conv.weights[...] = 0.0
+            params[f"lstm.wh_{name}"][...] = 0.0
         frames = random_frames(rng, 5, 4, 4)
 
         # kernels alone are not enough: the cell carry still couples steps
@@ -147,7 +165,7 @@ class TestForwardSequence:
         solo1, _ = Mo.forward_sequence([frames[1]], m)
         assert np.max(np.abs(solo1[0].data - coupled[1].data)) > 1e-6
 
-        m.gates["f"].input_conv.bias[...] = -40.0  # saturate the forget gate shut
+        params["lstm.b_f"][...] = -40.0  # saturate the forget gate shut
         outputs, _ = Mo.forward_sequence(frames, m)
         for fr, y in zip(frames, outputs):
             solo, _ = Mo.forward_sequence([fr], m)
@@ -177,7 +195,70 @@ def projection_loss(model, frames, projections) -> float:
     return float(sum(np.sum(p * y.data) for p, y in zip(projections, outputs)))
 
 
+def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
+    """BPTT with each gate as its own pair of convolutions: 8 conv2d_backward
+    calls per step, state gradients summed in GATES order."""
+    convs = {name: gate_convs(m, name) for name in Mo.GATES}
+    sig = lambda v: 0.5 * (1.0 + np.tanh(0.5 * v))
+    h = np.zeros((1, m.hidden_channels) + frames[0].dims[2:])
+    c = np.zeros_like(h)
+    steps = []
+    for x in frames:
+        pre = {
+            name: conv2d_forward(x, wx).data + conv2d_forward(Tensor4(h), wh).data
+            for name, (wx, wh) in convs.items()
+        }
+        i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), np.tanh(pre["g"])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        steps.append((x, h, c, i, f, o, g, c_new, h_new))
+        h, c = h_new, c_new
+
+    grads = Mo.zero_gradients(m)
+    dh_next = np.zeros_like(h)
+    dc_next = np.zeros_like(h)
+    for (x, h_prev, c_prev, i, f, o, g, c, h), dy in zip(reversed(steps), reversed(grad_outputs)):
+        pre_head = conv2d_forward(Tensor4(h), m.head)
+        d_pre_head = sigmoid_backward(pre_head, dy)
+        d_h_head, d_w, d_b = conv2d_backward(Tensor4(h), m.head, d_pre_head)
+        grads["head.weights"] += d_w.data
+        grads["head.bias"] += d_b
+        dh = d_h_head.data + dh_next
+        tc = np.tanh(c)
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        d_pre = {
+            "i": dc * g * i * (1.0 - i),
+            "f": dc * c_prev * f * (1.0 - f),
+            "o": dh * tc * o * (1.0 - o),
+            "g": dc * i * (1.0 - g * g),
+        }
+        dc_next = dc * f
+        dh_next = np.zeros_like(dh)
+        for name in Mo.GATES:
+            wx, wh = convs[name]
+            da = Tensor4(d_pre[name])
+            _, d_wx, d_b = conv2d_backward(x, wx, da)
+            d_hp, d_wh, _ = conv2d_backward(Tensor4(h_prev), wh, da)
+            grads[f"lstm.wx_{name}"] += d_wx.data
+            grads[f"lstm.wh_{name}"] += d_wh.data
+            grads[f"lstm.b_{name}"] += d_b
+            dh_next += d_hp.data
+    return grads
+
+
 class TestBackwardSequence:
+    @pytest.mark.parametrize("hidden", [3, 8])
+    def test_stacked_gates_match_per_gate_reference(self, hidden):
+        rng = np.random.default_rng(13)
+        m = random_model(Mo.CONV_LSTM, seed=14, hidden=hidden)
+        frames = random_frames(rng, 3, 5, 6)
+        projections = [Tensor4(rng.uniform(-1, 1, size=(1, 1, 5, 6))) for _ in frames]
+        _, cache = Mo.forward_sequence(frames, m)
+        got = Mo.backward_sequence(cache, projections)
+        want = per_gate_grads(m, frames, projections)
+        for name, _ in m.named_parameters():
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
     def test_zero_grad_outputs(self):
         rng = np.random.default_rng(9)
         m = random_model(Mo.CONV_LSTM, seed=10)
@@ -234,16 +315,17 @@ class TestInitParameters:
 
     def test_forget_bias_is_one_and_others_zero(self):
         m = Mo.init_parameters(Mo.CONV_LSTM, rng_seed=0, hidden_channels=5)
-        assert np.all(m.gates["f"].input_conv.bias == 1.0)
+        params = dict(m.named_parameters())
+        assert np.all(params["lstm.b_f"] == 1.0)
         for name in ("i", "o", "g"):
-            assert np.all(m.gates[name].input_conv.bias == 0.0)
+            assert np.all(params[f"lstm.b_{name}"] == 0.0)
         assert np.all(m.head.bias == 0.0)
 
     def test_kernel_bounds(self):
         m = Mo.init_parameters(Mo.CONV_LSTM, rng_seed=1, hidden_channels=8)
+        params = dict(m.named_parameters())
         for name in Mo.GATES:
-            wx = m.gates[name].input_conv.weights
-            wh = m.gates[name].hidden_conv.weights
+            wx, wh = params[f"lstm.wx_{name}"], params[f"lstm.wh_{name}"]
             assert np.max(np.abs(wx)) <= np.sqrt(1.0 / 9.0)
             assert np.max(np.abs(wh)) <= np.sqrt(1.0 / (8 * 9))
         assert np.max(np.abs(m.head.weights)) <= np.sqrt(1.0 / 8.0)
@@ -251,10 +333,10 @@ class TestInitParameters:
     def test_empirical_mean_near_zero(self):
         # >= 1e5 kernel draws pooled across tensors, each scaled to [-1, 1]
         m = Mo.init_parameters(Mo.CONV_LSTM, rng_seed=2, hidden_channels=64)
+        params = dict(m.named_parameters())
         pooled = []
         for name in Mo.GATES:
-            wx = m.gates[name].input_conv.weights
-            wh = m.gates[name].hidden_conv.weights
+            wx, wh = params[f"lstm.wx_{name}"], params[f"lstm.wh_{name}"]
             pooled.append(wx.ravel() / np.sqrt(1.0 / 9.0))
             pooled.append(wh.ravel() / np.sqrt(1.0 / (64 * 9)))
         pooled.append(m.head.weights.ravel() / np.sqrt(1.0 / 64.0))
@@ -269,5 +351,6 @@ class TestInitParameters:
         m = Mo.init_parameters(Mo.CONV_ONLY, rng_seed=0, hidden_channels=3)
         with pytest.raises(ValueError):
             Mo.AdaptationModel(
-                variant=Mo.CONV_LSTM, hidden_channels=3, head=m.head, gates=None
+                variant=Mo.CONV_LSTM, hidden_channels=3, head=m.head,
+                input_conv=None, hidden_conv=None,
             )

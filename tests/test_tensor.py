@@ -193,32 +193,3 @@ class TestActivations:
 
             analytic = T.relu_backward(T.Tensor4(x), T.Tensor4(proj))
             assert max_rel_err(analytic.data, central_difference(loss, x)) < 1e-5
-
-
-class TestElementwise:
-    def test_additive_identity(self):
-        rng = np.random.default_rng(9)
-        x = T.Tensor4(rng.uniform(-1, 1, size=(2, 2, 3, 3)))
-        np.testing.assert_array_equal(T.add(x, T.Tensor4.zeros(2, 2, 3, 3)).data, x.data)
-
-    def test_multiplicative_identity(self):
-        rng = np.random.default_rng(10)
-        x = T.Tensor4(rng.uniform(-1, 1, size=(2, 2, 3, 3)))
-        ones = T.Tensor4(np.ones((2, 2, 3, 3)))
-        np.testing.assert_array_equal(T.mul(x, ones).data, x.data)
-
-    def test_scale_by_zero_annihilates(self):
-        rng = np.random.default_rng(11)
-        x = T.Tensor4(rng.uniform(-1, 1, size=(1, 1, 4, 4)))
-        assert not T.scale(x, 0.0).data.any()
-
-    def test_commutativity(self):
-        rng = np.random.default_rng(12)
-        a = T.Tensor4(rng.uniform(-1, 1, size=(1, 2, 3, 3)))
-        b = T.Tensor4(rng.uniform(-1, 1, size=(1, 2, 3, 3)))
-        np.testing.assert_array_equal(T.add(a, b).data, T.add(b, a).data)
-        np.testing.assert_array_equal(T.mul(a, b).data, T.mul(b, a).data)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            T.add(T.Tensor4.zeros(1, 1, 2, 2), T.Tensor4.zeros(1, 1, 3, 3))

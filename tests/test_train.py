@@ -1,5 +1,8 @@
 """Tests for loss, optimizer, schedule, training loop, and checkpoints."""
 
+import os
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from tsal.errors import (
     DimensionMismatch,
     EmptyDataset,
     LengthMismatch,
+    NonFinite,
     ShapeMismatch,
 )
 from tsal.tensor import Tensor4
@@ -315,3 +319,23 @@ class TestCheckpoint:
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path, Mo.CONV_ONLY)
         assert not (tmp_path / "model.tsal.tmp").exists()
+        assert os.listdir(tmp_path) == ["model.tsal"]
+
+    def test_overflowing_save_writes_nothing(self, tmp_path):
+        model = tiny_model(Mo.CONV_LSTM)
+        dict(model.named_parameters())["lstm.wh_o"][0, 0, 1, 1] = 1e39  # inf as float32
+        path = tmp_path / "model.tsal"
+        with pytest.raises(NonFinite, match="lstm.wh_o"):
+            Tr.save_checkpoint(model, Mo.zero_gradients(model), str(path))
+        assert os.listdir(tmp_path) == []
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path, Mo.CONV_ONLY)
+        with open(path, "rb") as fh:
+            body = bytearray(fh.read()[:-4])
+        body[-4:] = np.float32(np.nan).tobytes()  # last momentum buffer value
+        bad = str(tmp_path / "nan.tsal")
+        with open(bad, "wb") as fh:
+            fh.write(bytes(body) + np.uint32(zlib.crc32(bytes(body))).tobytes())
+        with pytest.raises(CorruptCheckpoint, match="NaN or Inf"):
+            Tr.load_checkpoint(bad)
