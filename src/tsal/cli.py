@@ -2,9 +2,11 @@
 
 Every subcommand reads an optional JSON config (``--config``) whose keys
 mirror the flag names; explicit flags win over the config, which wins
-over built-in defaults. The fully resolved configuration is logged to
-stderr before work starts. All failures exit nonzero with a single
-machine-parseable ``ERROR <code>: <message>`` line on stderr.
+over built-in defaults. Each setting is declared once, in ``SETTINGS``,
+with its default, type and bounds; every resolved value is checked
+against it before work starts, and then logged to stderr. All failures,
+usage errors included, exit 1 with a single machine-parseable
+``ERROR <code>: <message>`` line on stderr.
 
 Rendered tables round to three decimals, half up, and are byte-stable:
 re-rendering the same report reproduces identical text.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
+import operator
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -36,69 +40,67 @@ from .errors import (
 
 log = logging.getLogger("tsal")
 
-DEFAULTS: dict[str, dict] = {
+NEEDED = object()  # default of a setting the user must give
+
+GE0, GE1, GT0 = ((">=", 0),), ((">=", 1),), ((">", 0),)
+
+# SETTINGS[command][name] = (default, type, bounds). Every flag and config
+# key comes from here; resolve_config checks each value against its entry.
+SETTINGS: dict[str, dict[str, tuple]] = {
     "generate": {
-        "out": None,
-        "videos": 4,
-        "frames": 64,
-        "height": 32,
-        "width": 32,
-        "seed": 7,
-        "lag": 1,
-        "blob_sigma": 3.0,
-        "noise": 0.08,
-        "fixations_per_frame": 3,
+        "out": (NEEDED, str, ()),
+        "videos": (4, int, GE1),
+        "frames": (64, int, GE1),
+        "height": (32, int, ((">=", 8),)),
+        "width": (32, int, ((">=", 8),)),
+        "seed": (7, int, GE0),
+        "lag": (1, int, GE0),
+        "blob_sigma": (3.0, float, GT0),
+        "noise": (0.08, float, GE0),
+        "fixations_per_frame": (3, int, GE0),
     },
     "train": {
-        "manifest": None,
-        "ckpt": None,
-        "variant": Mo.CONV_LSTM,
-        "epochs": 1,
-        "clip_length": 16,
-        "seed": 0,
-        "hidden": Mo.DEFAULT_HIDDEN_CHANNELS,
-        "lr0": 1e-5,
-        "momentum": 0.9,
-        "weight_decay": 1e-4,
-        "decay_every": 3,
-        "max_steps": None,
-        "loss_csv": None,
+        "manifest": (NEEDED, str, ()),
+        "ckpt": (NEEDED, str, ()),
+        "variant": (Mo.CONV_LSTM, str, (("in", Mo.VARIANTS),)),
+        "epochs": (1, int, GE1),
+        "clip_length": (16, int, GE1),
+        "seed": (0, int, GE0),
+        "hidden": (Mo.DEFAULT_HIDDEN_CHANNELS, int, GE1 + (("<=", Tr.MAX_HIDDEN_CHANNELS),)),
+        "lr0": (1e-5, float, GE0),
+        "momentum": (0.9, float, GE0),
+        "weight_decay": (1e-4, float, GE0),
+        "decay_every": (3, int, GE1),
+        "max_steps": (None, int, GE1),
+        "loss_csv": (None, str, ()),
     },
     "predict": {
-        "manifest": None,
-        "ckpt": None,
-        "out": None,
+        "manifest": (NEEDED, str, ()),
+        "ckpt": (NEEDED, str, ()),
+        "out": (NEEDED, str, ()),
     },
     "evaluate": {
-        "manifest": None,
-        "predictions": None,
-        "metrics": ",".join(M.METRIC_NAMES),
-        "shuffle_seed": 42,
-        "out": None,
+        "manifest": (NEEDED, str, ()),
+        "predictions": (NEEDED, str, ()),
+        "metrics": (",".join(M.METRIC_NAMES), str, ()),
+        "shuffle_seed": (42, int, GE0),
+        "out": (None, str, ()),
     },
     "report": {
-        "scores": None,
-        "metric": "nss",
-        "grouping": None,
+        # the positional score files; a config may also give one path as a string
+        "scores": (NEEDED, (list, str), ()),
+        "metric": ("nss", str, (("in", M.METRIC_NAMES),)),
+        "grouping": (None, str, ()),
     },
 }
 
-# train's integer settings and their upper bounds (None: unbounded)
-TRAIN_COUNTS: dict[str, int | None] = {
-    "epochs": None,
-    "clip_length": None,
-    "decay_every": None,
-    "max_steps": None,
-    "hidden": Tr.MAX_HIDDEN_CHANNELS,
+TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    (list, str): "a path or a list of paths",
 }
-
-REQUIRED: dict[str, tuple[str, ...]] = {
-    "generate": ("out",),
-    "train": ("manifest", "ckpt"),
-    "predict": ("manifest", "ckpt", "out"),
-    "evaluate": ("manifest", "predictions"),
-    "report": ("scores",),
-}
+OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "in": lambda v, opts: v in opts}
 
 
 def fmt3(value: float | None) -> str:
@@ -133,17 +135,7 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_generate(cfg: dict) -> None:
-    config = D.SyntheticConfig(
-        videos=cfg["videos"],
-        frames=cfg["frames"],
-        height=cfg["height"],
-        width=cfg["width"],
-        seed=cfg["seed"],
-        lag=cfg["lag"],
-        blob_sigma=cfg["blob_sigma"],
-        noise=cfg["noise"],
-        fixations_per_frame=cfg["fixations_per_frame"],
-    )
+    config = D.SyntheticConfig(**{k: v for k, v in cfg.items() if k != "out"})
     D.generate_synthetic(cfg["out"], config)
     manifest_path = os.path.join(cfg["out"], "manifest.json")
     log.info("wrote %d videos x %d frames", config.videos, config.frames)
@@ -165,15 +157,6 @@ def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
 
 
 def cmd_train(cfg: dict) -> None:
-    if cfg["variant"] not in Mo.VARIANTS:
-        raise ParseError(f"variant must be one of {Mo.VARIANTS}, got {cfg['variant']!r}")
-    for key, top in TRAIN_COUNTS.items():
-        value = cfg[key]
-        if key == "max_steps" and value is None:
-            continue
-        if type(value) is not int or value < 1 or (top is not None and value > top):
-            limit = f"in [1, {top}]" if top is not None else ">= 1"
-            raise ParseError(f"{key} must be an integer {limit}, got {value!r}")
     manifest = D.load_manifest(cfg["manifest"])
     samples = _load_samples(manifest)
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
@@ -213,6 +196,12 @@ def cmd_predict(cfg: dict) -> None:
     manifest = D.load_manifest(cfg["manifest"], check_files=False)
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
     res = manifest.resolution
+    # every static map must exist before any output is written
+    for record in manifest.videos:
+        for frame in record.frames:
+            src = os.path.join(manifest.root, record.static_map_dir, D.frame_file_name(frame))
+            if not os.path.isfile(src):
+                raise MissingInput(f"{record.video_id}: no static map {src}")
     written = 0
     for record in manifest.videos:
         out_dir = os.path.join(cfg["out"], record.video_id)
@@ -223,8 +212,6 @@ def cmd_predict(cfg: dict) -> None:
         for frame in record.frames:
             name = D.frame_file_name(frame)
             src = os.path.join(manifest.root, record.static_map_dir, name)
-            if not os.path.isfile(src):
-                raise MissingInput(f"{record.video_id}: no static map {src}")
             static = D.resize_bilinear(D.load_map(src), res)
             x = D.map_to_tensor(static)
             if model.variant == Mo.CONV_ONLY:
@@ -316,11 +303,9 @@ def cmd_report(cfg: dict) -> None:
     first_groups: dict[str, list[str]] | None = None
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from None
-        report = M.report_from_dict(payload)
+            report = M.report_from_dict(_read_json(path))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: not a score file: {exc!r}") from None
         if first_groups is None:
             first_groups = report.groups
         else:
@@ -333,22 +318,14 @@ def cmd_report(cfg: dict) -> None:
         models.append((_model_name(path), report.per_video))
     assert first_groups is not None
 
+    grouping = first_groups
     if cfg["grouping"]:
-        with open(cfg["grouping"], "r", encoding="utf-8") as fh:
-            try:
-                grouping = {
-                    str(label): [str(v) for v in members]
-                    for label, members in json.load(fh).items()
-                }
-            except (json.JSONDecodeError, AttributeError) as exc:
-                raise ParseError(f"bad grouping file: {exc}") from None
-    else:
-        grouping = first_groups
-
-    metric = cfg["metric"]
-    if metric not in M.METRIC_NAMES:
-        raise ParseError(f"unknown metric {metric!r}; choose from {M.METRIC_NAMES}")
-    print(render_comparison(models, grouping, metric))
+        payload = _read_json(cfg["grouping"])
+        try:
+            grouping = {str(k): [str(v) for v in members] for k, members in payload.items()}
+        except (AttributeError, TypeError) as exc:
+            raise ParseError(f"bad grouping file: {exc}") from None
+    print(render_comparison(models, grouping, cfg["metric"]))
 
 
 def render_comparison(
@@ -389,97 +366,99 @@ def render_comparison(
 # argument parsing and config resolution
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ParseError instead of exiting with status 2."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+COMMANDS = {
+    "generate": ("write a synthetic drifting-blob dataset", cmd_generate),
+    "train": ("train an adaptation model on a dataset", cmd_train),
+    "predict": ("run a checkpoint over a dataset's static maps", cmd_predict),
+    "evaluate": ("score predictions against ground truth", cmd_evaluate),
+    "report": ("tabulate one metric across models and videos", cmd_report),
+}
+
+
+def _describe(bounds: tuple) -> str:
+    return " and ".join(f"{op} {limit}" for op, limit in bounds)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tsal",
         description="Temporal adaptation toolkit for video saliency maps.",
     )
     parser.add_argument("--version", action="version", version=f"tsal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
+    for name, (help_text, func) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.set_defaults(func=func, command=name)
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        return p
-
-    p = command("generate", "write a synthetic drifting-blob dataset", cmd_generate)
-    p.add_argument("--out", help="output dataset directory")
-    p.add_argument("--videos", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--blob-sigma", dest="blob_sigma", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--fixations-per-frame", dest="fixations_per_frame", type=int)
-
-    p = command("train", "train an adaptation model on a dataset", cmd_train)
-    p.add_argument("--manifest", help="dataset manifest JSON")
-    p.add_argument("--ckpt", help="checkpoint output path")
-    p.add_argument("--variant", choices=list(Mo.VARIANTS))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--clip-length", dest="clip_length", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--decay-every", dest="decay_every", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--loss-csv", dest="loss_csv")
-
-    p = command("predict", "run a checkpoint over a dataset's static maps", cmd_predict)
-    p.add_argument("--manifest")
-    p.add_argument("--ckpt")
-    p.add_argument("--out", help="directory for refined maps")
-
-    p = command("evaluate", "score predictions against ground truth", cmd_evaluate)
-    p.add_argument("--manifest")
-    p.add_argument("--predictions", help="directory of predicted maps")
-    p.add_argument("--metrics", help="comma-separated metric names")
-    p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
-    p.add_argument("--out", help="write the report JSON here")
-
-    p = command("report", "tabulate one metric across models and videos", cmd_report)
-    p.add_argument("scores", nargs="*", help="EvalReport JSON files, one per model")
-    p.add_argument("--metric", help="metric column to tabulate")
-    p.add_argument("--grouping", help="JSON file mapping group label to video ids")
-
+        for key, (default, _, bounds) in SETTINGS[name].items():
+            if key == "scores":
+                p.add_argument(key, nargs="*", help="EvalReport JSON files, one per model")
+                continue
+            given = {NEEDED: "required", None: "optional"}.get(default, f"default {default}")
+            text = "; ".join(filter(None, (_describe(bounds), given)))
+            p.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, with unknown keys rejected."""
-    defaults = DEFAULTS[args.command]
-    merged = dict(defaults)
-    provided = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("func", "command", "config")
-    }
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # ValueError covers non-UTF-8 bytes
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _check(command: str, key: str, value, from_flag: bool):
+    """One resolved setting, converted from a flag string and checked."""
+    default, kind, bounds = SETTINGS[command][key]
+    if value is None and default is None:
+        return None
+    flag = key if key == "scores" else "--" + key.replace("_", "-")
+    if value in (None, NEEDED, []) and default is NEEDED:
+        raise ParseError(f"{command} requires {flag}")
+    name = flag if from_flag else f"config key {key!r}"
+    if from_flag and kind in (int, float):
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config file is not valid JSON: {exc}") from None
+            value = kind(value)
+        except ValueError:
+            raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {value!r}") from None
+    allowed = (int, float) if kind is float else kind  # an int is a valid float
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, allowed)
+        or isinstance(value, list) and not all(isinstance(p, str) for p in value)
+    ):
+        raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{name} must be finite, got {value!r}")
+    if not all(OPS[op](value, limit) for op, limit in bounds):
+        raise ParseError(f"{name} must be {_describe(bounds)}, got {value!r}")
+    return value
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """defaults <- config file <- explicit flags, then every value checked."""
+    table = SETTINGS[args.command]
+    merged = {key: default for key, (default, _, _) in table.items()}
+    if getattr(args, "config", None):
+        payload = _read_json(args.config)
         if not isinstance(payload, dict):
             raise ParseError("config file must hold a JSON object")
-        for key, value in payload.items():
-            if key not in defaults:
+        for key in payload:
+            if key not in table:
                 raise ParseError(f"unknown config key {key!r} for {args.command}")
-            merged[key] = value
+        merged.update(payload)
     # an empty positional list means "not given" for report's score files
-    merged.update(
-        {k: v for k, v in provided.items() if not (k == "scores" and v == [])}
-    )
-    for key in REQUIRED[args.command]:
-        if merged.get(key) in (None, []):
-            raise ParseError(f"{args.command} requires --{key.replace('_', '-')}")
-    return merged
+    flags = {k: v for k, v in vars(args).items() if k in table and v != []}
+    merged.update(flags)
+    return {key: _check(args.command, key, merged[key], key in flags) for key in table}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -489,9 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     log.handlers[:] = [handler]
     log.setLevel(logging.INFO)
     log.propagate = False
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         log.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
         args.func(cfg)

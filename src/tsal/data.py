@@ -18,7 +18,6 @@ seed.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -114,8 +113,8 @@ def load_map(path: str) -> SaliencyMap:
             raise TruncatedData(f"raster holds {len(parts)} of {count} samples")
         try:
             values = np.array([int(p) for p in parts[:count]], dtype=np.int64)
-        except ValueError:
-            raise BadHeader("non-integer sample in P2 raster") from None
+        except (ValueError, OverflowError):
+            raise BadHeader("P2 sample is not an integer in [0, 255]") from None
         if values.min() < 0 or values.max() > 255:
             raise BadHeader("P2 sample outside [0, 255]")
         values = values.astype(np.uint8)
@@ -150,25 +149,31 @@ def load_fixations(path: str, dims: tuple[int, int] | None = None) -> dict[int, 
     (when given) are OutOfBounds — both cite the 1-based line number.
     """
     grouped: dict[int, list[tuple[int, int]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-            try:
-                frame, row, col = (int(p.strip()) for p in parts)
-            except ValueError:
-                raise ParseError(f"line {line_no}: non-integer field in {line!r}") from None
-            if frame < 0 or row < 0 or col < 0:
-                raise ParseError(f"line {line_no}: negative value in {line!r}")
-            if dims is not None and (row >= dims[0] or col >= dims[1]):
-                raise OutOfBounds(
-                    f"line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"
-                )
-            grouped.setdefault(frame, []).append((row, col))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"line {line_no}: expected 3 fields, got {len(parts)}")
+        try:
+            frame, row, col = (int(p.strip()) for p in parts)
+        except ValueError:
+            raise ParseError(f"line {line_no}: non-integer field in {line!r}") from None
+        if frame < 0 or row < 0 or col < 0:
+            raise ParseError(f"line {line_no}: negative value in {line!r}")
+        if max(frame, row, col) >= 2**63:  # FixationSet holds int64
+            raise ParseError(f"line {line_no}: value too large in {line!r}")
+        if dims is not None and (row >= dims[0] or col >= dims[1]):
+            raise OutOfBounds(
+                f"line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"
+            )
+        grouped.setdefault(frame, []).append((row, col))
     return {frame: FixationSet(points) for frame, points in grouped.items()}
 
 
@@ -178,33 +183,6 @@ def write_fixations(fixations: dict[int, FixationSet], path: str) -> None:
         for frame in sorted(fixations):
             for row, col in fixations[frame].points.tolist():
                 fh.write(f"{frame},{row},{col}\n")
-
-
-def blur_fixations(fix: FixationSet, dims: tuple[int, int], sigma: float) -> SaliencyMap:
-    """Continuous ground truth: unit-mass Gaussians stamped at fixations,
-    truncated at 3 sigma, then normalized so the global peak is 1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    h, w = dims
-    out = np.zeros((h, w))
-    if len(fix) == 0:
-        return SaliencyMap(out)
-    radius = math.ceil(3.0 * sigma)
-    span = np.arange(-radius, radius + 1)
-    kernel = np.exp(-(span[:, None] ** 2 + span[None, :] ** 2) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
-    for row, col in fix.points.tolist():
-        if row < 0 or row >= h or col < 0 or col >= w:
-            raise OutOfBounds(f"fixation ({row}, {col}) outside {h}x{w}")
-        r0, r1 = max(0, row - radius), min(h, row + radius + 1)
-        c0, c1 = max(0, col - radius), min(w, col + radius + 1)
-        kr0 = r0 - (row - radius)
-        kc0 = c0 - (col - radius)
-        out[r0:r1, c0:c1] += kernel[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)]
-    peak = out.max()
-    if peak > 0:
-        out /= peak
-    return SaliencyMap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +254,8 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         if not self.videos:
             raise ParseError("manifest lists no videos")
+        if len(self.resolution) != 2 or min(self.resolution) < 1:
+            raise ParseError(f"resolution must be [height, width] >= 1, got {self.resolution}")
         seen: set[str] = set()
         for rec in self.videos:
             if rec.video_id in seen:
@@ -317,12 +297,10 @@ def load_manifest(path: str, check_files: bool = True) -> DatasetManifest:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers non-UTF-8 bytes
         raise ParseError(f"manifest is not valid JSON: {exc}") from None
     try:
         resolution = tuple(int(v) for v in payload["resolution"])
-        if len(resolution) != 2:
-            raise ParseError("resolution must be [height, width]")
         videos = [
             VideoRecord(
                 video_id=str(entry["video_id"]),
@@ -334,7 +312,7 @@ def load_manifest(path: str, check_files: bool = True) -> DatasetManifest:
             )
             for entry in payload["videos"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"manifest field error: {exc}") from None
     root = os.path.dirname(os.path.abspath(path))
     manifest = DatasetManifest(videos=videos, resolution=resolution, root=root)

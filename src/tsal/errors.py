@@ -87,7 +87,8 @@ class OutOfRange(SaliencyError):
 
 
 class ParseError(SaliencyError):
-    """A fixation file line could not be parsed."""
+    """Text input is malformed or out of range: a flag, a config value, or
+    a manifest, fixation, score or grouping file."""
 
 
 class MissingPrediction(SaliencyError):
@@ -95,7 +96,8 @@ class MissingPrediction(SaliencyError):
 
 
 class MissingInput(SaliencyError):
-    """Inference found no static map for a manifest frame."""
+    """A file the manifest names (static map, ground truth or fixations)
+    does not exist."""
 
 
 class InconsistentVideos(SaliencyError):

@@ -324,7 +324,10 @@ def _read_tensor_section(
     out: dict[str, np.ndarray] = {}
     for exp_name, exp_arr in expected:
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint("tensor name is not UTF-8") from None
         if name != exp_name:
             raise CorruptCheckpoint(f"unexpected tensor {name!r}, wanted {exp_name!r}")
         dims = reader.unpack("<4I")
@@ -369,6 +372,11 @@ def load_checkpoint(
         )
     (hidden_channels,) = reader.unpack("<H")
     (tensor_count,) = reader.unpack("<I")
+    # the widest kernel holds 9·hc (conv) or 36·hc² (convlstm) floats, stored
+    # twice as float32; check the file can hold it before allocating the model
+    widest = 9 * hidden_channels * (4 * hidden_channels if variant == CONV_LSTM else 1)
+    if hidden_channels < 1 or 8 * widest > len(body):
+        raise CorruptCheckpoint(f"hidden width {hidden_channels} does not fit the file")
 
     model = init_parameters(variant, rng_seed=0, hidden_channels=hidden_channels)
     named = model.named_parameters()

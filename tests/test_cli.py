@@ -100,6 +100,87 @@ class TestGenerate:
         assert "ERROR ParseError:" in stderr
 
 
+# (command, flags, config) -> one bad setting each; everything else is valid
+BAD_SETTINGS = {
+    "videos-0": ("generate", ["--videos", "0"], None),
+    "height-4": ("generate", ["--height", "4"], None),
+    "lag-negative": ("generate", ["--lag", "-1"], None),
+    "blob-sigma-0": ("generate", ["--blob-sigma", "0"], None),
+    "noise-negative": ("generate", ["--noise", "-1"], None),
+    "generate-seed-negative": ("generate", ["--seed", "-1"], None),
+    "train-seed-negative": ("train", ["--seed", "-1"], None),
+    "config-videos-string": ("generate", [], {"videos": "3"}),
+    "config-lr0-string": ("train", [], {"lr0": "x"}),
+    "config-shuffle-seed-string": ("evaluate", [], {"shuffle_seed": "x"}),
+    "config-metrics-number": ("evaluate", [], {"metrics": 5}),
+    "videos-abc": ("generate", ["--videos", "abc"], None),
+    "unknown-flag": ("generate", ["--bogus", "1"], None),
+    "lr0-nan": ("train", ["--lr0", "nan"], None),
+    "shuffle-seed-x": ("evaluate", ["--shuffle-seed", "x"], None),
+}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command, flags, config", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
+    def test_bad_setting_is_one_parse_error(self, tmp_path, capsys, command, flags, config):
+        data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--out", str(out)],
+            "train": ["train", "--manifest", manifest, "--ckpt", str(out), "--variant", "conv"],
+            "evaluate": ["evaluate", "--manifest", manifest, "--predictions", pred,
+                         "--out", str(out)],
+        }[command]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, stdout, stderr = run(capsys, *argv, *flags)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR ParseError:")
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "which, blob",
+        [
+            ("config", b'{"metric": "\xff"}'),
+            ("scores", b'{"per_video": "\xff"}'),
+            ("scores", b"{}"),
+            ("grouping", b'{"g": ["\xff"]}'),
+            ("grouping", b'{"g": 5}'),
+        ],
+        ids=["config-non-utf8", "scores-non-utf8", "scores-no-per-video",
+             "grouping-non-utf8", "grouping-not-a-list"],
+    )
+    def test_bad_json_file_is_one_parse_error(self, tmp_path, capsys, which, blob):
+        scores = tmp_path / "m.json"
+        write_report_json(str(scores), {"v": 1.0}, {"free-viewing": ["v"]})
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        argv = {
+            "config": ["report", str(scores), "--config", str(bad)],
+            "scores": ["report", str(bad)],
+            "grouping": ["report", str(scores), "--grouping", str(bad)],
+        }[which]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR ParseError:")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["train", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestTrain:
     def test_variant_bytes_differ(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=4, size=10)
@@ -299,6 +380,7 @@ class TestPredict:
         )
         assert code == 1
         assert "ERROR MissingInput:" in stderr
+        assert not (tmp_path / "pred").exists()  # checked before any output
 
 
 class TestEvaluate:

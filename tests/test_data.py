@@ -1,4 +1,4 @@
-"""Tests for PGM I/O, fixation files, blurring, manifests, and synthesis."""
+"""Tests for PGM I/O, fixation files, manifests, and synthesis."""
 
 import hashlib
 import os
@@ -176,37 +176,6 @@ class TestLoadFixations:
         assert loaded.keys() == original.keys()
         for frame in original:
             assert loaded[frame].points.tolist() == original[frame].points.tolist()
-
-
-class TestBlurFixations:
-    def test_single_fixation_peak_one(self):
-        sal = D.blur_fixations(M.FixationSet([(10, 12)]), (24, 24), sigma=2.0)
-        assert sal.values[10, 12] == 1.0
-        assert sal.values.max() == 1.0
-        assert np.unravel_index(sal.values.argmax(), sal.values.shape) == (10, 12)
-
-    def test_two_distant_fixations_both_peak_one(self):
-        sal = D.blur_fixations(M.FixationSet([(8, 8), (40, 40)]), (48, 48), sigma=2.0)
-        assert sal.values[8, 8] == pytest.approx(1.0)
-        assert sal.values[40, 40] == pytest.approx(1.0)
-
-    def test_empty_set_gives_zero_map(self):
-        sal = D.blur_fixations(M.FixationSet([]), (8, 8), sigma=2.0)
-        assert np.all(sal.values == 0.0)
-
-    def test_translation_equivariance_interior(self):
-        sigma = 1.5
-        a = D.blur_fixations(M.FixationSet([(12, 12)]), (32, 32), sigma)
-        b = D.blur_fixations(M.FixationSet([(14, 17)]), (32, 32), sigma)
-        assert np.array_equal(np.roll(a.values, (2, 5), axis=(0, 1)), b.values)
-
-    def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            D.blur_fixations(M.FixationSet([(0, 0)]), (4, 4), sigma=0.0)
-
-    def test_out_of_bounds_fixation(self):
-        with pytest.raises(OutOfBounds):
-            D.blur_fixations(M.FixationSet([(9, 0)]), (4, 4), sigma=1.0)
 
 
 class TestResize:
