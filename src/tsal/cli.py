@@ -20,7 +20,9 @@ import logging
 import math
 import operator
 import os
+import shutil
 import sys
+import tempfile
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -157,6 +159,9 @@ def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
 
 
 def cmd_train(cfg: dict) -> None:
+    loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
+    for path in (cfg["ckpt"], loss_csv):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     manifest = D.load_manifest(cfg["manifest"])
     samples = _load_samples(manifest)
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
@@ -175,7 +180,6 @@ def cmd_train(cfg: dict) -> None:
         hyper=hyper,
     )
     result = Tr.train(model, samples, config)
-    loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
     with open(loss_csv, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
         for step, loss in result.history:
@@ -193,35 +197,46 @@ def cmd_train(cfg: dict) -> None:
 
 
 def cmd_predict(cfg: dict) -> None:
+    out = cfg["out"]
+    if os.path.lexists(out) and not (os.path.isdir(out) and not os.listdir(out)):
+        raise ParseError(f"--out {out} exists and is not an empty directory")
     manifest = D.load_manifest(cfg["manifest"], check_files=False)
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
     res = manifest.resolution
-    # every static map must exist before any output is written
-    for record in manifest.videos:
-        for frame in record.frames:
-            src = os.path.join(manifest.root, record.static_map_dir, D.frame_file_name(frame))
-            if not os.path.isfile(src):
-                raise MissingInput(f"{record.video_id}: no static map {src}")
-    written = 0
-    for record in manifest.videos:
-        out_dir = os.path.join(cfg["out"], record.video_id)
-        os.makedirs(out_dir, exist_ok=True)
-        state = None
-        if model.variant == Mo.CONV_LSTM:
-            state = Mo.LstmState.zeros(model.hidden_channels, res[0], res[1])
-        for frame in record.frames:
-            name = D.frame_file_name(frame)
-            src = os.path.join(manifest.root, record.static_map_dir, name)
-            static = D.resize_bilinear(D.load_map(src), res)
-            x = D.map_to_tensor(static)
-            if model.variant == Mo.CONV_ONLY:
-                y = Mo.conv_block_forward(x, model)
-            else:
-                y, state = Mo.convlstm_step(x, state, model)
-            D.write_map(D.tensor_to_map(y), os.path.join(out_dir, name))
-            written += 1
-    log.info("wrote %d refined maps to %s", written, cfg["out"])
-    print(cfg["out"])
+    # maps go to a sibling temp directory renamed onto --out once all are
+    # written, so a failure part-way leaves no partial tree behind
+    parent = os.path.dirname(os.path.abspath(out))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".", suffix=".tmp", dir=parent)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o777 & ~umask)  # the mode os.makedirs would give
+        written = 0
+        for record in manifest.videos:
+            out_dir = os.path.join(tmp, record.video_id)
+            os.makedirs(out_dir)
+            state = None
+            if model.variant == Mo.CONV_LSTM:
+                state = Mo.LstmState.zeros(model.hidden_channels, res[0], res[1])
+            for frame in record.frames:
+                name = D.frame_file_name(frame)
+                src = os.path.join(manifest.root, record.static_map_dir, name)
+                if not os.path.isfile(src):
+                    raise MissingInput(f"{record.video_id}: no static map {src}")
+                x = D.map_to_tensor(D.resize_bilinear(D.load_map(src), res))
+                if model.variant == Mo.CONV_ONLY:
+                    y = Mo.conv_block_forward(x, model)
+                else:
+                    y, state = Mo.convlstm_step(x, state, model)
+                D.write_map(D.tensor_to_map(y), os.path.join(out_dir, name))
+                written += 1
+        os.replace(tmp, out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    log.info("wrote %d refined maps to %s", written, out)
+    print(out)
 
 
 def _parse_metric_list(spec: str) -> tuple[str, ...]:
@@ -303,7 +318,7 @@ def cmd_report(cfg: dict) -> None:
     first_groups: dict[str, list[str]] | None = None
     for path in paths:
         try:
-            report = M.report_from_dict(_read_json(path))
+            report = M.report_from_dict(D.read_json(path))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: not a score file: {exc!r}") from None
         if first_groups is None:
@@ -320,7 +335,7 @@ def cmd_report(cfg: dict) -> None:
 
     grouping = first_groups
     if cfg["grouping"]:
-        payload = _read_json(cfg["grouping"])
+        payload = D.read_json(cfg["grouping"])
         try:
             grouping = {str(k): [str(v) for v in members] for k, members in payload.items()}
         except (AttributeError, TypeError) as exc:
@@ -407,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:  # ValueError covers non-UTF-8 bytes
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
-
-
 def _check(command: str, key: str, value, from_flag: bool):
     """One resolved setting, converted from a flag string and checked."""
     default, kind, bounds = SETTINGS[command][key]
@@ -448,7 +455,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     table = SETTINGS[args.command]
     merged = {key: default for key, (default, _, _) in table.items()}
     if getattr(args, "config", None):
-        payload = _read_json(args.config)
+        payload = D.read_json(args.config)
         if not isinstance(payload, dict):
             raise ParseError("config file must hold a JSON object")
         for key in payload:

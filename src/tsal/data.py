@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedDepth,
 )
 from .metrics import FixationSet, SaliencyMap
-from .tensor import Tensor4
 
 GROUP_LABELS = ("free-viewing", "task-driven")
 FRAME_NAME_DIGITS = 6
@@ -292,13 +291,18 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.write("\n")
 
 
-def load_manifest(path: str, check_files: bool = True) -> DatasetManifest:
-    """Parse a manifest JSON; verifies every referenced file exists."""
+def read_json(path: str):
+    """Parse a UTF-8 JSON file; malformed or too deeply nested text is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except (ValueError, RecursionError) as exc:  # ValueError covers non-UTF-8 bytes
-        raise ParseError(f"manifest is not valid JSON: {exc}") from None
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+
+
+def load_manifest(path: str, check_files: bool = True) -> DatasetManifest:
+    """Parse a manifest JSON; verifies every referenced file exists."""
+    payload = read_json(path)
     try:
         resolution = tuple(int(v) for v in payload["resolution"])
         videos = [
@@ -364,14 +368,15 @@ def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
     )
 
 
-def map_to_tensor(sal: SaliencyMap) -> Tensor4:
-    return Tensor4(sal.values[None, None, :, :])
+def map_to_tensor(sal: SaliencyMap) -> np.ndarray:
+    """The map as a (1, 1, H, W) view of its values."""
+    return sal.values[None, None, :, :]
 
 
-def tensor_to_map(tensor: Tensor4) -> SaliencyMap:
-    if tensor.batch != 1 or tensor.channels != 1:
-        raise OutOfRange(f"expected a 1x1xHxW tensor, got dims {tensor.dims}")
-    return SaliencyMap(np.clip(tensor.data[0, 0], 0.0, 1.0))
+def tensor_to_map(tensor: np.ndarray) -> SaliencyMap:
+    if tensor.ndim != 4 or tensor.shape[:2] != (1, 1):
+        raise OutOfRange(f"expected a 1x1xHxW tensor, got dims {tensor.shape}")
+    return SaliencyMap(np.clip(tensor[0, 0], 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

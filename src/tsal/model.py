@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySequence, LengthMismatch, StaleCache
+from .errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite, StaleCache
 from .tensor import (
     Conv2dParams,
-    Tensor4,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -41,23 +40,21 @@ KERNEL_SIZE = 3
 
 @dataclass
 class LstmState:
-    """Hidden and cell tensors threaded through a ConvLSTM sequence."""
+    """Hidden and cell arrays, (1, hc, H, W) each, threaded through a ConvLSTM sequence."""
 
-    hidden: Tensor4
-    cell: Tensor4
+    hidden: np.ndarray
+    cell: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.hidden.dims != self.cell.dims:
+        if self.hidden.shape != self.cell.shape:
             raise DimensionMismatch(
-                f"hidden dims {self.hidden.dims} != cell dims {self.cell.dims}"
+                f"hidden dims {self.hidden.shape} != cell dims {self.cell.shape}"
             )
 
     @staticmethod
     def zeros(channels: int, height: int, width: int) -> "LstmState":
-        return LstmState(
-            hidden=Tensor4.zeros(1, channels, height, width),
-            cell=Tensor4.zeros(1, channels, height, width),
-        )
+        shape = (1, channels, height, width)
+        return LstmState(hidden=np.zeros(shape), cell=np.zeros(shape))
 
 
 @dataclass
@@ -117,9 +114,12 @@ def zero_gradients(model: AdaptationModel) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
 
 
-def _check_frame(x: Tensor4) -> None:
-    if x.batch != 1 or x.channels != 1:
-        raise DimensionMismatch(f"expected a 1x1xHxW frame, got dims {x.dims}")
+def _check_frame(x: np.ndarray) -> None:
+    """The model's input edge: every frame is a finite (1, 1, H, W) array."""
+    if x.ndim != 4 or x.shape[:2] != (1, 1):
+        raise DimensionMismatch(f"expected a 1x1xHxW frame, got dims {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFinite("frame contains NaN or Inf")
 
 
 def init_parameters(
@@ -164,21 +164,21 @@ def init_parameters(
 
 @dataclass
 class _ConvStepCache:
-    x: Tensor4
-    pre_feature: Tensor4
-    activated: Tensor4
-    pre_head: Tensor4
+    x: np.ndarray
+    pre_feature: np.ndarray
+    activated: np.ndarray
+    pre_head: np.ndarray
 
 
 @dataclass
 class _LstmStepCache:
-    x: Tensor4
-    h_prev: Tensor4
-    c_prev: Tensor4
+    x: np.ndarray
+    h_prev: np.ndarray
+    c_prev: np.ndarray
     gates: np.ndarray  # activated i, f, o, g stacked along channels
-    c: Tensor4
-    h: Tensor4
-    pre_head: Tensor4
+    c: np.ndarray
+    h: np.ndarray
+    pre_head: np.ndarray
 
 
 @dataclass
@@ -193,19 +193,19 @@ class ForwardCache:
         self.steps = None
 
 
-def conv_block_forward(x: Tensor4, model: AdaptationModel) -> Tensor4:
+def conv_block_forward(x: np.ndarray, model: AdaptationModel) -> np.ndarray:
     """ConvOnly forward for one frame: sigmoid(head(relu(feature_conv(x))))."""
+    _check_frame(x)
     y, _ = _conv_block_forward_cached(x, model)
     return y
 
 
 def _conv_block_forward_cached(
-    x: Tensor4, model: AdaptationModel
-) -> tuple[Tensor4, _ConvStepCache]:
+    x: np.ndarray, model: AdaptationModel
+) -> tuple[np.ndarray, _ConvStepCache]:
     if model.variant != CONV_ONLY:
         raise ValueError("conv_block_forward requires a ConvOnly model")
     assert model.feature_conv is not None
-    _check_frame(x)
     pre_feature = conv2d_forward(x, model.feature_conv)
     activated = relu(pre_feature)
     pre_head = conv2d_forward(activated, model.head)
@@ -214,38 +214,38 @@ def _conv_block_forward_cached(
 
 
 def convlstm_step(
-    x: Tensor4, state: LstmState, model: AdaptationModel
-) -> tuple[Tensor4, LstmState]:
+    x: np.ndarray, state: LstmState, model: AdaptationModel
+) -> tuple[np.ndarray, LstmState]:
     """One ConvLSTM cell evaluation plus the sigmoid head."""
+    _check_frame(x)
     y, new_state, _ = _convlstm_step_cached(x, state, model)
     return y, new_state
 
 
 def _convlstm_step_cached(
-    x: Tensor4, state: LstmState, model: AdaptationModel
-) -> tuple[Tensor4, LstmState, _LstmStepCache]:
+    x: np.ndarray, state: LstmState, model: AdaptationModel
+) -> tuple[np.ndarray, LstmState, _LstmStepCache]:
     if model.variant != CONV_LSTM:
         raise ValueError("convlstm_step requires a ConvLSTM model")
     assert model.input_conv is not None and model.hidden_conv is not None
-    _check_frame(x)
     h_prev, c_prev = state.hidden, state.cell
-    if h_prev.height != x.height or h_prev.width != x.width:
+    if h_prev.shape[2:] != x.shape[2:]:
         raise DimensionMismatch(
-            f"state spatial dims {h_prev.dims} do not match frame {x.dims}"
+            f"state spatial dims {h_prev.shape} do not match frame {x.shape}"
         )
 
     # activations run in place on the fresh pre-activation buffer: one tanh
     # serves all four gates, as tensor.sigmoid is 0.5 * (1 + tanh(0.5 * v))
-    gates = conv2d_forward(h_prev, model.hidden_conv).data
-    gates += conv2d_forward(x, model.input_conv).data
+    gates = conv2d_forward(h_prev, model.hidden_conv)
+    gates += conv2d_forward(x, model.input_conv)
     hc = model.hidden_channels
     gates[:, : 3 * hc] *= 0.5
     np.tanh(gates, out=gates)
     gates[:, : 3 * hc] += 1.0
     gates[:, : 3 * hc] *= 0.5
     i, f, o, g = (gates[:, rows] for rows in _gate_rows(hc).values())
-    c = Tensor4(f * c_prev.data + i * g)
-    h = Tensor4(o * np.tanh(c.data))
+    c = f * c_prev + i * g
+    h = o * np.tanh(c)
     pre_head = conv2d_forward(h, model.head)
     y = sigmoid(pre_head)
     cache = _LstmStepCache(x, h_prev, c_prev, gates, c, h, pre_head)
@@ -253,8 +253,8 @@ def _convlstm_step_cached(
 
 
 def forward_sequence(
-    frames: list[Tensor4], model: AdaptationModel
-) -> tuple[list[Tensor4], ForwardCache]:
+    frames: list[np.ndarray], model: AdaptationModel
+) -> tuple[list[np.ndarray], ForwardCache]:
     """Run the model over a frame sequence.
 
     ConvOnly processes frames independently; ConvLSTM carries a zero-
@@ -264,14 +264,14 @@ def forward_sequence(
     if not frames:
         raise EmptySequence("forward_sequence needs at least one frame")
     first = frames[0]
-    _check_frame(first)
-    for fr in frames[1:]:
-        if fr.dims != first.dims:
+    for fr in frames:
+        _check_frame(fr)
+        if fr.shape != first.shape:
             raise DimensionMismatch(
-                f"frame dims {fr.dims} differ from first frame {first.dims}"
+                f"frame dims {fr.shape} differ from first frame {first.shape}"
             )
 
-    outputs: list[Tensor4] = []
+    outputs: list[np.ndarray] = []
     steps: list = []
     if model.variant == CONV_ONLY:
         for fr in frames:
@@ -279,7 +279,7 @@ def forward_sequence(
             outputs.append(y)
             steps.append(step)
     else:
-        state = LstmState.zeros(model.hidden_channels, first.height, first.width)
+        state = LstmState.zeros(model.hidden_channels, *first.shape[2:])
         for fr in frames:
             y, state, step = _convlstm_step_cached(fr, state, model)
             outputs.append(y)
@@ -288,7 +288,7 @@ def forward_sequence(
 
 
 def backward_sequence(
-    cache: ForwardCache, grad_outputs: list[Tensor4]
+    cache: ForwardCache, grad_outputs: list[np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Exact parameter gradients for the cached forward run.
 
@@ -312,7 +312,7 @@ def backward_sequence(
 
 def _backward_conv_only(
     steps: list[_ConvStepCache],
-    grad_outputs: list[Tensor4],
+    grad_outputs: list[np.ndarray],
     model: AdaptationModel,
     grads: dict[str, np.ndarray],
 ) -> None:
@@ -320,17 +320,17 @@ def _backward_conv_only(
     for step, dy in zip(steps, grad_outputs):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
         d_act, d_wh, d_bh = conv2d_backward(step.activated, model.head, d_pre_head)
-        grads["head.weights"] += d_wh.data
+        grads["head.weights"] += d_wh
         grads["head.bias"] += d_bh
         d_pre_feature = relu_backward(step.pre_feature, d_act)
         _, d_wf, d_bf = conv2d_backward(step.x, model.feature_conv, d_pre_feature)
-        grads["feature.weights"] += d_wf.data
+        grads["feature.weights"] += d_wf
         grads["feature.bias"] += d_bf
 
 
 def _backward_convlstm(
     steps: list[_LstmStepCache],
-    grad_outputs: list[Tensor4],
+    grad_outputs: list[np.ndarray],
     model: AdaptationModel,
     grads: dict[str, np.ndarray],
 ) -> None:
@@ -339,35 +339,35 @@ def _backward_convlstm(
     d_wx = np.zeros_like(model.input_conv.weights)
     d_wh = np.zeros_like(model.hidden_conv.weights)
     d_b = np.zeros_like(model.input_conv.bias)
-    dh_next = np.zeros_like(steps[-1].h.data)
+    dh_next = np.zeros_like(steps[-1].h)
     dc_next = np.zeros_like(dh_next)
     for step, dy in zip(reversed(steps), reversed(grad_outputs)):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
         d_h_head, d_w_head, d_b_head = conv2d_backward(step.h, model.head, d_pre_head)
-        grads["head.weights"] += d_w_head.data
+        grads["head.weights"] += d_w_head
         grads["head.bias"] += d_b_head
 
-        dh = d_h_head.data + dh_next
+        dh = d_h_head + dh_next
         i, f, o, g = (step.gates[:, r] for r in rows.values())
-        tc = np.tanh(step.c.data)
+        tc = np.tanh(step.c)
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * step.c_prev.data
+        df = dc * step.c_prev
         di = dc * g
         dg = dc * i
         dc_next = dc * f
 
         # gate pre-activation gradients via the cached activations
-        d_pre = Tensor4(np.concatenate(
+        d_pre = np.concatenate(
             [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
             axis=1,
-        ))
+        )
         d_hp, step_wh, _ = conv2d_backward(step.h_prev, model.hidden_conv, d_pre)
         _, step_wx, step_b = conv2d_backward(step.x, model.input_conv, d_pre)
-        d_wx += step_wx.data
-        d_wh += step_wh.data
+        d_wx += step_wx
+        d_wh += step_wh
         d_b += step_b
-        dh_next = d_hp.data
+        dh_next = d_hp
     for name, r in rows.items():
         grads[f"lstm.wx_{name}"] = d_wx[r]
         grads[f"lstm.wh_{name}"] = d_wh[r]

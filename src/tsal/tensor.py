@@ -1,8 +1,10 @@
-"""Dense rank-4 tensors and the convolution/activation primitives.
+"""Convolution and activation primitives on float64 arrays.
 
-All values are 64-bit floats in row-major (batch, channel, height, width)
-layout. Operations are pure: inputs are never mutated and outputs are
-freshly allocated, so values are safe to share.
+Every tensor is a plain float64 ndarray in row-major (batch, channel,
+height, width) layout. Operations are pure: inputs are never mutated and
+outputs are freshly allocated, so values are safe to share. Shapes are
+checked here; finiteness is checked where values enter the model
+(``model._check_frame``) and after each training step, not per operation.
 
 Two convolution paths exist: :func:`conv2d_forward` uses an im2col +
 matrix-multiply formulation, while :func:`conv2d_forward_direct` is the
@@ -15,52 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor4:
-    """Immutable (by convention) rank-4 array: batch x channels x height x width.
-
-    Construction validates the invariants: four dimensions, every
-    dimension >= 1, every element finite.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 4:
-            raise DimensionMismatch(f"expected 4 dims, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise DimensionMismatch(f"all dims must be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("tensor contains NaN or Inf")
-        object.__setattr__(self, "data", arr)
-
-    @staticmethod
-    def zeros(batch: int, channels: int, height: int, width: int) -> "Tensor4":
-        return Tensor4(np.zeros((batch, channels, height, width)))
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
-    @property
-    def batch(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[3]
+from .errors import DimensionMismatch
 
 
 @dataclass
@@ -113,16 +70,14 @@ def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _check_conv_args(input: Tensor4, params: Conv2dParams) -> None:
-    if input.channels != params.in_channels:
-        raise DimensionMismatch(
-            f"input has {input.channels} channels, kernel expects {params.in_channels}"
-        )
+def _check_conv_args(input: np.ndarray, params: Conv2dParams) -> None:
+    _, c, h, w = input.shape
+    if c != params.in_channels:
+        raise DimensionMismatch(f"input has {c} channels, kernel expects {params.in_channels}")
     k, p = params.kernel_size, params.padding
-    if input.height + 2 * p < k or input.width + 2 * p < k:
+    if h + 2 * p < k or w + 2 * p < k:
         raise DimensionMismatch(
-            f"spatial dims {input.height}x{input.width} too small for "
-            f"kernel {k} with padding {p}"
+            f"spatial dims {h}x{w} too small for kernel {k} with padding {p}"
         )
 
 
@@ -147,30 +102,29 @@ def _col2im(cols: np.ndarray, b: int, c: int, hp: int, wp: int, k: int) -> np.nd
     return out
 
 
-def conv2d_forward(input: Tensor4, params: Conv2dParams) -> Tensor4:
+def conv2d_forward(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
     """Stride-1 2-D convolution with symmetric zero padding (im2col path)."""
     _check_conv_args(input, params)
     k, p = params.kernel_size, params.padding
-    x = _pad_spatial(input.data, p)
-    b = input.batch
+    x = _pad_spatial(input, p)
+    b = input.shape[0]
     ho, wo = x.shape[2] - k + 1, x.shape[3] - k + 1
     cols = _im2col(x, k)
     w_mat = params.weights.reshape(params.out_channels, -1)
     out = np.matmul(w_mat[None, :, :], cols)
     out += params.bias[None, :, None]
-    # Tensor4 construction rejects non-finite results (overflowed accumulations)
-    return Tensor4(out.reshape(b, params.out_channels, ho, wo))
+    return out.reshape(b, params.out_channels, ho, wo)
 
 
-def conv2d_forward_direct(input: Tensor4, params: Conv2dParams) -> Tensor4:
+def conv2d_forward_direct(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
     """Reference convolution: explicit sliding-window loops, sequential accumulation.
 
     Semantically defines :func:`conv2d_forward`; only used at test scale.
     """
     _check_conv_args(input, params)
     k, p = params.kernel_size, params.padding
-    x = _pad_spatial(input.data, p)
-    b = input.batch
+    x = _pad_spatial(input, p)
+    b = input.shape[0]
     ho, wo = x.shape[2] - k + 1, x.shape[3] - k + 1
     out = np.empty((b, params.out_channels, ho, wo))
     w = params.weights
@@ -184,26 +138,25 @@ def conv2d_forward_direct(input: Tensor4, params: Conv2dParams) -> Tensor4:
                             for kj in range(k):
                                 acc += w[co, ci, ki, kj] * x[bi, ci, oi + ki, oj + kj]
                     out[bi, co, oi, oj] = acc
-    return Tensor4(out)
+    return out
 
 
 def conv2d_backward(
-    input: Tensor4, params: Conv2dParams, grad_out: Tensor4
-) -> tuple[Tensor4, Tensor4, np.ndarray]:
+    input: np.ndarray, params: Conv2dParams, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of the convolution w.r.t. input, weights, and bias."""
     _check_conv_args(input, params)
     k, p = params.kernel_size, params.padding
-    b = input.batch
-    ho = input.height + 2 * p - k + 1
-    wo = input.width + 2 * p - k + 1
-    if grad_out.dims != (b, params.out_channels, ho, wo):
+    b, _, h, w = input.shape
+    ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
+    if grad_out.shape != (b, params.out_channels, ho, wo):
         raise DimensionMismatch(
-            f"grad_out dims {grad_out.dims} do not match forward output "
+            f"grad_out dims {grad_out.shape} do not match forward output "
             f"({b}, {params.out_channels}, {ho}, {wo})"
         )
-    x = _pad_spatial(input.data, p)
+    x = _pad_spatial(input, p)
     cols = _im2col(x, k)
-    g_mat = grad_out.data.reshape(b, params.out_channels, ho * wo)
+    g_mat = grad_out.reshape(b, params.out_channels, ho * wo)
 
     grad_bias = g_mat.sum(axis=(0, 2))
     # one BLAS product over batch and pixels, (C_in*k*k, C_out) then transposed;
@@ -217,48 +170,50 @@ def conv2d_backward(
     g_cols = np.matmul(w_mat.T[None, :, :], g_mat)
     grad_padded = _col2im(g_cols, b, params.in_channels, x.shape[2], x.shape[3], k)
     if p > 0:
-        grad_input = grad_padded[:, :, p:-p, p:-p]
+        # a copy, not a view, so the padded buffer is freed: BPTT carries this
+        # gradient to the next step, and the view raised training's peak RSS
+        grad_input = grad_padded[:, :, p:-p, p:-p].copy()
     else:
         grad_input = grad_padded
-    return Tensor4(grad_input), Tensor4(grad_weights), grad_bias
+    return grad_input, grad_weights, grad_bias
 
 
-def sigmoid(input: Tensor4) -> Tensor4:
+def sigmoid(input: np.ndarray) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + e^-x)."""
     # tanh form is overflow-free for any finite input
-    return Tensor4(0.5 * (1.0 + np.tanh(0.5 * input.data)))
+    return 0.5 * (1.0 + np.tanh(0.5 * input))
 
 
-def sigmoid_backward(input: Tensor4, grad_out: Tensor4) -> Tensor4:
+def sigmoid_backward(input: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """grad_out * sigma(x) * (1 - sigma(x)), where x is the forward input."""
     _check_same_dims(input, grad_out)
-    s = 0.5 * (1.0 + np.tanh(0.5 * input.data))
-    return Tensor4(grad_out.data * s * (1.0 - s))
+    s = 0.5 * (1.0 + np.tanh(0.5 * input))
+    return grad_out * s * (1.0 - s)
 
 
-def tanh_act(input: Tensor4) -> Tensor4:
+def tanh_act(input: np.ndarray) -> np.ndarray:
     """Elementwise hyperbolic tangent."""
-    return Tensor4(np.tanh(input.data))
+    return np.tanh(input)
 
 
-def tanh_backward(input: Tensor4, grad_out: Tensor4) -> Tensor4:
+def tanh_backward(input: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """grad_out * (1 - tanh(x)^2), where x is the forward input."""
     _check_same_dims(input, grad_out)
-    t = np.tanh(input.data)
-    return Tensor4(grad_out.data * (1.0 - t * t))
+    t = np.tanh(input)
+    return grad_out * (1.0 - t * t)
 
 
-def relu(input: Tensor4) -> Tensor4:
+def relu(input: np.ndarray) -> np.ndarray:
     """Elementwise max(x, 0)."""
-    return Tensor4(np.maximum(input.data, 0.0))
+    return np.maximum(input, 0.0)
 
 
-def relu_backward(input: Tensor4, grad_out: Tensor4) -> Tensor4:
+def relu_backward(input: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """grad_out gated by x > 0 (subgradient 0 at x = 0)."""
     _check_same_dims(input, grad_out)
-    return Tensor4(grad_out.data * (input.data > 0.0))
+    return grad_out * (input > 0.0)
 
 
-def _check_same_dims(a: Tensor4, b: Tensor4) -> None:
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"dims {a.dims} != {b.dims}")
+def _check_same_dims(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dims {a.shape} != {b.shape}")

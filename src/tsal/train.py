@@ -13,6 +13,7 @@ value is finite.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -37,7 +38,6 @@ from .model import (
     forward_sequence,
     init_parameters,
 )
-from .tensor import Tensor4
 
 BCE_CLAMP = 1e-7
 CHECKPOINT_MAGIC = b"TSAL"
@@ -97,8 +97,8 @@ class TrainSample:
     """One video: aligned static-map and ground-truth sequences."""
 
     video_id: str
-    frames: list[Tensor4]
-    targets: list[Tensor4]
+    frames: list[np.ndarray]  # (1, 1, H, W) each
+    targets: list[np.ndarray]
 
     def __post_init__(self) -> None:
         if len(self.frames) != len(self.targets):
@@ -116,23 +116,22 @@ class TrainResult:
     history: list[tuple[int, float]]  # (step, window loss)
 
 
-def bce_loss(pred: Tensor4, target: Tensor4) -> tuple[float, Tensor4]:
+def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-pixel binary cross-entropy and its exact gradient w.r.t. pred.
 
     Predictions are clamped to [1e-7, 1-1e-7] before the logs; outside the
     clamp the loss is locally constant, so the gradient there is zero.
     """
-    if pred.dims != target.dims:
-        raise DimensionMismatch(f"pred dims {pred.dims} != target dims {target.dims}")
-    p = pred.data
-    t = target.data
+    if pred.shape != target.shape:
+        raise DimensionMismatch(f"pred dims {pred.shape} != target dims {target.shape}")
+    p, t = pred, target
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     pc = np.clip(p, lo, hi)
     n = p.size
     loss = -float(np.sum(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))) / n
     active = (p >= lo) & (p <= hi)
     grad = np.where(active, (pc - t) / (n * pc * (1.0 - pc)), 0.0)
-    return loss, Tensor4(grad)
+    return loss, grad
 
 
 def lr_schedule(hyper: Hyper, completed_epochs: int) -> float:
@@ -216,22 +215,36 @@ def train(
 
 def _train_window(
     model: AdaptationModel,
-    frames: list[Tensor4],
-    targets: list[Tensor4],
+    frames: list[np.ndarray],
+    targets: list[np.ndarray],
     state: OptimizerState,
     config: TrainConfig,
 ) -> float:
-    outputs, cache = forward_sequence(frames, model)
-    loss = 0.0
-    grad_outputs: list[Tensor4] = []
-    for y, t in zip(outputs, targets):
-        frame_loss, frame_grad = bce_loss(y, t)
-        loss += frame_loss
-        grad_outputs.append(frame_grad)
-    grads = backward_sequence(cache, grad_outputs)
-    cache.release()
-    clip_gradients(grads, config.clip_norm)
-    sgd_step(model, grads, state)
+    """One forward/backward pass and optimizer step.
+
+    The training edge: floating-point faults are not trapped per operation
+    but reported here, once, as NonFinite, before a bad loss or gradient
+    reaches the optimizer and before a bad update survives the window.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        outputs, cache = forward_sequence(frames, model)
+        loss = 0.0
+        grad_outputs: list[np.ndarray] = []
+        for y, t in zip(outputs, targets):
+            frame_loss, frame_grad = bce_loss(y, t)
+            loss += frame_loss
+            grad_outputs.append(frame_grad)
+        if not math.isfinite(loss):
+            raise NonFinite(f"window loss is {loss}")
+        grads = backward_sequence(cache, grad_outputs)
+        cache.release()
+        norm = clip_gradients(grads, config.clip_norm)
+        if not math.isfinite(norm):
+            raise NonFinite(f"gradient norm is {norm}")
+        sgd_step(model, grads, state)
+    for name, w in model.named_parameters():
+        if not np.all(np.isfinite(w)):
+            raise NonFinite(f"{name} is not finite after the update")
     return loss
 
 

@@ -25,7 +25,6 @@ from tsal import train as Tr
 from tsal.errors import CorruptCheckpoint
 from tsal.tensor import (
     Conv2dParams,
-    Tensor4,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -213,7 +212,7 @@ def test_criterion_3_metric_invariances():
 
 def _projection_loss(model, frames, projections) -> float:
     outputs, _ = Mo.forward_sequence(frames, model)
-    return float(sum(np.sum(p * y.data) for p, y in zip(projections, outputs)))
+    return float(sum(np.sum(p * y) for p, y in zip(projections, outputs)))
 
 
 def test_criterion_4_gradient_checks():
@@ -233,13 +232,13 @@ def test_criterion_4_gradient_checks():
 
         def conv_loss():
             params = Conv2dParams(weights=weights, bias=bias, padding=k // 2)
-            return float(np.sum(proj * conv2d_forward(Tensor4(x), params).data))
+            return float(np.sum(proj * conv2d_forward(x, params)))
 
         gi, gw, gb = conv2d_backward(
-            Tensor4(x), Conv2dParams(weights=weights, bias=bias, padding=k // 2), Tensor4(proj)
+            x, Conv2dParams(weights=weights, bias=bias, padding=k // 2), proj
         )
-        worst = max(worst, max_rel_err(gi.data, central_difference(conv_loss, x)))
-        worst = max(worst, max_rel_err(gw.data, central_difference(conv_loss, weights)))
+        worst = max(worst, max_rel_err(gi, central_difference(conv_loss, x)))
+        worst = max(worst, max_rel_err(gw, central_difference(conv_loss, weights)))
         worst = max(worst, max_rel_err(gb, central_difference(conv_loss, bias)))
 
     acts = {
@@ -256,7 +255,7 @@ def test_criterion_4_gradient_checks():
             proj = rng.uniform(-1, 1, size=v.shape)
 
             def act_loss():
-                return float(np.sum(proj * fwd(Tensor4(v)).data))
+                return float(np.sum(proj * fwd(v)))
 
             worst = max(worst, max_rel_err(proj * deriv(v), central_difference(act_loss, v)))
 
@@ -265,19 +264,19 @@ def test_criterion_4_gradient_checks():
         target = rng.uniform(0, 1, size=(1, 1, 4, 4))
 
         def bce_scalar():
-            return Tr.bce_loss(Tensor4(pred), Tensor4(target))[0]
+            return Tr.bce_loss(pred, target)[0]
 
-        _, grad = Tr.bce_loss(Tensor4(pred), Tensor4(target))
-        worst = max(worst, max_rel_err(grad.data, central_difference(bce_scalar, pred)))
+        _, grad = Tr.bce_loss(pred, target)
+        worst = max(worst, max_rel_err(grad, central_difference(bce_scalar, pred)))
 
     # full BPTT at the pinned scale: 3 steps, 4 hidden channels, 4x4 maps
     for variant in (Mo.CONV_ONLY, Mo.CONV_LSTM):
         for trial in range(trials):
             model = Mo.init_parameters(variant, rng_seed=400 + trial, hidden_channels=4)
-            frames = [Tensor4(rng.uniform(0, 1, size=(1, 1, 4, 4))) for _ in range(3)]
+            frames = [rng.uniform(0, 1, size=(1, 1, 4, 4)) for _ in range(3)]
             projections = [rng.uniform(-1, 1, size=(1, 1, 4, 4)) for _ in range(3)]
             _, cache = Mo.forward_sequence(frames, model)
-            analytic = Mo.backward_sequence(cache, [Tensor4(p) for p in projections])
+            analytic = Mo.backward_sequence(cache, projections)
             for name, arr in model.named_parameters():
                 numeric = central_difference(
                     lambda: _projection_loss(model, frames, projections), arr

@@ -3,8 +3,10 @@
 import json
 import os
 import shutil
+import shlex
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -15,7 +17,7 @@ from tsal import metrics as M
 from tsal import model as Mo
 from tsal import train as Tr
 import tsal
-from tsal.cli import fmt3, main
+from tsal.cli import build_parser, fmt3, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -270,6 +272,35 @@ class TestTrain:
         assert "Traceback" not in stderr
         assert not ckpt.exists()
 
+    def test_creates_missing_output_directories(self, tmp_path, capsys):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
+        ckpt, csv = tmp_path / "runs" / "m.ckpt", tmp_path / "logs" / "loss.csv"
+        code, _, _ = run(
+            capsys, "train", "--manifest", manifest, "--ckpt", str(ckpt),
+            "--loss-csv", str(csv), "--hidden", "2", "--max-steps", "1",
+        )
+        assert code == 0
+        assert ckpt.is_file() and csv.is_file()
+
+    def test_blow_up_is_one_non_finite_error(self, tmp_path, capsys):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=8, size=10)
+        ckpt = tmp_path / "runs" / "m.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(
+                capsys, "train", "--manifest", manifest, "--ckpt", str(ckpt),
+                "--hidden", "2", "--lr0", "1e300", "--clip-length", "4",
+            )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        # the first update leaves weights near 1e298; the second one overflows
+        assert line.startswith(
+            "ERROR NonFinite: non-finite values in video 'video_000' window starting at frame 4:"
+        )
+        assert "RuntimeWarning" not in stderr and caught == []
+        assert not ckpt.exists()
+
     def test_bad_variant(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         config = tmp_path / "cfg.json"
@@ -380,7 +411,43 @@ class TestPredict:
         )
         assert code == 1
         assert "ERROR MissingInput:" in stderr
-        assert not (tmp_path / "pred").exists()  # checked before any output
+        assert sorted(os.listdir(tmp_path)) == ["data", "zero.tsal"]  # no --out, no temp
+
+    def test_truncated_static_map_leaves_no_output(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
+        bad = os.path.join(data_dir, "video_001", "static", "000001.pgm")
+        with open(bad, "r+b") as fh:
+            fh.truncate(len(b"P5\n10 10\n255\n"))
+        ckpt = self.make_zero_checkpoint(tmp_path, variant="convlstm")
+        code, _, stderr = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", ckpt,
+            "--out", str(tmp_path / "pred"),
+        )
+        assert code == 1
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR TruncatedData:")
+        assert sorted(os.listdir(tmp_path)) == ["data", "zero.tsal"]
+
+    def test_out_must_be_new_or_empty(self, tmp_path, capsys):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=2, size=10)
+        out = tmp_path / "pred"
+        out.mkdir()
+        ckpt = self.make_zero_checkpoint(tmp_path)
+        code, _, _ = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", ckpt, "--out", str(out)
+        )
+        assert code == 0  # an empty directory is replaced
+        assert sorted(os.listdir(out)) == ["video_000"]
+        # refused before the (here missing) checkpoint is read
+        code, stdout, stderr = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", str(tmp_path / "none"),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR ParseError:")
+        assert sorted(os.listdir(out)) == ["video_000"]
 
 
 class TestEvaluate:
@@ -569,3 +636,18 @@ class TestPipeline:
         code, stdout, _ = run(capsys, "report", report_json, "--metric", "cc")
         assert code == 0
         assert "scores" in stdout and "AVERAGE" in stdout
+
+
+class TestReadme:
+    def test_quick_start_commands_parse(self):
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("## Quick start", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in commands if argv and argv[0] == "tsal"]
+        assert [argv[0] for argv in commands] == [
+            "generate", "train", "predict", "evaluate", "report"
+        ]
+        for argv in commands:
+            resolve_config(build_parser().parse_args(argv))

@@ -294,7 +294,7 @@ class TestLoadVideo:
         rng = np.random.default_rng(7)
         sal = M.SaliencyMap(rng.uniform(0, 1, size=(6, 6)))
         tensor = D.map_to_tensor(sal)
-        assert tensor.dims == (1, 1, 6, 6)
+        assert tensor.shape == (1, 1, 6, 6)
         back = D.tensor_to_map(tensor)
         assert np.array_equal(back.values, sal.values)
 

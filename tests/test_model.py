@@ -5,10 +5,9 @@ import pytest
 
 from helpers import central_difference, max_rel_err
 from tsal import model as Mo
-from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, StaleCache
+from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite, StaleCache
 from tsal.tensor import (
     Conv2dParams,
-    Tensor4,
     conv2d_backward,
     conv2d_forward,
     conv2d_forward_direct,
@@ -27,8 +26,8 @@ def random_model(variant: str, seed: int, hidden: int = 4) -> Mo.AdaptationModel
     return Mo.init_parameters(variant, rng_seed=seed, hidden_channels=hidden)
 
 
-def random_frames(rng, count: int, h: int, w: int) -> list[Tensor4]:
-    return [Tensor4(rng.uniform(0, 1, size=(1, 1, h, w))) for _ in range(count)]
+def random_frames(rng, count: int, h: int, w: int) -> list[np.ndarray]:
+    return [rng.uniform(0, 1, size=(1, 1, h, w)) for _ in range(count)]
 
 
 def gate_convs(m: Mo.AdaptationModel, name: str) -> tuple[Conv2dParams, Conv2dParams]:
@@ -44,88 +43,88 @@ def gate_convs(m: Mo.AdaptationModel, name: str) -> tuple[Conv2dParams, Conv2dPa
 class TestConvBlockForward:
     def test_zero_network_outputs_half(self):
         m = zero_model(Mo.CONV_ONLY)
-        x = Tensor4(np.random.default_rng(0).uniform(0, 1, size=(1, 1, 5, 5)))
+        x = np.random.default_rng(0).uniform(0, 1, size=(1, 1, 5, 5))
         y = Mo.conv_block_forward(x, m)
-        assert np.allclose(y.data, 0.5)
+        assert np.allclose(y, 0.5)
 
     def test_bias_only_path(self):
         m = zero_model(Mo.CONV_ONLY)
         m.head.bias[...] = 1.3
-        x = Tensor4(np.zeros((1, 1, 4, 4)) + 0.2)
+        x = np.zeros((1, 1, 4, 4)) + 0.2
         y = Mo.conv_block_forward(x, m)
         expected = 1.0 / (1.0 + np.exp(-1.3))
-        assert np.allclose(y.data, expected)
+        assert np.allclose(y, expected)
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(1)
         for seed in range(5):
             m = random_model(Mo.CONV_ONLY, seed=seed, hidden=3)
-            x = Tensor4(rng.uniform(0, 1, size=(1, 1, 5, 6)))
+            x = rng.uniform(0, 1, size=(1, 1, 5, 6))
             got = Mo.conv_block_forward(x, m)
             z1 = conv2d_forward_direct(x, m.feature_conv)
-            r = Tensor4(np.maximum(z1.data, 0.0))
+            r = np.maximum(z1, 0.0)
             z2 = conv2d_forward_direct(r, m.head)
-            want = 1.0 / (1.0 + np.exp(-z2.data))
-            assert np.max(np.abs(got.data - want)) < 1e-12
+            want = 1.0 / (1.0 + np.exp(-z2))
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_wrong_variant_and_dims(self):
         m = zero_model(Mo.CONV_LSTM)
-        x = Tensor4(np.zeros((1, 1, 4, 4)))
+        x = np.zeros((1, 1, 4, 4))
         with pytest.raises(ValueError):
             Mo.conv_block_forward(x, m)
         with pytest.raises(DimensionMismatch):
-            Mo.conv_block_forward(Tensor4(np.zeros((2, 1, 4, 4))), zero_model(Mo.CONV_ONLY))
+            Mo.conv_block_forward(np.zeros((2, 1, 4, 4)), zero_model(Mo.CONV_ONLY))
 
 
 class TestConvLstmStep:
     def test_zero_network_zero_state(self):
         m = zero_model(Mo.CONV_LSTM)
-        x = Tensor4(np.random.default_rng(2).uniform(0, 1, size=(1, 1, 4, 4)))
+        x = np.random.default_rng(2).uniform(0, 1, size=(1, 1, 4, 4))
         state = Mo.LstmState.zeros(4, 4, 4)
         y, new_state = Mo.convlstm_step(x, state, m)
-        assert np.allclose(new_state.cell.data, 0.0)
-        assert np.allclose(new_state.hidden.data, 0.0)
-        assert np.allclose(y.data, 0.5)
+        assert np.allclose(new_state.cell, 0.0)
+        assert np.allclose(new_state.hidden, 0.0)
+        assert np.allclose(y, 0.5)
 
     def test_saturated_forget_gate_preserves_cell(self):
         m = zero_model(Mo.CONV_LSTM)
         dict(m.named_parameters())["lstm.b_f"][...] = 20.0
         rng = np.random.default_rng(3)
-        cell = Tensor4(rng.uniform(-1, 1, size=(1, 4, 4, 4)))
-        state = Mo.LstmState(hidden=Tensor4.zeros(1, 4, 4, 4), cell=cell)
-        x = Tensor4(rng.uniform(0, 1, size=(1, 1, 4, 4)))
+        cell = rng.uniform(-1, 1, size=(1, 4, 4, 4))
+        state = Mo.LstmState(hidden=np.zeros((1, 4, 4, 4)), cell=cell)
+        x = rng.uniform(0, 1, size=(1, 1, 4, 4))
         _, new_state = Mo.convlstm_step(x, state, m)
-        assert np.max(np.abs(new_state.cell.data - cell.data)) < 1e-8
+        assert np.max(np.abs(new_state.cell - cell)) < 1e-8
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(4)
         m = random_model(Mo.CONV_LSTM, seed=11, hidden=3)
-        x = Tensor4(rng.uniform(0, 1, size=(1, 1, 4, 5)))
-        h = Tensor4(rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5)))
-        c = Tensor4(rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5)))
+        x = rng.uniform(0, 1, size=(1, 1, 4, 5))
+        h = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5))
+        c = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5))
         y, new_state = Mo.convlstm_step(x, Mo.LstmState(hidden=h, cell=c), m)
 
         def pre(name):
             input_conv, hidden_conv = gate_convs(m, name)
             return (
-                conv2d_forward_direct(x, input_conv).data
-                + conv2d_forward_direct(h, hidden_conv).data
+                conv2d_forward_direct(x, input_conv)
+                + conv2d_forward_direct(h, hidden_conv)
             )
 
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         i, f, o = sig(pre("i")), sig(pre("f")), sig(pre("o"))
         g = np.tanh(pre("g"))
-        c_want = f * c.data + i * g
+        c_want = f * c + i * g
         h_want = o * np.tanh(c_want)
-        z = conv2d_forward_direct(Tensor4(h_want), m.head)
-        y_want = sig(z.data)
-        assert np.max(np.abs(new_state.cell.data - c_want)) < 1e-12
-        assert np.max(np.abs(new_state.hidden.data - h_want)) < 1e-12
-        assert np.max(np.abs(y.data - y_want)) < 1e-12
+        z = conv2d_forward_direct(h_want, m.head)
+        y_want = sig(z)
+        assert np.max(np.abs(new_state.cell - c_want)) < 1e-12
+        assert np.max(np.abs(new_state.hidden - h_want)) < 1e-12
+        assert np.max(np.abs(y - y_want)) < 1e-12
 
     def test_state_dim_mismatch(self):
         m = zero_model(Mo.CONV_LSTM)
-        x = Tensor4(np.zeros((1, 1, 4, 4)))
+        x = np.zeros((1, 1, 4, 4))
         with pytest.raises(DimensionMismatch):
             Mo.convlstm_step(x, Mo.LstmState.zeros(4, 5, 5), m)
 
@@ -139,7 +138,7 @@ class TestForwardSequence:
         perm = [2, 0, 3, 1]
         permuted, _ = Mo.forward_sequence([frames[p] for p in perm], m)
         for k, p in enumerate(perm):
-            assert np.array_equal(permuted[k].data, outputs[p].data)
+            assert np.array_equal(permuted[k], outputs[p])
 
     def test_lstm_length_one_equals_single_step(self):
         rng = np.random.default_rng(6)
@@ -147,7 +146,7 @@ class TestForwardSequence:
         frame = random_frames(rng, 1, 4, 4)[0]
         outputs, _ = Mo.forward_sequence([frame], m)
         y, _ = Mo.convlstm_step(frame, Mo.LstmState.zeros(4, 4, 4), m)
-        assert np.array_equal(outputs[0].data, y.data)
+        assert np.array_equal(outputs[0], y)
 
     def test_severed_recurrence_collapses_to_per_frame(self):
         # two temporal pathways exist: hidden state -> gates (the state-to-
@@ -163,13 +162,13 @@ class TestForwardSequence:
         # kernels alone are not enough: the cell carry still couples steps
         coupled, _ = Mo.forward_sequence(frames, m)
         solo1, _ = Mo.forward_sequence([frames[1]], m)
-        assert np.max(np.abs(solo1[0].data - coupled[1].data)) > 1e-6
+        assert np.max(np.abs(solo1[0] - coupled[1])) > 1e-6
 
         params["lstm.b_f"][...] = -40.0  # saturate the forget gate shut
         outputs, _ = Mo.forward_sequence(frames, m)
         for fr, y in zip(frames, outputs):
             solo, _ = Mo.forward_sequence([fr], m)
-            assert np.max(np.abs(solo[0].data - y.data)) < 1e-12
+            assert np.max(np.abs(solo[0] - y)) < 1e-12
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -177,7 +176,7 @@ class TestForwardSequence:
             m = random_model(variant, seed=9)
             outputs, _ = Mo.forward_sequence(random_frames(rng, 3, 6, 6), m)
             for y in outputs:
-                assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
+                assert np.all(y > 0.0) and np.all(y < 1.0)
 
     def test_empty_sequence(self):
         with pytest.raises(EmptySequence):
@@ -185,14 +184,27 @@ class TestForwardSequence:
 
     def test_ragged_dims_rejected(self):
         m = zero_model(Mo.CONV_ONLY)
-        frames = [Tensor4(np.zeros((1, 1, 4, 4))), Tensor4(np.zeros((1, 1, 5, 5)))]
+        frames = [np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 5))]
         with pytest.raises(DimensionMismatch):
             Mo.forward_sequence(frames, m)
+
+    @pytest.mark.parametrize("variant", Mo.VARIANTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_rejected(self, variant, bad):
+        frames = random_frames(np.random.default_rng(14), 3, 4, 4)
+        frames[2][0, 0, 1, 1] = bad
+        with pytest.raises(NonFinite):
+            Mo.forward_sequence(frames, random_model(variant, seed=15))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 4), (2, 1, 4, 4), (4, 4), (1, 1, 1, 4, 4)])
+    def test_frame_must_be_1x1xhxw(self, shape):
+        with pytest.raises(DimensionMismatch):
+            Mo.forward_sequence([np.zeros(shape)], random_model(Mo.CONV_LSTM, seed=16))
 
 
 def projection_loss(model, frames, projections) -> float:
     outputs, _ = Mo.forward_sequence(frames, model)
-    return float(sum(np.sum(p * y.data) for p, y in zip(projections, outputs)))
+    return float(sum(np.sum(p * y) for p, y in zip(projections, outputs)))
 
 
 def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
@@ -200,12 +212,12 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
     calls per step, state gradients summed in GATES order."""
     convs = {name: gate_convs(m, name) for name in Mo.GATES}
     sig = lambda v: 0.5 * (1.0 + np.tanh(0.5 * v))
-    h = np.zeros((1, m.hidden_channels) + frames[0].dims[2:])
+    h = np.zeros((1, m.hidden_channels) + frames[0].shape[2:])
     c = np.zeros_like(h)
     steps = []
     for x in frames:
         pre = {
-            name: conv2d_forward(x, wx).data + conv2d_forward(Tensor4(h), wh).data
+            name: conv2d_forward(x, wx) + conv2d_forward(h, wh)
             for name, (wx, wh) in convs.items()
         }
         i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), np.tanh(pre["g"])
@@ -218,12 +230,12 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
     dh_next = np.zeros_like(h)
     dc_next = np.zeros_like(h)
     for (x, h_prev, c_prev, i, f, o, g, c, h), dy in zip(reversed(steps), reversed(grad_outputs)):
-        pre_head = conv2d_forward(Tensor4(h), m.head)
+        pre_head = conv2d_forward(h, m.head)
         d_pre_head = sigmoid_backward(pre_head, dy)
-        d_h_head, d_w, d_b = conv2d_backward(Tensor4(h), m.head, d_pre_head)
-        grads["head.weights"] += d_w.data
+        d_h_head, d_w, d_b = conv2d_backward(h, m.head, d_pre_head)
+        grads["head.weights"] += d_w
         grads["head.bias"] += d_b
-        dh = d_h_head.data + dh_next
+        dh = d_h_head + dh_next
         tc = np.tanh(c)
         dc = dh * o * (1.0 - tc * tc) + dc_next
         d_pre = {
@@ -236,13 +248,13 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
         dh_next = np.zeros_like(dh)
         for name in Mo.GATES:
             wx, wh = convs[name]
-            da = Tensor4(d_pre[name])
+            da = d_pre[name]
             _, d_wx, d_b = conv2d_backward(x, wx, da)
-            d_hp, d_wh, _ = conv2d_backward(Tensor4(h_prev), wh, da)
-            grads[f"lstm.wx_{name}"] += d_wx.data
-            grads[f"lstm.wh_{name}"] += d_wh.data
+            d_hp, d_wh, _ = conv2d_backward(h_prev, wh, da)
+            grads[f"lstm.wx_{name}"] += d_wx
+            grads[f"lstm.wh_{name}"] += d_wh
             grads[f"lstm.b_{name}"] += d_b
-            dh_next += d_hp.data
+            dh_next += d_hp
     return grads
 
 
@@ -252,7 +264,7 @@ class TestBackwardSequence:
         rng = np.random.default_rng(13)
         m = random_model(Mo.CONV_LSTM, seed=14, hidden=hidden)
         frames = random_frames(rng, 3, 5, 6)
-        projections = [Tensor4(rng.uniform(-1, 1, size=(1, 1, 5, 6))) for _ in frames]
+        projections = [rng.uniform(-1, 1, size=(1, 1, 5, 6)) for _ in frames]
         _, cache = Mo.forward_sequence(frames, m)
         got = Mo.backward_sequence(cache, projections)
         want = per_gate_grads(m, frames, projections)
@@ -264,7 +276,7 @@ class TestBackwardSequence:
         m = random_model(Mo.CONV_LSTM, seed=10)
         frames = random_frames(rng, 3, 4, 4)
         outputs, cache = Mo.forward_sequence(frames, m)
-        grads = Mo.backward_sequence(cache, [Tensor4.zeros(*y.dims) for y in outputs])
+        grads = Mo.backward_sequence(cache, [np.zeros(y.shape) for y in outputs])
         for name, _ in m.named_parameters():
             assert np.allclose(grads[name], 0.0)
 
@@ -274,14 +286,14 @@ class TestBackwardSequence:
         outputs, cache = Mo.forward_sequence(frames, m)
         cache.release()
         with pytest.raises(StaleCache):
-            Mo.backward_sequence(cache, [Tensor4.zeros(*y.dims) for y in outputs])
+            Mo.backward_sequence(cache, [np.zeros(y.shape) for y in outputs])
 
     def test_grad_count_mismatch(self):
         m = random_model(Mo.CONV_ONLY, seed=12)
         frames = random_frames(np.random.default_rng(11), 2, 4, 4)
         _, cache = Mo.forward_sequence(frames, m)
         with pytest.raises(LengthMismatch):
-            Mo.backward_sequence(cache, [Tensor4.zeros(1, 1, 4, 4)])
+            Mo.backward_sequence(cache, [np.zeros((1, 1, 4, 4))])
 
     @pytest.mark.parametrize("variant,length", [(Mo.CONV_ONLY, 3), (Mo.CONV_LSTM, 1), (Mo.CONV_LSTM, 3)])
     def test_gradients_match_finite_differences(self, variant, length):
@@ -291,7 +303,7 @@ class TestBackwardSequence:
             frames = random_frames(rng, length, 4, 4)
             projections = [rng.uniform(-1, 1, size=(1, 1, 4, 4)) for _ in range(length)]
             outputs, cache = Mo.forward_sequence(frames, m)
-            analytic = Mo.backward_sequence(cache, [Tensor4(p) for p in projections])
+            analytic = Mo.backward_sequence(cache, projections)
             for name, arr in m.named_parameters():
                 numeric = central_difference(
                     lambda: projection_loss(m, frames, projections), arr

@@ -1,10 +1,10 @@
-"""Tests for the rank-4 tensor container and conv/activation primitives."""
+"""Tests for the conv/activation primitives on float64 arrays."""
 
 import numpy as np
 import pytest
 
 from tsal import tensor as T
-from tsal.errors import DimensionMismatch, NonFinite
+from tsal.errors import DimensionMismatch
 
 from helpers import central_difference, max_rel_err
 
@@ -21,58 +21,36 @@ def random_conv(rng, out_ch, in_ch, k=3):
     return T.Conv2dParams(weights=w, bias=b, padding=k // 2)
 
 
-class TestTensor4:
-    def test_rejects_nan(self):
-        arr = np.zeros((1, 1, 2, 2))
-        arr[0, 0, 0, 0] = np.nan
-        with pytest.raises(NonFinite):
-            T.Tensor4(arr)
-
-    def test_rejects_inf(self):
-        arr = np.full((1, 1, 2, 2), np.inf)
-        with pytest.raises(NonFinite):
-            T.Tensor4(arr)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(DimensionMismatch):
-            T.Tensor4(np.zeros((2, 2)))
-
-    def test_dims(self):
-        x = T.Tensor4.zeros(2, 3, 4, 5)
-        assert x.dims == (2, 3, 4, 5)
-        assert (x.batch, x.channels, x.height, x.width) == (2, 3, 4, 5)
-
-
 class TestConvForward:
     def test_identity_kernel_is_fixpoint(self):
         rng = np.random.default_rng(0)
-        x = T.Tensor4(rng.uniform(0, 1, size=(1, 1, 3, 3)))
+        x = rng.uniform(0, 1, size=(1, 1, 3, 3))
         y = T.conv2d_forward(x, identity_kernel())
-        np.testing.assert_array_equal(y.data, x.data)
+        np.testing.assert_array_equal(y, x)
 
     def test_all_ones_kernel_hand_case(self):
-        x = T.Tensor4(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         params = T.Conv2dParams(weights=np.ones((1, 1, 3, 3)), bias=np.zeros(1), padding=1)
         y = T.conv2d_forward(x, params)
         # every padded 3x3 window covers all four pixels: 1+2+3+4
-        np.testing.assert_allclose(y.data, np.full((1, 1, 2, 2), 10.0))
+        np.testing.assert_allclose(y, np.full((1, 1, 2, 2), 10.0))
 
     def test_zero_kernel_gives_bias(self):
         rng = np.random.default_rng(1)
-        x = T.Tensor4(rng.uniform(-2, 2, size=(2, 3, 5, 4)))
+        x = rng.uniform(-2, 2, size=(2, 3, 5, 4))
         params = T.Conv2dParams(weights=np.zeros((2, 3, 3, 3)), bias=np.array([0.7, -1.3]), padding=1)
         y = T.conv2d_forward(x, params)
-        np.testing.assert_array_equal(y.data[:, 0], np.full((2, 5, 4), 0.7))
-        np.testing.assert_array_equal(y.data[:, 1], np.full((2, 5, 4), -1.3))
+        np.testing.assert_array_equal(y[:, 0], np.full((2, 5, 4), 0.7))
+        np.testing.assert_array_equal(y[:, 1], np.full((2, 5, 4), -1.3))
 
     def test_channel_mismatch_raises(self):
-        x = T.Tensor4.zeros(1, 2, 4, 4)
+        x = np.zeros((1, 2, 4, 4))
         params = T.Conv2dParams(weights=np.zeros((1, 3, 3, 3)), bias=np.zeros(1), padding=1)
         with pytest.raises(DimensionMismatch):
             T.conv2d_forward(x, params)
 
     def test_too_small_spatial_raises(self):
-        x = T.Tensor4.zeros(1, 1, 2, 2)
+        x = np.zeros((1, 1, 2, 2))
         params = T.Conv2dParams(weights=np.zeros((1, 1, 5, 5)), bias=np.zeros(1), padding=0)
         with pytest.raises(DimensionMismatch):
             T.conv2d_forward(x, params)
@@ -83,48 +61,48 @@ class TestConvForward:
             in_ch = int(rng.integers(1, 4))
             out_ch = int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
-            x = T.Tensor4(rng.uniform(-1, 1, size=(1, in_ch, h, w)))
+            x = rng.uniform(-1, 1, size=(1, in_ch, h, w))
             params = random_conv(rng, out_ch, in_ch)
             fast = T.conv2d_forward(x, params)
             ref = T.conv2d_forward_direct(x, params)
-            assert np.max(np.abs(fast.data - ref.data)) < 1e-12
+            assert np.max(np.abs(fast - ref)) < 1e-12
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(3)
         params = random_conv(rng, 2, 2)
         params.bias[:] = 0.0
-        x = T.Tensor4(rng.uniform(-1, 1, size=(1, 2, 5, 5)))
-        y = T.Tensor4(rng.uniform(-1, 1, size=(1, 2, 5, 5)))
+        x = rng.uniform(-1, 1, size=(1, 2, 5, 5))
+        y = rng.uniform(-1, 1, size=(1, 2, 5, 5))
         alpha, beta = 1.7, -0.4
-        combined = T.conv2d_forward(T.Tensor4(alpha * x.data + beta * y.data), params)
-        separate = alpha * T.conv2d_forward(x, params).data + beta * T.conv2d_forward(y, params).data
-        assert np.max(np.abs(combined.data - separate)) < 1e-12
+        combined = T.conv2d_forward(alpha * x + beta * y, params)
+        separate = alpha * T.conv2d_forward(x, params) + beta * T.conv2d_forward(y, params)
+        assert np.max(np.abs(combined - separate)) < 1e-12
 
     def test_unpadded_output_shape(self):
-        x = T.Tensor4.zeros(2, 1, 6, 5)
+        x = np.zeros((2, 1, 6, 5))
         params = T.Conv2dParams(weights=np.zeros((3, 1, 3, 3)), bias=np.zeros(3), padding=0)
-        assert T.conv2d_forward(x, params).dims == (2, 3, 4, 3)
+        assert T.conv2d_forward(x, params).shape == (2, 3, 4, 3)
 
 
 class TestConvBackward:
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(4)
-        x = T.Tensor4(rng.uniform(-1, 1, size=(1, 2, 4, 4)))
+        x = rng.uniform(-1, 1, size=(1, 2, 4, 4))
         params = random_conv(rng, 3, 2)
-        gi, gw, gb = T.conv2d_backward(x, params, T.Tensor4.zeros(1, 3, 4, 4))
-        assert not gi.data.any() and not gw.data.any() and not gb.any()
+        gi, gw, gb = T.conv2d_backward(x, params, np.zeros((1, 3, 4, 4)))
+        assert not gi.any() and not gw.any() and not gb.any()
 
     def test_identity_kernel_passes_gradient(self):
         rng = np.random.default_rng(5)
-        x = T.Tensor4(rng.uniform(-1, 1, size=(1, 1, 4, 4)))
-        g = T.Tensor4(rng.uniform(-1, 1, size=(1, 1, 4, 4)))
+        x = rng.uniform(-1, 1, size=(1, 1, 4, 4))
+        g = rng.uniform(-1, 1, size=(1, 1, 4, 4))
         gi, _, _ = T.conv2d_backward(x, identity_kernel(), g)
-        np.testing.assert_allclose(gi.data, g.data, atol=1e-15)
+        np.testing.assert_allclose(gi, g, atol=1e-15)
 
     def test_grad_out_shape_mismatch(self):
-        x = T.Tensor4.zeros(1, 1, 4, 4)
+        x = np.zeros((1, 1, 4, 4))
         with pytest.raises(DimensionMismatch):
-            T.conv2d_backward(x, identity_kernel(), T.Tensor4.zeros(1, 1, 3, 3))
+            T.conv2d_backward(x, identity_kernel(), np.zeros((1, 1, 3, 3)))
 
     def test_matches_finite_differences(self):
         # 100+ random instances across sizes, dims <= 1x4x6x6
@@ -138,32 +116,32 @@ class TestConvBackward:
             proj = rng.uniform(-1, 1, size=(1, out_ch, h, w))
 
             def loss():
-                return float(np.sum(proj * T.conv2d_forward(T.Tensor4(x), params).data))
+                return float(np.sum(proj * T.conv2d_forward(x, params)))
 
-            gi, gw, gb = T.conv2d_backward(T.Tensor4(x), params, T.Tensor4(proj))
-            assert max_rel_err(gi.data, central_difference(loss, x)) < 1e-5
-            assert max_rel_err(gw.data, central_difference(loss, params.weights)) < 1e-5
+            gi, gw, gb = T.conv2d_backward(x, params, proj)
+            assert max_rel_err(gi, central_difference(loss, x)) < 1e-5
+            assert max_rel_err(gw, central_difference(loss, params.weights)) < 1e-5
             assert max_rel_err(gb, central_difference(loss, params.bias)) < 1e-5
 
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
-        y = T.sigmoid(T.Tensor4.zeros(1, 2, 3, 3))
-        np.testing.assert_array_equal(y.data, np.full((1, 2, 3, 3), 0.5))
+        y = T.sigmoid(np.zeros((1, 2, 3, 3)))
+        np.testing.assert_array_equal(y, np.full((1, 2, 3, 3), 0.5))
 
     def test_tanh_at_zero(self):
-        y = T.tanh_act(T.Tensor4.zeros(1, 2, 3, 3))
-        assert not y.data.any()
+        y = T.tanh_act(np.zeros((1, 2, 3, 3)))
+        assert not y.any()
 
     def test_sigmoid_gradient_at_zero(self):
-        g = T.Tensor4(np.full((1, 1, 2, 2), 3.0))
-        out = T.sigmoid_backward(T.Tensor4.zeros(1, 1, 2, 2), g)
-        np.testing.assert_allclose(out.data, 0.25 * g.data)
+        g = np.full((1, 1, 2, 2), 3.0)
+        out = T.sigmoid_backward(np.zeros((1, 1, 2, 2)), g)
+        np.testing.assert_allclose(out, 0.25 * g)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        x = T.Tensor4(np.array([[[[-1e6, 1e6], [-40.0, 40.0]]]]))
+        x = np.array([[[[-1e6, 1e6], [-40.0, 40.0]]]])
         y = T.sigmoid(x)
-        assert np.all((y.data >= 0.0) & (y.data <= 1.0))
+        assert np.all((y >= 0.0) & (y <= 1.0))
 
     @pytest.mark.parametrize(
         "forward,backward",
@@ -176,10 +154,10 @@ class TestActivations:
             proj = rng.uniform(-1, 1, size=x.shape)
 
             def loss():
-                return float(np.sum(proj * forward(T.Tensor4(x)).data))
+                return float(np.sum(proj * forward(x)))
 
-            analytic = backward(T.Tensor4(x), T.Tensor4(proj))
-            assert max_rel_err(analytic.data, central_difference(loss, x)) < 1e-5
+            analytic = backward(x, proj)
+            assert max_rel_err(analytic, central_difference(loss, x)) < 1e-5
 
     def test_relu_matches_finite_differences_away_from_kink(self):
         rng = np.random.default_rng(8)
@@ -189,7 +167,7 @@ class TestActivations:
             proj = rng.uniform(-1, 1, size=x.shape)
 
             def loss():
-                return float(np.sum(proj * T.relu(T.Tensor4(x)).data))
+                return float(np.sum(proj * T.relu(x)))
 
-            analytic = T.relu_backward(T.Tensor4(x), T.Tensor4(proj))
-            assert max_rel_err(analytic.data, central_difference(loss, x)) < 1e-5
+            analytic = T.relu_backward(x, proj)
+            assert max_rel_err(analytic, central_difference(loss, x)) < 1e-5

@@ -1,6 +1,7 @@
 """Tests for loss, optimizer, schedule, training loop, and checkpoints."""
 
 import os
+import warnings
 import zlib
 
 import numpy as np
@@ -17,7 +18,6 @@ from tsal.errors import (
     NonFinite,
     ShapeMismatch,
 )
-from tsal.tensor import Tensor4
 
 
 def tiny_model(variant: str, seed: int = 0) -> Mo.AdaptationModel:
@@ -27,46 +27,46 @@ def tiny_model(variant: str, seed: int = 0) -> Mo.AdaptationModel:
 class TestBceLoss:
     def test_uniform_half_prediction(self):
         rng = np.random.default_rng(0)
-        pred = Tensor4(np.full((1, 1, 4, 4), 0.5))
-        target = Tensor4(rng.integers(0, 2, size=(1, 1, 4, 4)).astype(float))
+        pred = np.full((1, 1, 4, 4), 0.5)
+        target = rng.integers(0, 2, size=(1, 1, 4, 4)).astype(float)
         loss, _ = Tr.bce_loss(pred, target)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_stationary_at_pred_equal_target(self):
-        pred = Tensor4(np.full((1, 1, 2, 2), 0.5))
+        pred = np.full((1, 1, 2, 2), 0.5)
         loss, grad = Tr.bce_loss(pred, pred)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-        assert np.allclose(grad.data, 0.0)
+        assert np.allclose(grad, 0.0)
 
     def test_loss_equals_target_entropy_at_match(self):
         rng = np.random.default_rng(1)
         t = rng.uniform(0.1, 0.9, size=(1, 1, 3, 3))
-        loss, grad = Tr.bce_loss(Tensor4(t), Tensor4(t))
+        loss, grad = Tr.bce_loss(t, t)
         entropy = -np.mean(t * np.log(t) + (1 - t) * np.log(1 - t))
         assert loss == pytest.approx(entropy, abs=1e-12)
-        assert np.max(np.abs(grad.data)) < 1e-12
+        assert np.max(np.abs(grad)) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             p = rng.uniform(0.05, 0.95, size=(1, 1, 4, 4))
             t = rng.uniform(0.0, 1.0, size=(1, 1, 4, 4))
-            _, grad = Tr.bce_loss(Tensor4(p), Tensor4(t))
+            _, grad = Tr.bce_loss(p, t)
             numeric = central_difference(
-                lambda: Tr.bce_loss(Tensor4(p), Tensor4(t))[0], p
+                lambda: Tr.bce_loss(p, t)[0], p
             )
-            assert max_rel_err(grad.data, numeric) < 1e-6
+            assert max_rel_err(grad, numeric) < 1e-6
 
     def test_clamp_keeps_loss_finite(self):
-        pred = Tensor4(np.array([[[[1e-12, 1.0 - 1e-12]]]]))
-        target = Tensor4(np.array([[[[1.0, 0.0]]]]))
+        pred = np.array([[[[1e-12, 1.0 - 1e-12]]]])
+        target = np.array([[[[1.0, 0.0]]]])
         loss, grad = Tr.bce_loss(pred, target)
         assert np.isfinite(loss)
-        assert np.all(np.isfinite(grad.data))
+        assert np.all(np.isfinite(grad))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            Tr.bce_loss(Tensor4(np.full((1, 1, 2, 2), 0.5)), Tensor4(np.zeros((1, 1, 3, 3))))
+            Tr.bce_loss(np.full((1, 1, 2, 2), 0.5), np.zeros((1, 1, 3, 3)))
 
 
 class TestSgdStep:
@@ -164,8 +164,8 @@ def blob_sample(rng, video_id: str, frames: int = 8, size: int = 8) -> Tr.TrainS
     xs, ts = [], []
     for _ in range(frames):
         x = rng.uniform(0, 1, size=(1, 1, size, size))
-        xs.append(Tensor4(x))
-        ts.append(Tensor4((x > 0.5).astype(float)))
+        xs.append(x)
+        ts.append((x > 0.5).astype(float))
     return Tr.TrainSample(video_id=video_id, frames=xs, targets=ts)
 
 
@@ -224,13 +224,41 @@ class TestTrainLoop:
         last = result.history[-1][1]
         assert last < 0.5 * first
 
+    @pytest.mark.parametrize(
+        "fault, start, reason",
+        [
+            ("nan-target", 2, "window loss is nan"),
+            ("huge-weights", 0, "gradient norm is inf"),
+            ("huge-lr", 2, "lstm.wx_i is not finite after the update"),
+        ],
+    )
+    def test_non_finite_is_reported_in_its_window(self, fault, start, reason):
+        rng = np.random.default_rng(10)
+        sample = blob_sample(rng, "v0", frames=6)
+        model = tiny_model(Mo.CONV_LSTM if fault == "huge-lr" else Mo.CONV_ONLY)
+        hyper = Tr.Hyper(lr0=1e300 if fault == "huge-lr" else 1e-5)
+        params = dict(model.named_parameters())
+        if fault == "nan-target":
+            sample.targets[3][0, 0, 0, 0] = np.nan
+        elif fault == "huge-weights":
+            params["feature.weights"][...] = 1e300
+            params["head.weights"][...] = 1e-300
+        config = Tr.TrainConfig(clip_length=2, hyper=hyper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check reports it, not a RuntimeWarning
+            with pytest.raises(NonFinite) as info:
+                Tr.train(model, [sample], config)
+        assert str(info.value) == (
+            f"non-finite values in video 'v0' window starting at frame {start}: {reason}"
+        )
+
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             Tr.train(tiny_model(Mo.CONV_ONLY), [], Tr.TrainConfig())
 
     def test_sample_validation(self):
         with pytest.raises(LengthMismatch):
-            Tr.TrainSample("bad", [Tensor4(np.zeros((1, 1, 2, 2)))], [])
+            Tr.TrainSample("bad", [np.zeros((1, 1, 2, 2))], [])
 
 
 class TestCheckpoint:
