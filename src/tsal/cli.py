@@ -23,7 +23,7 @@ import os
 import shutil
 import sys
 import tempfile
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
@@ -109,8 +109,11 @@ def fmt3(value: float | None) -> str:
     """Three-decimal fixed-point rendering, rounding half up; None -> n/a."""
     if value is None:
         return "n/a"
+    if not math.isfinite(value):  # a mean of finite scores can overflow
+        return str(float(value))
+    # 400 digits hold the largest float to the third decimal
     quantized = Decimal(repr(float(value))).quantize(
-        Decimal("0.001"), rounding=ROUND_HALF_UP
+        Decimal("0.001"), context=Context(prec=400, rounding=ROUND_HALF_UP)
     )
     return str(quantized)
 
@@ -200,7 +203,7 @@ def cmd_predict(cfg: dict) -> None:
     out = cfg["out"]
     if os.path.lexists(out) and not (os.path.isdir(out) and not os.listdir(out)):
         raise ParseError(f"--out {out} exists and is not an empty directory")
-    manifest = D.load_manifest(cfg["manifest"], check_files=False)
+    manifest = D.load_manifest(cfg["manifest"])
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
     res = manifest.resolution
     # maps go to a sibling temp directory renamed onto --out once all are
@@ -225,10 +228,11 @@ def cmd_predict(cfg: dict) -> None:
                 if not os.path.isfile(src):
                     raise MissingInput(f"{record.video_id}: no static map {src}")
                 x = D.map_to_tensor(D.resize_bilinear(D.load_map(src), res))
+                # slicing drops the step cache at once, so it does not outlive the step
                 if model.variant == Mo.CONV_ONLY:
-                    y = Mo.conv_block_forward(x, model)
+                    y = Mo.conv_block_forward(x, model)[0]
                 else:
-                    y, state = Mo.convlstm_step(x, state, model)
+                    y, state = Mo.convlstm_step(x, state, model)[:2]
                 D.write_map(D.tensor_to_map(y), os.path.join(out_dir, name))
                 written += 1
         os.replace(tmp, out)
@@ -246,6 +250,8 @@ def _parse_metric_list(spec: str) -> tuple[str, ...]:
             raise ParseError(f"unknown metric {name!r}; choose from {M.METRIC_NAMES}")
     if not names:
         raise ParseError("metric list is empty")
+    if len(set(names)) != len(names):
+        raise ParseError(f"metric list {spec!r} names a metric twice")
     return names
 
 
@@ -317,10 +323,7 @@ def cmd_report(cfg: dict) -> None:
     models: list[tuple[str, dict[str, M.VideoScores]]] = []
     first_groups: dict[str, list[str]] | None = None
     for path in paths:
-        try:
-            report = M.report_from_dict(D.read_json(path))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: not a score file: {exc!r}") from None
+        report = D.load_scores(path)
         if first_groups is None:
             first_groups = report.groups
         else:

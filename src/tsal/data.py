@@ -1,4 +1,4 @@
-"""File formats and datasets: PGM maps, fixation CSVs, manifests, synthesis.
+"""File formats and datasets: PGM maps, fixation CSVs, manifests, scores, synthesis.
 
 Maps travel as 8-bit portable graymaps (P5 binary or P2 text, maxval
 255), fixations as "frame_index,row,col" CSV with '#' comments, and a
@@ -32,10 +32,13 @@ from .errors import (
     TruncatedData,
     UnsupportedDepth,
 )
-from .metrics import FixationSet, SaliencyMap
+from .metrics import EvalReport, FixationSet, SaliencyMap, report_from_dict
 
 GROUP_LABELS = ("free-viewing", "task-driven")
 FRAME_NAME_DIGITS = 6
+# the synthetic blob's velocity: kept share per frame, and the std of each kick
+WALK_PERSISTENCE = 0.9
+WALK_KICK = 0.6
 
 
 def frame_file_name(frame_id: int) -> str:
@@ -300,8 +303,17 @@ def read_json(path: str):
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 
-def load_manifest(path: str, check_files: bool = True) -> DatasetManifest:
-    """Parse a manifest JSON; verifies every referenced file exists."""
+def load_scores(path: str) -> EvalReport:
+    """Read a score file, as ``tsal evaluate --out`` writes it."""
+    payload = read_json(path)
+    try:
+        return report_from_dict(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a score file: {exc!r}") from None
+
+
+def load_manifest(path: str) -> DatasetManifest:
+    """Parse a manifest JSON; the files it names are checked as they are opened."""
     payload = read_json(path)
     try:
         resolution = tuple(int(v) for v in payload["resolution"])
@@ -319,18 +331,7 @@ def load_manifest(path: str, check_files: bool = True) -> DatasetManifest:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"manifest field error: {exc}") from None
     root = os.path.dirname(os.path.abspath(path))
-    manifest = DatasetManifest(videos=videos, resolution=resolution, root=root)
-    if check_files:
-        for rec in manifest.videos:
-            fix_path = os.path.join(root, rec.fixation_file)
-            if not os.path.isfile(fix_path):
-                raise MissingInput(f"{rec.video_id}: missing {fix_path}")
-            for frame in rec.frames:
-                for sub in (rec.static_map_dir, rec.gt_map_dir):
-                    frame_path = os.path.join(root, sub, frame_file_name(frame))
-                    if not os.path.isfile(frame_path):
-                        raise MissingInput(f"{rec.video_id}: missing {frame_path}")
-    return manifest
+    return DatasetManifest(videos=videos, resolution=resolution, root=root)
 
 
 @dataclass
@@ -344,20 +345,24 @@ class LoadedVideo:
 
 
 def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
+    def named(*parts: str) -> str:
+        path = os.path.join(manifest.root, *parts)
+        if not os.path.isfile(path):
+            raise MissingInput(f"{record.video_id}: missing {path}")
+        return path
+
     res = manifest.resolution
     static_maps: list[SaliencyMap] = []
     gt_maps: list[SaliencyMap] = []
     native_dims: tuple[int, int] | None = None
     for frame in record.frames:
         name = frame_file_name(frame)
-        static = load_map(os.path.join(manifest.root, record.static_map_dir, name))
+        static = load_map(named(record.static_map_dir, name))
         native_dims = static.values.shape
-        gt = load_map(os.path.join(manifest.root, record.gt_map_dir, name))
+        gt = load_map(named(record.gt_map_dir, name))
         static_maps.append(resize_bilinear(static, res))
         gt_maps.append(resize_bilinear(gt, res))
-    by_frame = load_fixations(
-        os.path.join(manifest.root, record.fixation_file), dims=native_dims
-    )
+    by_frame = load_fixations(named(record.fixation_file), dims=native_dims)
     empty = FixationSet([])
     fixations = [
         rescale_fixations(by_frame.get(frame, empty), native_dims, res)
@@ -393,8 +398,6 @@ class SyntheticConfig:
     lag: int = 1
     blob_sigma: float = 3.0
     noise: float = 0.08
-    walk_persistence: float = 0.9
-    walk_kick: float = 0.6
     fixations_per_frame: int = 3
 
     def __post_init__(self) -> None:
@@ -423,11 +426,11 @@ def _walk_positions(rng, config: SyntheticConfig, steps: int) -> np.ndarray:
     lo = np.array([margin, margin])
     hi = np.array([config.height - 1 - margin, config.width - 1 - margin])
     pos = rng.uniform(lo, hi)
-    vel = rng.normal(0.0, config.walk_kick, size=2)
+    vel = rng.normal(0.0, WALK_KICK, size=2)
     out = np.empty((steps, 2))
     for t in range(steps):
         out[t] = pos
-        vel = config.walk_persistence * vel + rng.normal(0.0, config.walk_kick, size=2)
+        vel = WALK_PERSISTENCE * vel + rng.normal(0.0, WALK_KICK, size=2)
         pos = pos + vel
         for axis in range(2):
             if pos[axis] < lo[axis]:

@@ -34,10 +34,6 @@ class LengthMismatch(SaliencyError):
     """Parallel sequences (maps / fixations / ground truths) differ in length."""
 
 
-class StaleCache(SaliencyError):
-    """Backward pass requested but forward intermediates are missing."""
-
-
 class EmptyFixations(SaliencyError):
     """A fixation-based metric was called with no fixations."""
 

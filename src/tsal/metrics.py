@@ -12,6 +12,7 @@ averages rather than poisoning them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 METRIC_NAMES = ("auc_j", "s_auc", "nss", "cc", "sim")
+VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 
 # negatives per positive kept when subsampling the shuffled-AUC pool
 SAUC_NEGATIVE_RATIO = 10
@@ -348,16 +350,26 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> EvalReport:
-    """Inverse of :func:`report_to_dict`."""
-    per_video = {
-        vid: VideoScores(
-            scores=MetricScores(**{name: row.get(name) for name in METRIC_NAMES}),
-            frames=int(row.get("frames", 0)),
-            skipped_no_fixations=int(row.get("skipped_no_fixations", 0)),
-            skipped_no_gt_mass=int(row.get("skipped_no_gt_mass", 0)),
+    """Inverse of :func:`report_to_dict`.
+
+    Raises ValueError, naming the video and the key, unless every metric is
+    null or a finite number and every count a non-negative integer.
+    """
+    per_video = {}
+    for vid, row in payload["per_video"].items():
+        for key in METRIC_NAMES:
+            value = row.get(key)
+            if value is not None and not (
+                type(value) in (int, float) and abs(value) <= sys.float_info.max
+            ):
+                raise ValueError(f"video {vid!r}: {key} must be null or finite, got {value!r}")
+        for key in VIDEO_COUNTS:
+            value = row.get(key, 0)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"video {vid!r}: {key} must be an integer >= 0, got {value!r}")
+        per_video[vid] = VideoScores(
+            MetricScores(**{name: row.get(name) for name in METRIC_NAMES}),
+            **{key: row.get(key, 0) for key in VIDEO_COUNTS},
         )
-        for vid, row in payload["per_video"].items()
-    }
     groups = {label: list(members) for label, members in payload.get("groups", {}).items()}
-    report = aggregate_report(per_video, groups)
-    return report
+    return aggregate_report(per_video, groups)

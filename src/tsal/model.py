@@ -5,18 +5,19 @@ of the same size. The conv variant treats frames independently; the
 ConvLSTM variant carries a hidden/cell state through time and is trained
 with full backpropagation through time.
 
-``forward_sequence`` returns the outputs together with a cache of the
-intermediates the backward pass needs; ``backward_sequence`` consumes
-that cache and produces exact parameter gradients.
+``conv_block_forward`` and ``convlstm_step`` are the only step functions:
+inference calls them frame by frame, ``forward_sequence`` over a clip.
+Each returns its step cache last; ``backward_sequence`` takes the list of
+them and produces exact parameter gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite, StaleCache
+from .errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite
 from .tensor import (
     Conv2dParams,
     conv2d_backward,
@@ -144,8 +145,8 @@ def init_parameters(
         return rng.uniform(-s, s, size=(out_ch, in_ch, kernel, kernel))
 
     if variant == CONV_ONLY:
-        feature = Conv2dParams(draw(hc, 1, k), np.zeros(hc), padding=k // 2)
-        head = Conv2dParams(draw(1, hc, 1), np.zeros(1), padding=0)
+        feature = Conv2dParams(draw(hc, 1, k), np.zeros(hc))
+        head = Conv2dParams(draw(1, hc, 1), np.zeros(1))
         return AdaptationModel(
             variant=variant, hidden_channels=hc, head=head, feature_conv=feature
         )
@@ -156,9 +157,9 @@ def init_parameters(
         wx[rows] = draw(hc, 1, k)
         wh[rows] = draw(hc, hc, k)
     bias[_gate_rows(hc)["f"]] = 1.0
-    head = Conv2dParams(draw(1, hc, 1), np.zeros(1), padding=0)
-    input_conv = Conv2dParams(wx, bias, padding=k // 2)
-    hidden_conv = Conv2dParams(wh, np.zeros(n), padding=k // 2)
+    head = Conv2dParams(draw(1, hc, 1), np.zeros(1))
+    input_conv = Conv2dParams(wx, bias)
+    hidden_conv = Conv2dParams(wh, np.zeros(n))
     return AdaptationModel(variant, hc, head, input_conv=input_conv, hidden_conv=hidden_conv)
 
 
@@ -181,28 +182,11 @@ class _LstmStepCache:
     pre_head: np.ndarray
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates of one forward_sequence run, consumed by backward_sequence."""
-
-    model: AdaptationModel
-    steps: list | None = field(default=None)
-
-    def release(self) -> None:
-        """Drop the cached intermediates; a later backward raises StaleCache."""
-        self.steps = None
-
-
-def conv_block_forward(x: np.ndarray, model: AdaptationModel) -> np.ndarray:
-    """ConvOnly forward for one frame: sigmoid(head(relu(feature_conv(x))))."""
-    _check_frame(x)
-    y, _ = _conv_block_forward_cached(x, model)
-    return y
-
-
-def _conv_block_forward_cached(
+def conv_block_forward(
     x: np.ndarray, model: AdaptationModel
 ) -> tuple[np.ndarray, _ConvStepCache]:
+    """One ConvOnly frame, sigmoid(head(relu(feature_conv(x)))), and its step cache."""
+    _check_frame(x)
     if model.variant != CONV_ONLY:
         raise ValueError("conv_block_forward requires a ConvOnly model")
     assert model.feature_conv is not None
@@ -215,16 +199,9 @@ def _conv_block_forward_cached(
 
 def convlstm_step(
     x: np.ndarray, state: LstmState, model: AdaptationModel
-) -> tuple[np.ndarray, LstmState]:
-    """One ConvLSTM cell evaluation plus the sigmoid head."""
-    _check_frame(x)
-    y, new_state, _ = _convlstm_step_cached(x, state, model)
-    return y, new_state
-
-
-def _convlstm_step_cached(
-    x: np.ndarray, state: LstmState, model: AdaptationModel
 ) -> tuple[np.ndarray, LstmState, _LstmStepCache]:
+    """One ConvLSTM cell evaluation plus the sigmoid head, and its step cache."""
+    _check_frame(x)
     if model.variant != CONV_LSTM:
         raise ValueError("convlstm_step requires a ConvLSTM model")
     assert model.input_conv is not None and model.hidden_conv is not None
@@ -254,12 +231,12 @@ def _convlstm_step_cached(
 
 def forward_sequence(
     frames: list[np.ndarray], model: AdaptationModel
-) -> tuple[list[np.ndarray], ForwardCache]:
+) -> tuple[list[np.ndarray], list]:
     """Run the model over a frame sequence.
 
     ConvOnly processes frames independently; ConvLSTM carries a zero-
     initialized state through time. Returns per-frame outputs and the
-    cache required by backward_sequence.
+    step caches that backward_sequence needs.
     """
     if not frames:
         raise EmptySequence("forward_sequence needs at least one frame")
@@ -271,42 +248,36 @@ def forward_sequence(
                 f"frame dims {fr.shape} differ from first frame {first.shape}"
             )
 
-    outputs: list[np.ndarray] = []
-    steps: list = []
-    if model.variant == CONV_ONLY:
-        for fr in frames:
-            y, step = _conv_block_forward_cached(fr, model)
-            outputs.append(y)
-            steps.append(step)
-    else:
+    outputs, steps = [], []
+    if model.variant == CONV_LSTM:
         state = LstmState.zeros(model.hidden_channels, *first.shape[2:])
-        for fr in frames:
-            y, state, step = _convlstm_step_cached(fr, state, model)
-            outputs.append(y)
-            steps.append(step)
-    return outputs, ForwardCache(model=model, steps=steps)
+    for fr in frames:
+        if model.variant == CONV_ONLY:
+            y, step = conv_block_forward(fr, model)
+        else:
+            y, state, step = convlstm_step(fr, state, model)
+        outputs.append(y)
+        steps.append(step)
+    return outputs, steps
 
 
 def backward_sequence(
-    cache: ForwardCache, grad_outputs: list[np.ndarray]
+    model: AdaptationModel, steps: list, grad_outputs: list[np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """Exact parameter gradients for the cached forward run.
+    """Exact parameter gradients for the forward run that produced ``steps``.
 
     Reverse-time traversal; hidden/cell gradients accumulate across steps
     and shared-kernel gradients sum over time.
     """
-    if cache.steps is None:
-        raise StaleCache("forward intermediates have been released")
-    if len(grad_outputs) != len(cache.steps):
+    if len(grad_outputs) != len(steps):
         raise LengthMismatch(
-            f"{len(grad_outputs)} output grads for {len(cache.steps)} cached steps"
+            f"{len(grad_outputs)} output grads for {len(steps)} cached steps"
         )
-    model = cache.model
     grads = zero_gradients(model)
     if model.variant == CONV_ONLY:
-        _backward_conv_only(cache.steps, grad_outputs, model, grads)
+        _backward_conv_only(steps, grad_outputs, model, grads)
     else:
-        _backward_convlstm(cache.steps, grad_outputs, model, grads)
+        _backward_convlstm(steps, grad_outputs, model, grads)
     return grads
 
 

@@ -6,9 +6,8 @@ outputs are freshly allocated, so values are safe to share. Shapes are
 checked here; finiteness is checked where values enter the model
 (``model._check_frame``) and after each training step, not per operation.
 
-Two convolution paths exist: :func:`conv2d_forward` uses an im2col +
-matrix-multiply formulation, while :func:`conv2d_forward_direct` is the
-naive sliding-window reference it must agree with to within 1e-12.
+Convolutions are stride 1 with "same" zero padding (k // 2), computed as
+im2col followed by one matrix multiply.
 """
 
 from __future__ import annotations
@@ -22,15 +21,14 @@ from .errors import DimensionMismatch
 
 @dataclass
 class Conv2dParams:
-    """Weights (out_channels, in_channels, kh, kw), per-filter bias, zero padding.
+    """Weights (out_channels, in_channels, kh, kw) and per-filter bias.
 
     Stride is fixed at 1. Kernels must be square with odd extent so that
-    symmetric padding can preserve spatial dims.
+    symmetric padding of k // 2 preserves spatial dims.
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    padding: int
 
     def __post_init__(self) -> None:
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -44,8 +42,6 @@ class Conv2dParams:
             raise DimensionMismatch(
                 f"bias length {self.bias.shape} does not match out_channels {self.weights.shape[0]}"
             )
-        if self.padding < 0:
-            raise DimensionMismatch("padding must be >= 0")
 
     @property
     def out_channels(self) -> int:
@@ -74,11 +70,8 @@ def _check_conv_args(input: np.ndarray, params: Conv2dParams) -> None:
     _, c, h, w = input.shape
     if c != params.in_channels:
         raise DimensionMismatch(f"input has {c} channels, kernel expects {params.in_channels}")
-    k, p = params.kernel_size, params.padding
-    if h + 2 * p < k or w + 2 * p < k:
-        raise DimensionMismatch(
-            f"spatial dims {h}x{w} too small for kernel {k} with padding {p}"
-        )
+    if h < 1 or w < 1:
+        raise DimensionMismatch(f"spatial dims {h}x{w} are empty")
 
 
 def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
@@ -105,40 +98,13 @@ def _col2im(cols: np.ndarray, b: int, c: int, hp: int, wp: int, k: int) -> np.nd
 def conv2d_forward(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
     """Stride-1 2-D convolution with symmetric zero padding (im2col path)."""
     _check_conv_args(input, params)
-    k, p = params.kernel_size, params.padding
-    x = _pad_spatial(input, p)
-    b = input.shape[0]
-    ho, wo = x.shape[2] - k + 1, x.shape[3] - k + 1
-    cols = _im2col(x, k)
+    k = params.kernel_size
+    b, _, h, w = input.shape
+    cols = _im2col(_pad_spatial(input, k // 2), k)
     w_mat = params.weights.reshape(params.out_channels, -1)
     out = np.matmul(w_mat[None, :, :], cols)
     out += params.bias[None, :, None]
-    return out.reshape(b, params.out_channels, ho, wo)
-
-
-def conv2d_forward_direct(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
-    """Reference convolution: explicit sliding-window loops, sequential accumulation.
-
-    Semantically defines :func:`conv2d_forward`; only used at test scale.
-    """
-    _check_conv_args(input, params)
-    k, p = params.kernel_size, params.padding
-    x = _pad_spatial(input, p)
-    b = input.shape[0]
-    ho, wo = x.shape[2] - k + 1, x.shape[3] - k + 1
-    out = np.empty((b, params.out_channels, ho, wo))
-    w = params.weights
-    for bi in range(b):
-        for co in range(params.out_channels):
-            for oi in range(ho):
-                for oj in range(wo):
-                    acc = params.bias[co]
-                    for ci in range(params.in_channels):
-                        for ki in range(k):
-                            for kj in range(k):
-                                acc += w[co, ci, ki, kj] * x[bi, ci, oi + ki, oj + kj]
-                    out[bi, co, oi, oj] = acc
-    return out
+    return out.reshape(b, params.out_channels, h, w)
 
 
 def conv2d_backward(
@@ -146,17 +112,17 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of the convolution w.r.t. input, weights, and bias."""
     _check_conv_args(input, params)
-    k, p = params.kernel_size, params.padding
+    k = params.kernel_size
+    p = k // 2
     b, _, h, w = input.shape
-    ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
-    if grad_out.shape != (b, params.out_channels, ho, wo):
+    if grad_out.shape != (b, params.out_channels, h, w):
         raise DimensionMismatch(
             f"grad_out dims {grad_out.shape} do not match forward output "
-            f"({b}, {params.out_channels}, {ho}, {wo})"
+            f"({b}, {params.out_channels}, {h}, {w})"
         )
     x = _pad_spatial(input, p)
     cols = _im2col(x, k)
-    g_mat = grad_out.reshape(b, params.out_channels, ho * wo)
+    g_mat = grad_out.reshape(b, params.out_channels, h * w)
 
     grad_bias = g_mat.sum(axis=(0, 2))
     # one BLAS product over batch and pixels, (C_in*k*k, C_out) then transposed;

@@ -40,6 +40,8 @@ from .model import (
 )
 
 BCE_CLAMP = 1e-7
+CLIP_NORM = 10.0  # global gradient-norm bound of every step
+DECAY_FACTOR = 0.1  # learning-rate multiplier at each decay interval
 CHECKPOINT_MAGIC = b"TSAL"
 CHECKPOINT_VERSION = 1
 MAX_HIDDEN_CHANNELS = 0xFFFF  # the checkpoint header stores the width as uint16
@@ -54,7 +56,6 @@ class Hyper:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     lr0: float = 1e-5
-    decay_factor: float = 0.1
     decay_every_epochs: int = 3
 
     def __post_init__(self) -> None:
@@ -81,7 +82,6 @@ class TrainConfig:
     clip_length: int = 16
     seed: int = 0
     checkpoint_path: str | None = None
-    clip_norm: float = 10.0
     max_steps: int | None = None
     hyper: Hyper = field(default_factory=Hyper)
 
@@ -135,9 +135,9 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def lr_schedule(hyper: Hyper, completed_epochs: int) -> float:
-    """Step decay: lr0 * factor^(completed_epochs // decay_every_epochs)."""
+    """Step decay: lr0 * DECAY_FACTOR^(completed_epochs // decay_every_epochs)."""
     intervals = completed_epochs // hyper.decay_every_epochs
-    return hyper.lr0 * hyper.decay_factor**intervals
+    return hyper.lr0 * DECAY_FACTOR**intervals
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -224,10 +224,12 @@ def _train_window(
 
     The training edge: floating-point faults are not trapped per operation
     but reported here, once, as NonFinite, before a bad loss or gradient
-    reaches the optimizer and before a bad update survives the window.
+    reaches the optimizer and before a bad update survives the window. An
+    update is bad if a parameter or momentum value is not finite as a
+    32-bit float, the precision checkpoints store.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        outputs, cache = forward_sequence(frames, model)
+        outputs, steps = forward_sequence(frames, model)
         loss = 0.0
         grad_outputs: list[np.ndarray] = []
         for y, t in zip(outputs, targets):
@@ -236,15 +238,16 @@ def _train_window(
             grad_outputs.append(frame_grad)
         if not math.isfinite(loss):
             raise NonFinite(f"window loss is {loss}")
-        grads = backward_sequence(cache, grad_outputs)
-        cache.release()
-        norm = clip_gradients(grads, config.clip_norm)
+        grads = backward_sequence(model, steps, grad_outputs)
+        del steps  # the step caches are the window's largest buffers
+        norm = clip_gradients(grads, CLIP_NORM)
         if not math.isfinite(norm):
             raise NonFinite(f"gradient norm is {norm}")
         sgd_step(model, grads, state)
-    for name, w in model.named_parameters():
-        if not np.all(np.isfinite(w)):
-            raise NonFinite(f"{name} is not finite after the update")
+        for name, w in model.named_parameters():
+            for what, arr in ((name, w), (f"{name} momentum", state.momentum_buffers[name])):
+                if not np.all(np.isfinite(arr.astype("<f4"))):
+                    raise NonFinite(f"{what} is not finite after the update")
     return loss
 
 

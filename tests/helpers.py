@@ -1,10 +1,13 @@
-"""Shared numerical test utilities: finite differences and error metrics."""
+"""Shared numerical test utilities: finite differences, error metrics and a
+reference convolution."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+from tsal.tensor import Conv2dParams
 
 FD_STEP = 1e-6
 
@@ -35,3 +38,27 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def conv2d_forward_direct(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
+    """Reference convolution: explicit sliding-window loops, sequential accumulation.
+
+    Semantically defines ``tsal.tensor.conv2d_forward``; only used at test scale.
+    """
+    k = params.kernel_size
+    p = k // 2
+    x = np.pad(input, ((0, 0), (0, 0), (p, p), (p, p)))
+    b, _, ho, wo = input.shape
+    out = np.empty((b, params.out_channels, ho, wo))
+    w = params.weights
+    for bi in range(b):
+        for co in range(params.out_channels):
+            for oi in range(ho):
+                for oj in range(wo):
+                    acc = params.bias[co]
+                    for ci in range(params.in_channels):
+                        for ki in range(k):
+                            for kj in range(k):
+                                acc += w[co, ci, ki, kj] * x[bi, ci, oi + ki, oj + kj]
+                    out[bi, co, oi, oj] = acc
+    return out

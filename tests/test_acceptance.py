@@ -231,11 +231,11 @@ def test_criterion_4_gradient_checks():
         proj = rng.uniform(-1, 1, size=(b, cout, h, w))
 
         def conv_loss():
-            params = Conv2dParams(weights=weights, bias=bias, padding=k // 2)
+            params = Conv2dParams(weights=weights, bias=bias)
             return float(np.sum(proj * conv2d_forward(x, params)))
 
         gi, gw, gb = conv2d_backward(
-            x, Conv2dParams(weights=weights, bias=bias, padding=k // 2), proj
+            x, Conv2dParams(weights=weights, bias=bias), proj
         )
         worst = max(worst, max_rel_err(gi, central_difference(conv_loss, x)))
         worst = max(worst, max_rel_err(gw, central_difference(conv_loss, weights)))
@@ -275,8 +275,8 @@ def test_criterion_4_gradient_checks():
             model = Mo.init_parameters(variant, rng_seed=400 + trial, hidden_channels=4)
             frames = [rng.uniform(0, 1, size=(1, 1, 4, 4)) for _ in range(3)]
             projections = [rng.uniform(-1, 1, size=(1, 1, 4, 4)) for _ in range(3)]
-            _, cache = Mo.forward_sequence(frames, model)
-            analytic = Mo.backward_sequence(cache, projections)
+            _, steps = Mo.forward_sequence(frames, model)
+            analytic = Mo.backward_sequence(model, steps, projections)
             for name, arr in model.named_parameters():
                 numeric = central_difference(
                     lambda: _projection_loss(model, frames, projections), arr
@@ -353,8 +353,7 @@ def _dataset_bce(model, samples) -> float:
     total = 0.0
     frames = 0
     for sample in samples:
-        outputs, cache = Mo.forward_sequence(sample.frames, model)
-        cache.release()
+        outputs, _ = Mo.forward_sequence(sample.frames, model)
         for out, target in zip(outputs, sample.targets):
             loss, _ = Tr.bce_loss(out, target)
             total += loss

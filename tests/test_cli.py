@@ -119,6 +119,7 @@ BAD_SETTINGS = {
     "unknown-flag": ("generate", ["--bogus", "1"], None),
     "lr0-nan": ("train", ["--lr0", "nan"], None),
     "shuffle-seed-x": ("evaluate", ["--shuffle-seed", "x"], None),
+    "metrics-repeated": ("evaluate", ["--metrics", "nss,nss,cc"], None),
 }
 
 
@@ -294,9 +295,30 @@ class TestTrain:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        # the first update leaves weights near 1e298; the second one overflows
+        # the first update leaves weights near 1e298, beyond float32 range
         assert line.startswith(
-            "ERROR NonFinite: non-finite values in video 'video_000' window starting at frame 4:"
+            "ERROR NonFinite: non-finite values in video 'video_000' window starting at frame 0:"
+        )
+        assert "RuntimeWarning" not in stderr and caught == []
+        assert not ckpt.exists()
+
+    def test_float32_blow_up_is_reported_in_its_window(self, tmp_path, capsys):
+        _, manifest = make_dataset(tmp_path, videos=2, frames=6, size=8)
+        ckpt = tmp_path / "m.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(
+                capsys, "train", "--manifest", manifest, "--ckpt", str(ckpt),
+                "--hidden", "2", "--lr0", "1e36", "--clip-length", "4",
+            )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        # the first update stays within float32 range; the second, finite as
+        # float64, does not, and a checkpoint could not hold it
+        assert line == (
+            "ERROR NonFinite: non-finite values in video 'video_000' window starting at "
+            "frame 4: lstm.wx_i is not finite after the update"
         )
         assert "RuntimeWarning" not in stderr and caught == []
         assert not ckpt.exists()
@@ -379,6 +401,31 @@ class TestPredict:
         with open(os.path.join(out, "v", "000000.pgm"), "rb") as a:
             with open(os.path.join(out, "v", "000001.pgm"), "rb") as b:
                 assert a.read() == b.read()
+
+    @pytest.mark.parametrize("variant", Mo.VARIANTS)
+    def test_maps_equal_forward_sequence_outputs(self, tmp_path, capsys, variant):
+        _, manifest_path = make_dataset(tmp_path, videos=2, frames=4, size=10)
+        model = Mo.init_parameters(variant, rng_seed=5, hidden_channels=3)
+        buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+        ckpt = str(tmp_path / "m.tsal")
+        Tr.save_checkpoint(model, buffers, ckpt)
+        out = tmp_path / "pred"
+        code, _, _ = run(
+            capsys, "predict", "--manifest", manifest_path, "--ckpt", ckpt, "--out", str(out)
+        )
+        assert code == 0
+        model, _ = Tr.load_checkpoint(ckpt)  # the float32-rounded weights predict ran
+        manifest = D.load_manifest(manifest_path)
+        want = str(tmp_path / "want.pgm")
+        for rec in manifest.videos:
+            frames = [D.map_to_tensor(s) for s in D.load_video(manifest, rec).static_maps]
+            outputs, _ = Mo.forward_sequence(frames, model)
+            names = [D.frame_file_name(frame) for frame in rec.frames]
+            assert sorted(os.listdir(out / rec.video_id)) == names
+            for name, y in zip(names, outputs):
+                D.write_map(D.tensor_to_map(y), want)
+                with open(want, "rb") as fh:
+                    assert (out / rec.video_id / name).read_bytes() == fh.read(), name
 
     def test_non_finite_checkpoint_rejected(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
@@ -598,6 +645,32 @@ class TestReport:
         assert code == 0
         assert "[only-v2]" in stdout
         assert "v1" not in stdout
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("nss", "1e400"), ("cc", "Infinity"), ("sim", "NaN"), ("auc_j", "true"),
+         ("frames", "-1"), ("frames", "1.0"), ("skipped_no_fixations", '"2"'),
+         ("skipped_no_gt_mass", "false")],
+    )
+    def test_bad_score_value_is_one_parse_error(self, tmp_path, capsys, key, text):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"per_video": {"v": {"%s": %s}}, "groups": {"free-viewing": ["v"]}}' % (key, text)
+        )
+        code, stdout, stderr = run(capsys, "report", str(path))
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith(f"ERROR ParseError: {path}: ")
+        assert f"video 'v': {key} " in line
+
+    def test_huge_scores_render(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        write_report_json(path, {"a": 1e308, "b": 1e308}, {"free-viewing": ["a", "b"]})
+        code, stdout, _ = run(capsys, "report", path)
+        assert code == 0
+        big = f"{10**308}.000"  # fmt3 rounds the shortest repr, 1e+308
+        assert stdout.splitlines()[-1].split() == ["m", big, big, "inf"]  # the mean overflows
 
     def test_unknown_metric(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")

@@ -238,14 +238,6 @@ class TestManifest:
             "task-driven": ["video_001"],
         }
 
-    def test_missing_file_detected(self, tmp_path):
-        out = str(tmp_path / "data")
-        config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
-        D.generate_synthetic(out, config)
-        os.remove(os.path.join(out, "video_000", "gt", "000001.pgm"))
-        with pytest.raises(MissingInput):
-            D.load_manifest(os.path.join(out, "manifest.json"))
-
     def test_bad_json(self, tmp_path):
         path = str(tmp_path / "m.json")
         with open(path, "w") as fh:
@@ -289,6 +281,17 @@ class TestLoadVideo:
         assert video.static_maps[0].values.shape == (8, 8)
         for r, c in video.fixations[0].points:
             assert 0 <= r < 8 and 0 <= c < 8
+
+    def test_missing_file_detected(self, tmp_path):
+        out = str(tmp_path / "data")
+        config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
+        manifest = D.generate_synthetic(out, config)
+        for name in ("static/000001.pgm", "gt/000002.pgm", "fixations.csv"):
+            path = os.path.join(out, "video_000", name)
+            os.rename(path, path + ".away")
+            with pytest.raises(MissingInput, match="video_000: missing .*" + name):
+                D.load_video(manifest, manifest.videos[0])
+            os.rename(path + ".away", path)
 
     def test_tensor_conversions(self):
         rng = np.random.default_rng(7)

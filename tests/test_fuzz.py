@@ -1,11 +1,12 @@
 """Property tests for the file parsers.
 
 Whatever bytes a file holds, ``load_map``, ``load_fixations``,
-``load_manifest`` and ``load_checkpoint`` return a valid object or raise a
-:class:`SaliencyError`; any other exception is a bug.
+``load_manifest``, ``load_scores`` and ``load_checkpoint`` return a valid
+object or raise a :class:`SaliencyError`; any other exception is a bug.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -145,7 +146,46 @@ def test_load_manifest_field_values(overrides):
     entry.update(overrides)
     payload = {"resolution": entry.pop("resolution", [8, 8]), "videos": [entry]}
     blob = json.dumps(payload).encode()
-    check_manifest(parse(lambda path: D.load_manifest(path, check_files=False), blob))
+    check_manifest(parse(D.load_manifest, blob))
+
+
+# ---------------------------------------------------------------------------
+# score files
+
+
+def check_scores(report):
+    if report is not None:
+        assert isinstance(report, M.EvalReport)
+        for vs in report.per_video.values():
+            for name in M.METRIC_NAMES:
+                value = vs.scores.get(name)
+                assert value is None or math.isfinite(value)
+            counts = [getattr(vs, key) for key in M.VIDEO_COUNTS]
+            assert all(type(n) is int and n >= 0 for n in counts)
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+def test_load_scores_any_bytes(blob):
+    check_scores(parse(D.load_scores, blob))
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(M.METRIC_NAMES + M.VIDEO_COUNTS), JSON_VALUES, max_size=3))
+@example({"nss": 10**400})
+@example({"frames": True})
+def test_load_scores_field_values(overrides):
+    row = {"nss": 1.0, "frames": 1}
+    row.update(overrides)
+    payload = {"per_video": {"v": row}, "groups": {"free-viewing": ["v"]}}
+    check_scores(parse(D.load_scores, json.dumps(payload).encode()))
+
+
+@FUZZ
+@given(JSON_VALUES, JSON_VALUES)
+def test_load_scores_structure(per_video, groups):
+    blob = json.dumps({"per_video": per_video, "groups": groups}).encode()
+    check_scores(parse(D.load_scores, blob))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err
+from helpers import central_difference, conv2d_forward_direct, max_rel_err
 from tsal import model as Mo
-from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite, StaleCache
-from tsal.tensor import (
-    Conv2dParams,
-    conv2d_backward,
-    conv2d_forward,
-    conv2d_forward_direct,
-    sigmoid_backward,
-)
+from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite
+from tsal.tensor import Conv2dParams, conv2d_backward, conv2d_forward, sigmoid_backward
 
 
 def zero_model(variant: str, hidden: int = 4) -> Mo.AdaptationModel:
@@ -35,8 +29,8 @@ def gate_convs(m: Mo.AdaptationModel, name: str) -> tuple[Conv2dParams, Conv2dPa
     p = dict(m.named_parameters())
     hc = m.hidden_channels
     return (
-        Conv2dParams(p[f"lstm.wx_{name}"], p[f"lstm.b_{name}"], padding=1),
-        Conv2dParams(p[f"lstm.wh_{name}"], np.zeros(hc), padding=1),
+        Conv2dParams(p[f"lstm.wx_{name}"], p[f"lstm.b_{name}"]),
+        Conv2dParams(p[f"lstm.wh_{name}"], np.zeros(hc)),
     )
 
 
@@ -44,14 +38,14 @@ class TestConvBlockForward:
     def test_zero_network_outputs_half(self):
         m = zero_model(Mo.CONV_ONLY)
         x = np.random.default_rng(0).uniform(0, 1, size=(1, 1, 5, 5))
-        y = Mo.conv_block_forward(x, m)
+        y, _ = Mo.conv_block_forward(x, m)
         assert np.allclose(y, 0.5)
 
     def test_bias_only_path(self):
         m = zero_model(Mo.CONV_ONLY)
         m.head.bias[...] = 1.3
         x = np.zeros((1, 1, 4, 4)) + 0.2
-        y = Mo.conv_block_forward(x, m)
+        y, _ = Mo.conv_block_forward(x, m)
         expected = 1.0 / (1.0 + np.exp(-1.3))
         assert np.allclose(y, expected)
 
@@ -60,7 +54,7 @@ class TestConvBlockForward:
         for seed in range(5):
             m = random_model(Mo.CONV_ONLY, seed=seed, hidden=3)
             x = rng.uniform(0, 1, size=(1, 1, 5, 6))
-            got = Mo.conv_block_forward(x, m)
+            got, _ = Mo.conv_block_forward(x, m)
             z1 = conv2d_forward_direct(x, m.feature_conv)
             r = np.maximum(z1, 0.0)
             z2 = conv2d_forward_direct(r, m.head)
@@ -81,7 +75,7 @@ class TestConvLstmStep:
         m = zero_model(Mo.CONV_LSTM)
         x = np.random.default_rng(2).uniform(0, 1, size=(1, 1, 4, 4))
         state = Mo.LstmState.zeros(4, 4, 4)
-        y, new_state = Mo.convlstm_step(x, state, m)
+        y, new_state, _ = Mo.convlstm_step(x, state, m)
         assert np.allclose(new_state.cell, 0.0)
         assert np.allclose(new_state.hidden, 0.0)
         assert np.allclose(y, 0.5)
@@ -93,7 +87,7 @@ class TestConvLstmStep:
         cell = rng.uniform(-1, 1, size=(1, 4, 4, 4))
         state = Mo.LstmState(hidden=np.zeros((1, 4, 4, 4)), cell=cell)
         x = rng.uniform(0, 1, size=(1, 1, 4, 4))
-        _, new_state = Mo.convlstm_step(x, state, m)
+        _, new_state, _ = Mo.convlstm_step(x, state, m)
         assert np.max(np.abs(new_state.cell - cell)) < 1e-8
 
     def test_matches_primitive_composition(self):
@@ -102,7 +96,7 @@ class TestConvLstmStep:
         x = rng.uniform(0, 1, size=(1, 1, 4, 5))
         h = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5))
         c = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5))
-        y, new_state = Mo.convlstm_step(x, Mo.LstmState(hidden=h, cell=c), m)
+        y, new_state, _ = Mo.convlstm_step(x, Mo.LstmState(hidden=h, cell=c), m)
 
         def pre(name):
             input_conv, hidden_conv = gate_convs(m, name)
@@ -145,7 +139,7 @@ class TestForwardSequence:
         m = random_model(Mo.CONV_LSTM, seed=7)
         frame = random_frames(rng, 1, 4, 4)[0]
         outputs, _ = Mo.forward_sequence([frame], m)
-        y, _ = Mo.convlstm_step(frame, Mo.LstmState.zeros(4, 4, 4), m)
+        y, _, _ = Mo.convlstm_step(frame, Mo.LstmState.zeros(4, 4, 4), m)
         assert np.array_equal(outputs[0], y)
 
     def test_severed_recurrence_collapses_to_per_frame(self):
@@ -265,8 +259,8 @@ class TestBackwardSequence:
         m = random_model(Mo.CONV_LSTM, seed=14, hidden=hidden)
         frames = random_frames(rng, 3, 5, 6)
         projections = [rng.uniform(-1, 1, size=(1, 1, 5, 6)) for _ in frames]
-        _, cache = Mo.forward_sequence(frames, m)
-        got = Mo.backward_sequence(cache, projections)
+        _, steps = Mo.forward_sequence(frames, m)
+        got = Mo.backward_sequence(m, steps, projections)
         want = per_gate_grads(m, frames, projections)
         for name, _ in m.named_parameters():
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
@@ -275,25 +269,17 @@ class TestBackwardSequence:
         rng = np.random.default_rng(9)
         m = random_model(Mo.CONV_LSTM, seed=10)
         frames = random_frames(rng, 3, 4, 4)
-        outputs, cache = Mo.forward_sequence(frames, m)
-        grads = Mo.backward_sequence(cache, [np.zeros(y.shape) for y in outputs])
+        outputs, steps = Mo.forward_sequence(frames, m)
+        grads = Mo.backward_sequence(m, steps, [np.zeros(y.shape) for y in outputs])
         for name, _ in m.named_parameters():
             assert np.allclose(grads[name], 0.0)
-
-    def test_stale_cache(self):
-        m = random_model(Mo.CONV_ONLY, seed=11)
-        frames = random_frames(np.random.default_rng(10), 2, 4, 4)
-        outputs, cache = Mo.forward_sequence(frames, m)
-        cache.release()
-        with pytest.raises(StaleCache):
-            Mo.backward_sequence(cache, [np.zeros(y.shape) for y in outputs])
 
     def test_grad_count_mismatch(self):
         m = random_model(Mo.CONV_ONLY, seed=12)
         frames = random_frames(np.random.default_rng(11), 2, 4, 4)
-        _, cache = Mo.forward_sequence(frames, m)
+        _, steps = Mo.forward_sequence(frames, m)
         with pytest.raises(LengthMismatch):
-            Mo.backward_sequence(cache, [np.zeros((1, 1, 4, 4))])
+            Mo.backward_sequence(m, steps, [np.zeros((1, 1, 4, 4))])
 
     @pytest.mark.parametrize("variant,length", [(Mo.CONV_ONLY, 3), (Mo.CONV_LSTM, 1), (Mo.CONV_LSTM, 3)])
     def test_gradients_match_finite_differences(self, variant, length):
@@ -302,8 +288,8 @@ class TestBackwardSequence:
             m = random_model(variant, seed=100 + trial)
             frames = random_frames(rng, length, 4, 4)
             projections = [rng.uniform(-1, 1, size=(1, 1, 4, 4)) for _ in range(length)]
-            outputs, cache = Mo.forward_sequence(frames, m)
-            analytic = Mo.backward_sequence(cache, projections)
+            _, steps = Mo.forward_sequence(frames, m)
+            analytic = Mo.backward_sequence(m, steps, projections)
             for name, arr in m.named_parameters():
                 numeric = central_difference(
                     lambda: projection_loss(m, frames, projections), arr
