@@ -154,8 +154,8 @@ def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
         samples.append(
             Tr.TrainSample(
                 video_id=record.video_id,
-                frames=[D.map_to_tensor(s) for s in video.static_maps],
-                targets=[D.map_to_tensor(g) for g in video.gt_maps],
+                frames=[s[None, None] for s in video.static_maps],
+                targets=[g[None, None] for g in video.gt_maps],
             )
         )
     return samples
@@ -227,13 +227,13 @@ def cmd_predict(cfg: dict) -> None:
                 src = os.path.join(manifest.root, record.static_map_dir, name)
                 if not os.path.isfile(src):
                     raise MissingInput(f"{record.video_id}: no static map {src}")
-                x = D.map_to_tensor(D.resize_bilinear(D.load_map(src), res))
+                x = D.resize_bilinear(D.load_map(src), res)[None, None]
                 # slicing drops the step cache at once, so it does not outlive the step
                 if model.variant == Mo.CONV_ONLY:
                     y = Mo.conv_block_forward(x, model)[0]
                 else:
                     y, state = Mo.convlstm_step(x, state, model)[:2]
-                D.write_map(D.tensor_to_map(y), os.path.join(out_dir, name))
+                D.write_map(np.clip(y[0, 0], 0.0, 1.0), os.path.join(out_dir, name))
                 written += 1
         os.replace(tmp, out)
     except BaseException:
@@ -260,7 +260,7 @@ def cmd_evaluate(cfg: dict) -> None:
     manifest = D.load_manifest(cfg["manifest"])
     videos = {rec.video_id: D.load_video(manifest, rec) for rec in manifest.videos}
 
-    predictions: dict[str, list[M.SaliencyMap]] = {}
+    predictions: dict[str, list[np.ndarray]] = {}
     for rec in manifest.videos:
         maps = []
         for frame in rec.frames:
@@ -273,7 +273,7 @@ def cmd_evaluate(cfg: dict) -> None:
     per_video: dict[str, M.VideoScores] = {}
     for rec in manifest.videos:
         pool = [
-            fix.points
+            fix
             for other_id, other in videos.items()
             if other_id != rec.video_id
             for fix in other.fixations
@@ -283,7 +283,7 @@ def cmd_evaluate(cfg: dict) -> None:
             predictions[rec.video_id],
             video.fixations,
             video.gt_maps,
-            M.FixationSet(np.concatenate(pool) if pool else []),
+            np.concatenate(pool) if pool else np.empty((0, 2), dtype=np.int64),
             seed=cfg["shuffle_seed"],
             metrics=metrics,
         )
@@ -340,9 +340,9 @@ def cmd_report(cfg: dict) -> None:
     if cfg["grouping"]:
         payload = D.read_json(cfg["grouping"])
         try:
-            grouping = {str(k): [str(v) for v in members] for k, members in payload.items()}
-        except (AttributeError, TypeError) as exc:
-            raise ParseError(f"bad grouping file: {exc}") from None
+            grouping = M.groups_from_dict(payload)
+        except ValueError as exc:
+            raise ParseError(f"{cfg['grouping']}: bad grouping file: {exc}") from None
     print(render_comparison(models, grouping, cfg["metric"]))
 
 

@@ -32,7 +32,7 @@ from .errors import (
     TruncatedData,
     UnsupportedDepth,
 )
-from .metrics import EvalReport, FixationSet, SaliencyMap, report_from_dict
+from .metrics import EvalReport, report_from_dict
 
 GROUP_LABELS = ("free-viewing", "task-driven")
 FRAME_NAME_DIGITS = 6
@@ -86,8 +86,8 @@ def _header_int(token: bytes, what: str) -> int:
     return value
 
 
-def load_map(path: str) -> SaliencyMap:
-    """Read one PGM (P5 or P2, maxval 255) as a SaliencyMap in [0, 1]."""
+def load_map(path: str) -> np.ndarray:
+    """Read one PGM (P5 or P2, maxval 255) as a 2-D float64 map in [0, 1]."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 2:
@@ -120,19 +120,19 @@ def load_map(path: str) -> SaliencyMap:
         if values.min() < 0 or values.max() > 255:
             raise BadHeader("P2 sample outside [0, 255]")
         values = values.astype(np.uint8)
-    grid = values.reshape(height, width).astype(np.float64) / 255.0
-    return SaliencyMap(grid)
+    return values.reshape(height, width).astype(np.float64) / 255.0
 
 
-def write_map(sal: SaliencyMap, path: str) -> None:
-    """Write a map as binary P5, quantizing with round-half-up to 8 bits."""
-    values = sal.values
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise OutOfRange(
-            f"map values in [{values.min():.6g}, {values.max():.6g}], need [0, 1]"
-        )
-    quantized = np.floor(values * 255.0 + 0.5).astype(np.uint8)
-    h, w = values.shape
+def write_map(sal: np.ndarray, path: str) -> None:
+    """Write a 2-D map as binary P5, quantizing with round-half-up to 8 bits.
+
+    Raises OutOfRange, writing nothing, unless every value is in [0, 1];
+    NaN fails both comparisons, so it is refused too.
+    """
+    if not (sal.min() >= 0.0 and sal.max() <= 1.0):
+        raise OutOfRange(f"map values in [{sal.min():.6g}, {sal.max():.6g}], need [0, 1]")
+    quantized = np.floor(sal * 255.0 + 0.5).astype(np.uint8)
+    h, w = sal.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -143,8 +143,8 @@ def write_map(sal: SaliencyMap, path: str) -> None:
 # fixations
 
 
-def load_fixations(path: str, dims: tuple[int, int] | None = None) -> dict[int, FixationSet]:
-    """Parse "frame_index,row,col" lines into per-frame fixation sets.
+def load_fixations(path: str, dims: tuple[int, int] | None = None) -> dict[int, np.ndarray]:
+    """Parse "frame_index,row,col" lines into per-frame (N, 2) int64 arrays.
 
     Lines starting with '#' (and blank lines) are skipped. Coordinates
     are 0-based; negatives are ParseError, and points outside ``dims``
@@ -169,21 +169,21 @@ def load_fixations(path: str, dims: tuple[int, int] | None = None) -> dict[int, 
             raise ParseError(f"line {line_no}: non-integer field in {line!r}") from None
         if frame < 0 or row < 0 or col < 0:
             raise ParseError(f"line {line_no}: negative value in {line!r}")
-        if max(frame, row, col) >= 2**63:  # FixationSet holds int64
+        if max(frame, row, col) >= 2**63:  # points are held as int64
             raise ParseError(f"line {line_no}: value too large in {line!r}")
         if dims is not None and (row >= dims[0] or col >= dims[1]):
             raise OutOfBounds(
                 f"line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"
             )
         grouped.setdefault(frame, []).append((row, col))
-    return {frame: FixationSet(points) for frame, points in grouped.items()}
+    return {frame: np.array(points, dtype=np.int64) for frame, points in grouped.items()}
 
 
-def write_fixations(fixations: dict[int, FixationSet], path: str) -> None:
+def write_fixations(fixations: dict[int, np.ndarray], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# frame_index,row,col\n")
         for frame in sorted(fixations):
-            for row, col in fixations[frame].points.tolist():
+            for row, col in fixations[frame].tolist():
                 fh.write(f"{frame},{row},{col}\n")
 
 
@@ -191,13 +191,15 @@ def write_fixations(fixations: dict[int, FixationSet], path: str) -> None:
 # resizing
 
 
-def resize_bilinear(sal: SaliencyMap, dims: tuple[int, int]) -> SaliencyMap:
-    """Bilinear resample with half-pixel-center alignment and edge clamping."""
+def resize_bilinear(sal: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Bilinear resample with half-pixel-center alignment and edge clamping.
+
+    A map already at ``dims`` is returned as it is, not copied.
+    """
     out_h, out_w = dims
-    values = sal.values
-    in_h, in_w = values.shape
+    in_h, in_w = sal.shape
     if (in_h, in_w) == (out_h, out_w):
-        return SaliencyMap(values.copy())
+        return sal
     rows = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     cols = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     r0 = np.floor(rows).astype(np.int64)
@@ -208,21 +210,21 @@ def resize_bilinear(sal: SaliencyMap, dims: tuple[int, int]) -> SaliencyMap:
     r1c = np.clip(r0 + 1, 0, in_h - 1)
     c0c = np.clip(c0, 0, in_w - 1)
     c1c = np.clip(c0 + 1, 0, in_w - 1)
-    top = values[r0c][:, c0c] * (1 - fc)[None, :] + values[r0c][:, c1c] * fc[None, :]
-    bottom = values[r1c][:, c0c] * (1 - fc)[None, :] + values[r1c][:, c1c] * fc[None, :]
+    top = sal[r0c][:, c0c] * (1 - fc)[None, :] + sal[r0c][:, c1c] * fc[None, :]
+    bottom = sal[r1c][:, c0c] * (1 - fc)[None, :] + sal[r1c][:, c1c] * fc[None, :]
     out = top * (1 - fr)[:, None] + bottom * fr[:, None]
-    return SaliencyMap(np.clip(out, 0.0, None))
+    return np.clip(out, 0.0, None)
 
 
 def rescale_fixations(
-    fix: FixationSet, src_dims: tuple[int, int], dst_dims: tuple[int, int]
-) -> FixationSet:
+    fix: np.ndarray, src_dims: tuple[int, int], dst_dims: tuple[int, int]
+) -> np.ndarray:
     """Proportional coordinate rescale, rounded half-up and clamped in range."""
     if src_dims == dst_dims:
         return fix
     dst = np.array(dst_dims)
-    points = np.floor(fix.points * dst / np.array(src_dims) + 0.5)
-    return FixationSet(np.minimum(points, dst - 1))
+    points = np.floor(fix * dst / np.array(src_dims) + 0.5)
+    return np.minimum(points, dst - 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +314,42 @@ def load_scores(path: str) -> EvalReport:
         raise ParseError(f"{path}: not a score file: {exc!r}") from None
 
 
+# each manifest field's JSON type: a list of integers, or a string
+MANIFEST_FIELDS = {
+    "video_id": str,
+    "frames": list,
+    "static_map_dir": str,
+    "gt_map_dir": str,
+    "fixation_file": str,
+    "group_label": str,
+}
+
+
+def _json_field(value, kind: type, where: str):
+    """``value`` if it has its manifest JSON type, else a ParseError naming ``where``."""
+    if kind is list:
+        if not (isinstance(value, list) and all(type(v) is int for v in value)):
+            raise ParseError(f"manifest {where} must be a list of integers, got {value!r}")
+    elif type(value) is not kind:
+        raise ParseError(f"manifest {where} must be a string, got {value!r}")
+    return value
+
+
 def load_manifest(path: str) -> DatasetManifest:
     """Parse a manifest JSON; the files it names are checked as they are opened."""
     payload = read_json(path)
     try:
-        resolution = tuple(int(v) for v in payload["resolution"])
-        videos = [
-            VideoRecord(
-                video_id=str(entry["video_id"]),
-                frames=[int(f) for f in entry["frames"]],
-                static_map_dir=str(entry["static_map_dir"]),
-                gt_map_dir=str(entry["gt_map_dir"]),
-                fixation_file=str(entry["fixation_file"]),
-                group_label=str(entry["group_label"]),
-            )
-            for entry in payload["videos"]
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        resolution = tuple(_json_field(payload["resolution"], list, "resolution"))
+        videos = []
+        for i, entry in enumerate(payload["videos"]):
+            vid = entry["video_id"]
+            where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
+            fields = {
+                key: _json_field(entry[key], kind, f"{where}: {key}")
+                for key, kind in MANIFEST_FIELDS.items()
+            }
+            videos.append(VideoRecord(**fields))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"manifest field error: {exc}") from None
     root = os.path.dirname(os.path.abspath(path))
     return DatasetManifest(videos=videos, resolution=resolution, root=root)
@@ -339,9 +360,9 @@ class LoadedVideo:
     """One video's maps and fixations, resized to the manifest resolution."""
 
     record: VideoRecord
-    static_maps: list[SaliencyMap]
-    gt_maps: list[SaliencyMap]
-    fixations: list[FixationSet]  # aligned with record.frames
+    static_maps: list[np.ndarray]
+    gt_maps: list[np.ndarray]
+    fixations: list[np.ndarray]  # aligned with record.frames
 
 
 def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
@@ -352,18 +373,18 @@ def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
         return path
 
     res = manifest.resolution
-    static_maps: list[SaliencyMap] = []
-    gt_maps: list[SaliencyMap] = []
+    static_maps: list[np.ndarray] = []
+    gt_maps: list[np.ndarray] = []
     native_dims: tuple[int, int] | None = None
     for frame in record.frames:
         name = frame_file_name(frame)
         static = load_map(named(record.static_map_dir, name))
-        native_dims = static.values.shape
+        native_dims = static.shape
         gt = load_map(named(record.gt_map_dir, name))
         static_maps.append(resize_bilinear(static, res))
         gt_maps.append(resize_bilinear(gt, res))
     by_frame = load_fixations(named(record.fixation_file), dims=native_dims)
-    empty = FixationSet([])
+    empty = np.empty((0, 2), dtype=np.int64)
     fixations = [
         rescale_fixations(by_frame.get(frame, empty), native_dims, res)
         for frame in record.frames
@@ -371,17 +392,6 @@ def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
     return LoadedVideo(
         record=record, static_maps=static_maps, gt_maps=gt_maps, fixations=fixations
     )
-
-
-def map_to_tensor(sal: SaliencyMap) -> np.ndarray:
-    """The map as a (1, 1, H, W) view of its values."""
-    return sal.values[None, None, :, :]
-
-
-def tensor_to_map(tensor: np.ndarray) -> SaliencyMap:
-    if tensor.ndim != 4 or tensor.shape[:2] != (1, 1):
-        raise OutOfRange(f"expected a 1x1xHxW tensor, got dims {tensor.shape}")
-    return SaliencyMap(np.clip(tensor[0, 0], 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +474,19 @@ def generate_synthetic(out_dir: str, config: SyntheticConfig) -> DatasetManifest
         os.makedirs(gt_dir, exist_ok=True)
 
         positions = _walk_positions(rng, config, config.frames + config.lag)
-        fixations: dict[int, FixationSet] = {}
+        fixations: dict[int, np.ndarray] = {}
         for t in range(config.frames):
             clean_now = _blob(h, w, positions[t], config.blob_sigma)
             future = _blob(h, w, positions[t + config.lag], config.blob_sigma)
             noisy = clean_now + rng.normal(0.0, config.noise, size=(h, w))
             static = np.clip(noisy, 0.0, 1.0)
             name = frame_file_name(t)
-            write_map(SaliencyMap(static), os.path.join(static_dir, name))
-            write_map(SaliencyMap(future), os.path.join(gt_dir, name))
+            write_map(static, os.path.join(static_dir, name))
+            write_map(future, os.path.join(gt_dir, name))
 
             weights = future.ravel() / future.sum()
             cells = rng.choice(h * w, size=config.fixations_per_frame, p=weights)
-            fixations[t] = FixationSet(np.column_stack(np.divmod(cells, w)))
+            fixations[t] = np.column_stack(np.divmod(cells, w))
         write_fixations(fixations, os.path.join(video_dir, "fixations.csv"))
 
         group = GROUP_LABELS[v % 2]

@@ -8,6 +8,12 @@ at fixations), and the distribution comparisons CC (Pearson) and SIM
 Metrics that are undefined for an input (constant map for CC, zero-mass
 map for SIM, no fixations) are represented as ``None`` and excluded from
 averages rather than poisoning them.
+
+A saliency map is a 2-D float64 array with values in [0, 1], and a
+fixation set an (N, 2) int64 array of (row, col) pixel coordinates, where
+a repeated point counts once per occurrence. Both are checked where they
+are read and written (``tsal.data``); the metrics check only that each
+fixation lies inside the map.
 """
 
 from __future__ import annotations
@@ -33,54 +39,6 @@ VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 
 # negatives per positive kept when subsampling the shuffled-AUC pool
 SAUC_NEGATIVE_RATIO = 10
-
-
-@dataclass(frozen=True, eq=False)
-class SaliencyMap:
-    """Nonnegative single-channel intensity grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size < 1:
-            raise DimensionMismatch(f"saliency map must be 2-D and nonempty, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DimensionMismatch("saliency map contains NaN or Inf")
-        if np.any(arr < 0):
-            raise DimensionMismatch("saliency map contains negative values")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class FixationSet:
-    """Discrete gaze landing points as a read-only (N, 2) int64 array of
-    (row, col) pixel coordinates.
-
-    Duplicates are allowed; repeated gaze samples at the same pixel count
-    once per occurrence.
-    """
-
-    points: np.ndarray
-
-    def __init__(self, points) -> None:
-        arr = np.array(points, dtype=np.int64).reshape(len(points), 2)
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __bool__(self) -> bool:
-        return len(self.points) > 0
 
 
 @dataclass
@@ -118,34 +76,35 @@ class EvalReport:
     group_averages: dict[str, MetricScores] = field(default_factory=dict)
 
 
-def _values_at(sal: SaliencyMap, fix: FixationSet) -> np.ndarray:
-    rows, cols = fix.points.T
-    if np.any(rows < 0) or np.any(rows >= sal.height) or np.any(cols < 0) or np.any(cols >= sal.width):
-        raise OutOfBounds(f"fixation outside {sal.height}x{sal.width} map")
-    return sal.values[rows, cols]
+def _values_at(sal: np.ndarray, fix: np.ndarray) -> np.ndarray:
+    rows, cols = fix.T
+    h, w = sal.shape
+    if np.any(rows < 0) or np.any(rows >= h) or np.any(cols < 0) or np.any(cols >= w):
+        raise OutOfBounds(f"fixation outside {h}x{w} map")
+    return sal[rows, cols]
 
 
-def nss(sal: SaliencyMap, fix: FixationSet) -> float:
+def nss(sal: np.ndarray, fix: np.ndarray) -> float:
     """Mean standardized saliency at fixations; 0 for a constant map.
 
     Standardization uses the population standard deviation (divide by N).
     """
-    if not fix:
+    if len(fix) == 0:
         raise EmptyFixations("NSS needs at least one fixation")
     at_fix = _values_at(sal, fix)
-    mean = sal.values.mean()
-    std = sal.values.std()
+    mean = sal.mean()
+    std = sal.std()
     if std == 0.0:
         return 0.0
     return float((at_fix - mean).mean() / std)
 
 
-def cc(sal: SaliencyMap, gt: SaliencyMap) -> float | None:
+def cc(sal: np.ndarray, gt: np.ndarray) -> float | None:
     """Pearson correlation over pixels; ``None`` when either map is constant."""
-    if sal.values.shape != gt.values.shape:
-        raise DimensionMismatch(f"map dims {sal.values.shape} != {gt.values.shape}")
-    a = sal.values.ravel() - sal.values.mean()
-    b = gt.values.ravel() - gt.values.mean()
+    if sal.shape != gt.shape:
+        raise DimensionMismatch(f"map dims {sal.shape} != {gt.shape}")
+    a = sal.ravel() - sal.mean()
+    b = gt.ravel() - gt.mean()
     var_a = float(a @ a)
     var_b = float(b @ b)
     if var_a == 0.0 or var_b == 0.0:
@@ -153,15 +112,15 @@ def cc(sal: SaliencyMap, gt: SaliencyMap) -> float | None:
     return float((a @ b) / np.sqrt(var_a * var_b))
 
 
-def sim(sal: SaliencyMap, gt: SaliencyMap) -> float:
+def sim(sal: np.ndarray, gt: np.ndarray) -> float:
     """Histogram intersection after normalizing both maps to unit mass."""
-    if sal.values.shape != gt.values.shape:
-        raise DimensionMismatch(f"map dims {sal.values.shape} != {gt.values.shape}")
-    mass_a = sal.values.sum()
-    mass_b = gt.values.sum()
+    if sal.shape != gt.shape:
+        raise DimensionMismatch(f"map dims {sal.shape} != {gt.shape}")
+    mass_a = sal.sum()
+    mass_b = gt.sum()
     if mass_a == 0.0 or mass_b == 0.0:
         raise ZeroMass("SIM is undefined for a zero-mass map")
-    return float(np.minimum(sal.values / mass_a, gt.values / mass_b).sum())
+    return float(np.minimum(sal / mass_a, gt / mass_b).sum())
 
 
 def _roc_area(positives: np.ndarray, negatives: np.ndarray) -> float:
@@ -185,21 +144,21 @@ def _roc_area(positives: np.ndarray, negatives: np.ndarray) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def auc_judd(sal: SaliencyMap, fix: FixationSet) -> float:
+def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float:
     """ROC area with fixated pixels as positives, all other pixels as negatives."""
-    if not fix:
+    if len(fix) == 0:
         raise EmptyFixations("AUC needs at least one fixation")
     positives = _values_at(sal, fix)
-    fixated = np.zeros(sal.values.shape, dtype=bool)
-    fixated[fix.points[:, 0], fix.points[:, 1]] = True
-    negatives = sal.values[~fixated]
+    fixated = np.zeros(sal.shape, dtype=bool)
+    fixated[fix[:, 0], fix[:, 1]] = True
+    negatives = sal[~fixated]
     if negatives.size == 0:
         raise AllFixated("every pixel is fixated; no negatives remain")
     return _roc_area(positives, negatives)
 
 
 def shuffled_auc(
-    sal: SaliencyMap, fix: FixationSet, other_fix: FixationSet, rng_seed: int
+    sal: np.ndarray, fix: np.ndarray, other_fix: np.ndarray, rng_seed: int
 ) -> float:
     """ROC area whose negatives are saliency values at other frames' fixations.
 
@@ -207,9 +166,9 @@ def shuffled_auc(
     of positives it is subsampled without replacement, deterministically
     for a fixed ``rng_seed``.
     """
-    if not fix:
+    if len(fix) == 0:
         raise EmptyFixations("shuffled AUC needs at least one fixation")
-    if not other_fix:
+    if len(other_fix) == 0:
         raise EmptyNegatives("shuffled AUC needs a nonempty negative pool")
     positives = _values_at(sal, fix)
     negatives = _values_at(sal, other_fix)
@@ -222,37 +181,37 @@ def shuffled_auc(
 
 
 def _frame_scores(
-    sal: SaliencyMap,
-    fix: FixationSet,
-    gt: SaliencyMap,
-    shuffle_pool: FixationSet,
+    sal: np.ndarray,
+    fix: np.ndarray,
+    gt: np.ndarray,
+    shuffle_pool: np.ndarray,
     frame_seed: int,
     metrics: tuple[str, ...],
 ) -> tuple[dict[str, float | None], bool, bool]:
     """Metric values for one frame plus its two skip flags."""
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
-    has_fix = bool(fix)
-    has_mass = gt.values.sum() > 0.0
+    has_fix = len(fix) > 0
+    has_mass = gt.sum() > 0.0
     if has_fix:
         if "nss" in metrics:
             values["nss"] = nss(sal, fix)
         if "auc_j" in metrics:
             values["auc_j"] = auc_judd(sal, fix)
-        if "s_auc" in metrics and shuffle_pool:
+        if "s_auc" in metrics and len(shuffle_pool) > 0:
             values["s_auc"] = shuffled_auc(sal, fix, shuffle_pool, frame_seed)
     if has_mass:
         if "cc" in metrics:
             values["cc"] = cc(sal, gt)
-        if "sim" in metrics and sal.values.sum() > 0.0:
+        if "sim" in metrics and sal.sum() > 0.0:
             values["sim"] = sim(sal, gt)
     return values, not has_fix, not has_mass
 
 
 def evaluate_video(
-    maps: list[SaliencyMap],
-    fixs: list[FixationSet],
-    gts: list[SaliencyMap],
-    shuffle_pool: FixationSet,
+    maps: list[np.ndarray],
+    fixs: list[np.ndarray],
+    gts: list[np.ndarray],
+    shuffle_pool: np.ndarray,
     seed: int,
     metrics: tuple[str, ...] = METRIC_NAMES,
 ) -> VideoScores:
@@ -371,5 +330,18 @@ def report_from_dict(payload: dict) -> EvalReport:
             MetricScores(**{name: row.get(name) for name in METRIC_NAMES}),
             **{key: row.get(key, 0) for key in VIDEO_COUNTS},
         )
-    groups = {label: list(members) for label, members in payload.get("groups", {}).items()}
-    return aggregate_report(per_video, groups)
+    return aggregate_report(per_video, groups_from_dict(payload.get("groups", {})))
+
+
+def groups_from_dict(payload: dict) -> dict[str, list[str]]:
+    """Group label -> member video ids, as a score or grouping file holds them.
+
+    Raises ValueError, naming the group, unless the payload is an object
+    whose every member list is a list of strings.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"groups must be an object, got {payload!r}")
+    for label, members in payload.items():
+        if not (isinstance(members, list) and all(type(vid) is str for vid in members)):
+            raise ValueError(f"group {label!r} must list video ids as strings, got {members!r}")
+    return payload

@@ -108,8 +108,8 @@ def _direct_pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((da * db).sum() / np.sqrt((da * da).sum() * (db * db).sum()))
 
 
-def _cells_to_fixations(cells: np.ndarray, width: int) -> M.FixationSet:
-    return M.FixationSet([(int(c // width), int(c % width)) for c in cells])
+def _cells_to_fixations(cells: np.ndarray, width: int) -> np.ndarray:
+    return np.array([(int(c // width), int(c % width)) for c in cells])
 
 
 def test_criterion_2_metric_oracles():
@@ -120,13 +120,13 @@ def test_criterion_2_metric_oracles():
         h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         cells = h * w
         # tie-free by construction: every pixel value is distinct
-        sal = M.SaliencyMap(rng.permutation(cells).astype(np.float64).reshape(h, w) / cells)
+        sal = rng.permutation(cells).astype(np.float64).reshape(h, w) / cells
         order = rng.permutation(cells)
         n_fix = int(rng.integers(1, min(10, cells - 1) + 1))
         fix_cells = order[:n_fix]
         fix = _cells_to_fixations(fix_cells, w)
 
-        flat = sal.values.ravel()
+        flat = sal.ravel()
         pos = flat[fix_cells]
         neg = np.delete(flat, fix_cells)
         worst_auc = max(worst_auc, abs(M.auc_judd(sal, fix) - _mann_whitney(pos, neg)))
@@ -141,7 +141,7 @@ def test_criterion_2_metric_oracles():
         a = rng.random((h, w))
         b = rng.random((h, w))
         worst_cc = max(
-            worst_cc, abs(M.cc(M.SaliencyMap(a), M.SaliencyMap(b)) - _direct_pearson(a, b))
+            worst_cc, abs(M.cc(a, b) - _direct_pearson(a, b))
         )
     ok = worst_auc < 1e-9 and worst_sauc < 1e-9 and worst_cc < 1e-12
     _verdict(
@@ -163,7 +163,7 @@ def test_criterion_3_metric_invariances():
     for _ in range(200):
         h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
         cells = h * w
-        sal = M.SaliencyMap(rng.permutation(cells).astype(np.float64).reshape(h, w) / cells)
+        sal = rng.permutation(cells).astype(np.float64).reshape(h, w) / cells
         order = rng.permutation(cells)
         n_fix = int(rng.integers(1, 5))
         fix = _cells_to_fixations(order[:n_fix], w)
@@ -172,22 +172,22 @@ def test_criterion_3_metric_invariances():
         offset = float(rng.uniform(0.0, 2.0))
 
         # NSS under positive affine maps; AUCs under positive monotone maps
-        affine = M.SaliencyMap(gain * sal.values + offset)
+        affine = gain * sal + offset
         worst["nss"] = max(worst["nss"], abs(M.nss(affine, fix) - M.nss(sal, fix)))
-        mono = M.SaliencyMap(sal.values**3 + 2.0 * sal.values)
+        mono = sal**3 + 2.0 * sal
         worst["auc"] = max(worst["auc"], abs(M.auc_judd(mono, fix) - M.auc_judd(sal, fix)))
         worst["sauc"] = max(
             worst["sauc"],
             abs(M.shuffled_auc(mono, fix, pool, rng_seed=1) - M.shuffled_auc(sal, fix, pool, rng_seed=1)),
         )
 
-        a = M.SaliencyMap(rng.random((h, w)))
-        b = M.SaliencyMap(rng.random((h, w)))
+        a = rng.random((h, w))
+        b = rng.random((h, w))
         worst["cc_sym"] = max(worst["cc_sym"], abs(M.cc(a, b) - M.cc(b, a)))
-        scaled = M.SaliencyMap(gain * a.values + offset)
+        scaled = gain * a + offset
         worst["cc_aff"] = max(worst["cc_aff"], abs(M.cc(scaled, b) - M.cc(a, b)))
         worst["sim_sym"] = max(worst["sim_sym"], abs(M.sim(a, b) - M.sim(b, a)))
-        rescaled = M.SaliencyMap(gain * a.values)
+        rescaled = gain * a
         worst["sim_scale"] = max(worst["sim_scale"], abs(M.sim(rescaled, b) - M.sim(a, b)))
 
     ok = (
@@ -333,8 +333,8 @@ def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
         samples.append(
             Tr.TrainSample(
                 record.video_id,
-                [D.map_to_tensor(s) for s in video.static_maps],
-                [D.map_to_tensor(g) for g in video.gt_maps],
+                [s[None, None] for s in video.static_maps],
+                [g[None, None] for g in video.gt_maps],
             )
         )
     return samples
@@ -457,15 +457,15 @@ def test_criterion_8_format_round_trips(tmp_path):
     rng = np.random.default_rng(80)
 
     # PGM: writing quantizes; a second write-load cycle must be byte stable
-    sal = M.SaliencyMap(rng.uniform(0, 1, size=(9, 7)))
+    sal = rng.uniform(0, 1, size=(9, 7))
     first = str(tmp_path / "first.pgm")
     second = str(tmp_path / "second.pgm")
     D.write_map(sal, first)
     D.write_map(D.load_map(first), second)
     pgm_ok = _read(first) == _read(second)
-    quantized = M.SaliencyMap(np.round(sal.values * 255.0) / 255.0)
+    quantized = np.round(sal * 255.0) / 255.0
     D.write_map(quantized, first)
-    pgm_ok = pgm_ok and np.array_equal(D.load_map(first).values, quantized.values)
+    pgm_ok = pgm_ok and np.array_equal(D.load_map(first), quantized)
 
     # checkpoint: reload equals the float32 cast of what was saved, exactly
     model = Mo.init_parameters(Mo.CONV_LSTM, rng_seed=2, hidden_channels=3)

@@ -123,6 +123,45 @@ BAD_SETTINGS = {
 }
 
 
+def manifest_blob(resolution=(8, 8), **fields) -> bytes:
+    """A one-video manifest, with ``fields`` overriding its valid entries."""
+    entry = {
+        "video_id": "v",
+        "frames": [0, 1, 2, 3],
+        "static_map_dir": "v/static",
+        "gt_map_dir": "v/gt",
+        "fixation_file": "v/fixations.csv",
+        "group_label": "free-viewing",
+        **fields,
+    }
+    return json.dumps({"resolution": list(resolution), "videos": [entry]}).encode()
+
+
+# (which file, its bytes, words the error line must hold) -> one bad file each
+BAD_JSON_FILES = {
+    "config-non-utf8": ("config", b'{"metric": "\xff"}', ()),
+    "scores-non-utf8": ("scores", b'{"per_video": "\xff"}', ()),
+    "scores-no-per-video": ("scores", b"{}", ()),
+    "scores-member-string": (
+        "scores", b'{"per_video": {"v": {"nss": 1.0}}, "groups": {"free-viewing": "v"}}',
+        ("'free-viewing'",),
+    ),
+    "grouping-non-utf8": ("grouping", b'{"g": ["\xff"]}', ()),
+    "grouping-not-a-list": ("grouping", b'{"g": 5}', ()),
+    "grouping-member-string": ("grouping", b'{"free-viewing": "v"}', ("'free-viewing'",)),
+    "grouping-member-number": ("grouping", b'{"free-viewing": ["v", 1]}', ("'free-viewing'",)),
+    "manifest-frames-string": ("manifest", manifest_blob(frames="0123"), ("'v'", "frames")),
+    "manifest-frames-float": ("manifest", manifest_blob(frames=[0, 1.7, 2, 3]), ("'v'", "frames")),
+    "manifest-frames-bool": (
+        "manifest", manifest_blob(frames=[False, True, 2, 3]), ("'v'", "frames"),
+    ),
+    "manifest-resolution-mixed": ("manifest", manifest_blob(resolution=["8", 8.9]), ("resolution",)),
+    "manifest-id-number": ("manifest", manifest_blob(video_id=5), ("#0", "video_id")),
+    "manifest-dir-list": ("manifest", manifest_blob(gt_map_dir=["v/gt"]), ("'v'", "gt_map_dir")),
+    "manifest-label-null": ("manifest", manifest_blob(group_label=None), ("'v'", "group_label")),
+}
+
+
 class TestSettings:
     @pytest.mark.parametrize("command, flags, config", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
     def test_bad_setting_is_one_parse_error(self, tmp_path, capsys, command, flags, config):
@@ -148,19 +187,8 @@ class TestSettings:
         assert "Traceback" not in stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "which, blob",
-        [
-            ("config", b'{"metric": "\xff"}'),
-            ("scores", b'{"per_video": "\xff"}'),
-            ("scores", b"{}"),
-            ("grouping", b'{"g": ["\xff"]}'),
-            ("grouping", b'{"g": 5}'),
-        ],
-        ids=["config-non-utf8", "scores-non-utf8", "scores-no-per-video",
-             "grouping-non-utf8", "grouping-not-a-list"],
-    )
-    def test_bad_json_file_is_one_parse_error(self, tmp_path, capsys, which, blob):
+    @pytest.mark.parametrize("which, blob, named", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES)
+    def test_bad_json_file_is_one_parse_error(self, tmp_path, capsys, which, blob, named):
         scores = tmp_path / "m.json"
         write_report_json(str(scores), {"v": 1.0}, {"free-viewing": ["v"]})
         bad = tmp_path / "bad.json"
@@ -169,12 +197,15 @@ class TestSettings:
             "config": ["report", str(scores), "--config", str(bad)],
             "scores": ["report", str(bad)],
             "grouping": ["report", str(scores), "--grouping", str(bad)],
+            "manifest": ["evaluate", "--manifest", str(bad), "--predictions", str(tmp_path)],
         }[which]
         code, stdout, stderr = run(capsys, *argv)
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
         assert line.startswith("ERROR ParseError:")
+        for word in named:
+            assert word in line
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["train", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -355,7 +386,7 @@ class TestPredict:
         assert code == 0
         for t in range(3):
             sal = D.load_map(os.path.join(out, "video_000", D.frame_file_name(t)))
-            assert np.all(sal.values == 128 / 255.0)
+            assert np.all(sal == 128 / 255.0)
 
     def test_output_count_matches_frames(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=4, size=10)
@@ -374,7 +405,7 @@ class TestPredict:
         root = tmp_path / "tiny"
         (root / "v" / "static").mkdir(parents=True)
         (root / "v" / "gt").mkdir(parents=True)
-        sal = M.SaliencyMap(np.linspace(0, 1, 64).reshape(8, 8))
+        sal = np.linspace(0, 1, 64).reshape(8, 8)
         for t in range(2):
             D.write_map(sal, str(root / "v" / "static" / D.frame_file_name(t)))
             D.write_map(sal, str(root / "v" / "gt" / D.frame_file_name(t)))
@@ -418,12 +449,12 @@ class TestPredict:
         manifest = D.load_manifest(manifest_path)
         want = str(tmp_path / "want.pgm")
         for rec in manifest.videos:
-            frames = [D.map_to_tensor(s) for s in D.load_video(manifest, rec).static_maps]
+            frames = [s[None, None] for s in D.load_video(manifest, rec).static_maps]
             outputs, _ = Mo.forward_sequence(frames, model)
             names = [D.frame_file_name(frame) for frame in rec.frames]
             assert sorted(os.listdir(out / rec.video_id)) == names
             for name, y in zip(names, outputs):
-                D.write_map(D.tensor_to_map(y), want)
+                D.write_map(np.clip(y[0, 0], 0.0, 1.0), want)
                 with open(want, "rb") as fh:
                     assert (out / rec.video_id / name).read_bytes() == fh.read(), name
 

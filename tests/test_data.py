@@ -25,15 +25,15 @@ class TestLoadMap:
         with open(path, "wb") as fh:
             fh.write(b"P5 4 2 255\n" + b"\xff" * 8)
         sal = D.load_map(path)
-        assert sal.values.shape == (2, 4)
-        assert np.all(sal.values == 1.0)
+        assert sal.shape == (2, 4)
+        assert np.all(sal == 1.0)
 
     def test_p5_all_black(self, tmp_path):
         path = str(tmp_path / "black.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5\n3 3\n255\n" + b"\x00" * 9)
         sal = D.load_map(path)
-        assert np.all(sal.values == 0.0)
+        assert np.all(sal == 0.0)
 
     def test_p2_text_format(self, tmp_path):
         path = str(tmp_path / "text.pgm")
@@ -41,14 +41,14 @@ class TestLoadMap:
             fh.write("P2\n# a comment\n2 2\n255\n0 51\n102 255\n")
         sal = D.load_map(path)
         expected = np.array([[0, 51], [102, 255]]) / 255.0
-        assert np.allclose(sal.values, expected)
+        assert np.allclose(sal, expected)
 
     def test_header_comment_in_p5(self, tmp_path):
         path = str(tmp_path / "c.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5\n# made by hand\n2 1\n255\n\x10\x20")
         sal = D.load_map(path)
-        assert np.allclose(sal.values, [[16 / 255, 32 / 255]])
+        assert np.allclose(sal, [[16 / 255, 32 / 255]])
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.pgm")
@@ -89,29 +89,38 @@ class TestLoadMap:
 class TestWriteMap:
     def test_half_becomes_byte_128(self, tmp_path):
         path = str(tmp_path / "half.pgm")
-        D.write_map(M.SaliencyMap(np.full((1, 1), 0.5)), path)
+        D.write_map(np.full((1, 1), 0.5), path)
         with open(path, "rb") as fh:
             blob = fh.read()
         assert blob.endswith(bytes([128]))
 
     def test_one_becomes_byte_255(self, tmp_path):
         path = str(tmp_path / "one.pgm")
-        D.write_map(M.SaliencyMap(np.full((1, 1), 1.0)), path)
+        D.write_map(np.full((1, 1), 1.0), path)
         with open(path, "rb") as fh:
             assert fh.read().endswith(bytes([255]))
 
     def test_out_of_range_rejected(self, tmp_path):
         path = str(tmp_path / "big.pgm")
         with pytest.raises(OutOfRange):
-            D.write_map(M.SaliencyMap(np.full((2, 2), 1.5)), path)
+            D.write_map(np.full((2, 2), 1.5), path)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01, np.inf, -np.inf])
+    def test_nan_or_out_of_range_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "bad.pgm"
+        values = np.full((2, 3), 0.5)
+        values[1, 2] = bad
+        with pytest.raises(OutOfRange):
+            D.write_map(values, str(path))
+        assert not path.exists()
 
     def test_round_trip_identity_on_quantized(self, tmp_path):
         rng = np.random.default_rng(0)
         path = str(tmp_path / "rt.pgm")
         quantized = rng.integers(0, 256, size=(6, 5)).astype(np.float64) / 255.0
-        D.write_map(M.SaliencyMap(quantized), path)
+        D.write_map(quantized, path)
         loaded = D.load_map(path)
-        assert np.array_equal(loaded.values, quantized)
+        assert np.array_equal(loaded, quantized)
         # write the loaded map again: bytes identical
         path2 = str(tmp_path / "rt2.pgm")
         D.write_map(loaded, path2)
@@ -125,8 +134,8 @@ class TestLoadFixations:
         with open(path, "w") as fh:
             fh.write("0,1,2\n0,3,4\n2,0,0\n")
         fixations = D.load_fixations(path)
-        assert fixations[0].points.tolist() == [[1, 2], [3, 4]]
-        assert fixations[2].points.tolist() == [[0, 0]]
+        assert fixations[0].tolist() == [[1, 2], [3, 4]]
+        assert fixations[2].tolist() == [[0, 0]]
         assert 1 not in fixations
 
     def test_empty_file(self, tmp_path):
@@ -138,7 +147,7 @@ class TestLoadFixations:
         path = str(tmp_path / "c.csv")
         with open(path, "w") as fh:
             fh.write("# header\n\n0,1,1\n")
-        assert D.load_fixations(path)[0].points.tolist() == [[1, 1]]
+        assert D.load_fixations(path)[0].tolist() == [[1, 1]]
 
     def test_negative_is_parse_error(self, tmp_path):
         path = str(tmp_path / "neg.csv")
@@ -170,45 +179,45 @@ class TestLoadFixations:
 
     def test_write_read_round_trip(self, tmp_path):
         path = str(tmp_path / "w.csv")
-        original = {0: M.FixationSet([(1, 2), (3, 4)]), 5: M.FixationSet([(0, 1)])}
+        original = {0: np.array([(1, 2), (3, 4)]), 5: np.array([(0, 1)])}
         D.write_fixations(original, path)
         loaded = D.load_fixations(path)
         assert loaded.keys() == original.keys()
         for frame in original:
-            assert loaded[frame].points.tolist() == original[frame].points.tolist()
+            assert loaded[frame].tolist() == original[frame].tolist()
 
 
 class TestResize:
     def test_identity_at_same_dims(self):
         rng = np.random.default_rng(1)
-        sal = M.SaliencyMap(rng.uniform(0, 1, size=(5, 7)))
+        sal = rng.uniform(0, 1, size=(5, 7))
         out = D.resize_bilinear(sal, (5, 7))
-        assert np.array_equal(out.values, sal.values)
+        assert np.array_equal(out, sal)
 
     def test_constant_preserved(self):
-        sal = M.SaliencyMap(np.full((4, 4), 0.37))
+        sal = np.full((4, 4), 0.37)
         out = D.resize_bilinear(sal, (9, 5))
-        assert np.allclose(out.values, 0.37)
+        assert np.allclose(out, 0.37)
 
     def test_hand_case_column_upsample(self):
-        sal = M.SaliencyMap(np.array([[0.0], [1.0]]))
+        sal = np.array([[0.0], [1.0]])
         out = D.resize_bilinear(sal, (4, 1))
-        assert np.allclose(out.values[:, 0], [0.0, 0.25, 0.75, 1.0])
+        assert np.allclose(out[:, 0], [0.0, 0.25, 0.75, 1.0])
 
     def test_range_preserved(self):
         rng = np.random.default_rng(2)
-        sal = M.SaliencyMap(rng.uniform(0, 1, size=(16, 16)))
+        sal = rng.uniform(0, 1, size=(16, 16))
         out = D.resize_bilinear(sal, (7, 23))
-        assert out.values.min() >= 0.0 and out.values.max() <= 1.0
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_fixation_rescale(self):
-        fix = M.FixationSet([(1, 2)])
+        fix = np.array([(1, 2)])
         up = D.rescale_fixations(fix, (4, 4), (8, 8))
-        assert up.points.tolist() == [[2, 4]]
-        down = D.rescale_fixations(M.FixationSet([(7, 7)]), (8, 8), (4, 4))
-        assert down.points.tolist() == [[3, 3]]  # round-half-up then clamped in range
+        assert up.tolist() == [[2, 4]]
+        down = D.rescale_fixations(np.array([(7, 7)]), (8, 8), (4, 4))
+        assert down.tolist() == [[3, 3]]  # round-half-up then clamped in range
         same = D.rescale_fixations(fix, (4, 4), (4, 4))
-        assert same.points.tolist() == fix.points.tolist()
+        assert same.tolist() == fix.tolist()
 
 
 def tree_digest(root: str) -> str:
@@ -264,9 +273,9 @@ class TestLoadVideo:
         assert len(video.gt_maps) == 5
         assert len(video.fixations) == 5
         for sal in video.static_maps + video.gt_maps:
-            assert sal.values.shape == (14, 10)
+            assert sal.shape == (14, 10)
         for fix in video.fixations:
-            for r, c in fix.points:
+            for r, c in fix:
                 assert 0 <= r < 14 and 0 <= c < 10
 
     def test_resizes_to_manifest_resolution(self, tmp_path):
@@ -278,8 +287,8 @@ class TestLoadVideo:
         manifest = D.load_manifest(path)
         manifest.resolution = (8, 8)
         video = D.load_video(manifest, manifest.videos[0])
-        assert video.static_maps[0].values.shape == (8, 8)
-        for r, c in video.fixations[0].points:
+        assert video.static_maps[0].shape == (8, 8)
+        for r, c in video.fixations[0]:
             assert 0 <= r < 8 and 0 <= c < 8
 
     def test_missing_file_detected(self, tmp_path):
@@ -292,14 +301,6 @@ class TestLoadVideo:
             with pytest.raises(MissingInput, match="video_000: missing .*" + name):
                 D.load_video(manifest, manifest.videos[0])
             os.rename(path + ".away", path)
-
-    def test_tensor_conversions(self):
-        rng = np.random.default_rng(7)
-        sal = M.SaliencyMap(rng.uniform(0, 1, size=(6, 6)))
-        tensor = D.map_to_tensor(sal)
-        assert tensor.shape == (1, 1, 6, 6)
-        back = D.tensor_to_map(tensor)
-        assert np.array_equal(back.values, sal.values)
 
 
 class TestGenerateSynthetic:

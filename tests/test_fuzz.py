@@ -55,8 +55,8 @@ PGM_PIECES = (
 
 def check_map(sal):
     if sal is not None:
-        assert isinstance(sal, M.SaliencyMap)
-        assert sal.values.min() >= 0.0 and sal.values.max() <= 1.0
+        assert isinstance(sal, np.ndarray) and sal.ndim == 2 and sal.dtype == np.float64
+        assert np.all(np.isfinite(sal)) and sal.min() >= 0.0 and sal.max() <= 1.0
 
 
 @FUZZ
@@ -88,8 +88,9 @@ CSV_PIECES = (
 def check_fixations(result):
     if result is not None:
         for frame, fix in result.items():
-            assert isinstance(fix, M.FixationSet)
-            assert frame >= 0 and len(fix) > 0 and fix.points.min() >= 0
+            assert isinstance(fix, np.ndarray) and fix.dtype == np.int64
+            assert fix.ndim == 2 and fix.shape[1] == 2
+            assert frame >= 0 and len(fix) > 0 and fix.min() >= 0
 
 
 @FUZZ
@@ -162,6 +163,8 @@ def check_scores(report):
                 assert value is None or math.isfinite(value)
             counts = [getattr(vs, key) for key in M.VIDEO_COUNTS]
             assert all(type(n) is int and n >= 0 for n in counts)
+        for members in report.groups.values():
+            assert type(members) is list and all(type(vid) is str for vid in members)
 
 
 @FUZZ

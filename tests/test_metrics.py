@@ -40,62 +40,65 @@ def two_pass_pearson(a, b) -> float:
     return cov / np.sqrt(va * vb)
 
 
-def distinct_map(rng, h, w) -> M.SaliencyMap:
+NO_FIXATIONS = np.empty((0, 2), dtype=np.int64)
+
+
+def distinct_map(rng, h, w) -> np.ndarray:
     """Map whose pixel values are all distinct (tie-free by construction)."""
     values = rng.permutation(h * w).astype(np.float64) / (h * w)
-    return M.SaliencyMap(values.reshape(h, w))
+    return values.reshape(h, w)
 
 
-def sample_fixations(rng, h, w, n) -> M.FixationSet:
+def sample_fixations(rng, h, w, n) -> np.ndarray:
     cells = rng.choice(h * w, size=n, replace=False)
-    return M.FixationSet([(int(c // w), int(c % w)) for c in cells])
+    return np.array([(int(c // w), int(c % w)) for c in cells])
 
 
 class TestNss:
     def test_constant_map_is_zero(self):
-        sal = M.SaliencyMap(np.full((4, 4), 0.7))
-        assert M.nss(sal, M.FixationSet([(0, 0), (2, 3)])) == 0.0
+        sal = np.full((4, 4), 0.7)
+        assert M.nss(sal, np.array([(0, 0), (2, 3)])) == 0.0
 
     def test_hand_case_sqrt3(self):
-        sal = M.SaliencyMap(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        score = M.nss(sal, M.FixationSet([(0, 0)]))
+        sal = np.array([[1.0, 0.0], [0.0, 0.0]])
+        score = M.nss(sal, np.array([(0, 0)]))
         assert score == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
     def test_returns_standardized_value_at_fixation(self):
         rng = np.random.default_rng(0)
-        sal = M.SaliencyMap(rng.uniform(0, 1, size=(5, 7)))
-        v = (sal.values[2, 3] - sal.values.mean()) / sal.values.std()
-        assert M.nss(sal, M.FixationSet([(2, 3)])) == pytest.approx(v, abs=1e-12)
+        sal = rng.uniform(0, 1, size=(5, 7))
+        v = (sal[2, 3] - sal.mean()) / sal.std()
+        assert M.nss(sal, np.array([(2, 3)])) == pytest.approx(v, abs=1e-12)
 
     def test_empty_fixations(self):
         with pytest.raises(EmptyFixations):
-            M.nss(M.SaliencyMap(np.ones((2, 2))), M.FixationSet([]))
+            M.nss(np.ones((2, 2)), NO_FIXATIONS)
 
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
-            M.nss(M.SaliencyMap(np.ones((2, 2))), M.FixationSet([(2, 0)]))
+            M.nss(np.ones((2, 2)), np.array([(2, 0)]))
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            sal = M.SaliencyMap(rng.uniform(0, 1, size=(6, 6)))
+            sal = rng.uniform(0, 1, size=(6, 6))
             fix = sample_fixations(rng, 6, 6, int(rng.integers(1, 5)))
             a = float(rng.uniform(0.1, 5.0))
             b = float(rng.uniform(0.0, 3.0))
-            transformed = M.SaliencyMap(a * sal.values + b)
+            transformed = a * sal + b
             assert M.nss(transformed, fix) == pytest.approx(M.nss(sal, fix), abs=1e-9)
 
 
 class TestCc:
     def test_positive_affine_relation(self):
         rng = np.random.default_rng(2)
-        sal = M.SaliencyMap(rng.uniform(0, 1, size=(4, 4)))
-        gt = M.SaliencyMap(2.0 * sal.values + 1.0)
+        sal = rng.uniform(0, 1, size=(4, 4))
+        gt = 2.0 * sal + 1.0
         assert M.cc(sal, gt) == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_correlation(self):
-        sal = M.SaliencyMap(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        gt = M.SaliencyMap(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        sal = np.array([[1.0, 0.0], [0.0, 1.0]])
+        gt = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert M.cc(sal, gt) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_two_pass_oracle(self):
@@ -103,61 +106,61 @@ class TestCc:
         for _ in range(50):
             a = rng.uniform(0, 1, size=(8, 8))
             b = rng.uniform(0, 1, size=(8, 8))
-            got = M.cc(M.SaliencyMap(a), M.SaliencyMap(b))
+            got = M.cc(a, b)
             assert got == pytest.approx(two_pass_pearson(a, b), abs=1e-12)
 
     def test_constant_input_undefined(self):
-        sal = M.SaliencyMap(np.full((3, 3), 0.5))
-        gt = M.SaliencyMap(np.arange(9, dtype=float).reshape(3, 3))
+        sal = np.full((3, 3), 0.5)
+        gt = np.arange(9, dtype=float).reshape(3, 3)
         assert M.cc(sal, gt) is None
         assert M.cc(gt, sal) is None
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            M.cc(M.SaliencyMap(np.ones((2, 2))), M.SaliencyMap(np.ones((3, 3))))
+            M.cc(np.ones((2, 2)), np.ones((3, 3)))
 
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            a = M.SaliencyMap(rng.uniform(0, 1, size=(5, 5)))
-            b = M.SaliencyMap(rng.uniform(0, 1, size=(5, 5)))
+            a = rng.uniform(0, 1, size=(5, 5))
+            b = rng.uniform(0, 1, size=(5, 5))
             base = M.cc(a, b)
             assert M.cc(b, a) == pytest.approx(base, abs=1e-12)
             s = float(rng.uniform(0.1, 4.0))
             t = float(rng.uniform(0.0, 2.0))
-            assert M.cc(M.SaliencyMap(s * a.values + t), b) == pytest.approx(base, abs=1e-9)
+            assert M.cc(s * a + t, b) == pytest.approx(base, abs=1e-9)
 
 
 class TestSim:
     def test_identical_maps(self):
         rng = np.random.default_rng(5)
-        sal = M.SaliencyMap(rng.uniform(0.1, 1, size=(4, 4)))
+        sal = rng.uniform(0.1, 1, size=(4, 4))
         assert M.sim(sal, sal) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
-        a = M.SaliencyMap(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        b = M.SaliencyMap(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        b = np.array([[0.0, 1.0], [0.0, 1.0]])
         assert M.sim(a, b) == 0.0
 
     def test_half_overlap_hand_case(self):
         # mass on 2 of 4 pixels vs uniform: sum of min(0.5, 0.25) twice
-        a = M.SaliencyMap(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        b = M.SaliencyMap(np.full((2, 2), 1.0))
+        a = np.array([[1.0, 1.0], [0.0, 0.0]])
+        b = np.full((2, 2), 1.0)
         assert M.sim(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_mass_raises(self):
         with pytest.raises(ZeroMass):
-            M.sim(M.SaliencyMap(np.zeros((2, 2))), M.SaliencyMap(np.ones((2, 2))))
+            M.sim(np.zeros((2, 2)), np.ones((2, 2)))
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            a = M.SaliencyMap(rng.uniform(0, 1, size=(5, 5)))
-            b = M.SaliencyMap(rng.uniform(0, 1, size=(5, 5)))
+            a = rng.uniform(0, 1, size=(5, 5))
+            b = rng.uniform(0, 1, size=(5, 5))
             base = M.sim(a, b)
             assert M.sim(b, a) == pytest.approx(base, abs=1e-12)
             s = float(rng.uniform(0.1, 7.0))
-            assert M.sim(M.SaliencyMap(s * a.values), b) == pytest.approx(base, abs=1e-9)
+            assert M.sim(s * a, b) == pytest.approx(base, abs=1e-9)
 
 
 class TestAucJudd:
@@ -165,12 +168,12 @@ class TestAucJudd:
         rng = np.random.default_rng(7)
         values = rng.uniform(0, 0.9, size=(5, 5))
         values[3, 2] = 1.0
-        score = M.auc_judd(M.SaliencyMap(values), M.FixationSet([(3, 2)]))
+        score = M.auc_judd(values, np.array([(3, 2)]))
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_map_is_half(self):
-        sal = M.SaliencyMap(np.full((4, 4), 0.3))
-        assert M.auc_judd(sal, M.FixationSet([(1, 1), (2, 2)])) == pytest.approx(0.5, abs=1e-12)
+        sal = np.full((4, 4), 0.3)
+        assert M.auc_judd(sal, np.array([(1, 1), (2, 2)])) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_pair_counting_oracle(self):
         rng = np.random.default_rng(8)
@@ -178,10 +181,10 @@ class TestAucJudd:
             h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
             sal = distinct_map(rng, h, w)
             fix = sample_fixations(rng, h, w, int(rng.integers(1, min(10, h * w - 1) + 1)))
-            fixated = {tuple(p) for p in fix.points.tolist()}
-            pos = [sal.values[r, c] for r, c in fix.points]
+            fixated = {tuple(p) for p in fix.tolist()}
+            pos = [sal[r, c] for r, c in fix]
             neg = [
-                sal.values[r, c]
+                sal[r, c]
                 for r in range(h)
                 for c in range(w)
                 if (r, c) not in fixated
@@ -189,9 +192,9 @@ class TestAucJudd:
             assert M.auc_judd(sal, fix) == pytest.approx(mann_whitney_auc(pos, neg), abs=1e-9)
 
     def test_all_fixated_raises(self):
-        sal = M.SaliencyMap(np.ones((1, 2)))
+        sal = np.ones((1, 2))
         with pytest.raises(AllFixated):
-            M.auc_judd(sal, M.FixationSet([(0, 0), (0, 1)]))
+            M.auc_judd(sal, np.array([(0, 0), (0, 1)]))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
@@ -199,7 +202,7 @@ class TestAucJudd:
             sal = distinct_map(rng, 6, 6)
             fix = sample_fixations(rng, 6, 6, 4)
             base = M.auc_judd(sal, fix)
-            warped = M.SaliencyMap(np.exp(3.0 * sal.values) - 0.5)
+            warped = np.exp(3.0 * sal) - 0.5
             assert M.auc_judd(warped, fix) == base
 
 
@@ -214,9 +217,9 @@ class TestShuffledAuc:
         values = np.zeros((3, 3))
         values[0, 0] = 1.0
         values[0, 1] = 0.9
-        sal = M.SaliencyMap(values)
-        fix = M.FixationSet([(0, 0), (0, 1)])
-        others = M.FixationSet([(2, 0), (2, 1), (2, 2)])
+        sal = values
+        fix = np.array([(0, 0), (0, 1)])
+        others = np.array([(2, 0), (2, 1), (2, 2)])
         assert M.shuffled_auc(sal, fix, others, rng_seed=0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pair_counting_oracle(self):
@@ -228,16 +231,16 @@ class TestShuffledAuc:
             fix = sample_fixations(rng, h, w, n_fix)
             n_other = int(rng.integers(1, min(h * w, 10 * n_fix) + 1))
             other = sample_fixations(rng, h, w, n_other)
-            pos = [sal.values[r, c] for r, c in fix.points]
-            neg = [sal.values[r, c] for r, c in other.points]
+            pos = [sal[r, c] for r, c in fix]
+            neg = [sal[r, c] for r, c in other]
             got = M.shuffled_auc(sal, fix, other, rng_seed=5)
             assert got == pytest.approx(mann_whitney_auc(pos, neg), abs=1e-9)
 
     def test_subsampling_is_deterministic_and_capped(self):
         rng = np.random.default_rng(12)
-        sal = M.SaliencyMap(rng.uniform(0, 1, size=(20, 20)))
-        fix = M.FixationSet([(0, 0)])
-        pool = M.FixationSet([(r, c) for r in range(20) for c in range(20)])
+        sal = rng.uniform(0, 1, size=(20, 20))
+        fix = np.array([(0, 0)])
+        pool = np.array([(r, c) for r in range(20) for c in range(20)])
         a = M.shuffled_auc(sal, fix, pool, rng_seed=3)
         b = M.shuffled_auc(sal, fix, pool, rng_seed=3)
         assert a == b
@@ -246,9 +249,16 @@ class TestShuffledAuc:
         assert a != c
 
     def test_empty_pool_raises(self):
-        sal = M.SaliencyMap(np.ones((2, 2)))
+        sal = np.ones((2, 2))
         with pytest.raises(EmptyNegatives):
-            M.shuffled_auc(sal, M.FixationSet([(0, 0)]), M.FixationSet([]), rng_seed=0)
+            M.shuffled_auc(sal, np.array([(0, 0)]), NO_FIXATIONS, rng_seed=0)
+
+    @pytest.mark.parametrize("point", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_out_of_range_pool_fixation_raises(self, point):
+        sal = np.linspace(0.0, 1.0, 9).reshape(3, 3)
+        pool = np.array([(0, 0), (1, 1), point])
+        with pytest.raises(OutOfBounds):
+            M.shuffled_auc(sal, np.array([(2, 2)]), pool, rng_seed=0)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
@@ -257,7 +267,7 @@ class TestShuffledAuc:
             fix = sample_fixations(rng, 6, 6, 3)
             other = sample_fixations(rng, 6, 6, 8)
             base = M.shuffled_auc(sal, fix, other, rng_seed=1)
-            warped = M.SaliencyMap(sal.values**3 + 2.0 * sal.values)
+            warped = sal**3 + 2.0 * sal
             assert M.shuffled_auc(warped, fix, other, rng_seed=1) == base
 
 
@@ -265,7 +275,7 @@ class TestEvaluateVideo:
     def test_single_frame_equals_frame_metrics(self):
         rng = np.random.default_rng(14)
         sal = distinct_map(rng, 6, 6)
-        gt = M.SaliencyMap(rng.uniform(0, 1, size=(6, 6)))
+        gt = rng.uniform(0, 1, size=(6, 6))
         fix = sample_fixations(rng, 6, 6, 3)
         pool = sample_fixations(rng, 6, 6, 10)
         vs = M.evaluate_video([sal], [fix], [gt], pool, seed=0)
@@ -279,15 +289,15 @@ class TestEvaluateVideo:
         # two maps engineered to give NSS 1.0 and 3.0 at their fixations
         base = np.zeros((2, 2))
         base[0, 0] = 1.0
-        sal = M.SaliencyMap(base)
+        sal = base
         z = (1.0 - 0.25) / np.sqrt(0.1875)  # standardized peak of that map
-        fix_peak = M.FixationSet([(0, 0)])
+        fix_peak = np.array([(0, 0)])
 
         vs = M.evaluate_video(
             [sal, sal],
             [fix_peak, fix_peak],
             [sal, sal],
-            M.FixationSet([]),
+            NO_FIXATIONS,
             seed=0,
             metrics=("nss",),
         )
@@ -295,24 +305,24 @@ class TestEvaluateVideo:
 
         two_means = M.evaluate_video(
             [sal, sal],
-            [M.FixationSet([(0, 0)]), M.FixationSet([(0, 1)])],
+            [np.array([(0, 0)]), np.array([(0, 1)])],
             [sal, sal],
-            M.FixationSet([]),
+            NO_FIXATIONS,
             seed=0,
             metrics=("nss",),
         )
-        expected = (M.nss(sal, M.FixationSet([(0, 0)])) + M.nss(sal, M.FixationSet([(0, 1)]))) / 2
+        expected = (M.nss(sal, np.array([(0, 0)])) + M.nss(sal, np.array([(0, 1)]))) / 2
         assert two_means.scores.nss == pytest.approx(expected)
 
     def test_empty_fixation_frame_bookkeeping(self):
         rng = np.random.default_rng(15)
         sal1 = distinct_map(rng, 4, 4)
         sal2 = distinct_map(rng, 4, 4)
-        gt = M.SaliencyMap(rng.uniform(0.1, 1, size=(4, 4)))
+        gt = rng.uniform(0.1, 1, size=(4, 4))
         fix = sample_fixations(rng, 4, 4, 2)
         pool = sample_fixations(rng, 4, 4, 6)
 
-        vs = M.evaluate_video([sal1, sal2], [fix, M.FixationSet([])], [gt, gt], pool, seed=0)
+        vs = M.evaluate_video([sal1, sal2], [fix, NO_FIXATIONS], [gt, gt], pool, seed=0)
         # frame 2 skipped for fixation metrics, still counted for CC/SIM
         assert vs.skipped_no_fixations == 1
         assert vs.scores.nss == pytest.approx(M.nss(sal1, fix))
@@ -322,23 +332,30 @@ class TestEvaluateVideo:
     def test_zero_mass_gt_skipped_for_distribution_metrics(self):
         rng = np.random.default_rng(16)
         sal = distinct_map(rng, 4, 4)
-        gt_zero = M.SaliencyMap(np.zeros((4, 4)))
+        gt_zero = np.zeros((4, 4))
         fix = sample_fixations(rng, 4, 4, 2)
-        vs = M.evaluate_video([sal], [fix], [gt_zero], M.FixationSet([]), seed=0)
+        vs = M.evaluate_video([sal], [fix], [gt_zero], NO_FIXATIONS, seed=0)
         assert vs.skipped_no_gt_mass == 1
         assert vs.scores.cc is None
         assert vs.scores.sim is None
         assert vs.scores.nss is not None
 
     def test_length_mismatch(self):
-        sal = M.SaliencyMap(np.ones((2, 2)))
+        sal = np.ones((2, 2))
         with pytest.raises(LengthMismatch):
-            M.evaluate_video([sal], [], [sal], M.FixationSet([]), seed=0)
+            M.evaluate_video([sal], [], [sal], NO_FIXATIONS, seed=0)
+
+    def test_out_of_range_pool_fixation_raises(self):
+        # the bad point sits past the subsampling cap, so only the bounds check finds it
+        sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        pool = np.array([(r, c) for r in range(4) for c in range(4)] + [(4, 0)])
+        with pytest.raises(OutOfBounds):
+            M.evaluate_video([sal], [np.array([(0, 0)])], [sal], pool, seed=0)
 
     def test_frame_i_uses_seed_plus_i(self):
         rng = np.random.default_rng(17)
         maps = [distinct_map(rng, 8, 8) for _ in range(12)]
-        gts = [M.SaliencyMap(rng.uniform(0, 1, size=(8, 8))) for _ in range(12)]
+        gts = [rng.uniform(0, 1, size=(8, 8)) for _ in range(12)]
         fixs = [sample_fixations(rng, 8, 8, 3) for _ in range(12)]
         pool = sample_fixations(rng, 8, 8, 40)  # above the cap of 30, so sAUC subsamples
         whole = M.evaluate_video(maps, fixs, gts, pool, seed=3, metrics=("s_auc",))
