@@ -53,8 +53,8 @@ SETTINGS: dict[str, dict[str, tuple]] = {
         "out": (NEEDED, str, ()),
         "videos": (4, int, GE1),
         "frames": (64, int, GE1),
-        "height": (32, int, ((">=", 8),)),
-        "width": (32, int, ((">=", 8),)),
+        "height": (32, int, ((">=", 8), ("<=", D.MAX_MAP_SIDE))),
+        "width": (32, int, ((">=", 8), ("<=", D.MAX_MAP_SIDE))),
         "seed": (7, int, GE0),
         "lag": (1, int, GE0),
         "blob_sigma": (3.0, float, GT0),
@@ -270,7 +270,7 @@ def cmd_evaluate(cfg: dict) -> None:
             maps.append(D.resize_bilinear(D.load_map(path), manifest.resolution))
         predictions[rec.video_id] = maps
 
-    per_video: dict[str, M.VideoScores] = {}
+    per_video: dict[str, dict] = {}
     for rec in manifest.videos:
         pool = [
             fix
@@ -291,22 +291,22 @@ def cmd_evaluate(cfg: dict) -> None:
 
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:
-            json.dump(M.report_to_dict(report), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("wrote report to %s", cfg["out"])
     print(render_eval_report(report, metrics))
 
 
-def render_eval_report(report: M.EvalReport, metrics: tuple[str, ...]) -> str:
+def render_eval_report(report: dict, metrics: tuple[str, ...]) -> str:
     blocks = []
-    for label, members in report.groups.items():
+    for label, members in report["groups"].items():
         headers = ["video"] + list(metrics)
         rows = []
         for vid in members:
-            scores = report.per_video[vid].scores
-            rows.append([vid] + [fmt3(scores.get(name)) for name in metrics])
-        avg = report.group_averages[label]
-        rows.append(["AVERAGE"] + [fmt3(avg.get(name)) for name in metrics])
+            row = report["per_video"][vid]
+            rows.append([vid] + [fmt3(row[name]) for name in metrics])
+        avg = report["group_averages"][label]
+        rows.append(["AVERAGE"] + [fmt3(avg[name]) for name in metrics])
         blocks.append(f"[{label}]\n" + render_table(headers, rows))
     return "\n\n".join(blocks)
 
@@ -320,23 +320,18 @@ def cmd_report(cfg: dict) -> None:
     paths = cfg["scores"]
     if isinstance(paths, str):
         paths = [paths]
-    models: list[tuple[str, dict[str, M.VideoScores]]] = []
-    first_groups: dict[str, list[str]] | None = None
+    models: list[tuple[str, dict[str, dict]]] = []
+    first: dict | None = None
     for path in paths:
         report = D.load_scores(path)
-        if first_groups is None:
-            first_groups = report.groups
-        else:
-            if sorted(report.per_video) != sorted(
-                vid for members in first_groups.values() for vid in members
-            ):
-                raise InconsistentVideos(
-                    f"{path} covers different videos than the first score file"
-                )
-        models.append((_model_name(path), report.per_video))
-    assert first_groups is not None
+        if first is None:
+            first = report
+        elif report["per_video"].keys() != first["per_video"].keys():
+            raise InconsistentVideos(f"{path} covers different videos than the first score file")
+        models.append((_model_name(path), report["per_video"]))
+    assert first is not None
 
-    grouping = first_groups
+    grouping = first["groups"]
     if cfg["grouping"]:
         payload = D.read_json(cfg["grouping"])
         try:
@@ -347,7 +342,7 @@ def cmd_report(cfg: dict) -> None:
 
 
 def render_comparison(
-    models: list[tuple[str, dict[str, M.VideoScores]]],
+    models: list[tuple[str, dict[str, dict]]],
     grouping: dict[str, list[str]],
     metric: str,
 ) -> str:
@@ -358,12 +353,10 @@ def render_comparison(
         headers = ["model"] + members + ["AVERAGE"]
         cells: list[list[float | None]] = []
         for name, per_video in models:
-            averages = M.aggregate_report(per_video, {label: members}).group_averages
-            row = [
-                per_video[vid].scores.get(metric) if vid in per_video else None
-                for vid in members
-            ]
-            row.append(averages[label].get(metric))
+            # aggregate_report raises UnknownVideo for a member with no row
+            average = M.aggregate_report(per_video, {label: members})["group_averages"][label]
+            row = [per_video[vid][metric] for vid in members]
+            row.append(average[metric])
             cells.append(row)
         rows = []
         for r, (name, _) in enumerate(models):
@@ -417,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with defaults for any flag")
         for key, (default, _, bounds) in SETTINGS[name].items():
             if key == "scores":
-                p.add_argument(key, nargs="*", help="EvalReport JSON files, one per model")
+                p.add_argument(key, nargs="*", help="evaluate --out score files, one per model")
                 continue
             given = {NEEDED: "required", None: "optional"}.get(default, f"default {default}")
             text = "; ".join(filter(None, (_describe(bounds), given)))

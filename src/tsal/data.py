@@ -32,9 +32,11 @@ from .errors import (
     TruncatedData,
     UnsupportedDepth,
 )
-from .metrics import EvalReport, report_from_dict
+from .metrics import checked_report
 
 GROUP_LABELS = ("free-viewing", "task-driven")
+# the largest manifest resolution side; it keeps map sizes inside numpy's index range
+MAX_MAP_SIDE = 65535
 FRAME_NAME_DIGITS = 6
 # the synthetic blob's velocity: kept share per frame, and the std of each kick
 WALK_PERSISTENCE = 0.9
@@ -143,12 +145,12 @@ def write_map(sal: np.ndarray, path: str) -> None:
 # fixations
 
 
-def load_fixations(path: str, dims: tuple[int, int] | None = None) -> dict[int, np.ndarray]:
+def load_fixations(path: str, dims: tuple[int, int]) -> dict[int, np.ndarray]:
     """Parse "frame_index,row,col" lines into per-frame (N, 2) int64 arrays.
 
     Lines starting with '#' (and blank lines) are skipped. Coordinates
     are 0-based; negatives are ParseError, and points outside ``dims``
-    (when given) are OutOfBounds — both cite the 1-based line number.
+    are OutOfBounds — both cite the 1-based line number.
     """
     grouped: dict[int, list[tuple[int, int]]] = {}
     try:
@@ -171,7 +173,7 @@ def load_fixations(path: str, dims: tuple[int, int] | None = None) -> dict[int, 
             raise ParseError(f"line {line_no}: negative value in {line!r}")
         if max(frame, row, col) >= 2**63:  # points are held as int64
             raise ParseError(f"line {line_no}: value too large in {line!r}")
-        if dims is not None and (row >= dims[0] or col >= dims[1]):
+        if row >= dims[0] or col >= dims[1]:
             raise OutOfBounds(
                 f"line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"
             )
@@ -258,8 +260,11 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         if not self.videos:
             raise ParseError("manifest lists no videos")
-        if len(self.resolution) != 2 or min(self.resolution) < 1:
-            raise ParseError(f"resolution must be [height, width] >= 1, got {self.resolution}")
+        if len(self.resolution) != 2 or not all(1 <= n <= MAX_MAP_SIDE for n in self.resolution):
+            raise ParseError(
+                f"resolution must be [height, width], each in [1, {MAX_MAP_SIDE}],"
+                f" got {self.resolution}"
+            )
         seen: set[str] = set()
         for rec in self.videos:
             if rec.video_id in seen:
@@ -305,11 +310,11 @@ def read_json(path: str):
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 
-def load_scores(path: str) -> EvalReport:
-    """Read a score file, as ``tsal evaluate --out`` writes it."""
+def load_scores(path: str) -> dict:
+    """Read a score report, as ``tsal evaluate --out`` writes it, and check it."""
     payload = read_json(path)
     try:
-        return report_from_dict(payload)
+        return checked_report(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a score file: {exc!r}") from None
 
@@ -383,7 +388,9 @@ def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
         gt = load_map(named(record.gt_map_dir, name))
         static_maps.append(resize_bilinear(static, res))
         gt_maps.append(resize_bilinear(gt, res))
-    by_frame = load_fixations(named(record.fixation_file), dims=native_dims)
+    fixation_path = named(record.fixation_file)
+    # a video without frames has no map to bound its fixations, nor a frame to hold them
+    by_frame = load_fixations(fixation_path, native_dims) if record.frames else {}
     empty = np.empty((0, 2), dtype=np.int64)
     fixations = [
         rescale_fixations(by_frame.get(frame, empty), native_dims, res)

@@ -18,10 +18,6 @@ class DimensionMismatch(SaliencyError):
     """Operands have incompatible shapes or channel counts."""
 
 
-# sgd_step speaks in parameter shapes, but the failure is the same thing.
-ShapeMismatch = DimensionMismatch
-
-
 class NonFinite(SaliencyError):
     """A computation produced NaN or Inf."""
 

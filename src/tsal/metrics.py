@@ -14,12 +14,17 @@ fixation set an (N, 2) int64 array of (row, col) pixel coordinates, where
 a repeated point counts once per occurrence. Both are checked where they
 are read and written (``tsal.data``); the metrics check only that each
 fixation lies inside the map.
+
+A score report is the JSON object ``tsal evaluate --out`` writes:
+``per_video`` maps each video id to a row holding the five
+``METRIC_NAMES`` and the three ``VIDEO_COUNTS``; ``groups`` maps each
+group label to its member ids; ``group_averages`` maps each label to the
+five metric means over its members.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,41 +44,6 @@ VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 
 # negatives per positive kept when subsampling the shuffled-AUC pool
 SAUC_NEGATIVE_RATIO = 10
-
-
-@dataclass
-class MetricScores:
-    """One value per metric; ``None`` marks an undefined score."""
-
-    auc_j: float | None = None
-    s_auc: float | None = None
-    nss: float | None = None
-    cc: float | None = None
-    sim: float | None = None
-
-    def get(self, name: str) -> float | None:
-        if name not in METRIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-
-@dataclass
-class VideoScores:
-    """Per-video metric means plus the frame bookkeeping behind them."""
-
-    scores: MetricScores
-    frames: int = 0
-    skipped_no_fixations: int = 0
-    skipped_no_gt_mass: int = 0
-
-
-@dataclass
-class EvalReport:
-    """Per-video scores grouped into labeled averages."""
-
-    per_video: dict[str, VideoScores]
-    groups: dict[str, list[str]]
-    group_averages: dict[str, MetricScores] = field(default_factory=dict)
 
 
 def _values_at(sal: np.ndarray, fix: np.ndarray) -> np.ndarray:
@@ -214,15 +184,16 @@ def evaluate_video(
     shuffle_pool: np.ndarray,
     seed: int,
     metrics: tuple[str, ...] = METRIC_NAMES,
-) -> VideoScores:
-    """Average per-frame metrics over one video.
+) -> dict:
+    """One video's ``per_video`` row: per-frame metrics averaged, plus counts.
 
     Fixation-based metrics (AUC-J, sAUC, NSS) use only frames with at
     least one fixation; CC and SIM use only frames whose ground truth has
     positive mass. A frame where an individual metric is undefined (for
     example CC against a constant map) is excluded from that metric's
-    mean. The sAUC subsampling seed for frame i is ``seed + i``, so a
-    frame's score does not depend on which other frames are evaluated.
+    mean; a metric defined on no frame, or not requested, is ``None``.
+    The sAUC subsampling seed for frame i is ``seed + i``, so a frame's
+    score does not depend on which other frames are evaluated.
     """
     if not (len(maps) == len(fixs) == len(gts)):
         raise LengthMismatch(
@@ -240,96 +211,57 @@ def evaluate_video(
         skipped_fix += no_fix
         skipped_mass += no_mass
         for name in metrics:
-            _accumulate(sums, counts, name, values[name])
+            if values[name] is not None:
+                sums[name] += values[name]
+                counts[name] += 1
 
-    scores = MetricScores()
-    for name in metrics:
-        if counts[name] > 0:
-            setattr(scores, name, sums[name] / counts[name])
-    return VideoScores(
-        scores=scores,
-        frames=len(maps),
-        skipped_no_fixations=skipped_fix,
-        skipped_no_gt_mass=skipped_mass,
-    )
+    row = {name: sums[name] / counts[name] if counts[name] else None for name in METRIC_NAMES}
+    row.update(frames=len(maps), skipped_no_fixations=skipped_fix, skipped_no_gt_mass=skipped_mass)
+    return row
 
 
-def _accumulate(sums: dict, counts: dict, name: str, value: float | None) -> None:
-    if value is None:
-        return
-    sums[name] += value
-    counts[name] += 1
-
-
-def aggregate_report(
-    per_video: dict[str, VideoScores], grouping: dict[str, list[str]]
-) -> EvalReport:
-    """Attach unweighted per-group metric means to the per-video scores."""
+def aggregate_report(per_video: dict[str, dict], grouping: dict[str, list[str]]) -> dict:
+    """The score report: per-video rows, the grouping, and each group's means."""
     for label, members in grouping.items():
         for vid in members:
             if vid not in per_video:
                 raise UnknownVideo(f"group {label!r} references unknown video {vid!r}")
-    averages: dict[str, MetricScores] = {}
+    averages = {}
     for label, members in grouping.items():
-        avg = MetricScores()
+        averages[label] = {}
         for name in METRIC_NAMES:
-            values = [
-                per_video[vid].scores.get(name)
-                for vid in members
-                if per_video[vid].scores.get(name) is not None
-            ]
-            if values:
-                setattr(avg, name, sum(values) / len(values))
-        averages[label] = avg
-    return EvalReport(
-        per_video=dict(per_video),
-        groups={label: list(members) for label, members in grouping.items()},
-        group_averages=averages,
-    )
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready representation of an evaluation report."""
+            values = [per_video[vid][name] for vid in members if per_video[vid][name] is not None]
+            averages[label][name] = sum(values) / len(values) if values else None
     return {
-        "per_video": {
-            vid: {
-                **{name: vs.scores.get(name) for name in METRIC_NAMES},
-                "frames": vs.frames,
-                "skipped_no_fixations": vs.skipped_no_fixations,
-                "skipped_no_gt_mass": vs.skipped_no_gt_mass,
-            }
-            for vid, vs in report.per_video.items()
-        },
-        "groups": report.groups,
-        "group_averages": {
-            label: {name: avg.get(name) for name in METRIC_NAMES}
-            for label, avg in report.group_averages.items()
-        },
+        "per_video": dict(per_video),
+        "groups": {label: list(members) for label, members in grouping.items()},
+        "group_averages": averages,
     }
 
 
-def report_from_dict(payload: dict) -> EvalReport:
-    """Inverse of :func:`report_to_dict`.
+def checked_report(payload: dict) -> dict:
+    """A loaded score report, checked, with its group averages recomputed.
 
     Raises ValueError, naming the video and the key, unless every metric is
-    null or a finite number and every count a non-negative integer.
+    null or a finite number and every count a non-negative integer. Each
+    row comes back with exactly the metric and count keys: others are
+    dropped, a missing metric is ``None`` and a missing count 0.
     """
     per_video = {}
-    for vid, row in payload["per_video"].items():
+    for vid, loaded in payload["per_video"].items():
+        row = {key: loaded.get(key) for key in METRIC_NAMES}
+        row.update({key: loaded.get(key, 0) for key in VIDEO_COUNTS})
         for key in METRIC_NAMES:
-            value = row.get(key)
+            value = row[key]
             if value is not None and not (
                 type(value) in (int, float) and abs(value) <= sys.float_info.max
             ):
                 raise ValueError(f"video {vid!r}: {key} must be null or finite, got {value!r}")
         for key in VIDEO_COUNTS:
-            value = row.get(key, 0)
+            value = row[key]
             if type(value) is not int or value < 0:
                 raise ValueError(f"video {vid!r}: {key} must be an integer >= 0, got {value!r}")
-        per_video[vid] = VideoScores(
-            MetricScores(**{name: row.get(name) for name in METRIC_NAMES}),
-            **{key: row.get(key, 0) for key in VIDEO_COUNTS},
-        )
+        per_video[vid] = row
     return aggregate_report(per_video, groups_from_dict(payload.get("groups", {})))
 
 

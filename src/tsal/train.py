@@ -28,7 +28,6 @@ from .errors import (
     EmptyDataset,
     LengthMismatch,
     NonFinite,
-    ShapeMismatch,
 )
 from .model import (
     CONV_LSTM,
@@ -164,7 +163,7 @@ def sgd_step(
     for name, w in model.named_parameters():
         g = grads[name]
         if g.shape != w.shape:
-            raise ShapeMismatch(f"{name}: grad shape {g.shape} != param shape {w.shape}")
+            raise DimensionMismatch(f"{name}: grad shape {g.shape} != param shape {w.shape}")
         v = state.momentum_buffers[name]
         v *= hyper.momentum
         v += g + hyper.weight_decay * w
@@ -257,7 +256,7 @@ def _canonical_dims(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
         return shape  # type: ignore[return-value]
     if len(shape) == 1:
         return (shape[0], 1, 1, 1)
-    raise ShapeMismatch(f"cannot encode shape {shape}")
+    raise DimensionMismatch(f"cannot encode shape {shape}")
 
 
 def _pack_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
@@ -287,9 +286,9 @@ def save_checkpoint(
     named = model.named_parameters()
     for name, arr in named:
         if name not in momentum_buffers:
-            raise ShapeMismatch(f"missing momentum buffer for {name}")
+            raise DimensionMismatch(f"missing momentum buffer for {name}")
         if momentum_buffers[name].shape != arr.shape:
-            raise ShapeMismatch(f"momentum buffer shape mismatch for {name}")
+            raise DimensionMismatch(f"momentum buffer shape mismatch for {name}")
 
     body = bytearray()
     body += CHECKPOINT_MAGIC

@@ -61,17 +61,14 @@ REFERENCE_GROUPS = {
 
 def test_criterion_1_table_arithmetic(tmp_path):
     start = time.perf_counter()
-    per_video = {
-        vid: M.VideoScores(scores=M.MetricScores(nss=value), frames=1)
-        for vid, value in REFERENCE_NSS.items()
-    }
-    report = M.aggregate_report(per_video, REFERENCE_GROUPS)
-    free = report.group_averages["free-viewing"].nss
-    task = report.group_averages["task-driven"].nss
+    per_video = {vid: {"nss": value, "frames": 1} for vid, value in REFERENCE_NSS.items()}
+    report = M.checked_report({"per_video": per_video, "groups": REFERENCE_GROUPS})
+    free = report["group_averages"]["free-viewing"]["nss"]
+    task = report["group_averages"]["task-driven"]["nss"]
 
     path = str(tmp_path / "reference.json")
     with open(path, "w") as fh:
-        json.dump(M.report_to_dict(report), fh)
+        json.dump(report, fh)
     stdout = io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
         code = cli.main(["report", path, "--metric", "nss"])

@@ -120,6 +120,7 @@ BAD_SETTINGS = {
     "lr0-nan": ("train", ["--lr0", "nan"], None),
     "shuffle-seed-x": ("evaluate", ["--shuffle-seed", "x"], None),
     "metrics-repeated": ("evaluate", ["--metrics", "nss,nss,cc"], None),
+    "height-65536": ("generate", ["--height", "65536", "--videos", "1", "--frames", "1"], None),
 }
 
 
@@ -159,6 +160,13 @@ BAD_JSON_FILES = {
     "manifest-id-number": ("manifest", manifest_blob(video_id=5), ("#0", "video_id")),
     "manifest-dir-list": ("manifest", manifest_blob(gt_map_dir=["v/gt"]), ("'v'", "gt_map_dir")),
     "manifest-label-null": ("manifest", manifest_blob(group_label=None), ("'v'", "group_label")),
+    # a side past numpy's size limit, and one past int64
+    "manifest-resolution-1e30": (
+        "manifest", manifest_blob(resolution=[10**30, 8]), ("resolution",),
+    ),
+    "manifest-resolution-2pow63": (
+        "manifest", manifest_blob(resolution=[2**63, 8]), ("resolution",),
+    ),
 }
 
 
@@ -577,6 +585,22 @@ class TestEvaluate:
         (line,) = error_lines(stderr)
         assert line.startswith("ERROR ParseError:") and "video_000" in line
 
+    def test_score_file_reloads_byte_identical(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=4, size=12)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        out_json = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
+            "--metrics", "nss,s_auc,cc", "--out", str(out_json),
+        )
+        assert code == 0
+        again = tmp_path / "again.json"
+        with open(again, "w", encoding="utf-8") as fh:
+            json.dump(D.load_scores(str(out_json)), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert again.read_bytes() == out_json.read_bytes()
+
     def test_missing_prediction(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         pred = str(tmp_path / "pred")
@@ -598,13 +622,10 @@ class TestEvaluate:
 
 
 def write_report_json(path, nss_by_video, groups):
-    per_video = {
-        vid: M.VideoScores(scores=M.MetricScores(nss=value), frames=1)
-        for vid, value in nss_by_video.items()
-    }
-    report = M.aggregate_report(per_video, groups)
+    per_video = {vid: {"nss": value, "frames": 1} for vid, value in nss_by_video.items()}
+    report = M.checked_report({"per_video": per_video, "groups": groups})
     with open(path, "w") as fh:
-        json.dump(M.report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
 
 
 class TestReport:
@@ -664,6 +685,31 @@ class TestReport:
         code, _, stderr = run(capsys, "report", a, b)
         assert code == 1
         assert "ERROR InconsistentVideos:" in stderr
+
+    @pytest.mark.parametrize(
+        "groups", [{"g": ["a"]}, {"g": ["a", "b"], "h": ["b"]}], ids=["subset", "shared"]
+    )
+    def test_identical_files_render(self, tmp_path, capsys, groups):
+        a = tmp_path / "a.json"
+        write_report_json(str(a), {"a": 1.0, "b": 2.0}, groups)
+        copy = tmp_path / "a-copy.json"
+        shutil.copyfile(a, copy)
+        code, stdout, stderr = run(capsys, "report", str(a), str(copy))
+        assert code == 0
+        assert error_lines(stderr) == []
+        assert "[g] metric: nss" in stdout
+        assert [line.split()[0] for line in stdout.splitlines()[3:5]] == ["a", "a-copy"]
+
+    def test_grouping_names_unknown_video(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        write_report_json(path, {"v1": 1.0}, {"free-viewing": ["v1"]})
+        grouping = tmp_path / "groups.json"
+        grouping.write_text(json.dumps({"g": ["v1", "ghost"]}))
+        code, stdout, stderr = run(capsys, "report", path, "--grouping", str(grouping))
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR UnknownVideo:")
 
     def test_grouping_override(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")

@@ -133,7 +133,7 @@ class TestLoadFixations:
         path = str(tmp_path / "f.csv")
         with open(path, "w") as fh:
             fh.write("0,1,2\n0,3,4\n2,0,0\n")
-        fixations = D.load_fixations(path)
+        fixations = D.load_fixations(path, (8, 8))
         assert fixations[0].tolist() == [[1, 2], [3, 4]]
         assert fixations[2].tolist() == [[0, 0]]
         assert 1 not in fixations
@@ -141,34 +141,34 @@ class TestLoadFixations:
     def test_empty_file(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         open(path, "w").close()
-        assert D.load_fixations(path) == {}
+        assert D.load_fixations(path, (8, 8)) == {}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = str(tmp_path / "c.csv")
         with open(path, "w") as fh:
             fh.write("# header\n\n0,1,1\n")
-        assert D.load_fixations(path)[0].tolist() == [[1, 1]]
+        assert D.load_fixations(path, (8, 8))[0].tolist() == [[1, 1]]
 
     def test_negative_is_parse_error(self, tmp_path):
         path = str(tmp_path / "neg.csv")
         with open(path, "w") as fh:
             fh.write("0,-1,2\n")
         with pytest.raises(ParseError, match="line 1"):
-            D.load_fixations(path)
+            D.load_fixations(path, (8, 8))
 
     def test_malformed_field_count(self, tmp_path):
         path = str(tmp_path / "m.csv")
         with open(path, "w") as fh:
             fh.write("0,1\n")
         with pytest.raises(ParseError, match="line 1"):
-            D.load_fixations(path)
+            D.load_fixations(path, (8, 8))
 
     def test_non_integer(self, tmp_path):
         path = str(tmp_path / "n.csv")
         with open(path, "w") as fh:
             fh.write("ok,1,2\n")
         with pytest.raises(ParseError):
-            D.load_fixations(path)
+            D.load_fixations(path, (8, 8))
 
     def test_out_of_bounds_with_dims(self, tmp_path):
         path = str(tmp_path / "ob.csv")
@@ -181,7 +181,7 @@ class TestLoadFixations:
         path = str(tmp_path / "w.csv")
         original = {0: np.array([(1, 2), (3, 4)]), 5: np.array([(0, 1)])}
         D.write_fixations(original, path)
-        loaded = D.load_fixations(path)
+        loaded = D.load_fixations(path, (8, 8))
         assert loaded.keys() == original.keys()
         for frame in original:
             assert loaded[frame].tolist() == original[frame].tolist()
@@ -290,6 +290,15 @@ class TestLoadVideo:
         assert video.static_maps[0].shape == (8, 8)
         for r, c in video.fixations[0]:
             assert 0 <= r < 8 and 0 <= c < 8
+
+    def test_video_without_frames_loads_empty(self, tmp_path):
+        out = str(tmp_path / "data")
+        config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
+        manifest = D.generate_synthetic(out, config)
+        record = manifest.videos[0]
+        record.frames = []
+        video = D.load_video(manifest, record)
+        assert video.static_maps == video.gt_maps == video.fixations == []
 
     def test_missing_file_detected(self, tmp_path):
         out = str(tmp_path / "data")

@@ -1,5 +1,7 @@
 """Tests for the five gaze metrics and the aggregation machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -279,11 +281,11 @@ class TestEvaluateVideo:
         fix = sample_fixations(rng, 6, 6, 3)
         pool = sample_fixations(rng, 6, 6, 10)
         vs = M.evaluate_video([sal], [fix], [gt], pool, seed=0)
-        assert vs.scores.nss == pytest.approx(M.nss(sal, fix))
-        assert vs.scores.auc_j == pytest.approx(M.auc_judd(sal, fix))
-        assert vs.scores.s_auc == pytest.approx(M.shuffled_auc(sal, fix, pool, rng_seed=0))
-        assert vs.scores.cc == pytest.approx(M.cc(sal, gt))
-        assert vs.scores.sim == pytest.approx(M.sim(sal, gt))
+        assert vs["nss"] == pytest.approx(M.nss(sal, fix))
+        assert vs["auc_j"] == pytest.approx(M.auc_judd(sal, fix))
+        assert vs["s_auc"] == pytest.approx(M.shuffled_auc(sal, fix, pool, rng_seed=0))
+        assert vs["cc"] == pytest.approx(M.cc(sal, gt))
+        assert vs["sim"] == pytest.approx(M.sim(sal, gt))
 
     def test_mean_over_frames(self):
         # two maps engineered to give NSS 1.0 and 3.0 at their fixations
@@ -301,7 +303,7 @@ class TestEvaluateVideo:
             seed=0,
             metrics=("nss",),
         )
-        assert vs.scores.nss == pytest.approx(z)
+        assert vs["nss"] == pytest.approx(z)
 
         two_means = M.evaluate_video(
             [sal, sal],
@@ -312,7 +314,7 @@ class TestEvaluateVideo:
             metrics=("nss",),
         )
         expected = (M.nss(sal, np.array([(0, 0)])) + M.nss(sal, np.array([(0, 1)]))) / 2
-        assert two_means.scores.nss == pytest.approx(expected)
+        assert two_means["nss"] == pytest.approx(expected)
 
     def test_empty_fixation_frame_bookkeeping(self):
         rng = np.random.default_rng(15)
@@ -324,10 +326,10 @@ class TestEvaluateVideo:
 
         vs = M.evaluate_video([sal1, sal2], [fix, NO_FIXATIONS], [gt, gt], pool, seed=0)
         # frame 2 skipped for fixation metrics, still counted for CC/SIM
-        assert vs.skipped_no_fixations == 1
-        assert vs.scores.nss == pytest.approx(M.nss(sal1, fix))
+        assert vs["skipped_no_fixations"] == 1
+        assert vs["nss"] == pytest.approx(M.nss(sal1, fix))
         expected_cc = (M.cc(sal1, gt) + M.cc(sal2, gt)) / 2
-        assert vs.scores.cc == pytest.approx(expected_cc)
+        assert vs["cc"] == pytest.approx(expected_cc)
 
     def test_zero_mass_gt_skipped_for_distribution_metrics(self):
         rng = np.random.default_rng(16)
@@ -335,10 +337,10 @@ class TestEvaluateVideo:
         gt_zero = np.zeros((4, 4))
         fix = sample_fixations(rng, 4, 4, 2)
         vs = M.evaluate_video([sal], [fix], [gt_zero], NO_FIXATIONS, seed=0)
-        assert vs.skipped_no_gt_mass == 1
-        assert vs.scores.cc is None
-        assert vs.scores.sim is None
-        assert vs.scores.nss is not None
+        assert vs["skipped_no_gt_mass"] == 1
+        assert vs["cc"] is None
+        assert vs["sim"] is None
+        assert vs["nss"] is not None
 
     def test_length_mismatch(self):
         sal = np.ones((2, 2))
@@ -362,15 +364,20 @@ class TestEvaluateVideo:
         per_frame = [
             M.evaluate_video(
                 [maps[i]], [fixs[i]], [gts[i]], pool, seed=3 + i, metrics=("s_auc",)
-            ).scores.s_auc
+            )["s_auc"]
             for i in range(12)
         ]
-        assert whole.scores.s_auc == sum(per_frame) / len(per_frame)
+        assert whole["s_auc"] == sum(per_frame) / len(per_frame)
+
+
+def score_row(**fields) -> dict:
+    """A complete per_video row: every metric None and every count 0 unless given."""
+    return {**dict.fromkeys(M.METRIC_NAMES), **dict.fromkeys(M.VIDEO_COUNTS, 0), **fields}
 
 
 class TestAggregateReport:
-    def make_scores(self, nss_value: float) -> M.VideoScores:
-        return M.VideoScores(scores=M.MetricScores(nss=nss_value), frames=1)
+    def make_scores(self, nss_value: float) -> dict:
+        return score_row(nss=nss_value, frames=1)
 
     def test_free_viewing_average(self):
         per_video = {
@@ -380,7 +387,7 @@ class TestAggregateReport:
             "walking_office": self.make_scores(3.435),
         }
         report = M.aggregate_report(per_video, {"free-viewing": list(per_video)})
-        assert report.group_averages["free-viewing"].nss == pytest.approx(2.652, abs=5e-4)
+        assert report["group_averages"]["free-viewing"]["nss"] == pytest.approx(2.652, abs=5e-4)
 
     def test_task_driven_average(self):
         per_video = {
@@ -389,12 +396,12 @@ class TestAggregateReport:
             "tortilla": self.make_scores(1.618),
         }
         report = M.aggregate_report(per_video, {"task-driven": list(per_video)})
-        assert report.group_averages["task-driven"].nss == pytest.approx(1.315, abs=5e-4)
+        assert report["group_averages"]["task-driven"]["nss"] == pytest.approx(1.315, abs=5e-4)
 
     def test_single_member_group(self):
         per_video = {"only": self.make_scores(2.5)}
         report = M.aggregate_report(per_video, {"g": ["only"]})
-        assert report.group_averages["g"].nss == pytest.approx(2.5)
+        assert report["group_averages"]["g"]["nss"] == pytest.approx(2.5)
 
     def test_unknown_video(self):
         with pytest.raises(UnknownVideo):
@@ -402,12 +409,12 @@ class TestAggregateReport:
 
     def test_round_trip_through_dict(self):
         per_video = {
-            "a": M.VideoScores(scores=M.MetricScores(nss=1.0, cc=0.5), frames=3),
-            "b": M.VideoScores(scores=M.MetricScores(nss=2.0), frames=2, skipped_no_fixations=1),
+            "a": score_row(nss=1.0, cc=0.5, frames=3),
+            "b": score_row(nss=2.0, frames=2, skipped_no_fixations=1),
         }
         report = M.aggregate_report(per_video, {"g": ["a", "b"]})
-        clone = M.report_from_dict(M.report_to_dict(report))
-        assert clone.per_video["a"].scores.nss == 1.0
-        assert clone.per_video["b"].skipped_no_fixations == 1
-        assert clone.group_averages["g"].nss == pytest.approx(1.5)
-        assert clone.group_averages["g"].sim is None
+        clone = M.checked_report(json.loads(json.dumps(report)))
+        assert clone["per_video"]["a"]["nss"] == 1.0
+        assert clone["per_video"]["b"]["skipped_no_fixations"] == 1
+        assert clone["group_averages"]["g"]["nss"] == pytest.approx(1.5)
+        assert clone["group_averages"]["g"]["sim"] is None

@@ -16,7 +16,6 @@ from tsal.errors import (
     EmptyDataset,
     LengthMismatch,
     NonFinite,
-    ShapeMismatch,
 )
 
 
@@ -126,7 +125,7 @@ class TestSgdStep:
         m = tiny_model(Mo.CONV_ONLY)
         state = Tr.OptimizerState.fresh(m, Tr.Hyper())
         grads = {n: np.zeros(3) for n, _ in m.named_parameters()}
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             Tr.sgd_step(m, grads, state)
 
 
