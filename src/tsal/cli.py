@@ -221,7 +221,7 @@ def cmd_predict(cfg: dict) -> None:
             os.makedirs(out_dir)
             state = None
             if model.variant == Mo.CONV_LSTM:
-                state = Mo.LstmState.zeros(model.hidden_channels, res[0], res[1])
+                state = Mo.LstmState.zeros(model, res[0], res[1])
             for frame in record.frames:
                 name = D.frame_file_name(frame)
                 src = os.path.join(manifest.root, record.static_map_dir, name)

@@ -129,11 +129,12 @@ def write_map(sal: np.ndarray, path: str) -> None:
     """Write a 2-D map as binary P5, quantizing with round-half-up to 8 bits.
 
     Raises OutOfRange, writing nothing, unless every value is in [0, 1];
-    NaN fails both comparisons, so it is refused too.
+    NaN fails both comparisons, so it is refused too. Quantization runs in
+    float64, so a float32 map rounds as its exact value does.
     """
     if not (sal.min() >= 0.0 and sal.max() <= 1.0):
         raise OutOfRange(f"map values in [{sal.min():.6g}, {sal.max():.6g}], need [0, 1]")
-    quantized = np.floor(sal * 255.0 + 0.5).astype(np.uint8)
+    quantized = np.floor(sal.astype(np.float64, copy=False) * 255.0 + 0.5).astype(np.uint8)
     h, w = sal.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
@@ -247,6 +248,8 @@ class VideoRecord:
             raise ParseError(
                 f"{self.video_id}: group_label {self.group_label!r} not in {GROUP_LABELS}"
             )
+        if not self.frames:
+            raise ParseError(f"{self.video_id}: video lists no frames")
         if any(b <= a for a, b in zip(self.frames, self.frames[1:])):
             raise ParseError(f"{self.video_id}: frame ids must be strictly increasing")
 
@@ -380,7 +383,6 @@ def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
     res = manifest.resolution
     static_maps: list[np.ndarray] = []
     gt_maps: list[np.ndarray] = []
-    native_dims: tuple[int, int] | None = None
     for frame in record.frames:
         name = frame_file_name(frame)
         static = load_map(named(record.static_map_dir, name))
@@ -388,9 +390,7 @@ def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
         gt = load_map(named(record.gt_map_dir, name))
         static_maps.append(resize_bilinear(static, res))
         gt_maps.append(resize_bilinear(gt, res))
-    fixation_path = named(record.fixation_file)
-    # a video without frames has no map to bound its fixations, nor a frame to hold them
-    by_frame = load_fixations(fixation_path, native_dims) if record.frames else {}
+    by_frame = load_fixations(named(record.fixation_file), native_dims)
     empty = np.empty((0, 2), dtype=np.int64)
     fixations = [
         rescale_fixations(by_frame.get(frame, empty), native_dims, res)

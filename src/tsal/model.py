@@ -9,6 +9,10 @@ with full backpropagation through time.
 inference calls them frame by frame, ``forward_sequence`` over a clip.
 Each returns its step cache last; ``backward_sequence`` takes the list of
 them and produces exact parameter gradients.
+
+A model computes in the dtype of its parameters: float64 from
+``init_parameters``, float32 from a loaded checkpoint. Each step casts its
+frame to that dtype, so a float64 map fed to a loaded model runs in float32.
 """
 
 from __future__ import annotations
@@ -53,9 +57,12 @@ class LstmState:
             )
 
     @staticmethod
-    def zeros(channels: int, height: int, width: int) -> "LstmState":
-        shape = (1, channels, height, width)
-        return LstmState(hidden=np.zeros(shape), cell=np.zeros(shape))
+    def zeros(model: "AdaptationModel", height: int, width: int) -> "LstmState":
+        """The initial state of ``model`` at height x width, in the model's dtype."""
+        shape = (1, model.hidden_channels, height, width)
+        return LstmState(
+            hidden=np.zeros(shape, dtype=model.dtype), cell=np.zeros(shape, dtype=model.dtype)
+        )
 
 
 @dataclass
@@ -66,7 +73,8 @@ class AdaptationModel:
     gates, hc rows each in GATES order, into ``input_conv`` (1 -> 4*hc,
     owns the gate biases) and ``hidden_conv`` (hc -> 4*hc, bias fixed at
     zero and never trained). The head is a 1x1 convolution to a single
-    channel, followed by a sigmoid, so outputs lie in (0,1).
+    channel, followed by a sigmoid, so outputs lie in (0,1). Every
+    convolution holds the same dtype, which is the model's ``dtype``.
     """
 
     variant: str
@@ -85,6 +93,13 @@ class AdaptationModel:
             n = len(GATES) * self.hidden_channels
             if any(c is None or c.out_channels != n for c in (self.input_conv, self.hidden_conv)):
                 raise ValueError(f"ConvLSTM model requires {n}-row gate convolutions")
+        convs = (self.head, self.feature_conv, self.input_conv, self.hidden_conv)
+        if len({c.weights.dtype for c in convs if c is not None}) != 1:
+            raise ValueError("all convolutions of a model must hold one dtype")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.head.weights.dtype
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """Trainable tensors in the fixed order used by the optimizer and
@@ -115,12 +130,16 @@ def zero_gradients(model: AdaptationModel) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
 
 
-def _check_frame(x: np.ndarray) -> None:
-    """The model's input edge: every frame is a finite (1, 1, H, W) array."""
+def _check_frame(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The model's input edge: every frame is a (1, 1, H, W) array, finite
+    once cast to the model's dtype. Returns the cast frame."""
     if x.ndim != 4 or x.shape[:2] != (1, 1):
         raise DimensionMismatch(f"expected a 1x1xHxW frame, got dims {x.shape}")
+    with np.errstate(over="ignore"):
+        x = x.astype(dtype, copy=False)
     if not np.all(np.isfinite(x)):
-        raise NonFinite("frame contains NaN or Inf")
+        raise NonFinite(f"frame contains NaN or Inf as {dtype}")
+    return x
 
 
 def init_parameters(
@@ -186,7 +205,7 @@ def conv_block_forward(
     x: np.ndarray, model: AdaptationModel
 ) -> tuple[np.ndarray, _ConvStepCache]:
     """One ConvOnly frame, sigmoid(head(relu(feature_conv(x)))), and its step cache."""
-    _check_frame(x)
+    x = _check_frame(x, model.dtype)
     if model.variant != CONV_ONLY:
         raise ValueError("conv_block_forward requires a ConvOnly model")
     assert model.feature_conv is not None
@@ -201,7 +220,7 @@ def convlstm_step(
     x: np.ndarray, state: LstmState, model: AdaptationModel
 ) -> tuple[np.ndarray, LstmState, _LstmStepCache]:
     """One ConvLSTM cell evaluation plus the sigmoid head, and its step cache."""
-    _check_frame(x)
+    x = _check_frame(x, model.dtype)
     if model.variant != CONV_LSTM:
         raise ValueError("convlstm_step requires a ConvLSTM model")
     assert model.input_conv is not None and model.hidden_conv is not None
@@ -242,7 +261,7 @@ def forward_sequence(
         raise EmptySequence("forward_sequence needs at least one frame")
     first = frames[0]
     for fr in frames:
-        _check_frame(fr)
+        _check_frame(fr, model.dtype)
         if fr.shape != first.shape:
             raise DimensionMismatch(
                 f"frame dims {fr.shape} differ from first frame {first.shape}"
@@ -250,7 +269,7 @@ def forward_sequence(
 
     outputs, steps = [], []
     if model.variant == CONV_LSTM:
-        state = LstmState.zeros(model.hidden_channels, *first.shape[2:])
+        state = LstmState.zeros(model, *first.shape[2:])
     for fr in frames:
         if model.variant == CONV_ONLY:
             y, step = conv_block_forward(fr, model)

@@ -1,10 +1,14 @@
-"""Convolution and activation primitives on float64 arrays.
+"""Convolution and activation primitives on float64 or float32 arrays.
 
-Every tensor is a plain float64 ndarray in row-major (batch, channel,
-height, width) layout. Operations are pure: inputs are never mutated and
-outputs are freshly allocated, so values are safe to share. Shapes are
-checked here; finiteness is checked where values enter the model
-(``model._check_frame``) and after each training step, not per operation.
+Every tensor is a plain ndarray in row-major (batch, channel, height,
+width) layout. Training runs in float64; inference runs at the float32
+precision a checkpoint stores. Each operation returns the dtype of its
+inputs, and every buffer it allocates takes that dtype, so one stray
+default-dtype allocation cannot promote a float32 step to float64.
+Operations are pure: inputs are never mutated and outputs are freshly
+allocated, so values are safe to share. Shapes are checked here;
+finiteness is checked where values enter the model (``model._check_frame``)
+and after each training step, not per operation.
 
 Convolutions are stride 1 with "same" zero padding (k // 2), computed as
 im2col followed by one matrix multiply.
@@ -24,15 +28,17 @@ class Conv2dParams:
     """Weights (out_channels, in_channels, kh, kw) and per-filter bias.
 
     Stride is fixed at 1. Kernels must be square with odd extent so that
-    symmetric padding of k // 2 preserves spatial dims.
+    symmetric padding of k // 2 preserves spatial dims. float32 weights
+    stay float32, with the bias cast to match; anything else becomes float64.
     """
 
     weights: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
+        dtype = np.float32 if np.asarray(self.weights).dtype == np.float32 else np.float64
+        self.weights = np.ascontiguousarray(self.weights, dtype=dtype)
+        self.bias = np.ascontiguousarray(self.bias, dtype=dtype)
         if self.weights.ndim != 4:
             raise DimensionMismatch(f"weights must be rank 4, got shape {self.weights.shape}")
         kh, kw = self.weights.shape[2], self.weights.shape[3]
@@ -61,7 +67,7 @@ def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
     b, c, h, w = x.shape
-    out = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    out = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
     out[:, :, p : p + h, p : p + w] = x
     return out
 
@@ -87,7 +93,7 @@ def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
 def _col2im(cols: np.ndarray, b: int, c: int, hp: int, wp: int, k: int) -> np.ndarray:
     """Scatter-add the inverse of :func:`_im2col` back onto the padded grid."""
     ho, wo = hp - k + 1, wp - k + 1
-    out = np.zeros((b, c, hp, wp))
+    out = np.zeros((b, c, hp, wp), dtype=cols.dtype)
     cols = cols.reshape(b, c, k, k, ho, wo)
     for di in range(k):
         for dj in range(k):

@@ -18,7 +18,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .model import (
     forward_sequence,
     init_parameters,
 )
+from .tensor import Conv2dParams
 
 BCE_CLAMP = 1e-7
 CLIP_NORM = 10.0  # global gradient-norm bound of every step
@@ -179,8 +180,12 @@ def train(
     Each epoch shuffles video order, splits every video into windows of
     clip_length frames, and performs one clipped SGD step per window
     (loss is the sum of per-frame BCE means). A checkpoint is written
-    after every epoch when a path is configured.
+    after every epoch when a path is configured. The model must be float64:
+    the gradient checks need that precision, and a loaded checkpoint's
+    float32 model would otherwise train at float32 without a word.
     """
+    if model.dtype != np.float64:
+        raise ValueError(f"train needs a float64 model, got {model.dtype}")
     if not dataset:
         raise EmptyDataset("no training samples")
     state = OptimizerState.fresh(model, config.hyper)
@@ -352,7 +357,7 @@ def _read_tensor_section(
             )
         count = int(np.prod(dims))
         raw = reader.take(count * 4)
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        values = np.frombuffer(raw, dtype="<f4").astype(np.float32)
         if not np.all(np.isfinite(values)):
             raise CorruptCheckpoint(f"tensor {name!r} holds NaN or Inf")
         out[name] = values.reshape(exp_arr.shape)
@@ -362,7 +367,11 @@ def _read_tensor_section(
 def load_checkpoint(
     path: str, expect_variant: str | None = None
 ) -> tuple[AdaptationModel, dict[str, np.ndarray]]:
-    """Load a checkpoint; validates magic, version, CRC, variant, and shapes."""
+    """Load a checkpoint; validates magic, version, CRC, variant, and shapes.
+
+    The model and the momentum buffers come back as float32, the precision
+    the file stores, so the model computes in float32 (see ``tsal.model``).
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 4:
@@ -393,7 +402,17 @@ def load_checkpoint(
     if hidden_channels < 1 or 8 * widest > len(body):
         raise CorruptCheckpoint(f"hidden width {hidden_channels} does not fit the file")
 
-    model = init_parameters(variant, rng_seed=0, hidden_channels=hidden_channels)
+    # init_parameters gives each convolution its shape; float32 weights make
+    # Conv2dParams keep the model, bias included, at the file's precision
+    template = init_parameters(variant, rng_seed=0, hidden_channels=hidden_channels)
+    model = replace(
+        template,
+        **{
+            key: Conv2dParams(conv.weights.astype(np.float32), conv.bias)
+            for key in ("head", "feature_conv", "input_conv", "hidden_conv")
+            if (conv := getattr(template, key)) is not None
+        },
+    )
     named = model.named_parameters()
     if tensor_count != len(named):
         raise CorruptCheckpoint(

@@ -466,6 +466,59 @@ class TestPredict:
                 with open(want, "rb") as fh:
                     assert (out / rec.video_id / name).read_bytes() == fh.read(), name
 
+    @pytest.mark.parametrize(
+        "variant, hidden", [("convlstm", 8), ("convlstm", Mo.DEFAULT_HIDDEN_CHANNELS), ("conv", 16)]
+    )
+    def test_float32_maps_within_one_level_of_float64(self, tmp_path, capsys, variant, hidden):
+        _, manifest_path = make_dataset(tmp_path, videos=2, frames=6, size=32)
+        model = Mo.init_parameters(variant, rng_seed=0, hidden_channels=hidden)
+        ckpt = str(tmp_path / "m.tsal")
+        Tr.save_checkpoint(model, Mo.zero_gradients(model), ckpt)
+        out = tmp_path / "pred"
+        code, _, _ = run(
+            capsys, "predict", "--manifest", manifest_path, "--ckpt", ckpt, "--out", str(out)
+        )
+        assert code == 0
+        # predict ran float32; rerun in float64 from the same float32-rounded weights
+        loaded, _ = Tr.load_checkpoint(ckpt)
+        for (_, arr), (_, stored) in zip(model.named_parameters(), loaded.named_parameters()):
+            arr[...] = stored
+        manifest = D.load_manifest(manifest_path)
+        want = str(tmp_path / "want.pgm")
+        for rec in manifest.videos:
+            frames = [s[None, None] for s in D.load_video(manifest, rec).static_maps]
+            outputs, _ = Mo.forward_sequence(frames, model)
+            assert outputs[0].dtype == np.float64
+            for frame, y in zip(rec.frames, outputs):
+                D.write_map(np.clip(y[0, 0], 0.0, 1.0), want)
+                got = D.load_map(str(out / rec.video_id / D.frame_file_name(frame)))
+                assert np.max(np.abs(got - D.load_map(want))) * 255 < 1.5
+
+    def test_maps_independent_of_blas_threads(self, tmp_path):
+        _, manifest = make_dataset(tmp_path, videos=2, frames=4, size=32)
+        model = Mo.init_parameters(
+            "convlstm", rng_seed=0, hidden_channels=Mo.DEFAULT_HIDDEN_CHANNELS
+        )
+        ckpt = str(tmp_path / "m.tsal")
+        Tr.save_checkpoint(model, Mo.zero_gradients(model), ckpt)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        trees = {}
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"t{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "tsal.cli", "predict", "--manifest", manifest,
+                 "--ckpt", ckpt, "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            trees[threads] = {
+                str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*.pgm")
+            }
+        assert len(trees["1"]) == 8
+        assert trees["1"] == trees["2"]
+
     def test_non_finite_checkpoint_rejected(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         ckpt = self.make_zero_checkpoint(tmp_path)
@@ -534,6 +587,35 @@ class TestPredict:
         (line,) = error_lines(stderr)
         assert line.startswith("ERROR ParseError:")
         assert sorted(os.listdir(out)) == ["video_000"]
+
+
+class TestFramelessVideo:
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_is_one_parse_error_and_writes_nothing(self, tmp_path, capsys, command):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
+        if command == "predict":
+            model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=2)
+            Tr.save_checkpoint(model, Mo.zero_gradients(model), str(tmp_path / "m.tsal"))
+        if command == "evaluate":
+            copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        with open(manifest, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["videos"][1]["frames"] = []
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        before = sorted(os.listdir(tmp_path))
+        flags = {
+            "train": ["--ckpt", str(tmp_path / "m.tsal")],
+            "predict": ["--ckpt", str(tmp_path / "m.tsal"), "--out", str(tmp_path / "out")],
+            "evaluate": ["--predictions", str(tmp_path / "pred")],
+        }[command]
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *flags)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == "ERROR ParseError: video_001: video lists no frames"
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # no checkpoint, --out or temp tree
 
 
 class TestEvaluate:

@@ -291,14 +291,12 @@ class TestLoadVideo:
         for r, c in video.fixations[0]:
             assert 0 <= r < 8 and 0 <= c < 8
 
-    def test_video_without_frames_loads_empty(self, tmp_path):
-        out = str(tmp_path / "data")
-        config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
-        manifest = D.generate_synthetic(out, config)
-        record = manifest.videos[0]
-        record.frames = []
-        video = D.load_video(manifest, record)
-        assert video.static_maps == video.gt_maps == video.fixations == []
+    def test_video_without_frames_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="video_000: video lists no frames"):
+            D.VideoRecord(
+                "video_000", [], "video_000/static", "video_000/gt",
+                "video_000/fixations.csv", "free-viewing",
+            )
 
     def test_missing_file_detected(self, tmp_path):
         out = str(tmp_path / "data")

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import central_difference, conv2d_forward_direct, max_rel_err
 from tsal import model as Mo
+from tsal import train as Tr
 from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite
 from tsal.tensor import Conv2dParams, conv2d_backward, conv2d_forward, sigmoid_backward
 
@@ -74,7 +75,7 @@ class TestConvLstmStep:
     def test_zero_network_zero_state(self):
         m = zero_model(Mo.CONV_LSTM)
         x = np.random.default_rng(2).uniform(0, 1, size=(1, 1, 4, 4))
-        state = Mo.LstmState.zeros(4, 4, 4)
+        state = Mo.LstmState.zeros(m, 4, 4)
         y, new_state, _ = Mo.convlstm_step(x, state, m)
         assert np.allclose(new_state.cell, 0.0)
         assert np.allclose(new_state.hidden, 0.0)
@@ -120,7 +121,7 @@ class TestConvLstmStep:
         m = zero_model(Mo.CONV_LSTM)
         x = np.zeros((1, 1, 4, 4))
         with pytest.raises(DimensionMismatch):
-            Mo.convlstm_step(x, Mo.LstmState.zeros(4, 5, 5), m)
+            Mo.convlstm_step(x, Mo.LstmState.zeros(m, 5, 5), m)
 
 
 class TestForwardSequence:
@@ -139,7 +140,7 @@ class TestForwardSequence:
         m = random_model(Mo.CONV_LSTM, seed=7)
         frame = random_frames(rng, 1, 4, 4)[0]
         outputs, _ = Mo.forward_sequence([frame], m)
-        y, _, _ = Mo.convlstm_step(frame, Mo.LstmState.zeros(4, 4, 4), m)
+        y, _, _ = Mo.convlstm_step(frame, Mo.LstmState.zeros(m, 4, 4), m)
         assert np.array_equal(outputs[0], y)
 
     def test_severed_recurrence_collapses_to_per_frame(self):
@@ -352,3 +353,69 @@ class TestInitParameters:
                 variant=Mo.CONV_LSTM, hidden_channels=3, head=m.head,
                 input_conv=None, hidden_conv=None,
             )
+
+
+def loaded_and_float64_twin(tmp_path, variant: str):
+    """A checkpoint's float32 model, and a float64 model holding the same
+    float32-rounded weights."""
+    model = random_model(variant, seed=30)
+    path = str(tmp_path / "m.tsal")
+    Tr.save_checkpoint(model, Mo.zero_gradients(model), path)
+    loaded, _ = Tr.load_checkpoint(path)
+    for name, arr in model.named_parameters():
+        arr[...] = dict(loaded.named_parameters())[name]
+    return loaded, model
+
+
+def step(model, frame, state):
+    """One step of either variant, as predict runs it: (output, state)."""
+    if model.variant == Mo.CONV_ONLY:
+        return Mo.conv_block_forward(frame, model)[0], None
+    return Mo.convlstm_step(frame, state, model)[:2]
+
+
+class TestDtype:
+    @pytest.mark.parametrize("variant", Mo.VARIANTS)
+    def test_loaded_checkpoint_steps_in_float32(self, tmp_path, variant):
+        loaded, twin = loaded_and_float64_twin(tmp_path, variant)
+        assert loaded.dtype == np.float32 and twin.dtype == np.float64
+        frames = random_frames(np.random.default_rng(31), 4, 5, 6)
+        state32 = Mo.LstmState.zeros(loaded, 5, 6)
+        state64 = Mo.LstmState.zeros(twin, 5, 6)
+        assert state32.hidden.dtype == state32.cell.dtype == np.float32
+        assert state64.hidden.dtype == state64.cell.dtype == np.float64
+        outputs, _ = Mo.forward_sequence(frames, loaded)
+        for fr, y_seq in zip(frames, outputs):
+            y32, state32 = step(loaded, fr, state32)
+            y64, state64 = step(twin, fr, state64)
+            assert y32.dtype == np.float32 and y64.dtype == np.float64
+            # forward_sequence computes exactly what the step functions do
+            np.testing.assert_array_equal(y_seq, y32)
+            assert np.max(np.abs(y32 - y64)) < 1e-6
+            if variant == Mo.CONV_LSTM:
+                assert state32.hidden.dtype == state32.cell.dtype == np.float32
+                assert np.max(np.abs(state32.cell - state64.cell)) < 1e-5
+
+    @pytest.mark.parametrize("variant", Mo.VARIANTS)
+    def test_frame_is_cast_to_the_model_dtype(self, tmp_path, variant):
+        loaded, twin = loaded_and_float64_twin(tmp_path, variant)
+        rounded = random_frames(np.random.default_rng(32), 1, 4, 4)[0].astype(np.float32)
+        for model in (loaded, twin):
+            state = Mo.LstmState.zeros(model, 4, 4)
+            y_rounded, _ = step(model, rounded, state)
+            y_upcast, _ = step(model, rounded.astype(np.float64), state)
+            assert y_rounded.dtype == y_upcast.dtype == model.dtype
+            np.testing.assert_array_equal(y_rounded, y_upcast)
+
+    def test_frame_beyond_float32_range_rejected_by_a_loaded_model(self, tmp_path):
+        loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_ONLY)
+        frame = np.full((1, 1, 4, 4), 1e39)  # finite as float64, not as float32
+        Mo.conv_block_forward(frame, twin)
+        with pytest.raises(NonFinite, match="float32"):
+            Mo.conv_block_forward(frame, loaded)
+
+    def test_convolutions_must_share_a_dtype(self):
+        m = random_model(Mo.CONV_ONLY, seed=33)
+        head32 = Conv2dParams(m.head.weights.astype(np.float32), m.head.bias)
+        with pytest.raises(ValueError, match="one dtype"):
+            Mo.AdaptationModel(Mo.CONV_ONLY, 4, head32, feature_conv=m.feature_conv)

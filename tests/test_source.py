@@ -38,3 +38,22 @@ def test_every_public_definition_is_used_in_the_package():
 
     unused = sorted(defined - used - USED_OUTSIDE_THE_PACKAGE)
     assert unused == [], f"defined in src/tsal but used only outside it: {unused}"
+
+
+def test_tensor_allocations_name_their_dtype():
+    """np.zeros, np.empty and np.ones default to float64, so one such call
+    without ``dtype=`` in tensor.py silently promotes a float32 inference
+    step back to float64 and float64 speed."""
+    with open(os.path.join(SRC, "tensor.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    untyped = [
+        f"line {node.lineno}: np.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.func.attr in ("zeros", "empty", "ones")
+        and not any(kw.arg == "dtype" for kw in node.keywords)
+    ]
+    assert untyped == [], f"allocations in tensor.py without dtype=: {untyped}"

@@ -1,4 +1,4 @@
-"""Tests for the conv/activation primitives on float64 arrays."""
+"""Tests for the conv/activation primitives on float64 and float32 arrays."""
 
 import numpy as np
 import pytest
@@ -166,3 +166,67 @@ class TestActivations:
 
             analytic = T.relu_backward(x, proj)
             assert max_rel_err(analytic, central_difference(loss, x)) < 1e-5
+
+
+def dyadic(rng, size, bits=12):
+    """Uniform values in [-1, 1] on a 2^-bits grid. Products and sums of a few
+    hundred of them are exact in float64 but not in float32, so a float64
+    convolution of them has one right answer, whatever the summation order."""
+    return rng.integers(-(2**bits), 2**bits + 1, size=size) / 2.0**bits
+
+
+class TestDtype:
+    def test_conv_params_keep_float32_and_cast_anything_else_to_float64(self):
+        w32 = np.ones((2, 1, 3, 3), dtype=np.float32)
+        params = T.Conv2dParams(weights=w32, bias=np.zeros(2))
+        assert params.weights.dtype == params.bias.dtype == np.float32
+        for dtype in (np.float64, np.float16, np.int64):
+            params = T.Conv2dParams(
+                weights=np.ones((2, 1, 3, 3), dtype=dtype), bias=np.zeros(2, dtype=np.float32)
+            )
+            assert params.weights.dtype == params.bias.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_float32_inputs_give_float32_outputs(self, k):
+        rng = np.random.default_rng(20)
+        x = rng.uniform(-1, 1, size=(2, 3, 5, 6))
+        params = random_conv(rng, 4, 3, k)
+        g = rng.uniform(-1, 1, size=(2, 4, 5, 6))
+        params32 = T.Conv2dParams(params.weights.astype(np.float32), params.bias)
+        x32, g32 = x.astype(np.float32), g.astype(np.float32)
+        pairs = [(T.conv2d_forward(x32, params32), T.conv2d_forward(x, params))]
+        pairs += zip(T.conv2d_backward(x32, params32, g32), T.conv2d_backward(x, params, g))
+        for fn in (T.sigmoid, T.tanh_act, T.relu):
+            pairs.append((fn(x32), fn(x)))
+        gx = rng.uniform(-1, 1, size=x.shape)
+        for fn in (T.sigmoid_backward, T.tanh_backward, T.relu_backward):
+            pairs.append((fn(x32, gx.astype(np.float32)), fn(x, gx)))
+        for got32, got64 in pairs:
+            assert got32.dtype == np.float32 and got64.dtype == np.float64
+            assert np.max(np.abs(got32 - got64)) < 1e-5
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_float64_convolution_is_exact(self, k):
+        # float64 keeps its full precision: on dyadic inputs the fast path
+        # reproduces the exact references bit for bit, which float32 cannot
+        rng = np.random.default_rng(21)
+        b, cin, cout, h, w = 2, 5, 4, 6, 7
+        x = dyadic(rng, (b, cin, h, w))
+        params = T.Conv2dParams(dyadic(rng, (cout, cin, k, k)), dyadic(rng, cout))
+        g = dyadic(rng, (b, cout, h, w))
+        np.testing.assert_array_equal(T.conv2d_forward(x, params), conv2d_forward_direct(x, params))
+
+        gi, gw, gb = T.conv2d_backward(x, params, g)
+        flipped = params.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        np.testing.assert_array_equal(
+            gi, conv2d_forward_direct(g, T.Conv2dParams(flipped, np.zeros(cin)))
+        )
+        p = k // 2
+        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
+        np.testing.assert_array_equal(gw, np.einsum("bohw,bijkhw->oijk", g, windows))
+        np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+        params32 = T.Conv2dParams(params.weights.astype(np.float32), params.bias)
+        y32 = T.conv2d_forward(x.astype(np.float32), params32)
+        assert not np.array_equal(y32, T.conv2d_forward(x, params))

@@ -260,6 +260,20 @@ class TestTrainLoop:
         with pytest.raises(LengthMismatch):
             Tr.TrainSample("bad", [np.zeros((1, 1, 2, 2))], [])
 
+    def test_refuses_a_loaded_float32_model(self, tmp_path):
+        # a checkpoint loads at float32; training it would lose the float64
+        # precision the gradient checks rely on
+        model = tiny_model(Mo.CONV_LSTM)
+        path = str(tmp_path / "m.tsal")
+        Tr.save_checkpoint(model, Mo.zero_gradients(model), path)
+        loaded, _ = Tr.load_checkpoint(path)
+        before = [arr.copy() for _, arr in loaded.named_parameters()]
+        sample = blob_sample(np.random.default_rng(9), "v0", frames=4)
+        with pytest.raises(ValueError, match="float64 model, got float32"):
+            Tr.train(loaded, [sample], Tr.TrainConfig(clip_length=4))
+        for (_, arr), old in zip(loaded.named_parameters(), before):
+            np.testing.assert_array_equal(arr, old)
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, variant):
@@ -280,12 +294,14 @@ class TestCheckpoint:
         loaded, buffers = Tr.load_checkpoint(path)
         assert loaded.variant == variant
         assert loaded.hidden_channels == model.hidden_channels
+        assert loaded.dtype == np.float32
         for name, arr in model.named_parameters():
-            expected = arr.astype(np.float32).astype(np.float64)
-            assert np.array_equal(dict(loaded.named_parameters())[name], expected)
+            np.testing.assert_array_equal(
+                dict(loaded.named_parameters())[name], arr.astype(np.float32), strict=True
+            )
         for name, buf in state.momentum_buffers.items():
-            expected = buf.astype(np.float32).astype(np.float64)
-            assert np.array_equal(buffers[name], expected)
+            np.testing.assert_array_equal(buffers[name], buf.astype(np.float32), strict=True)
+            assert buffers[name].flags.writeable
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         model, state, path = self.roundtrip(tmp_path, Mo.CONV_LSTM)
