@@ -147,26 +147,21 @@ def cmd_generate(cfg: dict) -> None:
     print(manifest_path)
 
 
-def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
-    samples = []
-    for record in manifest.videos:
-        video = D.load_video(manifest, record)
-        samples.append(
-            Tr.TrainSample(
-                video_id=record.video_id,
-                frames=[s[None, None] for s in video.static_maps],
-                targets=[g[None, None] for g in video.gt_maps],
-            )
-        )
-    return samples
-
-
 def cmd_train(cfg: dict) -> None:
     loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
     for path in (cfg["ckpt"], loss_csv):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     manifest = D.load_manifest(cfg["manifest"])
-    samples = _load_samples(manifest)
+    samples = []
+    for video in manifest["videos"]:
+        loaded = D.load_video(video, manifest["resolution"])
+        samples.append(
+            Tr.TrainSample(
+                video_id=video["video_id"],
+                frames=[s[None, None] for s in loaded.static_maps],
+                targets=[g[None, None] for g in loaded.gt_maps],
+            )
+        )
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
     hyper = Tr.Hyper(
         momentum=cfg["momentum"],
@@ -205,7 +200,7 @@ def cmd_predict(cfg: dict) -> None:
         raise ParseError(f"--out {out} exists and is not an empty directory")
     manifest = D.load_manifest(cfg["manifest"])
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
-    res = manifest.resolution
+    res = manifest["resolution"]
     # maps go to a sibling temp directory renamed onto --out once all are
     # written, so a failure part-way leaves no partial tree behind
     parent = os.path.dirname(os.path.abspath(out))
@@ -216,17 +211,17 @@ def cmd_predict(cfg: dict) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o777 & ~umask)  # the mode os.makedirs would give
         written = 0
-        for record in manifest.videos:
-            out_dir = os.path.join(tmp, record.video_id)
+        for video in manifest["videos"]:
+            out_dir = os.path.join(tmp, video["video_id"])
             os.makedirs(out_dir)
             state = None
             if model.variant == Mo.CONV_LSTM:
                 state = Mo.LstmState.zeros(model, res[0], res[1])
-            for frame in record.frames:
+            for frame in video["frames"]:
                 name = D.frame_file_name(frame)
-                src = os.path.join(manifest.root, record.static_map_dir, name)
+                src = os.path.join(video["static_map_dir"], name)
                 if not os.path.isfile(src):
-                    raise MissingInput(f"{record.video_id}: no static map {src}")
+                    raise MissingInput(f"{video['video_id']}: no static map {src}")
                 x = D.resize_bilinear(D.load_map(src), res)[None, None]
                 # slicing drops the step cache at once, so it does not outlive the step
                 if model.variant == Mo.CONV_ONLY:
@@ -258,36 +253,39 @@ def _parse_metric_list(spec: str) -> tuple[str, ...]:
 def cmd_evaluate(cfg: dict) -> None:
     metrics = _parse_metric_list(cfg["metrics"])
     manifest = D.load_manifest(cfg["manifest"])
-    videos = {rec.video_id: D.load_video(manifest, rec) for rec in manifest.videos}
+    res = manifest["resolution"]
+    videos = {video["video_id"]: D.load_video(video, res) for video in manifest["videos"]}
 
     predictions: dict[str, list[np.ndarray]] = {}
-    for rec in manifest.videos:
+    groups: dict[str, list[str]] = {}
+    for video in manifest["videos"]:
+        vid = video["video_id"]
         maps = []
-        for frame in rec.frames:
-            path = os.path.join(cfg["predictions"], rec.video_id, D.frame_file_name(frame))
+        for frame in video["frames"]:
+            path = os.path.join(cfg["predictions"], vid, D.frame_file_name(frame))
             if not os.path.isfile(path):
-                raise MissingPrediction(f"{rec.video_id}: no prediction for frame {frame}")
-            maps.append(D.resize_bilinear(D.load_map(path), manifest.resolution))
-        predictions[rec.video_id] = maps
+                raise MissingPrediction(f"{vid}: no prediction for frame {frame}")
+            maps.append(D.resize_bilinear(D.load_map(path), res))
+        predictions[vid] = maps
+        groups.setdefault(video["group_label"], []).append(vid)
 
     per_video: dict[str, dict] = {}
-    for rec in manifest.videos:
+    for vid, loaded in videos.items():
         pool = [
             fix
             for other_id, other in videos.items()
-            if other_id != rec.video_id
+            if other_id != vid
             for fix in other.fixations
         ]
-        video = videos[rec.video_id]
-        per_video[rec.video_id] = M.evaluate_video(
-            predictions[rec.video_id],
-            video.fixations,
-            video.gt_maps,
+        per_video[vid] = M.evaluate_video(
+            predictions[vid],
+            loaded.fixations,
+            loaded.gt_maps,
             np.concatenate(pool) if pool else np.empty((0, 2), dtype=np.int64),
             seed=cfg["shuffle_seed"],
             metrics=metrics,
         )
-    report = M.aggregate_report(per_video, manifest.groups())
+    report = M.aggregate_report(per_video, groups)
 
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:

@@ -2,11 +2,14 @@
 
 Maps travel as 8-bit portable graymaps (P5 binary or P2 text, maxval
 255), fixations as "frame_index,row,col" CSV with '#' comments, and a
-dataset is a JSON manifest naming per-video directories:
+dataset is a JSON manifest naming per-video directories relative to its
+own directory:
 
     <root>/<video_id>/static/000000.pgm   input saliency maps
     <root>/<video_id>/gt/000000.pgm       ground-truth maps
     <root>/<video_id>/fixations.csv       gaze points
+
+``load_manifest`` returns that JSON as a checked dict, its paths resolved.
 
 The synthetic generator produces videos of a Gaussian blob drifting on a
 momentum random walk; the ground truth is the clean blob ``lag`` frames
@@ -25,6 +28,7 @@ import numpy as np
 
 from .errors import (
     BadHeader,
+    DimensionMismatch,
     MissingInput,
     OutOfBounds,
     OutOfRange,
@@ -234,76 +238,6 @@ def rescale_fixations(
 # manifest
 
 
-@dataclass
-class VideoRecord:
-    video_id: str
-    frames: list[int]
-    static_map_dir: str
-    gt_map_dir: str
-    fixation_file: str
-    group_label: str
-
-    def __post_init__(self) -> None:
-        if self.group_label not in GROUP_LABELS:
-            raise ParseError(
-                f"{self.video_id}: group_label {self.group_label!r} not in {GROUP_LABELS}"
-            )
-        if not self.frames:
-            raise ParseError(f"{self.video_id}: video lists no frames")
-        if any(b <= a for a, b in zip(self.frames, self.frames[1:])):
-            raise ParseError(f"{self.video_id}: frame ids must be strictly increasing")
-
-
-@dataclass
-class DatasetManifest:
-    videos: list[VideoRecord]
-    resolution: tuple[int, int]
-    root: str = ""  # directory the manifest was loaded from; not serialized
-
-    def __post_init__(self) -> None:
-        if not self.videos:
-            raise ParseError("manifest lists no videos")
-        if len(self.resolution) != 2 or not all(1 <= n <= MAX_MAP_SIDE for n in self.resolution):
-            raise ParseError(
-                f"resolution must be [height, width], each in [1, {MAX_MAP_SIDE}],"
-                f" got {self.resolution}"
-            )
-        seen: set[str] = set()
-        for rec in self.videos:
-            if rec.video_id in seen:
-                raise ParseError(f"video id {rec.video_id!r} is listed twice")
-            seen.add(rec.video_id)
-
-    def groups(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for rec in self.videos:
-            out.setdefault(rec.group_label, []).append(rec.video_id)
-        return out
-
-
-def manifest_to_dict(manifest: DatasetManifest) -> dict:
-    return {
-        "resolution": list(manifest.resolution),
-        "videos": [
-            {
-                "video_id": rec.video_id,
-                "frames": list(rec.frames),
-                "static_map_dir": rec.static_map_dir,
-                "gt_map_dir": rec.gt_map_dir,
-                "fixation_file": rec.fixation_file,
-                "group_label": rec.group_label,
-            }
-            for rec in manifest.videos
-        ],
-    }
-
-
-def save_manifest(manifest: DatasetManifest, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest_to_dict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_json(path: str):
     """Parse a UTF-8 JSON file; malformed or too deeply nested text is a ParseError."""
     try:
@@ -343,62 +277,94 @@ def _json_field(value, kind: type, where: str):
     return value
 
 
-def load_manifest(path: str) -> DatasetManifest:
-    """Parse a manifest JSON; the files it names are checked as they are opened."""
+def load_manifest(path: str) -> dict:
+    """Parse and check a manifest: ``{"resolution": (h, w), "videos": [...]}``.
+
+    Each video is a dict of the six ``MANIFEST_FIELDS``, with its map
+    directories and fixation file joined to the manifest's directory; the
+    files they name are checked as they are opened.
+    """
     payload = read_json(path)
+    root = os.path.dirname(os.path.abspath(path))
     try:
         resolution = tuple(_json_field(payload["resolution"], list, "resolution"))
         videos = []
         for i, entry in enumerate(payload["videos"]):
             vid = entry["video_id"]
             where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
-            fields = {
+            video = {
                 key: _json_field(entry[key], kind, f"{where}: {key}")
                 for key, kind in MANIFEST_FIELDS.items()
             }
-            videos.append(VideoRecord(**fields))
+            label, frames = video["group_label"], video["frames"]
+            if label not in GROUP_LABELS:
+                raise ParseError(f"{vid}: group_label {label!r} not in {GROUP_LABELS}")
+            if not frames:
+                raise ParseError(f"{vid}: video lists no frames")
+            if any(b <= a for a, b in zip(frames, frames[1:])):
+                raise ParseError(f"{vid}: frame ids must be strictly increasing")
+            for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
+                video[key] = os.path.join(root, video[key])
+            videos.append(video)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"manifest field error: {exc}") from None
-    root = os.path.dirname(os.path.abspath(path))
-    return DatasetManifest(videos=videos, resolution=resolution, root=root)
+    if not videos:
+        raise ParseError("manifest lists no videos")
+    if len(resolution) != 2 or not all(1 <= n <= MAX_MAP_SIDE for n in resolution):
+        raise ParseError(
+            f"resolution must be [height, width], each in [1, {MAX_MAP_SIDE}], got {resolution}"
+        )
+    seen: set[str] = set()
+    for video in videos:
+        if video["video_id"] in seen:
+            raise ParseError(f"video id {video['video_id']!r} is listed twice")
+        seen.add(video["video_id"])
+    return {"resolution": resolution, "videos": videos}
 
 
 @dataclass
 class LoadedVideo:
     """One video's maps and fixations, resized to the manifest resolution."""
 
-    record: VideoRecord
     static_maps: list[np.ndarray]
     gt_maps: list[np.ndarray]
-    fixations: list[np.ndarray]  # aligned with record.frames
+    fixations: list[np.ndarray]  # aligned with the video's frames
 
 
-def load_video(manifest: DatasetManifest, record: VideoRecord) -> LoadedVideo:
-    def named(*parts: str) -> str:
-        path = os.path.join(manifest.root, *parts)
+def load_video(video: dict, resolution: tuple[int, int]) -> LoadedVideo:
+    """Read one ``load_manifest`` video at ``resolution``.
+
+    Its static maps must share one size, the frame its fixations are in.
+    """
+    vid, frames = video["video_id"], video["frames"]
+
+    def named(path: str) -> str:
         if not os.path.isfile(path):
-            raise MissingInput(f"{record.video_id}: missing {path}")
+            raise MissingInput(f"{vid}: missing {path}")
         return path
 
-    res = manifest.resolution
     static_maps: list[np.ndarray] = []
     gt_maps: list[np.ndarray] = []
-    for frame in record.frames:
+    for frame in frames:
         name = frame_file_name(frame)
-        static = load_map(named(record.static_map_dir, name))
-        native_dims = static.shape
-        gt = load_map(named(record.gt_map_dir, name))
-        static_maps.append(resize_bilinear(static, res))
-        gt_maps.append(resize_bilinear(gt, res))
-    by_frame = load_fixations(named(record.fixation_file), native_dims)
+        static = load_map(named(os.path.join(video["static_map_dir"], name)))
+        if not static_maps:
+            native_dims = static.shape
+        elif static.shape != native_dims:
+            raise DimensionMismatch(
+                f"{vid}: static map of frame {frame} is {static.shape[0]}x{static.shape[1]},"
+                f" frame {frames[0]}'s is {native_dims[0]}x{native_dims[1]}"
+            )
+        gt = load_map(named(os.path.join(video["gt_map_dir"], name)))
+        static_maps.append(resize_bilinear(static, resolution))
+        gt_maps.append(resize_bilinear(gt, resolution))
+    by_frame = load_fixations(named(video["fixation_file"]), native_dims)
     empty = np.empty((0, 2), dtype=np.int64)
     fixations = [
-        rescale_fixations(by_frame.get(frame, empty), native_dims, res)
-        for frame in record.frames
+        rescale_fixations(by_frame.get(frame, empty), native_dims, resolution)
+        for frame in frames
     ]
-    return LoadedVideo(
-        record=record, static_maps=static_maps, gt_maps=gt_maps, fixations=fixations
-    )
+    return LoadedVideo(static_maps=static_maps, gt_maps=gt_maps, fixations=fixations)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +426,8 @@ def _walk_positions(rng, config: SyntheticConfig, steps: int) -> np.ndarray:
     return out
 
 
-def generate_synthetic(out_dir: str, config: SyntheticConfig) -> DatasetManifest:
-    """Write a synthetic dataset tree and its manifest; returns the manifest.
+def generate_synthetic(out_dir: str, config: SyntheticConfig) -> dict:
+    """Write a synthetic dataset tree and its manifest; returns ``load_manifest``'s dict.
 
     Per video: positions p_0..p_{T+lag-1} of a drifting blob. Frame t's
     static map is blob(p_t) plus clipped Gaussian noise; its ground truth
@@ -470,7 +436,7 @@ def generate_synthetic(out_dir: str, config: SyntheticConfig) -> DatasetManifest
     """
     os.makedirs(out_dir, exist_ok=True)
     h, w = config.height, config.width
-    records: list[VideoRecord] = []
+    videos = []
     for v in range(config.videos):
         rng = np.random.default_rng([config.seed, v])
         video_id = f"video_{v:03d}"
@@ -496,19 +462,18 @@ def generate_synthetic(out_dir: str, config: SyntheticConfig) -> DatasetManifest
             fixations[t] = np.column_stack(np.divmod(cells, w))
         write_fixations(fixations, os.path.join(video_dir, "fixations.csv"))
 
-        group = GROUP_LABELS[v % 2]
-        records.append(
-            VideoRecord(
-                video_id=video_id,
-                frames=list(range(config.frames)),
-                static_map_dir=f"{video_id}/static",
-                gt_map_dir=f"{video_id}/gt",
-                fixation_file=f"{video_id}/fixations.csv",
-                group_label=group,
-            )
+        videos.append(
+            {
+                "video_id": video_id,
+                "frames": list(range(config.frames)),
+                "static_map_dir": f"{video_id}/static",
+                "gt_map_dir": f"{video_id}/gt",
+                "fixation_file": f"{video_id}/fixations.csv",
+                "group_label": GROUP_LABELS[v % 2],
+            }
         )
-    manifest = DatasetManifest(
-        videos=records, resolution=(h, w), root=os.path.abspath(out_dir)
-    )
-    save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
-    return manifest
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"resolution": [h, w], "videos": videos}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return load_manifest(path)

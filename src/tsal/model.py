@@ -12,7 +12,8 @@ them and produces exact parameter gradients.
 
 A model computes in the dtype of its parameters: float64 from
 ``init_parameters``, float32 from a loaded checkpoint. Each step casts its
-frame to that dtype, so a float64 map fed to a loaded model runs in float32.
+frame to that dtype, so a float64 map fed to a loaded model runs in float32;
+a ConvLSTM state of another dtype is refused rather than promoting the step.
 """
 
 from __future__ import annotations
@@ -225,6 +226,11 @@ def convlstm_step(
         raise ValueError("convlstm_step requires a ConvLSTM model")
     assert model.input_conv is not None and model.hidden_conv is not None
     h_prev, c_prev = state.hidden, state.cell
+    if {h_prev.dtype, c_prev.dtype} != {model.dtype}:
+        raise ValueError(
+            f"a {model.dtype} model needs a {model.dtype} state,"
+            f" got hidden {h_prev.dtype} and cell {c_prev.dtype}"
+        )
     if h_prev.shape[2:] != x.shape[2:]:
         raise DimensionMismatch(
             f"state spatial dims {h_prev.shape} do not match frame {x.shape}"

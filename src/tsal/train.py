@@ -111,7 +111,6 @@ class TrainSample:
 
 @dataclass
 class TrainResult:
-    model: AdaptationModel
     state: OptimizerState
     history: list[tuple[int, float]]  # (step, window loss)
 
@@ -175,7 +174,7 @@ def sgd_step(
 def train(
     model: AdaptationModel, dataset: list[TrainSample], config: TrainConfig
 ) -> TrainResult:
-    """Run the full training loop; deterministic for a fixed config seed.
+    """Train ``model`` in place; deterministic for a fixed config seed.
 
     Each epoch shuffles video order, splits every video into windows of
     clip_length frames, and performs one clipped SGD step per window
@@ -214,7 +213,7 @@ def train(
             save_checkpoint(model, state.momentum_buffers, config.checkpoint_path)
         if config.max_steps is not None and state.step_count >= config.max_steps:
             break
-    return TrainResult(model=model, state=state, history=history)
+    return TrainResult(state=state, history=history)
 
 
 def _train_window(

@@ -323,27 +323,28 @@ SMOKE_LR = 0.05
 SMOKE_WINDOWS = 200
 
 
-def _load_samples(manifest: D.DatasetManifest) -> list[Tr.TrainSample]:
+def _load_samples(manifest: dict) -> list[Tr.TrainSample]:
     samples = []
-    for record in manifest.videos:
-        video = D.load_video(manifest, record)
+    for video in manifest["videos"]:
+        loaded = D.load_video(video, manifest["resolution"])
         samples.append(
             Tr.TrainSample(
-                record.video_id,
-                [s[None, None] for s in video.static_maps],
-                [g[None, None] for g in video.gt_maps],
+                video["video_id"],
+                [s[None, None] for s in loaded.static_maps],
+                [g[None, None] for g in loaded.gt_maps],
             )
         )
     return samples
 
 
-def _smoke_train(samples, variant, seed) -> Tr.TrainResult:
+def _smoke_train(samples, variant, seed) -> tuple[Mo.AdaptationModel, Tr.TrainResult]:
+    """The model ``train`` updated in place, and the result."""
     model = Mo.init_parameters(variant, rng_seed=seed, hidden_channels=SMOKE_HIDDEN)
     hyper = Tr.Hyper(lr0=SMOKE_LR, decay_every_epochs=10**6)
     config = Tr.TrainConfig(
         epochs=10**6, clip_length=16, seed=seed, max_steps=SMOKE_WINDOWS, hyper=hyper
     )
-    return Tr.train(model, samples, config)
+    return model, Tr.train(model, samples, config)
 
 
 def _dataset_bce(model, samples) -> float:
@@ -366,7 +367,7 @@ def test_criterion_6_convergence_smoke(tmp_path):
     lag1 = _load_samples(D.generate_synthetic(str(tmp_path / "lag1"), base))
     ratios = {}
     for variant in (Mo.CONV_ONLY, Mo.CONV_LSTM):
-        history = _smoke_train(lag1, variant, seed=0).history
+        history = _smoke_train(lag1, variant, seed=0)[1].history
         losses = [loss for _, loss in history]
         ratios[variant] = float(np.mean(losses[-16:]) / np.mean(losses[:16]))
     halved = all(r <= 0.5 for r in ratios.values())
@@ -377,8 +378,8 @@ def test_criterion_6_convergence_smoke(tmp_path):
     margins = []
     separated = True
     for seed in (0, 1, 2):
-        conv_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_ONLY, seed).model, lag2)
-        lstm_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_LSTM, seed).model, lag2)
+        conv_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_ONLY, seed)[0], lag2)
+        lstm_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_LSTM, seed)[0], lag2)
         separated = separated and lstm_bce < conv_bce
         margins.append((conv_bce - lstm_bce) / conv_bce)
 

@@ -43,13 +43,13 @@ def make_dataset(tmp_path, name="data", videos=2, frames=6, size=16, seed=1, lag
 
 def copy_gt_as_predictions(dataset_dir, pred_dir):
     manifest = D.load_manifest(os.path.join(dataset_dir, "manifest.json"))
-    for rec in manifest.videos:
-        os.makedirs(os.path.join(pred_dir, rec.video_id), exist_ok=True)
-        for frame in rec.frames:
+    for video in manifest["videos"]:
+        os.makedirs(os.path.join(pred_dir, video["video_id"]), exist_ok=True)
+        for frame in video["frames"]:
             name = D.frame_file_name(frame)
             shutil.copyfile(
-                os.path.join(manifest.root, rec.gt_map_dir, name),
-                os.path.join(pred_dir, rec.video_id, name),
+                os.path.join(video["gt_map_dir"], name),
+                os.path.join(pred_dir, video["video_id"], name),
             )
 
 
@@ -74,7 +74,7 @@ class TestGenerate:
         assert stdout.strip() == os.path.join(out, "manifest.json")
         assert "resolved config" in stderr
         manifest = D.load_manifest(stdout.strip())
-        assert len(manifest.videos) == 1
+        assert len(manifest["videos"]) == 1
 
     def test_config_file_merged_and_overridden(self, tmp_path, capsys):
         out = str(tmp_path / "ds")
@@ -86,8 +86,8 @@ class TestGenerate:
         )
         assert code == 0
         manifest = D.load_manifest(stdout.strip())
-        assert len(manifest.videos) == 1
-        assert len(manifest.videos[0].frames) == 4  # flag beat the config file
+        assert len(manifest["videos"]) == 1
+        assert len(manifest["videos"][0]["frames"]) == 4  # flag beat the config file
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -418,14 +418,7 @@ class TestPredict:
             D.write_map(sal, str(root / "v" / "static" / D.frame_file_name(t)))
             D.write_map(sal, str(root / "v" / "gt" / D.frame_file_name(t)))
         (root / "v" / "fixations.csv").write_text("# frame_index,row,col\n")
-        manifest = D.DatasetManifest(
-            videos=[
-                D.VideoRecord("v", [0, 1], "v/static", "v/gt", "v/fixations.csv",
-                              "free-viewing")
-            ],
-            resolution=(8, 8),
-        )
-        D.save_manifest(manifest, str(root / "manifest.json"))
+        (root / "manifest.json").write_bytes(manifest_blob(frames=[0, 1]))
 
         model = Mo.init_parameters("conv", rng_seed=4, hidden_channels=3)
         buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
@@ -456,15 +449,16 @@ class TestPredict:
         model, _ = Tr.load_checkpoint(ckpt)  # the float32-rounded weights predict ran
         manifest = D.load_manifest(manifest_path)
         want = str(tmp_path / "want.pgm")
-        for rec in manifest.videos:
-            frames = [s[None, None] for s in D.load_video(manifest, rec).static_maps]
+        for video in manifest["videos"]:
+            maps = D.load_video(video, manifest["resolution"])
+            frames = [s[None, None] for s in maps.static_maps]
             outputs, _ = Mo.forward_sequence(frames, model)
-            names = [D.frame_file_name(frame) for frame in rec.frames]
-            assert sorted(os.listdir(out / rec.video_id)) == names
+            names = [D.frame_file_name(frame) for frame in video["frames"]]
+            assert sorted(os.listdir(out / video["video_id"])) == names
             for name, y in zip(names, outputs):
                 D.write_map(np.clip(y[0, 0], 0.0, 1.0), want)
                 with open(want, "rb") as fh:
-                    assert (out / rec.video_id / name).read_bytes() == fh.read(), name
+                    assert (out / video["video_id"] / name).read_bytes() == fh.read(), name
 
     @pytest.mark.parametrize(
         "variant, hidden", [("convlstm", 8), ("convlstm", Mo.DEFAULT_HIDDEN_CHANNELS), ("conv", 16)]
@@ -485,13 +479,14 @@ class TestPredict:
             arr[...] = stored
         manifest = D.load_manifest(manifest_path)
         want = str(tmp_path / "want.pgm")
-        for rec in manifest.videos:
-            frames = [s[None, None] for s in D.load_video(manifest, rec).static_maps]
+        for video in manifest["videos"]:
+            maps = D.load_video(video, manifest["resolution"])
+            frames = [s[None, None] for s in maps.static_maps]
             outputs, _ = Mo.forward_sequence(frames, model)
             assert outputs[0].dtype == np.float64
-            for frame, y in zip(rec.frames, outputs):
+            for frame, y in zip(video["frames"], outputs):
                 D.write_map(np.clip(y[0, 0], 0.0, 1.0), want)
-                got = D.load_map(str(out / rec.video_id / D.frame_file_name(frame)))
+                got = D.load_map(str(out / video["video_id"] / D.frame_file_name(frame)))
                 assert np.max(np.abs(got - D.load_map(want))) * 255 < 1.5
 
     def test_maps_independent_of_blas_threads(self, tmp_path):

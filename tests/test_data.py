@@ -1,7 +1,9 @@
 """Tests for PGM I/O, fixation files, manifests, and synthesis."""
 
 import hashlib
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tsal import data as D
 from tsal import metrics as M
 from tsal.errors import (
     BadHeader,
+    DimensionMismatch,
     MissingInput,
     OutOfBounds,
     OutOfRange,
@@ -232,20 +235,47 @@ def tree_digest(root: str) -> str:
     return digest.hexdigest()
 
 
+VIDEO = {
+    "video_id": "v",
+    "frames": [0, 1],
+    "static_map_dir": "v/static",
+    "gt_map_dir": "v/gt",
+    "fixation_file": "v/fixations.csv",
+    "group_label": "free-viewing",
+}
+
+
+def write_manifest(tmp_path, videos=(VIDEO,), resolution=(8, 8)) -> str:
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"resolution": list(resolution), "videos": list(videos)}))
+    return str(path)
+
+
 class TestManifest:
     def test_generate_save_load_round_trip(self, tmp_path):
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=2, frames=4, height=12, width=12, seed=3)
         manifest = D.generate_synthetic(out, config)
         loaded = D.load_manifest(os.path.join(out, "manifest.json"))
-        assert loaded.resolution == (12, 12)
-        assert [r.video_id for r in loaded.videos] == [
-            r.video_id for r in manifest.videos
-        ]
-        assert loaded.groups() == {
-            "free-viewing": ["video_000"],
-            "task-driven": ["video_001"],
+        assert loaded == manifest
+        assert loaded["resolution"] == (12, 12)
+        root = os.path.abspath(out)
+        assert loaded["videos"][1] == {
+            "video_id": "video_001",
+            "frames": [0, 1, 2, 3],
+            "static_map_dir": os.path.join(root, "video_001", "static"),
+            "gt_map_dir": os.path.join(root, "video_001", "gt"),
+            "fixation_file": os.path.join(root, "video_001", "fixations.csv"),
+            "group_label": "task-driven",
         }
+        assert loaded["videos"][0]["group_label"] == "free-viewing"
+
+    def test_paths_are_relative_to_the_manifest_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "sets").mkdir()
+        monkeypatch.chdir(tmp_path / "sets")
+        (video,) = D.load_manifest(write_manifest(tmp_path))["videos"]
+        assert video["static_map_dir"] == str(tmp_path / "v" / "static")
+        assert video["fixation_file"] == str(tmp_path / "v" / "fixations.csv")
 
     def test_bad_json(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -254,13 +284,41 @@ class TestManifest:
         with pytest.raises(ParseError):
             D.load_manifest(path)
 
-    def test_bad_group_label(self):
-        with pytest.raises(ParseError):
-            D.VideoRecord("v", [0], "s", "g", "f.csv", "wandering")
+    def test_bad_group_label(self, tmp_path):
+        with pytest.raises(ParseError, match="^v: group_label 'wandering' not in"):
+            D.load_manifest(write_manifest(tmp_path, [{**VIDEO, "group_label": "wandering"}]))
 
-    def test_non_increasing_frames(self):
-        with pytest.raises(ParseError):
-            D.VideoRecord("v", [0, 2, 2], "s", "g", "f.csv", "free-viewing")
+    def test_non_increasing_frames(self, tmp_path):
+        with pytest.raises(ParseError, match="^v: frame ids must be strictly increasing$"):
+            D.load_manifest(write_manifest(tmp_path, [{**VIDEO, "frames": [0, 2, 2]}]))
+
+    def test_field_types_are_checked_before_the_group_label(self, tmp_path):
+        path = write_manifest(tmp_path, [{**VIDEO, "group_label": "x", "frames": "0"}])
+        with pytest.raises(ParseError, match="^manifest video 'v': frames must be a list"):
+            D.load_manifest(path)
+
+    def test_missing_field_is_a_parse_error(self, tmp_path):
+        entry = {key: value for key, value in VIDEO.items() if key != "gt_map_dir"}
+        with pytest.raises(ParseError, match="^manifest field error: 'gt_map_dir'$"):
+            D.load_manifest(write_manifest(tmp_path, [entry]))
+
+    def test_no_videos(self, tmp_path):
+        with pytest.raises(ParseError, match="^manifest lists no videos$"):
+            D.load_manifest(write_manifest(tmp_path, []))
+
+    @pytest.mark.parametrize("resolution", [(0, 8), (8, 65536), (8, 8, 8)])
+    def test_resolution_out_of_bounds(self, tmp_path, resolution):
+        want = f"resolution must be [height, width], each in [1, 65535], got {resolution}"
+        with pytest.raises(ParseError, match="^" + re.escape(want) + "$"):
+            D.load_manifest(write_manifest(tmp_path, resolution=resolution))
+
+    def test_duplicate_id_is_checked_after_the_resolution(self, tmp_path):
+        path = write_manifest(tmp_path, [VIDEO, VIDEO])
+        with pytest.raises(ParseError, match="^video id 'v' is listed twice$"):
+            D.load_manifest(path)
+        path = write_manifest(tmp_path, [VIDEO, VIDEO], resolution=(0, 8))
+        with pytest.raises(ParseError, match="^resolution must"):
+            D.load_manifest(path)
 
 
 class TestLoadVideo:
@@ -268,7 +326,7 @@ class TestLoadVideo:
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=5, height=14, width=10, seed=5)
         manifest = D.generate_synthetic(out, config)
-        video = D.load_video(manifest, manifest.videos[0])
+        video = D.load_video(manifest["videos"][0], manifest["resolution"])
         assert len(video.static_maps) == 5
         assert len(video.gt_maps) == 5
         assert len(video.fixations) == 5
@@ -282,21 +340,39 @@ class TestLoadVideo:
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=2, height=16, width=16, seed=6)
         D.generate_synthetic(out, config)
-        # shrink the declared resolution and reload
+        # declare a smaller resolution in the manifest and reload
         path = os.path.join(out, "manifest.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["resolution"] = [8, 8]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
         manifest = D.load_manifest(path)
-        manifest.resolution = (8, 8)
-        video = D.load_video(manifest, manifest.videos[0])
+        video = D.load_video(manifest["videos"][0], manifest["resolution"])
         assert video.static_maps[0].shape == (8, 8)
         for r, c in video.fixations[0]:
             assert 0 <= r < 8 and 0 <= c < 8
 
-    def test_video_without_frames_is_a_parse_error(self):
-        with pytest.raises(ParseError, match="video_000: video lists no frames"):
-            D.VideoRecord(
-                "video_000", [], "video_000/static", "video_000/gt",
-                "video_000/fixations.csv", "free-viewing",
-            )
+    def test_video_without_frames_is_a_parse_error(self, tmp_path):
+        path = write_manifest(tmp_path, [{**VIDEO, "video_id": "video_000", "frames": []}])
+        with pytest.raises(ParseError, match="^video_000: video lists no frames$"):
+            D.load_manifest(path)
+
+    def test_static_maps_of_one_video_share_one_size(self, tmp_path):
+        # fixations are read in the static maps' frame, so one video's maps
+        # of two sizes leave that frame undefined
+        (tmp_path / "v" / "static").mkdir(parents=True)
+        (tmp_path / "v" / "gt").mkdir()
+        for frame, side in ((0, 16), (1, 8)):
+            name = D.frame_file_name(frame)
+            D.write_map(np.zeros((side, side)), str(tmp_path / "v" / "static" / name))
+            D.write_map(np.zeros((side, side)), str(tmp_path / "v" / "gt" / name))
+        (tmp_path / "v" / "fixations.csv").write_text("0,12,12\n")
+        manifest = D.load_manifest(write_manifest(tmp_path, resolution=(16, 16)))
+        with pytest.raises(
+            DimensionMismatch, match="^v: static map of frame 1 is 8x8, frame 0's is 16x16$"
+        ):
+            D.load_video(manifest["videos"][0], manifest["resolution"])
 
     def test_missing_file_detected(self, tmp_path):
         out = str(tmp_path / "data")
@@ -306,7 +382,7 @@ class TestLoadVideo:
             path = os.path.join(out, "video_000", name)
             os.rename(path, path + ".away")
             with pytest.raises(MissingInput, match="video_000: missing .*" + name):
-                D.load_video(manifest, manifest.videos[0])
+                D.load_video(manifest["videos"][0], manifest["resolution"])
             os.rename(path + ".away", path)
 
 
@@ -346,7 +422,7 @@ class TestGenerateSynthetic:
             videos=1, frames=40, height=24, width=24, seed=11, lag=2
         )
         manifest = D.generate_synthetic(out, config)
-        video = D.load_video(manifest, manifest.videos[0])
+        video = D.load_video(manifest["videos"][0], manifest["resolution"])
         shifts = range(5)
         mean_cc = []
         for s in shifts:

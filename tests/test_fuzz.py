@@ -133,8 +133,24 @@ VALID_ENTRY = {
 
 def check_manifest(manifest):
     if manifest is not None:
-        assert isinstance(manifest, D.DatasetManifest)
-        assert len(manifest.resolution) == 2 and min(manifest.resolution) >= 1
+        assert manifest.keys() == {"resolution", "videos"}
+        resolution = manifest["resolution"]
+        assert type(resolution) is tuple and len(resolution) == 2
+        assert all(type(n) is int and 1 <= n <= D.MAX_MAP_SIDE for n in resolution)
+        videos = manifest["videos"]
+        assert type(videos) is list and videos
+        for video in videos:
+            assert video.keys() == D.MANIFEST_FIELDS.keys()
+            for key, kind in D.MANIFEST_FIELDS.items():
+                assert type(video[key]) is kind
+            for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
+                assert os.path.isabs(video[key])
+            frames = video["frames"]
+            assert frames and all(type(f) is int for f in frames)
+            assert all(a < b for a, b in zip(frames, frames[1:]))
+            assert video["group_label"] in D.GROUP_LABELS
+        ids = [video["video_id"] for video in videos]
+        assert len(set(ids)) == len(ids)
 
 
 @FUZZ

@@ -414,6 +414,19 @@ class TestDtype:
         with pytest.raises(NonFinite, match="float32"):
             Mo.conv_block_forward(frame, loaded)
 
+    def test_state_of_another_dtype_is_refused(self, tmp_path):
+        # a float64 state would silently promote a loaded model's step to float64
+        loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_LSTM)
+        frame = random_frames(np.random.default_rng(34), 1, 4, 4)[0]
+        for model, other in ((loaded, twin), (twin, loaded)):
+            state = Mo.LstmState.zeros(other, 4, 4)
+            want = f"a {model.dtype} model needs a {model.dtype} state, got hidden {other.dtype}"
+            with pytest.raises(ValueError, match=want):
+                Mo.convlstm_step(frame, state, model)
+        mixed = Mo.LstmState(np.zeros((1, 4, 4, 4), np.float32), np.zeros((1, 4, 4, 4)))
+        with pytest.raises(ValueError, match="hidden float32 and cell float64"):
+            Mo.convlstm_step(frame, mixed, loaded)
+
     def test_convolutions_must_share_a_dtype(self):
         m = random_model(Mo.CONV_ONLY, seed=33)
         head32 = Conv2dParams(m.head.weights.astype(np.float32), m.head.bias)

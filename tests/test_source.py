@@ -57,3 +57,38 @@ def test_tensor_allocations_name_their_dtype():
         and not any(kw.arg == "dtype" for kw in node.keywords)
     ]
     assert untyped == [], f"allocations in tensor.py without dtype=: {untyped}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A dataclass field that no code in src/tsal reads is carried for
+    nobody: it is written, checked and kept alive, and never used."""
+    trees = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read()))
+
+    fields = {
+        (cls.name, stmt.target.id)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert unread == [], f"dataclass fields no code in src/tsal reads: {unread}"

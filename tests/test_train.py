@@ -203,12 +203,12 @@ class TestTrainLoop:
             samples = [blob_sample(rng, f"v{k}") for k in range(2)]
             model = tiny_model(Mo.CONV_LSTM, seed=1)
             config = Tr.TrainConfig(epochs=2, clip_length=4, seed=9)
-            return Tr.train(model, samples, config)
+            return model, Tr.train(model, samples, config)  # train updates model in place
 
-        a, b = run(), run()
+        (model_a, a), (model_b, b) = run(), run()
         assert a.history == b.history
         for (na, pa), (nb, pb) in zip(
-            a.model.named_parameters(), b.model.named_parameters()
+            model_a.named_parameters(), model_b.named_parameters()
         ):
             assert na == nb and np.array_equal(pa, pb)
 
