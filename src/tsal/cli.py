@@ -149,17 +149,21 @@ def cmd_generate(cfg: dict) -> None:
 
 def cmd_train(cfg: dict) -> None:
     loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
+    if os.path.realpath(loss_csv) == os.path.realpath(cfg["ckpt"]):
+        raise ParseError(f"--loss-csv {loss_csv} and --ckpt {cfg['ckpt']} name the same file")
     for path in (cfg["ckpt"], loss_csv):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     manifest = D.load_manifest(cfg["manifest"])
+    res = manifest["resolution"]
     samples = []
     for video in manifest["videos"]:
-        loaded = D.load_video(video, manifest["resolution"])
+        statics = D.read_maps(video, video["static_map_dir"], MissingInput)
+        gts = D.read_maps(video, video["gt_map_dir"], MissingInput)
         samples.append(
             Tr.TrainSample(
                 video_id=video["video_id"],
-                frames=[s[None, None] for s in loaded.static_maps],
-                targets=[g[None, None] for g in loaded.gt_maps],
+                frames=[D.resize_bilinear(s, res)[None, None] for s in statics],
+                targets=[D.resize_bilinear(g, res)[None, None] for g in gts],
             )
         )
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
@@ -217,12 +221,10 @@ def cmd_predict(cfg: dict) -> None:
             state = None
             if model.variant == Mo.CONV_LSTM:
                 state = Mo.LstmState.zeros(model, res[0], res[1])
-            for frame in video["frames"]:
+            statics = D.read_maps(video, video["static_map_dir"], MissingInput)
+            for frame, static in zip(video["frames"], statics):
                 name = D.frame_file_name(frame)
-                src = os.path.join(video["static_map_dir"], name)
-                if not os.path.isfile(src):
-                    raise MissingInput(f"{video['video_id']}: no static map {src}")
-                x = D.resize_bilinear(D.load_map(src), res)[None, None]
+                x = D.resize_bilinear(static, res)[None, None]
                 # slicing drops the step cache at once, so it does not outlive the step
                 if model.variant == Mo.CONV_ONLY:
                     y = Mo.conv_block_forward(x, model)[0]
@@ -254,37 +256,25 @@ def cmd_evaluate(cfg: dict) -> None:
     metrics = _parse_metric_list(cfg["metrics"])
     manifest = D.load_manifest(cfg["manifest"])
     res = manifest["resolution"]
-    videos = {video["video_id"]: D.load_video(video, res) for video in manifest["videos"]}
-
-    predictions: dict[str, list[np.ndarray]] = {}
+    # every video's fixations first: each shuffled-AUC pool holds all the others'
+    fixations = {video["video_id"]: D.load_video(video, res) for video in manifest["videos"]}
+    per_video: dict[str, dict] = {}
     groups: dict[str, list[str]] = {}
     for video in manifest["videos"]:
         vid = video["video_id"]
-        maps = []
-        for frame in video["frames"]:
-            path = os.path.join(cfg["predictions"], vid, D.frame_file_name(frame))
-            if not os.path.isfile(path):
-                raise MissingPrediction(f"{vid}: no prediction for frame {frame}")
-            maps.append(D.resize_bilinear(D.load_map(path), res))
-        predictions[vid] = maps
-        groups.setdefault(video["group_label"], []).append(vid)
-
-    per_video: dict[str, dict] = {}
-    for vid, loaded in videos.items():
-        pool = [
-            fix
-            for other_id, other in videos.items()
-            if other_id != vid
-            for fix in other.fixations
-        ]
+        gt_dir, pred_dir = video["gt_map_dir"], os.path.join(cfg["predictions"], vid)
+        gts = [D.resize_bilinear(g, res) for g in D.read_maps(video, gt_dir, MissingInput)]
+        preds = [D.resize_bilinear(p, res) for p in D.read_maps(video, pred_dir, MissingPrediction)]
+        pool = [fix for other, fixs in fixations.items() if other != vid for fix in fixs]
         per_video[vid] = M.evaluate_video(
-            predictions[vid],
-            loaded.fixations,
-            loaded.gt_maps,
+            preds,
+            fixations[vid],
+            gts,
             np.concatenate(pool) if pool else np.empty((0, 2), dtype=np.int64),
             seed=cfg["shuffle_seed"],
             metrics=metrics,
         )
+        groups.setdefault(video["group_label"], []).append(vid)
     report = M.aggregate_report(per_video, groups)
 
     if cfg["out"]:

@@ -10,6 +10,10 @@ own directory:
     <root>/<video_id>/fixations.csv       gaze points
 
 ``load_manifest`` returns that JSON as a checked dict, its paths resolved.
+``read_maps`` is the one reader of a video's map files: train reads static
+maps and ground truth through it, predict static maps, and evaluate ground
+truth and predictions, one video at a time. ``load_video`` reads a video's
+fixations in the frame of its static maps, whose one shared size it checks.
 
 The synthetic generator produces videos of a Gaussian blob drifting on a
 momentum random walk; the ground truth is the clean blob ``lag`` frames
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,7 @@ from .errors import (
     OutOfBounds,
     OutOfRange,
     ParseError,
+    SaliencyError,
     TruncatedData,
     UnsupportedDepth,
 )
@@ -322,49 +328,39 @@ def load_manifest(path: str) -> dict:
     return {"resolution": resolution, "videos": videos}
 
 
-@dataclass
-class LoadedVideo:
-    """One video's maps and fixations, resized to the manifest resolution."""
+def read_maps(video: dict, directory: str, missing: type[SaliencyError]) -> Iterator[np.ndarray]:
+    """Each frame's map of one ``load_manifest`` video from ``directory``, as stored.
 
-    static_maps: list[np.ndarray]
-    gt_maps: list[np.ndarray]
-    fixations: list[np.ndarray]  # aligned with the video's frames
-
-
-def load_video(video: dict, resolution: tuple[int, int]) -> LoadedVideo:
-    """Read one ``load_manifest`` video at ``resolution``.
-
-    Its static maps must share one size, the frame its fixations are in.
+    A frame without a file raises ``missing``, naming the video, the frame and the path.
     """
-    vid, frames = video["video_id"], video["frames"]
-
-    def named(path: str) -> str:
+    for frame in video["frames"]:
+        path = os.path.join(directory, frame_file_name(frame))
         if not os.path.isfile(path):
-            raise MissingInput(f"{vid}: missing {path}")
-        return path
+            raise missing(f"{video['video_id']}: frame {frame} has no map {path}")
+        yield load_map(path)
 
-    static_maps: list[np.ndarray] = []
-    gt_maps: list[np.ndarray] = []
-    for frame in frames:
-        name = frame_file_name(frame)
-        static = load_map(named(os.path.join(video["static_map_dir"], name)))
-        if not static_maps:
+
+def load_video(video: dict, resolution: tuple[int, int]) -> list[np.ndarray]:
+    """Each frame's fixations of one ``load_manifest`` video, at ``resolution``.
+
+    They are read in the frame of its static maps, which must share one size.
+    """
+    vid, frames, path = video["video_id"], video["frames"], video["fixation_file"]
+    for frame, static in zip(frames, read_maps(video, video["static_map_dir"], MissingInput)):
+        if frame == frames[0]:
             native_dims = static.shape
         elif static.shape != native_dims:
             raise DimensionMismatch(
                 f"{vid}: static map of frame {frame} is {static.shape[0]}x{static.shape[1]},"
                 f" frame {frames[0]}'s is {native_dims[0]}x{native_dims[1]}"
             )
-        gt = load_map(named(os.path.join(video["gt_map_dir"], name)))
-        static_maps.append(resize_bilinear(static, resolution))
-        gt_maps.append(resize_bilinear(gt, resolution))
-    by_frame = load_fixations(named(video["fixation_file"]), native_dims)
+    if not os.path.isfile(path):
+        raise MissingInput(f"{vid}: no fixation file {path}")
+    by_frame = load_fixations(path, native_dims)
     empty = np.empty((0, 2), dtype=np.int64)
-    fixations = [
-        rescale_fixations(by_frame.get(frame, empty), native_dims, resolution)
-        for frame in frames
+    return [
+        rescale_fixations(by_frame.get(frame, empty), native_dims, resolution) for frame in frames
     ]
-    return LoadedVideo(static_maps=static_maps, gt_maps=gt_maps, fixations=fixations)
 
 
 # ---------------------------------------------------------------------------

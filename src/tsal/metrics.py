@@ -46,12 +46,16 @@ VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 SAUC_NEGATIVE_RATIO = 10
 
 
-def _values_at(sal: np.ndarray, fix: np.ndarray) -> np.ndarray:
+def _check_inside(sal: np.ndarray, fix: np.ndarray) -> None:
     rows, cols = fix.T
     h, w = sal.shape
     if np.any(rows < 0) or np.any(rows >= h) or np.any(cols < 0) or np.any(cols >= w):
         raise OutOfBounds(f"fixation outside {h}x{w} map")
-    return sal[rows, cols]
+
+
+def _values_at(sal: np.ndarray, fix: np.ndarray) -> np.ndarray:
+    _check_inside(sal, fix)
+    return sal[fix[:, 0], fix[:, 1]]
 
 
 def nss(sal: np.ndarray, fix: np.ndarray) -> float:
@@ -141,13 +145,12 @@ def shuffled_auc(
     if len(other_fix) == 0:
         raise EmptyNegatives("shuffled AUC needs a nonempty negative pool")
     positives = _values_at(sal, fix)
-    negatives = _values_at(sal, other_fix)
+    _check_inside(sal, other_fix)  # the whole pool, though only a sample is read
     cap = SAUC_NEGATIVE_RATIO * len(fix)
-    if negatives.size > cap:
-        rng = np.random.default_rng(rng_seed)
-        keep = rng.choice(negatives.size, size=cap, replace=False)
-        negatives = negatives[keep]
-    return _roc_area(positives, negatives)
+    if len(other_fix) > cap:
+        keep = np.random.default_rng(rng_seed).choice(len(other_fix), size=cap, replace=False)
+        other_fix = other_fix[keep]
+    return _roc_area(positives, sal[other_fix[:, 0], other_fix[:, 1]])
 
 
 def _frame_scores(

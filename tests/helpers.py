@@ -1,5 +1,5 @@
-"""Shared numerical test utilities: finite differences, error metrics and a
-reference convolution."""
+"""Shared test utilities: finite differences, error metrics, a reference
+convolution, and a video's maps read as the commands read them."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from tsal.data import read_maps, resize_bilinear
+from tsal.errors import MissingInput
 from tsal.tensor import Conv2dParams
 
 FD_STEP = 1e-6
@@ -62,3 +64,8 @@ def conv2d_forward_direct(input: np.ndarray, params: Conv2dParams) -> np.ndarray
                                 acc += w[co, ci, ki, kj] * x[bi, ci, oi + ki, oj + kj]
                     out[bi, co, oi, oj] = acc
     return out
+
+
+def resized_maps(video: dict, key: str, resolution: tuple[int, int]) -> list[np.ndarray]:
+    """The maps of ``video``'s directory ``key``, resized to ``resolution`` as train does."""
+    return [resize_bilinear(m, resolution) for m in read_maps(video, video[key], MissingInput)]

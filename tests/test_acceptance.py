@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import central_difference, max_rel_err
+from helpers import central_difference, max_rel_err, resized_maps
 from tsal import cli
 from tsal import data as D
 from tsal import metrics as M
@@ -325,13 +325,13 @@ SMOKE_WINDOWS = 200
 
 def _load_samples(manifest: dict) -> list[Tr.TrainSample]:
     samples = []
+    res = manifest["resolution"]
     for video in manifest["videos"]:
-        loaded = D.load_video(video, manifest["resolution"])
         samples.append(
             Tr.TrainSample(
                 video["video_id"],
-                [s[None, None] for s in loaded.static_maps],
-                [g[None, None] for g in loaded.gt_maps],
+                [s[None, None] for s in resized_maps(video, "static_map_dir", res)],
+                [g[None, None] for g in resized_maps(video, "gt_map_dir", res)],
             )
         )
     return samples

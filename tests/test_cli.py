@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+from helpers import resized_maps
 from tsal import data as D
 from tsal import metrics as M
 from tsal import model as Mo
@@ -312,6 +313,27 @@ class TestTrain:
         assert "Traceback" not in stderr
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "symlinked"])
+    def test_loss_csv_on_the_checkpoint_rejected(self, tmp_path, capsys, spelling):
+        _, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        ckpt, csv = tmp_path / "r" / "m.ckpt", tmp_path / "r" / "m.ckpt"
+        if spelling == "symlinked":
+            (tmp_path / "r").mkdir()
+            (tmp_path / "link").symlink_to(tmp_path / "r")
+            csv = tmp_path / "link" / "m.ckpt"
+        code, stdout, stderr = run(
+            capsys, "train", "--manifest", manifest, "--ckpt", str(ckpt),
+            "--loss-csv", str(csv), "--hidden", "2", "--max-steps", "1",
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR ParseError:")
+        assert "--loss-csv" in line and "--ckpt" in line
+        assert "Traceback" not in stderr
+        assert not ckpt.exists()
+        assert (tmp_path / "r").exists() == (spelling == "symlinked")  # made before any read
+
     def test_creates_missing_output_directories(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         ckpt, csv = tmp_path / "runs" / "m.ckpt", tmp_path / "logs" / "loss.csv"
@@ -450,8 +472,8 @@ class TestPredict:
         manifest = D.load_manifest(manifest_path)
         want = str(tmp_path / "want.pgm")
         for video in manifest["videos"]:
-            maps = D.load_video(video, manifest["resolution"])
-            frames = [s[None, None] for s in maps.static_maps]
+            maps = resized_maps(video, "static_map_dir", manifest["resolution"])
+            frames = [s[None, None] for s in maps]
             outputs, _ = Mo.forward_sequence(frames, model)
             names = [D.frame_file_name(frame) for frame in video["frames"]]
             assert sorted(os.listdir(out / video["video_id"])) == names
@@ -480,8 +502,8 @@ class TestPredict:
         manifest = D.load_manifest(manifest_path)
         want = str(tmp_path / "want.pgm")
         for video in manifest["videos"]:
-            maps = D.load_video(video, manifest["resolution"])
-            frames = [s[None, None] for s in maps.static_maps]
+            maps = resized_maps(video, "static_map_dir", manifest["resolution"])
+            frames = [s[None, None] for s in maps]
             outputs, _ = Mo.forward_sequence(frames, model)
             assert outputs[0].dtype == np.float64
             for frame, y in zip(video["frames"], outputs):
@@ -688,6 +710,45 @@ class TestEvaluate:
         )
         assert code == 1
         assert "ERROR MissingPrediction:" in stderr
+
+    def test_scores_independent_of_blas_threads(self, tmp_path):
+        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=4, size=16)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        blobs = {}
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"t{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "tsal.cli", "evaluate", "--manifest", manifest,
+                 "--predictions", pred, "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            blobs[threads] = out.read_bytes()
+        assert len(json.loads(blobs["1"])["per_video"]) == 3
+        assert blobs["1"] == blobs["2"]
+
+    def test_static_maps_of_two_sizes_are_one_error(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=4, size=12)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        D.write_map(np.zeros((8, 8)), os.path.join(data_dir, "video_001", "static", "000002.pgm"))
+        out_json = tmp_path / "report.json"
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
+            "--out", str(out_json),
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == (
+            "ERROR DimensionMismatch: video_001: static map of frame 2 is 8x8, frame 0's is 12x12"
+        )
+        assert "Traceback" not in stderr
+        assert not out_json.exists()
 
     def test_missing_manifest_maps_to_io_error(self, tmp_path, capsys):
         code, _, stderr = run(

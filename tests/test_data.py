@@ -8,12 +8,14 @@ import re
 import numpy as np
 import pytest
 
+from helpers import resized_maps
 from tsal import data as D
 from tsal import metrics as M
 from tsal.errors import (
     BadHeader,
     DimensionMismatch,
     MissingInput,
+    MissingPrediction,
     OutOfBounds,
     OutOfRange,
     ParseError,
@@ -326,13 +328,16 @@ class TestLoadVideo:
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=5, height=14, width=10, seed=5)
         manifest = D.generate_synthetic(out, config)
-        video = D.load_video(manifest["videos"][0], manifest["resolution"])
-        assert len(video.static_maps) == 5
-        assert len(video.gt_maps) == 5
-        assert len(video.fixations) == 5
-        for sal in video.static_maps + video.gt_maps:
+        video, res = manifest["videos"][0], manifest["resolution"]
+        static_maps = resized_maps(video, "static_map_dir", res)
+        gt_maps = resized_maps(video, "gt_map_dir", res)
+        fixations = D.load_video(video, res)
+        assert len(static_maps) == 5
+        assert len(gt_maps) == 5
+        assert len(fixations) == 5
+        for sal in static_maps + gt_maps:
             assert sal.shape == (14, 10)
-        for fix in video.fixations:
+        for fix in fixations:
             for r, c in fix:
                 assert 0 <= r < 14 and 0 <= c < 10
 
@@ -348,9 +353,9 @@ class TestLoadVideo:
         with open(path, "w") as fh:
             json.dump(payload, fh)
         manifest = D.load_manifest(path)
-        video = D.load_video(manifest["videos"][0], manifest["resolution"])
-        assert video.static_maps[0].shape == (8, 8)
-        for r, c in video.fixations[0]:
+        video, res = manifest["videos"][0], manifest["resolution"]
+        assert resized_maps(video, "static_map_dir", res)[0].shape == (8, 8)
+        for r, c in D.load_video(video, res)[0]:
             assert 0 <= r < 8 and 0 <= c < 8
 
     def test_video_without_frames_is_a_parse_error(self, tmp_path):
@@ -378,12 +383,39 @@ class TestLoadVideo:
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
         manifest = D.generate_synthetic(out, config)
-        for name in ("static/000001.pgm", "gt/000002.pgm", "fixations.csv"):
+        for name, want in (
+            ("static/000001.pgm", "frame 1 has no map"),
+            ("fixations.csv", "no fixation file"),
+        ):
             path = os.path.join(out, "video_000", name)
             os.rename(path, path + ".away")
-            with pytest.raises(MissingInput, match="video_000: missing .*" + name):
+            with pytest.raises(MissingInput, match=f"^video_000: {want} .*{name}$"):
                 D.load_video(manifest["videos"][0], manifest["resolution"])
             os.rename(path + ".away", path)
+
+
+class TestReadMaps:
+    def test_yields_each_frame_as_stored(self, tmp_path):
+        out = str(tmp_path / "data")
+        config = D.SyntheticConfig(videos=1, frames=3, height=10, width=12, seed=4)
+        video = D.generate_synthetic(out, config)["videos"][0]
+        maps = list(D.read_maps(video, video["gt_map_dir"], MissingInput))
+        assert len(maps) == 3
+        for frame, sal in zip(video["frames"], maps):
+            want = D.load_map(os.path.join(video["gt_map_dir"], D.frame_file_name(frame)))
+            assert np.array_equal(sal, want)
+
+    @pytest.mark.parametrize("missing", [MissingInput, MissingPrediction])
+    def test_missing_file_raises_the_given_error(self, tmp_path, missing):
+        out = str(tmp_path / "data")
+        config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
+        video = D.generate_synthetic(out, config)["videos"][0]
+        os.remove(os.path.join(out, "video_000", "gt", "000002.pgm"))
+        maps = D.read_maps(video, video["gt_map_dir"], missing)
+        assert next(maps).shape == (10, 10)
+        assert next(maps).shape == (10, 10)
+        with pytest.raises(missing, match="^video_000: frame 2 has no map .*gt/000002.pgm$"):
+            next(maps)
 
 
 class TestGenerateSynthetic:
@@ -422,13 +454,15 @@ class TestGenerateSynthetic:
             videos=1, frames=40, height=24, width=24, seed=11, lag=2
         )
         manifest = D.generate_synthetic(out, config)
-        video = D.load_video(manifest["videos"][0], manifest["resolution"])
+        video, res = manifest["videos"][0], manifest["resolution"]
+        static_maps = resized_maps(video, "static_map_dir", res)
+        gt_maps = resized_maps(video, "gt_map_dir", res)
         shifts = range(5)
         mean_cc = []
         for s in shifts:
             scores = []
-            for t in range(len(video.gt_maps) - max(shifts)):
-                value = M.cc(video.static_maps[t + s], video.gt_maps[t])
+            for t in range(len(gt_maps) - max(shifts)):
+                value = M.cc(static_maps[t + s], gt_maps[t])
                 if value is not None:
                     scores.append(value)
             mean_cc.append(float(np.mean(scores)))

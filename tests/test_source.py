@@ -40,6 +40,25 @@ def test_every_public_definition_is_used_in_the_package():
     assert unused == [], f"defined in src/tsal but used only outside it: {unused}"
 
 
+def test_only_data_reads_map_files():
+    """``data.read_maps`` is the one reader of a video's map files, so no
+    module but ``data`` names ``load_map``: a second copy of the loop that
+    finds, checks and loads each frame's file cannot grow back elsewhere."""
+    readers = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        if os.path.basename(path) == "data.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        readers += [
+            f"{os.path.basename(path)} line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "load_map"
+            or isinstance(node, ast.Attribute) and node.attr == "load_map"
+        ]
+    assert readers == [], f"load_map named outside data.py: {readers}"
+
+
 def test_tensor_allocations_name_their_dtype():
     """np.zeros, np.empty and np.ones default to float64, so one such call
     without ``dtype=`` in tensor.py silently promotes a float32 inference
