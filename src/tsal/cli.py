@@ -160,38 +160,24 @@ def cmd_train(cfg: dict) -> None:
         statics = D.read_maps(video, video["static_map_dir"], MissingInput)
         gts = D.read_maps(video, video["gt_map_dir"], MissingInput)
         samples.append(
-            Tr.TrainSample(
-                video_id=video["video_id"],
-                frames=[D.resize_bilinear(s, res)[None, None] for s in statics],
-                targets=[D.resize_bilinear(g, res)[None, None] for g in gts],
+            (
+                video["video_id"],
+                [D.resize_bilinear(s, res)[None, None] for s in statics],
+                [D.resize_bilinear(g, res)[None, None] for g in gts],
             )
         )
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
-    hyper = Tr.Hyper(
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-        lr0=cfg["lr0"],
-        decay_every_epochs=cfg["decay_every"],
-    )
-    config = Tr.TrainConfig(
-        epochs=cfg["epochs"],
-        clip_length=cfg["clip_length"],
-        seed=cfg["seed"],
-        checkpoint_path=cfg["ckpt"],
-        max_steps=cfg["max_steps"],
-        hyper=hyper,
-    )
-    result = Tr.train(model, samples, config)
+    history = Tr.train(model, samples, cfg)
     with open(loss_csv, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
-        for step, loss in result.history:
+        for step, loss in history:
             fh.write(f"{step},{loss!r}\n")
-    first = result.history[0][1]
-    last = result.history[-1][1]
+    first = history[0][1]
+    last = history[-1][1]
     log.info(
         "trained %s for %d steps; window loss %s -> %s",
         cfg["variant"],
-        result.state.step_count,
+        len(history),
         fmt3(first),
         fmt3(last),
     )

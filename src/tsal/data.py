@@ -99,9 +99,20 @@ def _header_int(token: bytes, what: str) -> int:
 
 
 def load_map(path: str) -> np.ndarray:
-    """Read one PGM (P5 or P2, maxval 255) as a 2-D float64 map in [0, 1]."""
+    """Read one PGM (P5 or P2, maxval 255) as a 2-D float64 map in [0, 1].
+
+    A malformed file raises BadHeader, TruncatedData or UnsupportedDepth,
+    its message prefixed with ``path``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _decode_pgm(blob)
+    except (BadHeader, TruncatedData, UnsupportedDepth) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode_pgm(blob: bytes) -> np.ndarray:
     if len(blob) < 2:
         raise BadHeader("not a portable graymap")
     magic = blob[:2]
@@ -161,7 +172,7 @@ def load_fixations(path: str, dims: tuple[int, int]) -> dict[int, np.ndarray]:
 
     Lines starting with '#' (and blank lines) are skipped. Coordinates
     are 0-based; negatives are ParseError, and points outside ``dims``
-    are OutOfBounds — both cite the 1-based line number.
+    are OutOfBounds — both cite ``path`` and the 1-based line number.
     """
     grouped: dict[int, list[tuple[int, int]]] = {}
     try:
@@ -175,18 +186,18 @@ def load_fixations(path: str, dims: tuple[int, int]) -> dict[int, np.ndarray]:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ParseError(f"line {line_no}: expected 3 fields, got {len(parts)}")
+            raise ParseError(f"{path}: line {line_no}: expected 3 fields, got {len(parts)}")
         try:
             frame, row, col = (int(p.strip()) for p in parts)
         except ValueError:
-            raise ParseError(f"line {line_no}: non-integer field in {line!r}") from None
+            raise ParseError(f"{path}: line {line_no}: non-integer field in {line!r}") from None
         if frame < 0 or row < 0 or col < 0:
-            raise ParseError(f"line {line_no}: negative value in {line!r}")
+            raise ParseError(f"{path}: line {line_no}: negative value in {line!r}")
         if max(frame, row, col) >= 2**63:  # points are held as int64
-            raise ParseError(f"line {line_no}: value too large in {line!r}")
+            raise ParseError(f"{path}: line {line_no}: value too large in {line!r}")
         if row >= dims[0] or col >= dims[1]:
             raise OutOfBounds(
-                f"line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"
+                f"{path}: line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"
             )
         grouped.setdefault(frame, []).append((row, col))
     return {frame: np.array(points, dtype=np.int64) for frame, points in grouped.items()}
@@ -378,14 +389,6 @@ class SyntheticConfig:
     blob_sigma: float = 3.0
     noise: float = 0.08
     fixations_per_frame: int = 3
-
-    def __post_init__(self) -> None:
-        if self.height < 8 or self.width < 8:
-            raise ValueError("dims must be at least 8x8")
-        if self.videos < 1 or self.frames < 1:
-            raise ValueError("need at least one video and one frame")
-        if self.lag < 0:
-            raise ValueError("lag must be >= 0")
 
 
 def _blob(height: int, width: int, center: np.ndarray, sigma: float) -> np.ndarray:

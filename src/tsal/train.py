@@ -1,7 +1,9 @@
 """Training loop: BCE loss, SGD with momentum, LR schedule, checkpoints.
 
-The recipe is plain SGD with momentum 0.9, weight decay 1e-4, initial
-learning rate 1e-5 decayed by 0.1 at fixed epoch intervals. Sequences
+The recipe is plain SGD with momentum and weight decay, its initial
+learning rate decayed by 0.1 at fixed epoch intervals. ``train`` reads these
+settings from the dict that ``cli.resolve_config`` checked against
+``cli.SETTINGS["train"]``, where each default is declared once. Sequences
 are split into fixed-length windows; each window is one forward/backward
 pass and one optimizer step, with gradients clipped by global norm.
 
@@ -18,7 +20,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
     EmptyDataset,
-    LengthMismatch,
     NonFinite,
 )
 from .model import (
@@ -49,72 +50,6 @@ VARIANT_CODES = {CONV_ONLY: 0, CONV_LSTM: 1}
 CODE_VARIANTS = {code: name for name, code in VARIANT_CODES.items()}
 
 
-@dataclass
-class Hyper:
-    """Optimizer hyperparameters; defaults follow the training recipe."""
-
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lr0: float = 1e-5
-    decay_every_epochs: int = 3
-
-    def __post_init__(self) -> None:
-        if self.decay_every_epochs < 1:
-            raise ValueError("decay_every_epochs must be >= 1")
-
-
-@dataclass
-class OptimizerState:
-    momentum_buffers: dict[str, np.ndarray]
-    lr: float
-    hyper: Hyper
-    step_count: int = 0
-
-    @staticmethod
-    def fresh(model: AdaptationModel, hyper: Hyper) -> "OptimizerState":
-        buffers = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
-        return OptimizerState(momentum_buffers=buffers, lr=hyper.lr0, hyper=hyper)
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 1
-    clip_length: int = 16
-    seed: int = 0
-    checkpoint_path: str | None = None
-    max_steps: int | None = None
-    hyper: Hyper = field(default_factory=Hyper)
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.clip_length < 1:
-            raise ValueError("clip_length must be >= 1")
-
-
-@dataclass
-class TrainSample:
-    """One video: aligned static-map and ground-truth sequences."""
-
-    video_id: str
-    frames: list[np.ndarray]  # (1, 1, H, W) each
-    targets: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if len(self.frames) != len(self.targets):
-            raise LengthMismatch(
-                f"{self.video_id}: {len(self.frames)} frames vs {len(self.targets)} targets"
-            )
-        if not self.frames:
-            raise LengthMismatch(f"{self.video_id}: empty sequence")
-
-
-@dataclass
-class TrainResult:
-    state: OptimizerState
-    history: list[tuple[int, float]]  # (step, window loss)
-
-
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-pixel binary cross-entropy and its exact gradient w.r.t. pred.
 
@@ -133,10 +68,10 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def lr_schedule(hyper: Hyper, completed_epochs: int) -> float:
-    """Step decay: lr0 * DECAY_FACTOR^(completed_epochs // decay_every_epochs)."""
-    intervals = completed_epochs // hyper.decay_every_epochs
-    return hyper.lr0 * DECAY_FACTOR**intervals
+def lr_schedule(lr0: float, decay_every: int, completed_epochs: int) -> float:
+    """Step decay: lr0 * DECAY_FACTOR^(completed_epochs // decay_every)."""
+    intervals = completed_epochs // decay_every
+    return lr0 * DECAY_FACTOR**intervals
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -156,72 +91,86 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def sgd_step(
-    model: AdaptationModel, grads: dict[str, np.ndarray], state: OptimizerState
+    model: AdaptationModel,
+    grads: dict[str, np.ndarray],
+    buffers: dict[str, np.ndarray],
+    lr: float,
+    momentum: float,
+    weight_decay: float,
 ) -> None:
     """One momentum-SGD update, in place: v <- m*v + (g + wd*w); w <- w - lr*v."""
-    hyper = state.hyper
     for name, w in model.named_parameters():
         g = grads[name]
         if g.shape != w.shape:
             raise DimensionMismatch(f"{name}: grad shape {g.shape} != param shape {w.shape}")
-        v = state.momentum_buffers[name]
-        v *= hyper.momentum
-        v += g + hyper.weight_decay * w
-        w -= state.lr * v
-    state.step_count += 1
+        v = buffers[name]
+        v *= momentum
+        v += g + weight_decay * w
+        w -= lr * v
 
 
 def train(
-    model: AdaptationModel, dataset: list[TrainSample], config: TrainConfig
-) -> TrainResult:
-    """Train ``model`` in place; deterministic for a fixed config seed.
+    model: AdaptationModel,
+    samples: list[tuple[str, list[np.ndarray], list[np.ndarray]]],
+    cfg: dict,
+) -> list[tuple[int, float]]:
+    """Train ``model`` in place; returns the (step, window loss) history.
 
-    Each epoch shuffles video order, splits every video into windows of
-    clip_length frames, and performs one clipped SGD step per window
-    (loss is the sum of per-frame BCE means). A checkpoint is written
-    after every epoch when a path is configured. The model must be float64:
-    the gradient checks need that precision, and a loaded checkpoint's
-    float32 model would otherwise train at float32 without a word.
+    ``samples`` holds one ``(video_id, frames, targets)`` tuple per video,
+    its frames and targets aligned (1, 1, H, W) arrays. ``cfg`` is the
+    ``train`` settings dict that ``cli.resolve_config`` checked; the run is
+    deterministic for a fixed ``cfg["seed"]``. Each epoch shuffles video
+    order, splits every video into windows of ``clip_length`` frames, and
+    performs one clipped SGD step per window (loss is the sum of per-frame
+    BCE means), until ``max_steps`` steps if that is set. The model and its
+    momentum buffers are written to ``cfg["ckpt"]`` after every epoch. The
+    model must be float64: the gradient checks need that precision, and a
+    loaded checkpoint's float32 model would otherwise train at float32
+    without a word.
     """
     if model.dtype != np.float64:
         raise ValueError(f"train needs a float64 model, got {model.dtype}")
-    if not dataset:
+    if not samples:
         raise EmptyDataset("no training samples")
-    state = OptimizerState.fresh(model, config.hyper)
-    rng = np.random.default_rng(config.seed)
+    buffers = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
+    rng = np.random.default_rng(cfg["seed"])
+    clip_length, max_steps = cfg["clip_length"], cfg["max_steps"]
+    momentum, weight_decay = cfg["momentum"], cfg["weight_decay"]
     history: list[tuple[int, float]] = []
 
-    for epoch in range(config.epochs):
-        state.lr = lr_schedule(config.hyper, epoch)
-        order = rng.permutation(len(dataset))
+    for epoch in range(cfg["epochs"]):
+        lr = lr_schedule(cfg["lr0"], cfg["decay_every"], epoch)
+        order = rng.permutation(len(samples))
         for idx in order:
-            sample = dataset[idx]
-            for start in range(0, len(sample.frames), config.clip_length):
-                if config.max_steps is not None and state.step_count >= config.max_steps:
+            video_id, frames, targets = samples[idx]
+            for start in range(0, len(frames), clip_length):
+                if max_steps is not None and len(history) >= max_steps:
                     break
-                window = sample.frames[start : start + config.clip_length]
-                targets = sample.targets[start : start + config.clip_length]
+                window = slice(start, start + clip_length)
                 try:
-                    loss = _train_window(model, window, targets, state, config)
+                    loss = _train_window(
+                        model, frames[window], targets[window], buffers, lr, momentum, weight_decay
+                    )
                 except NonFinite as exc:
                     raise NonFinite(
-                        f"non-finite values in video {sample.video_id!r} "
+                        f"non-finite values in video {video_id!r} "
                         f"window starting at frame {start}: {exc}"
                     ) from exc
-                history.append((state.step_count, loss))
-        if config.checkpoint_path is not None:
-            save_checkpoint(model, state.momentum_buffers, config.checkpoint_path)
-        if config.max_steps is not None and state.step_count >= config.max_steps:
+                history.append((len(history) + 1, loss))
+        save_checkpoint(model, buffers, cfg["ckpt"])
+        if max_steps is not None and len(history) >= max_steps:
             break
-    return TrainResult(state=state, history=history)
+    return history
 
 
 def _train_window(
     model: AdaptationModel,
     frames: list[np.ndarray],
     targets: list[np.ndarray],
-    state: OptimizerState,
-    config: TrainConfig,
+    buffers: dict[str, np.ndarray],
+    lr: float,
+    momentum: float,
+    weight_decay: float,
 ) -> float:
     """One forward/backward pass and optimizer step.
 
@@ -246,9 +195,9 @@ def _train_window(
         norm = clip_gradients(grads, CLIP_NORM)
         if not math.isfinite(norm):
             raise NonFinite(f"gradient norm is {norm}")
-        sgd_step(model, grads, state)
+        sgd_step(model, grads, buffers, lr, momentum, weight_decay)
         for name, w in model.named_parameters():
-            for what, arr in ((name, w), (f"{name} momentum", state.momentum_buffers[name])):
+            for what, arr in ((name, w), (f"{name} momentum", buffers[name])):
                 if not np.all(np.isfinite(arr.astype("<f4"))):
                     raise NonFinite(f"{what} is not finite after the update")
     return loss

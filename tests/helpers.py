@@ -1,5 +1,6 @@
 """Shared test utilities: finite differences, error metrics, a reference
-convolution, and a video's maps read as the commands read them."""
+convolution, a video's maps read as the commands read them, and the train
+settings dict."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from tsal.cli import SETTINGS
 from tsal.data import read_maps, resize_bilinear
 from tsal.errors import MissingInput
 from tsal.tensor import Conv2dParams
@@ -69,3 +71,9 @@ def conv2d_forward_direct(input: np.ndarray, params: Conv2dParams) -> np.ndarray
 def resized_maps(video: dict, key: str, resolution: tuple[int, int]) -> list[np.ndarray]:
     """The maps of ``video``'s directory ``key``, resized to ``resolution`` as train does."""
     return [resize_bilinear(m, resolution) for m in read_maps(video, video[key], MissingInput)]
+
+
+def train_settings(**overrides) -> dict:
+    """The ``train`` settings dict: the ``cli.SETTINGS`` defaults, then ``overrides``."""
+    defaults = {key: default for key, (default, _, _) in SETTINGS["train"].items()}
+    return {**defaults, **overrides}

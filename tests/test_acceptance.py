@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import central_difference, max_rel_err, resized_maps
+from helpers import central_difference, max_rel_err, resized_maps, train_settings
 from tsal import cli
 from tsal import data as D
 from tsal import metrics as M
@@ -296,17 +296,19 @@ def test_criterion_5_optimizer():
     for _, arr in model.named_parameters():
         arr[...] = 1.0
     grads = {name: np.full_like(arr, 0.5) for name, arr in model.named_parameters()}
-    state = Tr.OptimizerState.fresh(model, Tr.Hyper(lr0=0.1))
-    Tr.sgd_step(model, grads, state)
+    # the recipe's momentum and weight decay are the defaults of the train settings
+    recipe = train_settings()
+    buffers = Mo.zero_gradients(model)
+    Tr.sgd_step(model, grads, buffers, 0.1, recipe["momentum"], recipe["weight_decay"])
     hand_err = 0.0
     for name, arr in model.named_parameters():
         hand_err = max(hand_err, float(np.abs(arr - 0.94999).max()))
-        hand_err = max(hand_err, float(np.abs(state.momentum_buffers[name] - 0.5001).max()))
+        hand_err = max(hand_err, float(np.abs(buffers[name] - 0.5001).max()))
 
-    hyper = Tr.Hyper()
     expected = [1e-5] * 3 + [1e-6] * 3 + [1e-7] * 3
     sched_err = max(
-        abs(Tr.lr_schedule(hyper, epoch) - want) / want for epoch, want in enumerate(expected)
+        abs(Tr.lr_schedule(recipe["lr0"], recipe["decay_every"], epoch) - want) / want
+        for epoch, want in enumerate(expected)
     )
     _verdict(
         5,
@@ -323,12 +325,12 @@ SMOKE_LR = 0.05
 SMOKE_WINDOWS = 200
 
 
-def _load_samples(manifest: dict) -> list[Tr.TrainSample]:
+def _load_samples(manifest: dict) -> list[tuple]:
     samples = []
     res = manifest["resolution"]
     for video in manifest["videos"]:
         samples.append(
-            Tr.TrainSample(
+            (
                 video["video_id"],
                 [s[None, None] for s in resized_maps(video, "static_map_dir", res)],
                 [g[None, None] for g in resized_maps(video, "gt_map_dir", res)],
@@ -337,22 +339,22 @@ def _load_samples(manifest: dict) -> list[Tr.TrainSample]:
     return samples
 
 
-def _smoke_train(samples, variant, seed) -> tuple[Mo.AdaptationModel, Tr.TrainResult]:
-    """The model ``train`` updated in place, and the result."""
+def _smoke_train(samples, variant, seed, ckpt) -> tuple[Mo.AdaptationModel, list]:
+    """The model ``train`` updated in place, and its loss history."""
     model = Mo.init_parameters(variant, rng_seed=seed, hidden_channels=SMOKE_HIDDEN)
-    hyper = Tr.Hyper(lr0=SMOKE_LR, decay_every_epochs=10**6)
-    config = Tr.TrainConfig(
-        epochs=10**6, clip_length=16, seed=seed, max_steps=SMOKE_WINDOWS, hyper=hyper
+    cfg = train_settings(
+        ckpt=ckpt, epochs=10**6, clip_length=16, seed=seed, max_steps=SMOKE_WINDOWS,
+        lr0=SMOKE_LR, decay_every=10**6,
     )
-    return model, Tr.train(model, samples, config)
+    return model, Tr.train(model, samples, cfg)
 
 
 def _dataset_bce(model, samples) -> float:
     total = 0.0
     frames = 0
-    for sample in samples:
-        outputs, _ = Mo.forward_sequence(sample.frames, model)
-        for out, target in zip(outputs, sample.targets):
+    for _, inputs, targets in samples:
+        outputs, _ = Mo.forward_sequence(inputs, model)
+        for out, target in zip(outputs, targets):
             loss, _ = Tr.bce_loss(out, target)
             total += loss
             frames += 1
@@ -365,9 +367,10 @@ def test_criterion_6_convergence_smoke(tmp_path):
 
     # part 1: 200 windows halve the windowed BCE for both variants
     lag1 = _load_samples(D.generate_synthetic(str(tmp_path / "lag1"), base))
+    ckpt = str(tmp_path / "smoke.ckpt")
     ratios = {}
     for variant in (Mo.CONV_ONLY, Mo.CONV_LSTM):
-        history = _smoke_train(lag1, variant, seed=0)[1].history
+        history = _smoke_train(lag1, variant, seed=0, ckpt=ckpt)[1]
         losses = [loss for _, loss in history]
         ratios[variant] = float(np.mean(losses[-16:]) / np.mean(losses[:16]))
     halved = all(r <= 0.5 for r in ratios.values())
@@ -378,8 +381,8 @@ def test_criterion_6_convergence_smoke(tmp_path):
     margins = []
     separated = True
     for seed in (0, 1, 2):
-        conv_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_ONLY, seed)[0], lag2)
-        lstm_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_LSTM, seed)[0], lag2)
+        conv_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_ONLY, seed, ckpt)[0], lag2)
+        lstm_bce = _dataset_bce(_smoke_train(lag2, Mo.CONV_LSTM, seed, ckpt)[0], lag2)
         separated = separated and lstm_bce < conv_bce
         margins.append((conv_bce - lstm_bce) / conv_bce)
 

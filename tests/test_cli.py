@@ -107,6 +107,8 @@ class TestGenerate:
 BAD_SETTINGS = {
     "videos-0": ("generate", ["--videos", "0"], None),
     "height-4": ("generate", ["--height", "4"], None),
+    "width-4": ("generate", ["--width", "4"], None),
+    "frames-0": ("generate", ["--frames", "0"], None),
     "lag-negative": ("generate", ["--lag", "-1"], None),
     "blob-sigma-0": ("generate", ["--blob-sigma", "0"], None),
     "noise-negative": ("generate", ["--noise", "-1"], None),
@@ -396,6 +398,42 @@ class TestTrain:
         assert "ERROR ParseError:" in stderr
 
 
+    # the loss CSV of a run at non-default settings, stopped in its third
+    # epoch: a setting swapped or dropped on its way to the optimizer moves it
+    GOLDEN_LOSSES = {
+        "conv": [
+            2.7790839929950026, 1.3704281353440808, 2.753167535487841, 1.376274852931627,
+            2.7602875233638358, 1.3763271448389656, 2.731615305630319, 1.368284653010467,
+            2.7564311760681566, 1.3750347420175026,
+        ],
+        "convlstm": [
+            2.7947417445428058, 1.371015527318729, 2.7501566671752533, 1.3761948676517375,
+            2.7485558968418635, 1.373970309691984, 2.7208117861529404, 1.3623259022171177,
+            2.7405691630599884, 1.371598344983318,
+        ],
+    }
+
+    @pytest.mark.parametrize("variant", ["conv", "convlstm"])
+    def test_settings_reach_the_optimizer(self, tmp_path, capsys, variant):
+        _, manifest = make_dataset(tmp_path, videos=2, frames=6, size=8)
+        ckpt = str(tmp_path / "m.tsal")
+        code, _, _ = run(
+            capsys, "train", "--manifest", manifest, "--ckpt", ckpt, "--variant", variant,
+            "--hidden", "2", "--lr0", "0.5", "--momentum", "0.7", "--weight-decay", "0.01",
+            "--decay-every", "1", "--epochs", "3", "--clip-length", "4", "--max-steps", "10",
+            "--seed", "3",
+        )
+        assert code == 0
+        with open(ckpt + ".loss.csv", encoding="utf-8") as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        assert header == ["step", "loss"]
+        # 2 videos x windows of 4 and 2 frames: 4 steps an epoch, so 10 stop the third
+        assert [int(step) for step, _ in rows] == list(range(1, 11))
+        np.testing.assert_allclose(
+            [float(loss) for _, loss in rows], self.GOLDEN_LOSSES[variant], rtol=1e-9, atol=0
+        )
+
+
 class TestPredict:
     def make_zero_checkpoint(self, tmp_path, variant="conv", hidden=2):
         model = Mo.init_parameters(variant, rng_seed=0, hidden_channels=hidden)
@@ -581,7 +619,7 @@ class TestPredict:
         )
         assert code == 1
         (line,) = error_lines(stderr)
-        assert line.startswith("ERROR TruncatedData:")
+        assert line.startswith(f"ERROR TruncatedData: {bad}: ")
         assert sorted(os.listdir(tmp_path)) == ["data", "zero.tsal"]
 
     def test_out_must_be_new_or_empty(self, tmp_path, capsys):
@@ -633,6 +671,40 @@ class TestFramelessVideo:
         assert line == "ERROR ParseError: video_001: video lists no frames"
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # no checkpoint, --out or temp tree
+
+
+class TestBadInputFile:
+    @pytest.mark.parametrize(
+        "command, name, message",
+        [
+            ("train", "gt/000001.pgm", "TruncatedData: {}: raster holds 0 of 64 bytes"),
+            ("evaluate", "gt/000001.pgm", "TruncatedData: {}: raster holds 0 of 64 bytes"),
+            ("evaluate", "fixations.csv", "ParseError: {}: line 11: expected 3 fields, got 2"),
+        ],
+        ids=["train-gt", "evaluate-gt", "evaluate-fixations"],
+    )
+    def test_is_one_error_naming_the_file(self, tmp_path, capsys, command, name, message):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        bad = os.path.join(data_dir, "video_001", name)
+        if name.endswith(".pgm"):
+            with open(bad, "r+b") as fh:
+                fh.truncate(len(b"P5\n8 8\n255\n"))
+        else:
+            with open(bad, "a", encoding="utf-8") as fh:
+                fh.write("2,3\n")  # after a header line and 3 frames x 3 fixations
+        before = sorted(os.listdir(tmp_path))
+        flags = {
+            "train": ["--ckpt", str(tmp_path / "m.tsal")],
+            "evaluate": ["--predictions", str(tmp_path / "pred")],
+        }[command]
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *flags)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == "ERROR " + message.format(bad)
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestEvaluate:

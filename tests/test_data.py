@@ -59,35 +59,35 @@ class TestLoadMap:
         path = str(tmp_path / "bad.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P6 1 1 255\n\x00\x00\x00")
-        with pytest.raises(BadHeader):
+        with pytest.raises(BadHeader, match="^" + re.escape(path) + ": "):
             D.load_map(path)
 
     def test_unsupported_depth(self, tmp_path):
         path = str(tmp_path / "deep.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5 1 1 65535\n\x00\x00")
-        with pytest.raises(UnsupportedDepth):
+        with pytest.raises(UnsupportedDepth, match="^" + re.escape(path) + ": "):
             D.load_map(path)
 
     def test_truncated_raster(self, tmp_path):
         path = str(tmp_path / "short.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5 4 4 255\n" + b"\x00" * 7)
-        with pytest.raises(TruncatedData):
+        with pytest.raises(TruncatedData, match="^" + re.escape(path) + ": "):
             D.load_map(path)
 
     def test_truncated_header(self, tmp_path):
         path = str(tmp_path / "head.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5 4")
-        with pytest.raises(TruncatedData):
+        with pytest.raises(TruncatedData, match="^" + re.escape(path) + ": "):
             D.load_map(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
         path = str(tmp_path / "zero.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5 0 2 255\n")
-        with pytest.raises(BadHeader):
+        with pytest.raises(BadHeader, match="^" + re.escape(path) + ": "):
             D.load_map(path)
 
 
@@ -158,28 +158,28 @@ class TestLoadFixations:
         path = str(tmp_path / "neg.csv")
         with open(path, "w") as fh:
             fh.write("0,-1,2\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="^" + re.escape(path) + ": line 1: "):
             D.load_fixations(path, (8, 8))
 
     def test_malformed_field_count(self, tmp_path):
         path = str(tmp_path / "m.csv")
         with open(path, "w") as fh:
             fh.write("0,1\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="^" + re.escape(path) + ": line 1: "):
             D.load_fixations(path, (8, 8))
 
     def test_non_integer(self, tmp_path):
         path = str(tmp_path / "n.csv")
         with open(path, "w") as fh:
             fh.write("ok,1,2\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^" + re.escape(path) + ": line 1: "):
             D.load_fixations(path, (8, 8))
 
     def test_out_of_bounds_with_dims(self, tmp_path):
         path = str(tmp_path / "ob.csv")
         with open(path, "w") as fh:
             fh.write("0,0,0\n1,5,2\n")
-        with pytest.raises(OutOfBounds, match="line 2"):
+        with pytest.raises(OutOfBounds, match="^" + re.escape(path) + ": line 2: "):
             D.load_fixations(path, dims=(4, 4))
 
     def test_write_read_round_trip(self, tmp_path):
@@ -468,9 +468,3 @@ class TestGenerateSynthetic:
             mean_cc.append(float(np.mean(scores)))
         assert int(np.argmax(mean_cc)) == 2
         assert mean_cc[2] > mean_cc[0]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            D.SyntheticConfig(height=4, width=12)
-        with pytest.raises(ValueError):
-            D.SyntheticConfig(lag=-1)

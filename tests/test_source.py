@@ -4,11 +4,16 @@ import ast
 import glob
 import os
 
+from tsal.cli import SETTINGS
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "tsal")
 
 # perfbench's tensor.activations.busy_s metric traces tanh_act (and names
 # tanh_backward beside it), so both stay until that metric is re-pointed
 USED_OUTSIDE_THE_PACKAGE = {"tanh_act", "tanh_backward"}
+# perfbench/workloads.py builds its datasets with SyntheticConfig's keyword
+# defaults, so they stay until the benchmark generates through the CLI
+DEFAULTS_USED_OUTSIDE_THE_PACKAGE = {"SyntheticConfig"}
 
 
 def test_every_public_definition_is_used_in_the_package():
@@ -111,3 +116,27 @@ def test_every_dataclass_field_is_read_in_the_package():
     }
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
     assert unread == [], f"dataclass fields no code in src/tsal reads: {unread}"
+
+
+def test_no_dataclass_repeats_a_settings_default():
+    """Each setting's default lives once, in ``cli.SETTINGS``: a dataclass
+    field named like a settings key and given a default would repeat it,
+    and the two could drift apart."""
+    keys = {key for table in SETTINGS.values() for key in table}
+    repeated = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        repeated += [
+            f"{cls.name}.{stmt.target.id}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and _is_dataclass(cls)
+            and cls.name not in DEFAULTS_USED_OUTSIDE_THE_PACKAGE
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.value is not None
+            and stmt.target.id in keys
+        ]
+    assert repeated == [], f"dataclass fields that repeat a cli.SETTINGS default: {repeated}"

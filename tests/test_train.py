@@ -7,14 +7,13 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err
+from helpers import central_difference, max_rel_err, train_settings
 from tsal import model as Mo
 from tsal import train as Tr
 from tsal.errors import (
     CorruptCheckpoint,
     DimensionMismatch,
     EmptyDataset,
-    LengthMismatch,
     NonFinite,
 )
 
@@ -71,51 +70,46 @@ class TestBceLoss:
 class TestSgdStep:
     def test_vanilla_without_momentum_or_decay(self):
         m = tiny_model(Mo.CONV_ONLY)
-        hyper = Tr.Hyper(momentum=0.0, weight_decay=0.0, lr0=0.01)
-        state = Tr.OptimizerState.fresh(m, hyper)
+        buffers = Mo.zero_gradients(m)
         before = {n: a.copy() for n, a in m.named_parameters()}
         grads = {n: np.full_like(a, 0.25) for n, a in m.named_parameters()}
-        Tr.sgd_step(m, grads, state)
+        Tr.sgd_step(m, grads, buffers, 0.01, 0.0, 0.0)
         for n, a in m.named_parameters():
             assert np.allclose(a, before[n] - 0.01 * 0.25)
-        assert state.step_count == 1
 
     def test_hand_computed_single_step(self):
         # w=1, g=0.5, lr=0.1, momentum=0.9, wd=1e-4 -> v=0.5001, w=0.94999
         m = tiny_model(Mo.CONV_ONLY)
         for _, a in m.named_parameters():
             a[...] = 1.0
-        hyper = Tr.Hyper(momentum=0.9, weight_decay=1e-4, lr0=0.1)
-        state = Tr.OptimizerState.fresh(m, hyper)
+        buffers = Mo.zero_gradients(m)
         grads = {n: np.full_like(a, 0.5) for n, a in m.named_parameters()}
-        Tr.sgd_step(m, grads, state)
+        Tr.sgd_step(m, grads, buffers, 0.1, 0.9, 1e-4)
         for n, a in m.named_parameters():
-            assert np.max(np.abs(state.momentum_buffers[n] - 0.5001)) < 1e-12
+            assert np.max(np.abs(buffers[n] - 0.5001)) < 1e-12
             assert np.max(np.abs(a - 0.94999)) < 1e-12
 
     def test_momentum_coasting(self):
         m = tiny_model(Mo.CONV_ONLY)
-        hyper = Tr.Hyper(momentum=0.9, weight_decay=0.0, lr0=0.1)
-        state = Tr.OptimizerState.fresh(m, hyper)
+        buffers = Mo.zero_gradients(m)
         grads = {n: np.full_like(a, 1.0) for n, a in m.named_parameters()}
-        Tr.sgd_step(m, grads, state)
+        Tr.sgd_step(m, grads, buffers, 0.1, 0.9, 0.0)
         before = {n: a.copy() for n, a in m.named_parameters()}
         zero = {n: np.zeros_like(a) for n, a in m.named_parameters()}
-        Tr.sgd_step(m, zero, state)
+        Tr.sgd_step(m, zero, buffers, 0.1, 0.9, 0.0)
         for n, a in m.named_parameters():
             assert np.allclose(before[n] - a, 0.1 * 0.9 * 1.0)
 
     def test_geometric_coasting_decay(self):
         m = tiny_model(Mo.CONV_ONLY)
-        hyper = Tr.Hyper(momentum=0.9, weight_decay=0.0, lr0=0.05)
-        state = Tr.OptimizerState.fresh(m, hyper)
+        buffers = Mo.zero_gradients(m)
         grads = {n: np.full_like(a, 2.0) for n, a in m.named_parameters()}
-        Tr.sgd_step(m, grads, state)
+        Tr.sgd_step(m, grads, buffers, 0.05, 0.9, 0.0)
         zero = {n: np.zeros_like(a) for n, a in m.named_parameters()}
         prev = {n: a.copy() for n, a in m.named_parameters()}
         expected = 0.05 * 0.9 * 2.0
         for _ in range(10):
-            Tr.sgd_step(m, zero, state)
+            Tr.sgd_step(m, zero, buffers, 0.05, 0.9, 0.0)
             for n, a in m.named_parameters():
                 assert np.max(np.abs((prev[n] - a) - expected)) < 1e-12
             prev = {n: a.copy() for n, a in m.named_parameters()}
@@ -123,22 +117,19 @@ class TestSgdStep:
 
     def test_shape_mismatch(self):
         m = tiny_model(Mo.CONV_ONLY)
-        state = Tr.OptimizerState.fresh(m, Tr.Hyper())
         grads = {n: np.zeros(3) for n, _ in m.named_parameters()}
         with pytest.raises(DimensionMismatch):
-            Tr.sgd_step(m, grads, state)
+            Tr.sgd_step(m, grads, Mo.zero_gradients(m), 1e-5, 0.9, 1e-4)
 
 
 class TestLrSchedule:
     def test_paper_values(self):
-        hyper = Tr.Hyper(decay_every_epochs=3)
-        assert Tr.lr_schedule(hyper, 0) == pytest.approx(1e-5)
-        assert Tr.lr_schedule(hyper, 3) == pytest.approx(1e-6)
-        assert Tr.lr_schedule(hyper, 7) == pytest.approx(1e-7)
+        assert Tr.lr_schedule(1e-5, 3, 0) == pytest.approx(1e-5)
+        assert Tr.lr_schedule(1e-5, 3, 3) == pytest.approx(1e-6)
+        assert Tr.lr_schedule(1e-5, 3, 7) == pytest.approx(1e-7)
 
     def test_non_increasing_piecewise_constant(self):
-        hyper = Tr.Hyper(decay_every_epochs=2)
-        values = [Tr.lr_schedule(hyper, e) for e in range(10)]
+        values = [Tr.lr_schedule(1e-5, 2, e) for e in range(10)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] == values[1] and values[2] == values[3]
 
@@ -159,68 +150,72 @@ class TestClipGradients:
         assert np.allclose(grads["a"] / np.linalg.norm(grads["a"]), [0.6, 0.8])
 
 
-def blob_sample(rng, video_id: str, frames: int = 8, size: int = 8) -> Tr.TrainSample:
+def blob_sample(rng, video_id: str, frames: int = 8, size: int = 8) -> tuple:
     xs, ts = [], []
     for _ in range(frames):
         x = rng.uniform(0, 1, size=(1, 1, size, size))
         xs.append(x)
         ts.append((x > 0.5).astype(float))
-    return Tr.TrainSample(video_id=video_id, frames=xs, targets=ts)
+    return video_id, xs, ts
 
 
 class TestTrainLoop:
-    def test_single_window_single_step(self):
+    def test_single_window_single_step(self, tmp_path):
         rng = np.random.default_rng(3)
         sample = blob_sample(rng, "v0", frames=5)
         model = tiny_model(Mo.CONV_ONLY)
-        config = Tr.TrainConfig(epochs=1, clip_length=8, seed=0)
-        result = Tr.train(model, [sample], config)
-        assert len(result.history) == 1
-        assert result.state.step_count == 1
+        cfg = train_settings(ckpt=str(tmp_path / "m.tsal"), epochs=1, clip_length=8, seed=0)
+        history = Tr.train(model, [sample], cfg)
+        assert history == [(1, history[0][1])]
 
-    def test_window_count_bookkeeping(self):
+    def test_window_count_bookkeeping(self, tmp_path):
         rng = np.random.default_rng(4)
         sample = blob_sample(rng, "v0", frames=10)
         model = tiny_model(Mo.CONV_ONLY)
-        config = Tr.TrainConfig(epochs=2, clip_length=4, seed=0)
-        result = Tr.train(model, [sample], config)
+        cfg = train_settings(ckpt=str(tmp_path / "m.tsal"), epochs=2, clip_length=4, seed=0)
+        history = Tr.train(model, [sample], cfg)
         # 10 frames -> windows of 4,4,2 per epoch
-        assert len(result.history) == 6
-        assert [step for step, _ in result.history] == [1, 2, 3, 4, 5, 6]
+        assert len(history) == 6
+        assert [step for step, _ in history] == [1, 2, 3, 4, 5, 6]
 
-    def test_max_steps_cap(self):
+    def test_max_steps_cap(self, tmp_path):
         rng = np.random.default_rng(5)
         samples = [blob_sample(rng, f"v{k}", frames=8) for k in range(3)]
         model = tiny_model(Mo.CONV_ONLY)
-        config = Tr.TrainConfig(epochs=50, clip_length=4, seed=0, max_steps=7)
-        result = Tr.train(model, samples, config)
-        assert result.state.step_count == 7
-        assert len(result.history) == 7
+        cfg = train_settings(
+            ckpt=str(tmp_path / "m.tsal"), epochs=50, clip_length=4, seed=0, max_steps=7
+        )
+        history = Tr.train(model, samples, cfg)
+        assert [step for step, _ in history] == [1, 2, 3, 4, 5, 6, 7]
 
-    def test_deterministic_repeat(self):
-        def run():
+    def test_deterministic_repeat(self, tmp_path):
+        def run(tag):
             rng = np.random.default_rng(6)
             samples = [blob_sample(rng, f"v{k}") for k in range(2)]
             model = tiny_model(Mo.CONV_LSTM, seed=1)
-            config = Tr.TrainConfig(epochs=2, clip_length=4, seed=9)
-            return model, Tr.train(model, samples, config)  # train updates model in place
+            ckpt = str(tmp_path / f"{tag}.tsal")
+            cfg = train_settings(ckpt=ckpt, epochs=2, clip_length=4, seed=9)
+            return model, Tr.train(model, samples, cfg)  # train updates model in place
 
-        (model_a, a), (model_b, b) = run(), run()
-        assert a.history == b.history
+        (model_a, a), (model_b, b) = run("a"), run("b")
+        assert a == b
         for (na, pa), (nb, pb) in zip(
             model_a.named_parameters(), model_b.named_parameters()
         ):
             assert na == nb and np.array_equal(pa, pb)
+        assert (tmp_path / "a.tsal").read_bytes() == (tmp_path / "b.tsal").read_bytes()
 
-    def test_loss_decreases_on_overfit(self):
+    def test_loss_decreases_on_overfit(self, tmp_path):
         rng = np.random.default_rng(7)
         sample = blob_sample(rng, "v0", frames=4)
         model = tiny_model(Mo.CONV_ONLY, seed=2)
-        hyper = Tr.Hyper(lr0=0.5, decay_every_epochs=1000)
-        config = Tr.TrainConfig(epochs=60, clip_length=4, seed=0, hyper=hyper)
-        result = Tr.train(model, [sample], config)
-        first = result.history[0][1]
-        last = result.history[-1][1]
+        cfg = train_settings(
+            ckpt=str(tmp_path / "m.tsal"), epochs=60, clip_length=4, seed=0, lr0=0.5,
+            decay_every=1000,
+        )
+        history = Tr.train(model, [sample], cfg)
+        first = history[0][1]
+        last = history[-1][1]
         assert last < 0.5 * first
 
     @pytest.mark.parametrize(
@@ -231,34 +226,32 @@ class TestTrainLoop:
             ("huge-lr", 2, "lstm.wx_i is not finite after the update"),
         ],
     )
-    def test_non_finite_is_reported_in_its_window(self, fault, start, reason):
+    def test_non_finite_is_reported_in_its_window(self, tmp_path, fault, start, reason):
         rng = np.random.default_rng(10)
         sample = blob_sample(rng, "v0", frames=6)
         model = tiny_model(Mo.CONV_LSTM if fault == "huge-lr" else Mo.CONV_ONLY)
         # at 1e36 the first update stays within float32 range, the second leaves it
-        hyper = Tr.Hyper(lr0=1e36 if fault == "huge-lr" else 1e-5)
+        lr0 = 1e36 if fault == "huge-lr" else 1e-5
         params = dict(model.named_parameters())
         if fault == "nan-target":
-            sample.targets[3][0, 0, 0, 0] = np.nan
+            sample[2][3][0, 0, 0, 0] = np.nan
         elif fault == "huge-weights":
             params["feature.weights"][...] = 1e300
             params["head.weights"][...] = 1e-300
-        config = Tr.TrainConfig(clip_length=2, hyper=hyper)
+        ckpt = tmp_path / "m.tsal"
+        cfg = train_settings(ckpt=str(ckpt), clip_length=2, lr0=lr0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the check reports it, not a RuntimeWarning
             with pytest.raises(NonFinite) as info:
-                Tr.train(model, [sample], config)
+                Tr.train(model, [sample], cfg)
         assert str(info.value) == (
             f"non-finite values in video 'v0' window starting at frame {start}: {reason}"
         )
+        assert not ckpt.exists()
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            Tr.train(tiny_model(Mo.CONV_ONLY), [], Tr.TrainConfig())
-
-    def test_sample_validation(self):
-        with pytest.raises(LengthMismatch):
-            Tr.TrainSample("bad", [np.zeros((1, 1, 2, 2))], [])
+            Tr.train(tiny_model(Mo.CONV_ONLY), [], train_settings())
 
     def test_refuses_a_loaded_float32_model(self, tmp_path):
         # a checkpoint loads at float32; training it would lose the float64
@@ -270,7 +263,7 @@ class TestTrainLoop:
         before = [arr.copy() for _, arr in loaded.named_parameters()]
         sample = blob_sample(np.random.default_rng(9), "v0", frames=4)
         with pytest.raises(ValueError, match="float64 model, got float32"):
-            Tr.train(loaded, [sample], Tr.TrainConfig(clip_length=4))
+            Tr.train(loaded, [sample], train_settings(ckpt=path, clip_length=4))
         for (_, arr), old in zip(loaded.named_parameters(), before):
             np.testing.assert_array_equal(arr, old)
 
@@ -278,19 +271,17 @@ class TestTrainLoop:
 class TestCheckpoint:
     def roundtrip(self, tmp_path, variant):
         model = tiny_model(variant, seed=3)
-        state = Tr.OptimizerState.fresh(model, Tr.Hyper())
+        buffers = Mo.zero_gradients(model)
         rng = np.random.default_rng(8)
-        for name in state.momentum_buffers:
-            state.momentum_buffers[name][...] = rng.uniform(
-                -1, 1, size=state.momentum_buffers[name].shape
-            )
+        for name in buffers:
+            buffers[name][...] = rng.uniform(-1, 1, size=buffers[name].shape)
         path = str(tmp_path / "model.tsal")
-        Tr.save_checkpoint(model, state.momentum_buffers, path)
-        return model, state, path
+        Tr.save_checkpoint(model, buffers, path)
+        return model, buffers, path
 
     @pytest.mark.parametrize("variant", [Mo.CONV_ONLY, Mo.CONV_LSTM])
     def test_round_trip_exact_at_32_bit(self, tmp_path, variant):
-        model, state, path = self.roundtrip(tmp_path, variant)
+        model, buffers_saved, path = self.roundtrip(tmp_path, variant)
         loaded, buffers = Tr.load_checkpoint(path)
         assert loaded.variant == variant
         assert loaded.hidden_channels == model.hidden_channels
@@ -299,12 +290,12 @@ class TestCheckpoint:
             np.testing.assert_array_equal(
                 dict(loaded.named_parameters())[name], arr.astype(np.float32), strict=True
             )
-        for name, buf in state.momentum_buffers.items():
+        for name, buf in buffers_saved.items():
             np.testing.assert_array_equal(buffers[name], buf.astype(np.float32), strict=True)
             assert buffers[name].flags.writeable
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
-        model, state, path = self.roundtrip(tmp_path, Mo.CONV_LSTM)
+        _, _, path = self.roundtrip(tmp_path, Mo.CONV_LSTM)
         loaded, buffers = Tr.load_checkpoint(path)
         path2 = str(tmp_path / "again.tsal")
         Tr.save_checkpoint(loaded, buffers, path2)
