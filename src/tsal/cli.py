@@ -147,12 +147,20 @@ def cmd_generate(cfg: dict) -> None:
     print(manifest_path)
 
 
+def _make_output_dirs(*outputs: tuple[str, str]) -> None:
+    """Refuse an output file that names a directory, then make each file's directory."""
+    for flag, path in outputs:
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise ParseError(f"{flag} {path} names a directory")
+    for _, path in outputs:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+
 def cmd_train(cfg: dict) -> None:
     loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
     if os.path.realpath(loss_csv) == os.path.realpath(cfg["ckpt"]):
         raise ParseError(f"--loss-csv {loss_csv} and --ckpt {cfg['ckpt']} name the same file")
-    for path in (cfg["ckpt"], loss_csv):
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    _make_output_dirs(("--ckpt", cfg["ckpt"]), ("--loss-csv", loss_csv))
     manifest = D.load_manifest(cfg["manifest"])
     res = manifest["resolution"]
     samples = []
@@ -240,6 +248,8 @@ def _parse_metric_list(spec: str) -> tuple[str, ...]:
 
 def cmd_evaluate(cfg: dict) -> None:
     metrics = _parse_metric_list(cfg["metrics"])
+    if cfg["out"]:
+        _make_output_dirs(("--out", cfg["out"]))
     manifest = D.load_manifest(cfg["manifest"])
     res = manifest["resolution"]
     # every video's fixations first: each shuffled-AUC pool holds all the others'

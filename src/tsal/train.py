@@ -47,6 +47,8 @@ CHECKPOINT_MAGIC = b"TSAL"
 CHECKPOINT_VERSION = 1
 MAX_HIDDEN_CHANNELS = 0xFFFF  # the checkpoint header stores the width as uint16
 VARIANT_CODES = {CONV_ONLY: 0, CONV_LSTM: 1}
+# magic, version, variant code, hidden width, tensor count
+CHECKPOINT_HEADER = struct.Struct("<4sHBHI")
 CODE_VARIANTS = {code: name for name, code in VARIANT_CODES.items()}
 
 
@@ -203,28 +205,11 @@ def _train_window(
     return loss
 
 
-def _canonical_dims(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """Rank-1 tensors (biases) are encoded as (n, 1, 1, 1)."""
-    if len(shape) == 4:
-        return shape  # type: ignore[return-value]
-    if len(shape) == 1:
-        return (shape[0], 1, 1, 1)
-    raise DimensionMismatch(f"cannot encode shape {shape}")
-
-
-def _pack_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
-    chunks: list[bytes] = []
-    for name, arr in named:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.ascontiguousarray(arr, dtype="<f4")
-        if not np.all(np.isfinite(values)):
-            raise NonFinite(f"{name} holds values that are not finite as 32-bit floats")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<4I", *_canonical_dims(arr.shape)))
-        chunks.append(values.tobytes())
-    return b"".join(chunks)
+def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """A tensor record's bytes before its values: the u16 length of the
+    UTF-8 name, the name, and four u32 dims, a bias (n,) as (n, 1, 1, 1)."""
+    encoded = name.encode("utf-8")
+    return struct.pack("<H", len(encoded)) + encoded + struct.pack("<4I", *(*shape, 1, 1, 1)[:4])
 
 
 def save_checkpoint(
@@ -243,15 +228,15 @@ def save_checkpoint(
         if momentum_buffers[name].shape != arr.shape:
             raise DimensionMismatch(f"momentum buffer shape mismatch for {name}")
 
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<H", CHECKPOINT_VERSION)
-    body += struct.pack("<B", VARIANT_CODES[model.variant])
-    body += struct.pack("<H", model.hidden_channels)
-    body += struct.pack("<I", len(named))
-    body += _pack_tensors(named)
-    body += _pack_tensors([(name, momentum_buffers[name]) for name, _ in named])
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    fields = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, VARIANT_CODES[model.variant])
+    chunks = [CHECKPOINT_HEADER.pack(*fields, model.hidden_channels, len(named))]
+    for name, arr in named + [(name, momentum_buffers[name]) for name, _ in named]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise NonFinite(f"{name} holds values that are not finite as 32-bit floats")
+        chunks += [_record_head(name, arr.shape), values.tobytes()]
+    body = b"".join(chunks)
 
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
@@ -262,6 +247,7 @@ def save_checkpoint(
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give
             fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -270,71 +256,39 @@ def save_checkpoint(
         raise
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise CorruptCheckpoint("truncated checkpoint")
-        out = self.blob[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _read_tensor_section(
-    reader: _Reader, expected: list[tuple[str, np.ndarray]]
-) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for exp_name, exp_arr in expected:
-        (name_len,) = reader.unpack("<H")
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptCheckpoint("tensor name is not UTF-8") from None
-        if name != exp_name:
-            raise CorruptCheckpoint(f"unexpected tensor {name!r}, wanted {exp_name!r}")
-        dims = reader.unpack("<4I")
-        if dims != _canonical_dims(exp_arr.shape):
-            raise CorruptCheckpoint(
-                f"tensor {name!r} has dims {dims}, wanted {_canonical_dims(exp_arr.shape)}"
-            )
-        count = int(np.prod(dims))
-        raw = reader.take(count * 4)
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-        if not np.all(np.isfinite(values)):
-            raise CorruptCheckpoint(f"tensor {name!r} holds NaN or Inf")
-        out[name] = values.reshape(exp_arr.shape)
-    return out
-
-
 def load_checkpoint(
     path: str, expect_variant: str | None = None
 ) -> tuple[AdaptationModel, dict[str, np.ndarray]]:
-    """Load a checkpoint; validates magic, version, CRC, variant, and shapes.
+    """Load a checkpoint; validates CRC, magic, version, variant, and shapes.
 
     The model and the momentum buffers come back as float32, the precision
     the file stores, so the model computes in float32 (see ``tsal.model``).
+    A file that fails validation raises CorruptCheckpoint, its message
+    prefixed with ``path``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4:
+    try:
+        return _decode_checkpoint(blob, expect_variant)
+    except CorruptCheckpoint as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from None
+
+
+def _decode_checkpoint(
+    blob: bytes, expect_variant: str | None
+) -> tuple[AdaptationModel, dict[str, np.ndarray]]:
+    if len(blob) < CHECKPOINT_HEADER.size + 4:
         raise CorruptCheckpoint("file too small to be a checkpoint")
     body, (stored_crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != stored_crc:
         raise CorruptCheckpoint("checksum mismatch")
 
-    reader = _Reader(body)
-    if reader.take(4) != CHECKPOINT_MAGIC:
+    header = CHECKPOINT_HEADER.unpack_from(body)
+    magic, version, variant_code, hidden_channels, tensor_count = header
+    if magic != CHECKPOINT_MAGIC:
         raise CorruptCheckpoint("bad magic")
-    (version,) = reader.unpack("<H")
     if version != CHECKPOINT_VERSION:
         raise CorruptCheckpoint(f"unsupported version {version}")
-    (variant_code,) = reader.unpack("<B")
     if variant_code not in CODE_VARIANTS:
         raise CorruptCheckpoint(f"unknown variant code {variant_code}")
     variant = CODE_VARIANTS[variant_code]
@@ -342,8 +296,6 @@ def load_checkpoint(
         raise CorruptCheckpoint(
             f"variant mismatch: checkpoint holds {variant!r}, expected {expect_variant!r}"
         )
-    (hidden_channels,) = reader.unpack("<H")
-    (tensor_count,) = reader.unpack("<I")
     # the widest kernel holds 9·hc (conv) or 36·hc² (convlstm) floats, stored
     # twice as float32; check the file can hold it before allocating the model
     widest = 9 * hidden_channels * (4 * hidden_channels if variant == CONV_LSTM else 1)
@@ -363,13 +315,24 @@ def load_checkpoint(
     )
     named = model.named_parameters()
     if tensor_count != len(named):
-        raise CorruptCheckpoint(
-            f"{tensor_count} tensors in file, model needs {len(named)}"
-        )
-    params = _read_tensor_section(reader, named)
-    buffers = _read_tensor_section(reader, named)
-    if reader.pos != len(body):
+        raise CorruptCheckpoint(f"{tensor_count} tensors in file, model needs {len(named)}")
+    # the variant and width fix every record head, so each is compared, not parsed
+    stored: list[np.ndarray] = []
+    pos = CHECKPOINT_HEADER.size
+    for name, arr in named + named:
+        head = _record_head(name, arr.shape)
+        start, end = pos + len(head), pos + len(head) + 4 * arr.size
+        if end > len(body):
+            raise CorruptCheckpoint("truncated checkpoint")
+        if body[pos:start] != head:
+            raise CorruptCheckpoint(f"record at byte {pos} is not {name!r} of shape {arr.shape}")
+        values = np.frombuffer(body, dtype="<f4", count=arr.size, offset=start)
+        if not np.all(np.isfinite(values)):
+            raise CorruptCheckpoint(f"tensor {name!r} holds NaN or Inf")
+        stored.append(values.astype(np.float32).reshape(arr.shape))
+        pos = end
+    if pos != len(body):
         raise CorruptCheckpoint("trailing bytes after tensor data")
-    for name, arr in named:
-        arr[...] = params[name]
-    return model, buffers
+    for (_, arr), values in zip(named, stored):
+        arr[...] = values
+    return model, {name: values for (name, _), values in zip(named, stored[len(named) :])}

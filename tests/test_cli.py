@@ -336,6 +336,26 @@ class TestTrain:
         assert not ckpt.exists()
         assert (tmp_path / "r").exists() == (spelling == "symlinked")  # made before any read
 
+    @pytest.mark.parametrize(
+        "flag, directory", [("--ckpt", "runs"), ("--loss-csv", "runs"), ("--ckpt", "new2/")]
+    )
+    def test_output_that_names_a_directory_rejected(self, tmp_path, capsys, flag, directory):
+        (tmp_path / "runs").mkdir()
+        outputs = {"--ckpt": f"{tmp_path}/new/m.ckpt", "--loss-csv": f"{tmp_path}/new/l.csv"}
+        outputs[flag] = f"{tmp_path}/{directory}"
+        # refused before the (here missing) manifest is read
+        code, stdout, stderr = run(
+            capsys, "train", "--manifest", str(tmp_path / "none.json"),
+            "--ckpt", outputs["--ckpt"], "--loss-csv", outputs["--loss-csv"],
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == f"ERROR ParseError: {flag} {outputs[flag]} names a directory"
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == ["runs"]  # made no directory
+        assert os.listdir(tmp_path / "runs") == []
+
     def test_creates_missing_output_directories(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         ckpt, csv = tmp_path / "runs" / "m.ckpt", tmp_path / "logs" / "loss.csv"
@@ -595,6 +615,26 @@ class TestPredict:
         assert "Traceback" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["cut", "manifest"])
+    def test_bad_checkpoint_is_one_error_naming_the_file(self, tmp_path, capsys, bad):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=2, size=8)
+        ckpt = manifest  # a JSON file is not a checkpoint
+        if bad == "cut":
+            ckpt = self.make_zero_checkpoint(tmp_path)
+            with open(ckpt, "r+b") as fh:
+                fh.truncate(40)
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", ckpt,
+            "--out", str(tmp_path / "pred"),
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith(f"ERROR CorruptCheckpoint: {ckpt}: ")
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # no --out, no temp
+
     def test_missing_static_map(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
         os.remove(os.path.join(data_dir, "video_000", "static", "000001.pgm"))
@@ -725,6 +765,28 @@ class TestEvaluate:
             assert row["sim"] == pytest.approx(1.0)
         assert "AVERAGE" in stdout
         assert "[free-viewing]" in stdout and "[task-driven]" in stdout
+
+    def test_out_directory_is_made_and_a_directory_refused(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        out = tmp_path / "nodir" / "scores.json"
+        code, _, _ = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred, "--out", str(out)
+        )
+        assert code == 0
+        assert set(json.loads(out.read_text())["per_video"]) == {"video_000", "video_001"}
+        # refused before the (here missing) predictions are read
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", str(tmp_path / "none"),
+            "--out", str(out.parent),
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == f"ERROR ParseError: --out {out.parent} names a directory"
+        assert "Traceback" not in stderr
+        assert os.listdir(out.parent) == ["scores.json"]
 
     def test_metric_filtering(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=4, size=12)

@@ -229,6 +229,7 @@ def checkpoint_body(variant: str) -> bytes:
 
 BODIES = {variant: checkpoint_body(variant) for variant in Mo.VARIANTS}
 HIDDEN_AT = 7  # offset of the uint16 hidden width: magic, version, variant
+NAME_AT = 15  # offset of the first record's name: the 13-byte header, its uint16 length
 
 
 def seal(body: bytes) -> bytes:
@@ -257,6 +258,9 @@ def test_load_checkpoint_any_bytes(blob):
 )
 @example(Mo.CONV_LSTM, [(HIDDEN_AT, 0xFF), (HIDDEN_AT + 1, 0xFF)], None)
 @example(Mo.CONV_ONLY, [(HIDDEN_AT, 0), (HIDDEN_AT + 1, 0)], None)
+# the first record's name: 'lstm.wx_i' to 'lstm.wx_f'; its dims: (2, 1, 3, 3) to (1, 2, 3, 3)
+@example(Mo.CONV_LSTM, [(NAME_AT + 8, ord("f"))], None)
+@example(Mo.CONV_ONLY, [(NAME_AT + 15, 1), (NAME_AT + 19, 2)], None)
 def test_load_checkpoint_resealed_mutations(variant, edits, cut):
     """Mutated bodies get a fresh CRC, so parsing reaches past the checksum."""
     body = bytearray(BODIES[variant])
@@ -289,5 +293,5 @@ def test_non_utf8_tensor_name_is_corrupt_checkpoint(tmp_path):
     body[at] = 0xFF
     path = tmp_path / "model.tsal"
     path.write_bytes(seal(bytes(body)))
-    with pytest.raises(CorruptCheckpoint, match="UTF-8"):
+    with pytest.raises(CorruptCheckpoint, match="'feature.weights'"):
         Tr.load_checkpoint(str(path))

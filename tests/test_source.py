@@ -64,6 +64,32 @@ def test_only_data_reads_map_files():
     assert readers == [], f"load_map named outside data.py: {readers}"
 
 
+def test_only_train_encodes_binary_records():
+    """``train.py`` holds the one definition of the checkpoint layout, its
+    header struct and ``_record_head``, so no other module imports
+    ``struct`` or ``zlib``: a second checkpoint encoder or decoder cannot
+    grow elsewhere."""
+    importers = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        if os.path.basename(path) == "train.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            importers += [
+                f"{os.path.basename(path)} line {node.lineno}: {module}"
+                for module in modules
+                if module in ("struct", "zlib")
+            ]
+    assert importers == [], f"struct or zlib imported outside train.py: {importers}"
+
+
 def test_tensor_allocations_name_their_dtype():
     """np.zeros, np.empty and np.ones default to float64, so one such call
     without ``dtype=`` in tensor.py silently promotes a float32 inference

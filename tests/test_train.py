@@ -1,5 +1,6 @@
 """Tests for loss, optimizer, schedule, training loop, and checkpoints."""
 
+import hashlib
 import os
 import warnings
 import zlib
@@ -301,6 +302,22 @@ class TestCheckpoint:
         Tr.save_checkpoint(loaded, buffers, path2)
         with open(path, "rb") as a, open(path2, "rb") as b:
             assert a.read() == b.read()
+
+    # sha256 of the v1 files of two seeded width-2 models with seeded buffers:
+    # any byte of the format that moves, header or record, changes them
+    GOLDEN_SHA256 = {
+        Mo.CONV_ONLY: "acc9f8a716ea601ee43fd297191773ba04e548c84910a933e5322890f9f4a05c",
+        Mo.CONV_LSTM: "a2e6d85ee7fc6c3a856ee2760555de4e6dc865d41ed4a19d00af94dd4281f49a",
+    }
+
+    @pytest.mark.parametrize("variant", [Mo.CONV_ONLY, Mo.CONV_LSTM])
+    def test_bytes_match_the_golden_digest(self, tmp_path, variant):
+        model = Mo.init_parameters(variant, rng_seed=3, hidden_channels=2)
+        rng = np.random.default_rng(8)
+        buffers = {n: rng.uniform(-1, 1, size=a.shape) for n, a in model.named_parameters()}
+        path = tmp_path / "model.tsal"
+        Tr.save_checkpoint(model, buffers, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256[variant]
 
     def test_header_fields(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path, Mo.CONV_LSTM)
