@@ -213,8 +213,6 @@ def cmd_predict(cfg: dict) -> None:
             out_dir = os.path.join(tmp, video["video_id"])
             os.makedirs(out_dir)
             state = None
-            if model.variant == Mo.CONV_LSTM:
-                state = Mo.LstmState.zeros(model, res[0], res[1])
             statics = D.read_maps(video, video["static_map_dir"], MissingInput)
             for frame, static in zip(video["frames"], statics):
                 name = D.frame_file_name(frame)

@@ -113,12 +113,13 @@ def load_map(path: str) -> np.ndarray:
 
 
 def _decode_pgm(blob: bytes) -> np.ndarray:
-    if len(blob) < 2:
-        raise BadHeader("not a portable graymap")
+    # the prefix check first, so a file that is no graymap at all is BadHeader
     magic = blob[:2]
     if magic not in (b"P5", b"P2"):
         raise BadHeader(f"bad magic {magic!r}, expected P5 or P2")
     tokens, raster_at = _scan_header_tokens(blob, 4)
+    if tokens[0] != magic:
+        raise BadHeader(f"bad magic {tokens[0]!r}, expected P5 or P2")
     width = _header_int(tokens[1], "width")
     height = _header_int(tokens[2], "height")
     maxval = _header_int(tokens[3], "maxval")
@@ -313,6 +314,8 @@ def load_manifest(path: str) -> dict:
                 key: _json_field(entry[key], kind, f"{where}: {key}")
                 for key, kind in MANIFEST_FIELDS.items()
             }
+            if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+                raise ParseError(f"{where}: video_id may not be '', '.', '..' or hold '/' or NUL")
             label, frames = video["group_label"], video["frames"]
             if label not in GROUP_LABELS:
                 raise ParseError(f"{vid}: group_label {label!r} not in {GROUP_LABELS}")

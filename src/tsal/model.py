@@ -10,6 +10,10 @@ inference calls them frame by frame, ``forward_sequence`` over a clip.
 Each returns its step cache last; ``backward_sequence`` takes the list of
 them and produces exact parameter gradients.
 
+A ConvLSTM state is the plain ``(hidden, cell)`` pair of (1, hc, H, W)
+arrays that ``convlstm_step`` returns; passing ``None`` as the state starts
+from the zero state, so no caller builds a first state.
+
 A model computes in the dtype of its parameters: float64 from
 ``init_parameters``, float32 from a loaded checkpoint. Each step casts its
 frame to that dtype, so a float64 map fed to a loaded model runs in float32;
@@ -18,7 +22,7 @@ a ConvLSTM state of another dtype is refused rather than promoting the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,28 +46,6 @@ GATES = ("i", "f", "o", "g")
 
 DEFAULT_HIDDEN_CHANNELS = 128
 KERNEL_SIZE = 3
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell arrays, (1, hc, H, W) each, threaded through a ConvLSTM sequence."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.hidden.shape != self.cell.shape:
-            raise DimensionMismatch(
-                f"hidden dims {self.hidden.shape} != cell dims {self.cell.shape}"
-            )
-
-    @staticmethod
-    def zeros(model: "AdaptationModel", height: int, width: int) -> "LstmState":
-        """The initial state of ``model`` at height x width, in the model's dtype."""
-        shape = (1, model.hidden_channels, height, width)
-        return LstmState(
-            hidden=np.zeros(shape, dtype=model.dtype), cell=np.zeros(shape, dtype=model.dtype)
-        )
 
 
 @dataclass
@@ -124,11 +106,6 @@ class AdaptationModel:
 def _gate_rows(hc: int) -> dict[str, slice]:
     """Each gate's row block in the stacked gate convolutions, in GATES order."""
     return {name: slice(j * hc, (j + 1) * hc) for j, name in enumerate(GATES)}
-
-
-def zero_gradients(model: AdaptationModel) -> dict[str, np.ndarray]:
-    """Fresh zero-filled gradient accumulator keyed like named_parameters."""
-    return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
 
 
 def _check_frame(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -218,19 +195,29 @@ def conv_block_forward(
 
 
 def convlstm_step(
-    x: np.ndarray, state: LstmState, model: AdaptationModel
-) -> tuple[np.ndarray, LstmState, _LstmStepCache]:
-    """One ConvLSTM cell evaluation plus the sigmoid head, and its step cache."""
+    x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None, model: AdaptationModel
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], _LstmStepCache]:
+    """One ConvLSTM cell evaluation plus the sigmoid head, and its step cache.
+
+    ``state`` is the previous step's ``(hidden, cell)`` pair, or None for the
+    zero state in the model's dtype.
+    """
     x = _check_frame(x, model.dtype)
     if model.variant != CONV_LSTM:
         raise ValueError("convlstm_step requires a ConvLSTM model")
     assert model.input_conv is not None and model.hidden_conv is not None
-    h_prev, c_prev = state.hidden, state.cell
+    if state is None:
+        # read-only below, so one zero array serves as both
+        h_prev = c_prev = np.zeros((1, model.hidden_channels) + x.shape[2:], model.dtype)
+    else:
+        h_prev, c_prev = state
     if {h_prev.dtype, c_prev.dtype} != {model.dtype}:
         raise ValueError(
             f"a {model.dtype} model needs a {model.dtype} state,"
             f" got hidden {h_prev.dtype} and cell {c_prev.dtype}"
         )
+    if h_prev.shape != c_prev.shape:
+        raise DimensionMismatch(f"hidden dims {h_prev.shape} != cell dims {c_prev.shape}")
     if h_prev.shape[2:] != x.shape[2:]:
         raise DimensionMismatch(
             f"state spatial dims {h_prev.shape} do not match frame {x.shape}"
@@ -251,7 +238,7 @@ def convlstm_step(
     pre_head = conv2d_forward(h, model.head)
     y = sigmoid(pre_head)
     cache = _LstmStepCache(x, h_prev, c_prev, gates, c, h, pre_head)
-    return y, LstmState(hidden=h, cell=c), cache
+    return y, (h, c), cache
 
 
 def forward_sequence(
@@ -266,17 +253,13 @@ def forward_sequence(
     if not frames:
         raise EmptySequence("forward_sequence needs at least one frame")
     first = frames[0]
+    outputs, steps = [], []
+    state = None
     for fr in frames:
-        _check_frame(fr, model.dtype)
         if fr.shape != first.shape:
             raise DimensionMismatch(
                 f"frame dims {fr.shape} differ from first frame {first.shape}"
             )
-
-    outputs, steps = [], []
-    if model.variant == CONV_LSTM:
-        state = LstmState.zeros(model, *first.shape[2:])
-    for fr in frames:
         if model.variant == CONV_ONLY:
             y, step = conv_block_forward(fr, model)
         else:
@@ -289,7 +272,8 @@ def forward_sequence(
 def backward_sequence(
     model: AdaptationModel, steps: list, grad_outputs: list[np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """Exact parameter gradients for the forward run that produced ``steps``.
+    """Exact parameter gradients for the forward run that produced ``steps``,
+    keyed and split as ``named_parameters`` names the parameters.
 
     Reverse-time traversal; hidden/cell gradients accumulate across steps
     and shared-kernel gradients sum over time.
@@ -298,50 +282,46 @@ def backward_sequence(
         raise LengthMismatch(
             f"{len(grad_outputs)} output grads for {len(steps)} cached steps"
         )
-    grads = zero_gradients(model)
-    if model.variant == CONV_ONLY:
-        _backward_conv_only(steps, grad_outputs, model, grads)
-    else:
-        _backward_convlstm(steps, grad_outputs, model, grads)
-    return grads
+    backward = _backward_conv_only if model.variant == CONV_ONLY else _backward_convlstm
+    grads = backward(steps, grad_outputs, model)
+    return dict(replace(model, **grads).named_parameters())
+
+
+def _zeros_like(conv: Conv2dParams) -> Conv2dParams:
+    return Conv2dParams(np.zeros_like(conv.weights), np.zeros_like(conv.bias))
 
 
 def _backward_conv_only(
-    steps: list[_ConvStepCache],
-    grad_outputs: list[np.ndarray],
-    model: AdaptationModel,
-    grads: dict[str, np.ndarray],
-) -> None:
+    steps: list[_ConvStepCache], grad_outputs: list[np.ndarray], model: AdaptationModel
+) -> dict[str, Conv2dParams]:
     assert model.feature_conv is not None
+    head, feature = _zeros_like(model.head), _zeros_like(model.feature_conv)
     for step, dy in zip(steps, grad_outputs):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
         d_act, d_wh, d_bh = conv2d_backward(step.activated, model.head, d_pre_head)
-        grads["head.weights"] += d_wh
-        grads["head.bias"] += d_bh
+        head.weights += d_wh
+        head.bias += d_bh
         d_pre_feature = relu_backward(step.pre_feature, d_act)
         _, d_wf, d_bf = conv2d_backward(step.x, model.feature_conv, d_pre_feature)
-        grads["feature.weights"] += d_wf
-        grads["feature.bias"] += d_bf
+        feature.weights += d_wf
+        feature.bias += d_bf
+    return {"head": head, "feature_conv": feature}
 
 
 def _backward_convlstm(
-    steps: list[_LstmStepCache],
-    grad_outputs: list[np.ndarray],
-    model: AdaptationModel,
-    grads: dict[str, np.ndarray],
-) -> None:
+    steps: list[_LstmStepCache], grad_outputs: list[np.ndarray], model: AdaptationModel
+) -> dict[str, Conv2dParams]:
     assert model.input_conv is not None and model.hidden_conv is not None
+    head = _zeros_like(model.head)
+    input_conv, hidden_conv = _zeros_like(model.input_conv), _zeros_like(model.hidden_conv)
     rows = _gate_rows(model.hidden_channels)
-    d_wx = np.zeros_like(model.input_conv.weights)
-    d_wh = np.zeros_like(model.hidden_conv.weights)
-    d_b = np.zeros_like(model.input_conv.bias)
     dh_next = np.zeros_like(steps[-1].h)
     dc_next = np.zeros_like(dh_next)
     for step, dy in zip(reversed(steps), reversed(grad_outputs)):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
         d_h_head, d_w_head, d_b_head = conv2d_backward(step.h, model.head, d_pre_head)
-        grads["head.weights"] += d_w_head
-        grads["head.bias"] += d_b_head
+        head.weights += d_w_head
+        head.bias += d_b_head
 
         dh = d_h_head + dh_next
         i, f, o, g = (step.gates[:, r] for r in rows.values())
@@ -360,11 +340,8 @@ def _backward_convlstm(
         )
         d_hp, step_wh, _ = conv2d_backward(step.h_prev, model.hidden_conv, d_pre)
         _, step_wx, step_b = conv2d_backward(step.x, model.input_conv, d_pre)
-        d_wx += step_wx
-        d_wh += step_wh
-        d_b += step_b
+        input_conv.weights += step_wx
+        hidden_conv.weights += step_wh
+        input_conv.bias += step_b
         dh_next = d_hp
-    for name, r in rows.items():
-        grads[f"lstm.wx_{name}"] = d_wx[r]
-        grads[f"lstm.wh_{name}"] = d_wh[r]
-        grads[f"lstm.b_{name}"] = d_b[r]
+    return {"head": head, "input_conv": input_conv, "hidden_conv": hidden_conv}

@@ -298,7 +298,7 @@ def test_criterion_5_optimizer():
     grads = {name: np.full_like(arr, 0.5) for name, arr in model.named_parameters()}
     # the recipe's momentum and weight decay are the defaults of the train settings
     recipe = train_settings()
-    buffers = Mo.zero_gradients(model)
+    buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
     Tr.sgd_step(model, grads, buffers, 0.1, recipe["momentum"], recipe["weight_decay"])
     hand_err = 0.0
     for name, arr in model.named_parameters():

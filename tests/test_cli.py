@@ -547,7 +547,7 @@ class TestPredict:
         _, manifest_path = make_dataset(tmp_path, videos=2, frames=6, size=32)
         model = Mo.init_parameters(variant, rng_seed=0, hidden_channels=hidden)
         ckpt = str(tmp_path / "m.tsal")
-        Tr.save_checkpoint(model, Mo.zero_gradients(model), ckpt)
+        Tr.save_checkpoint(model, {n: np.zeros_like(a) for n, a in model.named_parameters()}, ckpt)
         out = tmp_path / "pred"
         code, _, _ = run(
             capsys, "predict", "--manifest", manifest_path, "--ckpt", ckpt, "--out", str(out)
@@ -575,7 +575,7 @@ class TestPredict:
             "convlstm", rng_seed=0, hidden_channels=Mo.DEFAULT_HIDDEN_CHANNELS
         )
         ckpt = str(tmp_path / "m.tsal")
-        Tr.save_checkpoint(model, Mo.zero_gradients(model), ckpt)
+        Tr.save_checkpoint(model, {n: np.zeros_like(a) for n, a in model.named_parameters()}, ckpt)
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(tsal.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -690,7 +690,8 @@ class TestFramelessVideo:
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
         if command == "predict":
             model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=2)
-            Tr.save_checkpoint(model, Mo.zero_gradients(model), str(tmp_path / "m.tsal"))
+            buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+            Tr.save_checkpoint(model, buffers, str(tmp_path / "m.tsal"))
         if command == "evaluate":
             copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
         with open(manifest, encoding="utf-8") as fh:
@@ -711,6 +712,36 @@ class TestFramelessVideo:
         assert line == "ERROR ParseError: video_001: video lists no frames"
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # no checkpoint, --out or temp tree
+
+
+class TestUnsafeVideoId:
+    @pytest.mark.parametrize("vid", ["../escaped", "a\u0000b"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_is_one_parse_error_before_any_read_or_write(self, tmp_path, capsys, command, vid):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
+        if command == "predict":
+            model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=2)
+            buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+            Tr.save_checkpoint(model, buffers, str(tmp_path / "m.tsal"))
+            flags = ["--ckpt", str(tmp_path / "m.tsal"), "--out", str(tmp_path / "pred")]
+        else:
+            copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+            # what "../escaped" would reach from --predictions, were it followed
+            shutil.copytree(os.path.join(data_dir, "video_001", "gt"), tmp_path / "escaped")
+            flags = ["--predictions", str(tmp_path / "pred")]
+        with open(manifest, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["videos"][1]["video_id"] = vid
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *flags)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith(f"ERROR ParseError: video {vid!r}: video_id may not be")
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # no --out, escaped or temp tree
 
 
 class TestBadInputFile:

@@ -62,6 +62,13 @@ class TestLoadMap:
         with pytest.raises(BadHeader, match="^" + re.escape(path) + ": "):
             D.load_map(path)
 
+    def test_magic_must_be_a_whole_token(self, tmp_path):
+        path = str(tmp_path / "glued.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5garbage 2 1 255\n\x00\xff")
+        with pytest.raises(BadHeader, match="^" + re.escape(path) + ": bad magic b'P5garbage'"):
+            D.load_map(path)
+
     def test_unsupported_depth(self, tmp_path):
         path = str(tmp_path / "deep.pgm")
         with open(path, "wb") as fh:

@@ -75,10 +75,9 @@ class TestConvLstmStep:
     def test_zero_network_zero_state(self):
         m = zero_model(Mo.CONV_LSTM)
         x = np.random.default_rng(2).uniform(0, 1, size=(1, 1, 4, 4))
-        state = Mo.LstmState.zeros(m, 4, 4)
-        y, new_state, _ = Mo.convlstm_step(x, state, m)
-        assert np.allclose(new_state.cell, 0.0)
-        assert np.allclose(new_state.hidden, 0.0)
+        y, (h, c), _ = Mo.convlstm_step(x, None, m)
+        assert np.allclose(c, 0.0)
+        assert np.allclose(h, 0.0)
         assert np.allclose(y, 0.5)
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -86,10 +85,9 @@ class TestConvLstmStep:
         dict(m.named_parameters())["lstm.b_f"][...] = 20.0
         rng = np.random.default_rng(3)
         cell = rng.uniform(-1, 1, size=(1, 4, 4, 4))
-        state = Mo.LstmState(hidden=np.zeros((1, 4, 4, 4)), cell=cell)
         x = rng.uniform(0, 1, size=(1, 1, 4, 4))
-        _, new_state, _ = Mo.convlstm_step(x, state, m)
-        assert np.max(np.abs(new_state.cell - cell)) < 1e-8
+        _, (_, new_cell), _ = Mo.convlstm_step(x, (np.zeros((1, 4, 4, 4)), cell), m)
+        assert np.max(np.abs(new_cell - cell)) < 1e-8
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(4)
@@ -97,7 +95,7 @@ class TestConvLstmStep:
         x = rng.uniform(0, 1, size=(1, 1, 4, 5))
         h = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5))
         c = rng.uniform(-0.5, 0.5, size=(1, 3, 4, 5))
-        y, new_state, _ = Mo.convlstm_step(x, Mo.LstmState(hidden=h, cell=c), m)
+        y, (h_new, c_new), _ = Mo.convlstm_step(x, (h, c), m)
 
         def pre(name):
             input_conv, hidden_conv = gate_convs(m, name)
@@ -113,15 +111,22 @@ class TestConvLstmStep:
         h_want = o * np.tanh(c_want)
         z = conv2d_forward_direct(h_want, m.head)
         y_want = sig(z)
-        assert np.max(np.abs(new_state.cell - c_want)) < 1e-12
-        assert np.max(np.abs(new_state.hidden - h_want)) < 1e-12
+        assert np.max(np.abs(c_new - c_want)) < 1e-12
+        assert np.max(np.abs(h_new - h_want)) < 1e-12
         assert np.max(np.abs(y - y_want)) < 1e-12
 
     def test_state_dim_mismatch(self):
         m = zero_model(Mo.CONV_LSTM)
         x = np.zeros((1, 1, 4, 4))
-        with pytest.raises(DimensionMismatch):
-            Mo.convlstm_step(x, Mo.LstmState.zeros(m, 5, 5), m)
+        with pytest.raises(DimensionMismatch, match="spatial"):
+            Mo.convlstm_step(x, (np.zeros((1, 4, 5, 5)),) * 2, m)
+
+    def test_hidden_and_cell_of_different_shapes(self):
+        m = zero_model(Mo.CONV_LSTM)
+        x = np.zeros((1, 1, 4, 4))
+        state = (np.zeros((1, 4, 4, 4)), np.zeros((1, 3, 4, 4)))
+        with pytest.raises(DimensionMismatch, match=r"hidden dims \(1, 4, 4, 4\) != cell dims"):
+            Mo.convlstm_step(x, state, m)
 
 
 class TestForwardSequence:
@@ -140,7 +145,7 @@ class TestForwardSequence:
         m = random_model(Mo.CONV_LSTM, seed=7)
         frame = random_frames(rng, 1, 4, 4)[0]
         outputs, _ = Mo.forward_sequence([frame], m)
-        y, _, _ = Mo.convlstm_step(frame, Mo.LstmState.zeros(m, 4, 4), m)
+        y, _, _ = Mo.convlstm_step(frame, None, m)
         assert np.array_equal(outputs[0], y)
 
     def test_severed_recurrence_collapses_to_per_frame(self):
@@ -221,7 +226,7 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
         steps.append((x, h, c, i, f, o, g, c_new, h_new))
         h, c = h_new, c_new
 
-    grads = Mo.zero_gradients(m)
+    grads = {n: np.zeros_like(a) for n, a in m.named_parameters()}
     dh_next = np.zeros_like(h)
     dc_next = np.zeros_like(h)
     for (x, h_prev, c_prev, i, f, o, g, c, h), dy in zip(reversed(steps), reversed(grad_outputs)):
@@ -281,6 +286,16 @@ class TestBackwardSequence:
         _, steps = Mo.forward_sequence(frames, m)
         with pytest.raises(LengthMismatch):
             Mo.backward_sequence(m, steps, [np.zeros((1, 1, 4, 4))])
+
+    @pytest.mark.parametrize("variant", Mo.VARIANTS)
+    def test_gradients_are_named_and_shaped_like_the_parameters(self, tmp_path, variant):
+        frames = random_frames(np.random.default_rng(17), 2, 4, 5)
+        for m in loaded_and_float64_twin(tmp_path, variant):
+            outputs, steps = Mo.forward_sequence(frames, m)
+            grads = Mo.backward_sequence(m, steps, [np.ones_like(y) for y in outputs])
+            assert list(grads) == [name for name, _ in m.named_parameters()]
+            for name, arr in m.named_parameters():
+                assert (grads[name].shape, grads[name].dtype) == (arr.shape, arr.dtype), name
 
     @pytest.mark.parametrize("variant,length", [(Mo.CONV_ONLY, 3), (Mo.CONV_LSTM, 1), (Mo.CONV_LSTM, 3)])
     def test_gradients_match_finite_differences(self, variant, length):
@@ -360,7 +375,7 @@ def loaded_and_float64_twin(tmp_path, variant: str):
     float32-rounded weights."""
     model = random_model(variant, seed=30)
     path = str(tmp_path / "m.tsal")
-    Tr.save_checkpoint(model, Mo.zero_gradients(model), path)
+    Tr.save_checkpoint(model, {n: np.zeros_like(a) for n, a in model.named_parameters()}, path)
     loaded, _ = Tr.load_checkpoint(path)
     for name, arr in model.named_parameters():
         arr[...] = dict(loaded.named_parameters())[name]
@@ -380,10 +395,7 @@ class TestDtype:
         loaded, twin = loaded_and_float64_twin(tmp_path, variant)
         assert loaded.dtype == np.float32 and twin.dtype == np.float64
         frames = random_frames(np.random.default_rng(31), 4, 5, 6)
-        state32 = Mo.LstmState.zeros(loaded, 5, 6)
-        state64 = Mo.LstmState.zeros(twin, 5, 6)
-        assert state32.hidden.dtype == state32.cell.dtype == np.float32
-        assert state64.hidden.dtype == state64.cell.dtype == np.float64
+        state32 = state64 = None
         outputs, _ = Mo.forward_sequence(frames, loaded)
         for fr, y_seq in zip(frames, outputs):
             y32, state32 = step(loaded, fr, state32)
@@ -393,19 +405,29 @@ class TestDtype:
             np.testing.assert_array_equal(y_seq, y32)
             assert np.max(np.abs(y32 - y64)) < 1e-6
             if variant == Mo.CONV_LSTM:
-                assert state32.hidden.dtype == state32.cell.dtype == np.float32
-                assert np.max(np.abs(state32.cell - state64.cell)) < 1e-5
+                assert state32[0].dtype == state32[1].dtype == np.float32
+                assert np.max(np.abs(state32[1] - state64[1])) < 1e-5
 
     @pytest.mark.parametrize("variant", Mo.VARIANTS)
     def test_frame_is_cast_to_the_model_dtype(self, tmp_path, variant):
         loaded, twin = loaded_and_float64_twin(tmp_path, variant)
         rounded = random_frames(np.random.default_rng(32), 1, 4, 4)[0].astype(np.float32)
         for model in (loaded, twin):
-            state = Mo.LstmState.zeros(model, 4, 4)
-            y_rounded, _ = step(model, rounded, state)
-            y_upcast, _ = step(model, rounded.astype(np.float64), state)
+            y_rounded, _ = step(model, rounded, None)
+            y_upcast, _ = step(model, rounded.astype(np.float64), None)
             assert y_rounded.dtype == y_upcast.dtype == model.dtype
             np.testing.assert_array_equal(y_rounded, y_upcast)
+
+    def test_none_state_is_the_zero_state(self, tmp_path):
+        frame = random_frames(np.random.default_rng(35), 1, 4, 5)[0]
+        for model in loaded_and_float64_twin(tmp_path, Mo.CONV_LSTM):
+            zeros = np.zeros((1, model.hidden_channels, 4, 5), model.dtype)
+            y, (h, c), _ = Mo.convlstm_step(frame, None, model)
+            y_want, (h_want, c_want), _ = Mo.convlstm_step(frame, (zeros, zeros.copy()), model)
+            assert y.dtype == h.dtype == c.dtype == model.dtype
+            np.testing.assert_array_equal(y, y_want)
+            np.testing.assert_array_equal(h, h_want)
+            np.testing.assert_array_equal(c, c_want)
 
     def test_frame_beyond_float32_range_rejected_by_a_loaded_model(self, tmp_path):
         loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_ONLY)
@@ -419,11 +441,11 @@ class TestDtype:
         loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_LSTM)
         frame = random_frames(np.random.default_rng(34), 1, 4, 4)[0]
         for model, other in ((loaded, twin), (twin, loaded)):
-            state = Mo.LstmState.zeros(other, 4, 4)
+            state = (np.zeros((1, 4, 4, 4), other.dtype),) * 2
             want = f"a {model.dtype} model needs a {model.dtype} state, got hidden {other.dtype}"
             with pytest.raises(ValueError, match=want):
                 Mo.convlstm_step(frame, state, model)
-        mixed = Mo.LstmState(np.zeros((1, 4, 4, 4), np.float32), np.zeros((1, 4, 4, 4)))
+        mixed = (np.zeros((1, 4, 4, 4), np.float32), np.zeros((1, 4, 4, 4)))
         with pytest.raises(ValueError, match="hidden float32 and cell float64"):
             Mo.convlstm_step(frame, mixed, loaded)
 

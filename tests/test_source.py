@@ -166,3 +166,33 @@ def test_no_dataclass_repeats_a_settings_default():
             and stmt.target.id in keys
         ]
     assert repeated == [], f"dataclass fields that repeat a cli.SETTINGS default: {repeated}"
+
+
+def _lstm_names(node: ast.AST, function: str | None):
+    """(line, enclosing function) of each string constant under ``node``
+    that starts with ``lstm.``; an f-string's leading text is one too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _lstm_names(child, child.name)
+            continue
+        value = child.value if isinstance(child, ast.Constant) else None
+        if isinstance(value, str) and value.startswith("lstm."):
+            yield child.lineno, function
+        yield from _lstm_names(child, function)
+
+
+def test_only_named_parameters_names_lstm_tensors():
+    """``AdaptationModel.named_parameters`` names the ConvLSTM tensors and
+    splits the stacked gate rows for the optimizer, the checkpoint and the
+    gradients alike, so no other function builds a string that starts with
+    ``lstm.``: a second copy of the gate naming cannot grow back."""
+    builders = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        builders += [
+            f"{os.path.basename(path)} line {line} in {function}"
+            for line, function in _lstm_names(tree, None)
+            if function != "named_parameters"
+        ]
+    assert builders == [], f"an 'lstm.' name built outside named_parameters: {builders}"

@@ -71,7 +71,7 @@ class TestBceLoss:
 class TestSgdStep:
     def test_vanilla_without_momentum_or_decay(self):
         m = tiny_model(Mo.CONV_ONLY)
-        buffers = Mo.zero_gradients(m)
+        buffers = {n: np.zeros_like(a) for n, a in m.named_parameters()}
         before = {n: a.copy() for n, a in m.named_parameters()}
         grads = {n: np.full_like(a, 0.25) for n, a in m.named_parameters()}
         Tr.sgd_step(m, grads, buffers, 0.01, 0.0, 0.0)
@@ -83,7 +83,7 @@ class TestSgdStep:
         m = tiny_model(Mo.CONV_ONLY)
         for _, a in m.named_parameters():
             a[...] = 1.0
-        buffers = Mo.zero_gradients(m)
+        buffers = {n: np.zeros_like(a) for n, a in m.named_parameters()}
         grads = {n: np.full_like(a, 0.5) for n, a in m.named_parameters()}
         Tr.sgd_step(m, grads, buffers, 0.1, 0.9, 1e-4)
         for n, a in m.named_parameters():
@@ -92,7 +92,7 @@ class TestSgdStep:
 
     def test_momentum_coasting(self):
         m = tiny_model(Mo.CONV_ONLY)
-        buffers = Mo.zero_gradients(m)
+        buffers = {n: np.zeros_like(a) for n, a in m.named_parameters()}
         grads = {n: np.full_like(a, 1.0) for n, a in m.named_parameters()}
         Tr.sgd_step(m, grads, buffers, 0.1, 0.9, 0.0)
         before = {n: a.copy() for n, a in m.named_parameters()}
@@ -103,7 +103,7 @@ class TestSgdStep:
 
     def test_geometric_coasting_decay(self):
         m = tiny_model(Mo.CONV_ONLY)
-        buffers = Mo.zero_gradients(m)
+        buffers = {n: np.zeros_like(a) for n, a in m.named_parameters()}
         grads = {n: np.full_like(a, 2.0) for n, a in m.named_parameters()}
         Tr.sgd_step(m, grads, buffers, 0.05, 0.9, 0.0)
         zero = {n: np.zeros_like(a) for n, a in m.named_parameters()}
@@ -119,8 +119,9 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         m = tiny_model(Mo.CONV_ONLY)
         grads = {n: np.zeros(3) for n, _ in m.named_parameters()}
+        buffers = {n: np.zeros_like(a) for n, a in m.named_parameters()}
         with pytest.raises(DimensionMismatch):
-            Tr.sgd_step(m, grads, Mo.zero_gradients(m), 1e-5, 0.9, 1e-4)
+            Tr.sgd_step(m, grads, buffers, 1e-5, 0.9, 1e-4)
 
 
 class TestLrSchedule:
@@ -259,7 +260,7 @@ class TestTrainLoop:
         # precision the gradient checks rely on
         model = tiny_model(Mo.CONV_LSTM)
         path = str(tmp_path / "m.tsal")
-        Tr.save_checkpoint(model, Mo.zero_gradients(model), path)
+        Tr.save_checkpoint(model, {n: np.zeros_like(a) for n, a in model.named_parameters()}, path)
         loaded, _ = Tr.load_checkpoint(path)
         before = [arr.copy() for _, arr in loaded.named_parameters()]
         sample = blob_sample(np.random.default_rng(9), "v0", frames=4)
@@ -272,7 +273,7 @@ class TestTrainLoop:
 class TestCheckpoint:
     def roundtrip(self, tmp_path, variant):
         model = tiny_model(variant, seed=3)
-        buffers = Mo.zero_gradients(model)
+        buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
         rng = np.random.default_rng(8)
         for name in buffers:
             buffers[name][...] = rng.uniform(-1, 1, size=buffers[name].shape)
@@ -378,7 +379,8 @@ class TestCheckpoint:
         dict(model.named_parameters())["lstm.wh_o"][0, 0, 1, 1] = 1e39  # inf as float32
         path = tmp_path / "model.tsal"
         with pytest.raises(NonFinite, match="lstm.wh_o"):
-            Tr.save_checkpoint(model, Mo.zero_gradients(model), str(path))
+            buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+            Tr.save_checkpoint(model, buffers, str(path))
         assert os.listdir(tmp_path) == []
 
     def test_non_finite_value_rejected(self, tmp_path):
