@@ -44,7 +44,9 @@ log = logging.getLogger("tsal")
 
 NEEDED = object()  # default of a setting the user must give
 
-GE0, GE1, GT0 = ((">=", 0),), ((">=", 1),), ((">", 0),)
+GE0, GE1 = ((">=", 0),), ((">=", 1),)
+# frame files are named with FRAME_NAME_DIGITS digits
+FRAME_NAMES = (("<=", 10**D.FRAME_NAME_DIGITS - 1),)
 
 # SETTINGS[command][name] = (default, type, bounds). Every flag and config
 # key comes from here; resolve_config checks each value against its entry.
@@ -52,12 +54,13 @@ SETTINGS: dict[str, dict[str, tuple]] = {
     "generate": {
         "out": (NEEDED, str, ()),
         "videos": (4, int, GE1),
-        "frames": (64, int, GE1),
+        "frames": (64, int, GE1 + FRAME_NAMES),
         "height": (32, int, ((">=", 8), ("<=", D.MAX_MAP_SIDE))),
         "width": (32, int, ((">=", 8), ("<=", D.MAX_MAP_SIDE))),
         "seed": (7, int, GE0),
-        "lag": (1, int, GE0),
-        "blob_sigma": (3.0, float, GT0),
+        "lag": (1, int, GE0 + FRAME_NAMES),
+        # a narrower blob underflows to zero mass on the pixel grid
+        "blob_sigma": (3.0, float, ((">=", 0.05),)),
         "noise": (0.08, float, GE0),
         "fixations_per_frame": (3, int, GE0),
     },
@@ -140,6 +143,9 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_generate(cfg: dict) -> None:
+    n, cells = cfg["fixations_per_frame"], cfg["height"] * cfg["width"]
+    if n > cells:
+        raise ParseError(f"--fixations-per-frame must be <= height x width = {cells}, got {n}")
     config = D.SyntheticConfig(**{k: v for k, v in cfg.items() if k != "out"})
     D.generate_synthetic(cfg["out"], config)
     manifest_path = os.path.join(cfg["out"], "manifest.json")
@@ -329,28 +335,20 @@ def render_comparison(
     metric: str,
 ) -> str:
     """Model x video matrix per group; '*' marks each column's maximum."""
+    # aggregate_report raises UnknownVideo for a member with no row
+    averages = [M.aggregate_report(scores, grouping)["group_averages"] for _, scores in models]
     mark = len(models) > 1
     blocks = []
     for label, members in grouping.items():
+        columns = [[scores[vid][metric] for _, scores in models] for vid in members]
+        columns.append([average[label][metric] for average in averages])
+        tops = [max((v for v in column if v is not None), default=None) for column in columns]
+        rows = [[name] for name, _ in models]
+        for column, top in zip(columns, tops):
+            for row, value in zip(rows, column):
+                starred = mark and top is not None and value == top
+                row.append(fmt3(value) + ("*" if starred else ""))
         headers = ["model"] + members + ["AVERAGE"]
-        cells: list[list[float | None]] = []
-        for name, per_video in models:
-            # aggregate_report raises UnknownVideo for a member with no row
-            average = M.aggregate_report(per_video, {label: members})["group_averages"][label]
-            row = [per_video[vid][metric] for vid in members]
-            row.append(average[metric])
-            cells.append(row)
-        rows = []
-        for r, (name, _) in enumerate(models):
-            rendered = [name]
-            for c in range(len(members) + 1):
-                column = [cells[k][c] for k in range(len(models))]
-                defined = [v for v in column if v is not None]
-                text = fmt3(cells[r][c])
-                if mark and defined and cells[r][c] is not None and cells[r][c] == max(defined):
-                    text += "*"
-                rendered.append(text)
-            rows.append(rendered)
         blocks.append(f"[{label}] metric: {metric}\n" + render_table(headers, rows))
     return "\n\n".join(blocks)
 
@@ -421,11 +419,11 @@ def _check(command: str, key: str, value, from_flag: bool):
         or isinstance(value, list) and not all(isinstance(p, str) for p in value)
     ):
         raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if kind is float and not abs(value) <= sys.float_info.max:  # an int may pass float's range
         raise ParseError(f"{name} must be finite, got {value!r}")
     if not all(OPS[op](value, limit) for op, limit in bounds):
         raise ParseError(f"{name} must be {_describe(bounds)}, got {value!r}")
-    return value
+    return value + 0.0 if isinstance(value, float) else value  # reads -0.0 as 0.0
 
 
 def resolve_config(args: argparse.Namespace) -> dict:

@@ -7,7 +7,10 @@ at fixations), and the distribution comparisons CC (Pearson) and SIM
 
 Metrics that are undefined for an input (constant map for CC, zero-mass
 map for SIM, no fixations) are represented as ``None`` and excluded from
-averages rather than poisoning them.
+averages rather than poisoning them. ``_mean`` is the one averaging rule:
+it makes each video's row from its frames' scores and each group's
+average from its members' rows, adding left to right on every Python
+version and giving ``None`` when nothing is defined.
 
 A saliency map is a 2-D float64 array with values in [0, 1], and a
 fixation set an (N, 2) int64 array of (row, col) pixel coordinates, where
@@ -24,6 +27,8 @@ five metric means over its members.
 
 from __future__ import annotations
 
+import functools
+import operator
 import sys
 
 import numpy as np
@@ -153,31 +158,10 @@ def shuffled_auc(
     return _roc_area(positives, sal[other_fix[:, 0], other_fix[:, 1]])
 
 
-def _frame_scores(
-    sal: np.ndarray,
-    fix: np.ndarray,
-    gt: np.ndarray,
-    shuffle_pool: np.ndarray,
-    frame_seed: int,
-    metrics: tuple[str, ...],
-) -> tuple[dict[str, float | None], bool, bool]:
-    """Metric values for one frame plus its two skip flags."""
-    values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
-    has_fix = len(fix) > 0
-    has_mass = gt.sum() > 0.0
-    if has_fix:
-        if "nss" in metrics:
-            values["nss"] = nss(sal, fix)
-        if "auc_j" in metrics:
-            values["auc_j"] = auc_judd(sal, fix)
-        if "s_auc" in metrics and len(shuffle_pool) > 0:
-            values["s_auc"] = shuffled_auc(sal, fix, shuffle_pool, frame_seed)
-    if has_mass:
-        if "cc" in metrics:
-            values["cc"] = cc(sal, gt)
-        if "sim" in metrics and sal.sum() > 0.0:
-            values["sim"] = sim(sal, gt)
-    return values, not has_fix, not has_mass
+def _mean(values: list) -> float | None:
+    """The mean of ``values`` added left to right; ``None`` when there are none."""
+    # not sum(), which compensates float rounding from Python 3.12 on
+    return functools.reduce(operator.add, values, 0) / len(values) if values else None
 
 
 def evaluate_video(
@@ -205,36 +189,43 @@ def evaluate_video(
     if len(maps) == 0:
         raise LengthMismatch("at least one frame is required")
 
-    sums = {name: 0.0 for name in METRIC_NAMES}
-    counts = {name: 0 for name in METRIC_NAMES}
-    skipped_fix = 0
-    skipped_mass = 0
+    scores: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
+    skipped_fix = skipped_mass = 0
     for i, (sal, fix, gt) in enumerate(zip(maps, fixs, gts)):
-        values, no_fix, no_mass = _frame_scores(sal, fix, gt, shuffle_pool, seed + i, metrics)
-        skipped_fix += no_fix
-        skipped_mass += no_mass
-        for name in metrics:
-            if values[name] is not None:
-                sums[name] += values[name]
-                counts[name] += 1
+        if len(fix) > 0:
+            if "nss" in metrics:
+                scores["nss"].append(nss(sal, fix))
+            if "auc_j" in metrics:
+                scores["auc_j"].append(auc_judd(sal, fix))
+            if "s_auc" in metrics and len(shuffle_pool) > 0:
+                scores["s_auc"].append(shuffled_auc(sal, fix, shuffle_pool, seed + i))
+        else:
+            skipped_fix += 1
+        if gt.sum() > 0.0:
+            if "cc" in metrics and (value := cc(sal, gt)) is not None:
+                scores["cc"].append(value)
+            if "sim" in metrics and sal.sum() > 0.0:
+                scores["sim"].append(sim(sal, gt))
+        else:
+            skipped_mass += 1
 
-    row = {name: sums[name] / counts[name] if counts[name] else None for name in METRIC_NAMES}
+    row = {name: _mean(scores[name]) for name in METRIC_NAMES}
     row.update(frames=len(maps), skipped_no_fixations=skipped_fix, skipped_no_gt_mass=skipped_mass)
     return row
 
 
 def aggregate_report(per_video: dict[str, dict], grouping: dict[str, list[str]]) -> dict:
     """The score report: per-video rows, the grouping, and each group's means."""
+    averages = {}
     for label, members in grouping.items():
         for vid in members:
             if vid not in per_video:
                 raise UnknownVideo(f"group {label!r} references unknown video {vid!r}")
-    averages = {}
-    for label, members in grouping.items():
-        averages[label] = {}
-        for name in METRIC_NAMES:
-            values = [per_video[vid][name] for vid in members if per_video[vid][name] is not None]
-            averages[label][name] = sum(values) / len(values) if values else None
+        rows = [per_video[vid] for vid in members]
+        averages[label] = {
+            name: _mean([row[name] for row in rows if row[name] is not None])
+            for name in METRIC_NAMES
+        }
     return {
         "per_video": dict(per_video),
         "groups": {label: list(members) for label, members in grouping.items()},

@@ -1,9 +1,11 @@
 """Shared test utilities: finite differences, error metrics, a reference
-convolution, a video's maps read as the commands read them, and the train
-settings dict."""
+convolution, a video's maps read as the commands read them, the train
+settings dict, and a digest of a directory tree."""
 
 from __future__ import annotations
 
+import hashlib
+import os
 from typing import Callable
 
 import numpy as np
@@ -77,3 +79,16 @@ def train_settings(**overrides) -> dict:
     """The ``train`` settings dict: the ``cli.SETTINGS`` defaults, then ``overrides``."""
     defaults = {key: default for key, (default, _, _) in SETTINGS["train"].items()}
     return {**defaults, **overrides}
+
+
+def tree_digest(root: str) -> str:
+    """SHA-256 over every file's path below ``root`` and its bytes, in sorted order."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            full = os.path.join(dirpath, name)
+            digest.update(os.path.relpath(full, root).encode())
+            with open(full, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()

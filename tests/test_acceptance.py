@@ -5,7 +5,6 @@ prints ``criterion N: PASS/FAIL - detail [elapsed / budget]`` and stores the
 line for the terminal summary. Tolerances are pinned in the detail strings.
 """
 
-import hashlib
 import io
 import json
 import os
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import central_difference, max_rel_err, resized_maps, train_settings
+from helpers import central_difference, max_rel_err, resized_maps, train_settings, tree_digest
 from tsal import cli
 from tsal import data as D
 from tsal import metrics as M
@@ -398,18 +397,6 @@ def test_criterion_6_convergence_smoke(tmp_path):
     )
 
 
-def _tree_digest(root: str) -> str:
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            full = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(full, root).encode())
-            with open(full, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -420,8 +407,8 @@ def test_criterion_7_determinism(tmp_path):
     cfg = D.SyntheticConfig(videos=2, frames=10, height=16, width=16, seed=5)
     D.generate_synthetic(str(tmp_path / "gen_a"), cfg)
     D.generate_synthetic(str(tmp_path / "gen_b"), cfg)
-    digest_a = _tree_digest(str(tmp_path / "gen_a"))
-    datasets_match = digest_a == _tree_digest(str(tmp_path / "gen_b"))
+    digest_a = tree_digest(str(tmp_path / "gen_a"))
+    datasets_match = digest_a == tree_digest(str(tmp_path / "gen_b"))
 
     manifest = os.path.join(str(tmp_path / "gen_a"), "manifest.json")
     blobs = []

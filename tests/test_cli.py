@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import resized_maps
+from helpers import resized_maps, tree_digest
 from tsal import data as D
 from tsal import metrics as M
 from tsal import model as Mo
@@ -64,6 +64,10 @@ class TestFmt3:
         assert fmt3(-0.1235) == "-0.124"
 
 
+SMALL_GENERATE = ("--videos", "1", "--frames", "2", "--height", "8", "--width", "8")
+HUGE = str(2**70)  # past int64
+
+
 class TestGenerate:
     def test_writes_tree_and_prints_manifest(self, tmp_path, capsys):
         out = str(tmp_path / "ds")
@@ -102,6 +106,17 @@ class TestGenerate:
         assert code == 1
         assert "ERROR ParseError:" in stderr
 
+    def test_negative_zero_noise_is_zero_noise(self, tmp_path, capsys):
+        trees = []
+        for noise in ("-0.0", "0"):
+            out = str(tmp_path / f"noise{noise}")
+            code, _, stderr = run(
+                capsys, "generate", "--out", out, "--noise", noise, *SMALL_GENERATE
+            )
+            assert code == 0
+            assert '"noise": 0.0' in stderr  # the resolved-config line
+            trees.append(tree_digest(out))
+        assert trees[0] == trees[1]
 
 # (command, flags, config) -> one bad setting each; everything else is valid
 BAD_SETTINGS = {
@@ -124,6 +139,17 @@ BAD_SETTINGS = {
     "shuffle-seed-x": ("evaluate", ["--shuffle-seed", "x"], None),
     "metrics-repeated": ("evaluate", ["--metrics", "nss,nss,cc"], None),
     "height-65536": ("generate", ["--height", "65536", "--videos", "1", "--frames", "1"], None),
+    "frames-huge": ("generate", [*SMALL_GENERATE, "--frames", HUGE], None),
+    "lag-huge": ("generate", [*SMALL_GENERATE, "--lag", HUGE], None),
+    "blob-sigma-1e-200": ("generate", [*SMALL_GENERATE, "--blob-sigma", "1e-200"], None),
+    "fixations-per-frame-huge": (
+        "generate", [*SMALL_GENERATE, "--fixations-per-frame", HUGE], None,
+    ),
+    "fixations-per-frame-65-on-8x8": (
+        "generate", [*SMALL_GENERATE, "--fixations-per-frame", "65"], None,
+    ),
+    "config-noise-past-float": ("generate", list(SMALL_GENERATE), {"noise": 10**400}),
+    "config-lr0-past-float": ("train", [], {"lr0": 10**400}),
 }
 
 
@@ -1051,6 +1077,35 @@ class TestReport:
         assert code == 0
         big = f"{10**308}.000"  # fmt3 rounds the shortest repr, 1e+308
         assert stdout.splitlines()[-1].split() == ["m", big, big, "inf"]  # the mean overflows
+
+    def test_golden_comparison(self, tmp_path, capsys):
+        """Every tied model is starred; n/a, and a column with nothing defined, never are."""
+        groups = {"free-viewing": ["a", "b"], "task-driven": ["c"]}
+        paths = []
+        for name, values in (
+            ("model_x", {"a": 1.0, "b": None, "c": None}),
+            ("model_y", {"a": 1.0, "b": 2.5, "c": None}),
+            ("model_z", {"a": 0.5, "b": 2.0, "c": None}),
+        ):
+            paths.append(str(tmp_path / f"{name}.json"))
+            write_report_json(paths[-1], values, groups)
+        code, stdout, _ = run(capsys, "report", *paths)
+        assert code == 0
+        assert stdout == (
+            "[free-viewing] metric: nss\n"
+            "model         a       b  AVERAGE\n"
+            "--------------------------------\n"
+            "model_x  1.000*     n/a    1.000\n"
+            "model_y  1.000*  2.500*   1.750*\n"
+            "model_z   0.500   2.000    1.250\n"
+            "\n"
+            "[task-driven] metric: nss\n"
+            "model      c  AVERAGE\n"
+            "---------------------\n"
+            "model_x  n/a      n/a\n"
+            "model_y  n/a      n/a\n"
+            "model_z  n/a      n/a\n"
+        )
 
     def test_unknown_metric(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")

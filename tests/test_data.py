@@ -1,6 +1,5 @@
 """Tests for PGM I/O, fixation files, manifests, and synthesis."""
 
-import hashlib
 import json
 import os
 import re
@@ -8,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import resized_maps
+from helpers import resized_maps, tree_digest
 from tsal import data as D
 from tsal import metrics as M
 from tsal.errors import (
@@ -230,18 +229,6 @@ class TestResize:
         assert down.tolist() == [[3, 3]]  # round-half-up then clamped in range
         same = D.rescale_fixations(fix, (4, 4), (4, 4))
         assert same.tolist() == fix.tolist()
-
-
-def tree_digest(root: str) -> str:
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            full = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(full, root).encode())
-            with open(full, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
 
 
 VIDEO = {

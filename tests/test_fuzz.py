@@ -1,22 +1,27 @@
-"""Property tests for the file parsers.
+"""Property tests for the file parsers and the settings checks.
 
 Whatever bytes a file holds, ``load_map``, ``load_fixations``,
 ``load_manifest``, ``load_scores`` and ``load_checkpoint`` return a valid
 object or raise a :class:`SaliencyError`; any other exception is a bug.
+Whatever values a config gives, ``tsal generate`` writes the dataset it
+names or ends in one ``ERROR ParseError:`` line before writing anything.
 """
 
+import io
 import json
 import math
 import os
 import struct
 import tempfile
 import zlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsal import cli
 from tsal import data as D
 from tsal import metrics as M
 from tsal import model as Mo
@@ -267,6 +272,64 @@ def test_load_checkpoint_resealed_mutations(variant, edits, cut):
     for at, value in edits:
         body[at % len(body)] = value
     check_checkpoint(parse(Tr.load_checkpoint, seal(bytes(body[:cut]))))
+
+
+# ---------------------------------------------------------------------------
+# generate settings
+
+ODD_SETTINGS = (None, True, False, 0, -1, -0.0, 1e-200, math.inf, "3", [1])
+HUGE_SETTINGS = (2**70, 10**400)  # past int64; past float64
+VALID_SETTINGS = {
+    "videos": st.integers(1, 2),
+    "frames": st.integers(1, 3),
+    "height": st.integers(8, 16),
+    "width": st.integers(8, 16),
+    "seed": st.integers(0, 2**70),
+    "lag": st.integers(0, 3),
+    "blob_sigma": st.floats(0.05, 10.0),
+    "noise": st.floats(0.0, 1.0),
+    "fixations_per_frame": st.integers(0, 5),
+}
+SIZES = ("videos", "frames", "height", "width")  # always given, so no draw is large
+
+
+def odd_setting(key: str):
+    # a bound refuses a huge value, or it costs nothing, for every key but videos
+    huge = HUGE_SETTINGS if key != "videos" else ()
+    return st.tuples(st.just(key), st.sampled_from(ODD_SETTINGS + huge))
+
+
+@settings(FUZZ, max_examples=100)  # a valid draw writes a dataset
+@given(
+    st.fixed_dictionaries(
+        {key: VALID_SETTINGS[key] for key in SIZES},
+        optional={key: VALID_SETTINGS[key] for key in VALID_SETTINGS if key not in SIZES},
+    ),
+    st.lists(st.sampled_from(list(VALID_SETTINGS)).flatmap(odd_setting), max_size=2),
+)
+@example({"videos": 1, "frames": 2, "height": 8, "width": 8}, [("noise", -0.0)])
+@example({"videos": 1, "frames": 2, "height": 8, "width": 8}, [("blob_sigma", 1e-200)])
+def test_generate_settings(valid, odd):
+    config = {**valid, **dict(odd)}
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out = os.path.join(root, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(["generate", "--config", path, "--out", out])
+        if code == 0:
+            assert stdout.getvalue() == os.path.join(out, "manifest.json") + "\n"
+            manifest = D.load_manifest(os.path.join(out, "manifest.json"))
+            assert len(manifest["videos"]) == config["videos"]
+            for video in manifest["videos"]:
+                assert video["frames"] == list(range(config["frames"]))
+        else:
+            errors = [line for line in stderr.getvalue().splitlines() if line.startswith("ERROR")]
+            assert code == 1 and len(errors) == 1 and errors[0].startswith("ERROR ParseError:")
+            assert "Traceback" not in stderr.getvalue()
+            assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,13 @@ class TestAggregateReport:
         with pytest.raises(UnknownVideo):
             M.aggregate_report({}, {"g": ["ghost"]})
 
+    def test_members_are_added_left_to_right(self):
+        """Added left to right, 1e16 + 1 - 1e16 is 0 in float64; the compensated
+        sum() of Python 3.12 gives 1, so the mean would depend on the version."""
+        per_video = {vid: self.make_scores(v) for vid, v in zip("abc", (1e16, 1.0, -1e16))}
+        report = M.aggregate_report(per_video, {"g": ["a", "b", "c"]})
+        assert report["group_averages"]["g"]["nss"] == 0.0
+
     def test_round_trip_through_dict(self):
         per_video = {
             "a": score_row(nss=1.0, cc=0.5, frames=3),

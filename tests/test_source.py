@@ -168,31 +168,62 @@ def test_no_dataclass_repeats_a_settings_default():
     assert repeated == [], f"dataclass fields that repeat a cli.SETTINGS default: {repeated}"
 
 
-def _lstm_names(node: ast.AST, function: str | None):
-    """(line, enclosing function) of each string constant under ``node``
-    that starts with ``lstm.``; an f-string's leading text is one too."""
+def _in_functions(node: ast.AST, function: str | None = None):
+    """Each node under ``node`` with the name of the function that holds it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _lstm_names(child, child.name)
+            yield from _in_functions(child, child.name)
             continue
-        value = child.value if isinstance(child, ast.Constant) else None
-        if isinstance(value, str) and value.startswith("lstm."):
-            yield child.lineno, function
-        yield from _lstm_names(child, function)
+        yield child, function
+        yield from _in_functions(child, function)
 
 
 def test_only_named_parameters_names_lstm_tensors():
     """``AdaptationModel.named_parameters`` names the ConvLSTM tensors and
     splits the stacked gate rows for the optimizer, the checkpoint and the
     gradients alike, so no other function builds a string that starts with
-    ``lstm.``: a second copy of the gate naming cannot grow back."""
+    ``lstm.``: a second copy of the gate naming cannot grow back. An
+    f-string's leading text is such a string too."""
     builders = []
     for path in glob.glob(os.path.join(SRC, "*.py")):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         builders += [
-            f"{os.path.basename(path)} line {line} in {function}"
-            for line, function in _lstm_names(tree, None)
-            if function != "named_parameters"
+            f"{os.path.basename(path)} line {node.lineno} in {function}"
+            for node, function in _in_functions(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("lstm.")
+            and function != "named_parameters"
         ]
     assert builders == [], f"an 'lstm.' name built outside named_parameters: {builders}"
+
+
+def _divides_by_len(node: ast.AST) -> bool:
+    divisor = node.right if isinstance(node, ast.BinOp) else getattr(node, "value", None)
+    return (
+        isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div)
+        and isinstance(divisor, ast.Call)
+        and isinstance(divisor.func, ast.Name)
+        and divisor.func.id == "len"
+    )
+
+
+def test_only_mean_averages():
+    """``metrics._mean`` is the one averaging rule: it makes each video's
+    row from its frames' scores and each group's average from its members'
+    rows. No other function divides by a ``len(...)`` call, so a second
+    copy of the rule, with its own summation order or its own empty case,
+    cannot grow back."""
+    dividers = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)
+        dividers += [
+            f"{module} line {node.lineno} in {function}"
+            for node, function in _in_functions(tree)
+            if _divides_by_len(node) and (module, function) != ("metrics.py", "_mean")
+        ]
+    assert dividers == [], f"a division by len(...) outside metrics._mean: {dividers}"
