@@ -49,12 +49,16 @@ VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 
 # negatives per positive kept when subsampling the shuffled-AUC pool
 SAUC_NEGATIVE_RATIO = 10
+# OpenBLAS (0.3.31) computes a dot product on one thread up to this length
+_DOT_SLICE = 10_000
 
 
 def _check_inside(sal: np.ndarray, fix: np.ndarray) -> None:
+    # one min over both columns, one max per column; every caller has
+    # refused an empty ``fix``, whose min would raise
     rows, cols = fix.T
     h, w = sal.shape
-    if np.any(rows < 0) or np.any(rows >= h) or np.any(cols < 0) or np.any(cols >= w):
+    if fix.min() < 0 or rows.max() >= h or cols.max() >= w:
         raise OutOfBounds(f"fixation outside {h}x{w} map")
 
 
@@ -84,11 +88,27 @@ def cc(sal: np.ndarray, gt: np.ndarray) -> float | None:
         raise DimensionMismatch(f"map dims {sal.shape} != {gt.shape}")
     a = sal.ravel() - sal.mean()
     b = gt.ravel() - gt.mean()
-    var_a = float(a @ a)
-    var_b = float(b @ b)
+    var_a = float(_dot(a, a))
+    var_b = float(_dot(b, b))
     if var_a == 0.0 or var_b == 0.0:
         return None
-    return float((a @ b) / np.sqrt(var_a * var_b))
+    return float(_dot(a, b) / np.sqrt(var_a * var_b))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.floating:
+    """The dot product of two 1-D arrays, the same at any BLAS thread count.
+
+    OpenBLAS splits a dot product over threads above ``_DOT_SLICE``
+    elements, which moves its low bits with the thread count. The products
+    of consecutive slices of at most ``_DOT_SLICE`` elements are added left
+    to right, starting from the first product rather than from 0.0, so an
+    array of ``_DOT_SLICE`` elements or fewer gets exactly the one BLAS
+    call's result, a -0.0 included.
+    """
+    total = a[:_DOT_SLICE] @ b[:_DOT_SLICE]
+    for start in range(_DOT_SLICE, a.size, _DOT_SLICE):
+        total = total + a[start : start + _DOT_SLICE] @ b[start : start + _DOT_SLICE]
+    return total
 
 
 def sim(sal: np.ndarray, gt: np.ndarray) -> float:
@@ -103,37 +123,55 @@ def sim(sal: np.ndarray, gt: np.ndarray) -> float:
 
 
 def _roc_area(positives: np.ndarray, negatives: np.ndarray) -> float:
+    """ROC area of two samples, as ``_ranked_roc_area`` defines it."""
+    ranked = np.sort(np.concatenate([positives, negatives]))
+    positives = np.sort(positives)
+    return _ranked_roc_area(ranked, positives, positives)
+
+
+def _ranked_roc_area(
+    ranked: np.ndarray, positives: np.ndarray, not_negatives: np.ndarray
+) -> float:
     """Trapezoidal ROC area, thresholds swept over every distinct value.
 
-    Thresholds are the distinct values of both samples in descending
-    order; at each threshold t, TPR and FPR count values >= t. The curve
-    is anchored at (0,0) and (1,1). On tie-free data this equals the
-    Mann-Whitney statistic U / (n_pos * n_neg); ties receive half credit.
+    ``ranked`` holds, in ascending order, the negatives and the values of
+    ``not_negatives``, among which is every positive's value.
+    ``positives`` and ``not_negatives`` are sorted. Thresholds are the
+    distinct values of ``ranked``, so of both samples; at each threshold
+    t, TPR and FPR count values >= t, the negatives' count being
+    ``ranked``'s less ``not_negatives``'. The curve is anchored at (0,0)
+    and (1,1). On tie-free data this equals the Mann-Whitney statistic
+    U / (n_pos * n_neg); ties receive half credit.
     """
-    pos_sorted = np.sort(positives)
-    neg_sorted = np.sort(negatives)
-    thresholds = np.unique(np.concatenate([pos_sorted, neg_sorted]))
-    n_pos = pos_sorted.size
-    n_neg = neg_sorted.size
-    # count >= t via sorted rank; thresholds ascending makes rates descending
-    tpr = (n_pos - np.searchsorted(pos_sorted, thresholds, side="left")) / n_pos
-    fpr = (n_neg - np.searchsorted(neg_sorted, thresholds, side="left")) / n_neg
-    xs = np.concatenate([[0.0], fpr[::-1], [1.0]])
-    ys = np.concatenate([[0.0], tpr[::-1], [1.0]])
-    return float(np.trapezoid(ys, xs))
+    first = np.empty(ranked.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    thresholds = ranked[first]
+    # count >= t via sorted rank; a threshold's first copy in ``ranked`` is its rank
+    n_pos = positives.size
+    n_neg = ranked.size - not_negatives.size
+    pos_at_or_above = n_pos - np.searchsorted(positives, thresholds)
+    neg_at_or_above = (ranked.size - np.flatnonzero(first)) - (
+        not_negatives.size - np.searchsorted(not_negatives, thresholds)
+    )
+    # thresholds ascending makes rates descending
+    xs = np.concatenate([[0.0], (neg_at_or_above / n_neg)[::-1], [1.0]])
+    ys = np.concatenate([[0.0], (pos_at_or_above / n_pos)[::-1], [1.0]])
+    # np.trapezoid(ys, xs), as numpy evaluates it for a 1-D xs
+    return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0).sum())
 
 
 def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float:
     """ROC area with fixated pixels as positives, all other pixels as negatives."""
     if len(fix) == 0:
         raise EmptyFixations("AUC needs at least one fixation")
-    positives = _values_at(sal, fix)
+    positives = np.sort(_values_at(sal, fix))
     fixated = np.zeros(sal.shape, dtype=bool)
     fixated[fix[:, 0], fix[:, 1]] = True
-    negatives = sal[~fixated]
-    if negatives.size == 0:
+    taken = np.sort(sal[fixated])  # each fixated pixel once, however often fixated
+    if taken.size == sal.size:
         raise AllFixated("every pixel is fixated; no negatives remain")
-    return _roc_area(positives, negatives)
+    return _ranked_roc_area(np.sort(sal, axis=None), positives, taken)
 
 
 def shuffled_auc(

@@ -903,24 +903,31 @@ class TestEvaluate:
         assert "ERROR MissingPrediction:" in stderr
 
     def test_scores_independent_of_blas_threads(self, tmp_path):
-        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=4, size=16)
-        pred = str(tmp_path / "pred")
-        copy_gt_as_predictions(data_dir, pred)
+        """At 128x128, 16,384 pixels, CC's dot products are longer than
+        OpenBLAS computes on one thread."""
+        data_dir, small = make_dataset(tmp_path, "small", videos=3, frames=4, size=16)
+        copy_gt_as_predictions(data_dir, str(tmp_path / "small_pred"))
+        _, large = make_dataset(tmp_path, "large", videos=2, frames=3, size=128)
+        os.makedirs(tmp_path / "large_pred")
+        for video in D.load_manifest(large)["videos"]:
+            # the static maps as predictions, so that CC is not 1
+            os.symlink(video["static_map_dir"], tmp_path / "large_pred" / video["video_id"])
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(tsal.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        blobs = {}
-        for threads in ("1", "2"):
-            env["OPENBLAS_NUM_THREADS"] = threads
-            out = tmp_path / f"t{threads}.json"
-            subprocess.run(
-                [sys.executable, "-m", "tsal.cli", "evaluate", "--manifest", manifest,
-                 "--predictions", pred, "--out", str(out)],
-                env=env, check=True, capture_output=True,
-            )
-            blobs[threads] = out.read_bytes()
-        assert len(json.loads(blobs["1"])["per_video"]) == 3
-        assert blobs["1"] == blobs["2"]
+        for name, manifest, videos in (("small", small, 3), ("large", large, 2)):
+            blobs = {}
+            for threads in ("1", "2"):
+                env["OPENBLAS_NUM_THREADS"] = threads
+                out = tmp_path / f"{name}{threads}.json"
+                subprocess.run(
+                    [sys.executable, "-m", "tsal.cli", "evaluate", "--manifest", manifest,
+                     "--predictions", str(tmp_path / f"{name}_pred"), "--out", str(out)],
+                    env=env, check=True, capture_output=True,
+                )
+                blobs[threads] = out.read_bytes()
+            assert len(json.loads(blobs["1"])["per_video"]) == videos
+            assert blobs["1"] == blobs["2"], name
 
     def test_static_maps_of_two_sizes_are_one_error(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=4, size=12)

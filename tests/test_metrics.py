@@ -42,6 +42,40 @@ def two_pass_pearson(a, b) -> float:
     return cov / np.sqrt(va * vb)
 
 
+def two_sort_roc_area(positives, negatives) -> float:
+    """The ROC area as first written: both samples sorted apart, thresholds
+    from np.unique, area from np.trapezoid."""
+    pos_sorted = np.sort(positives)
+    neg_sorted = np.sort(negatives)
+    thresholds = np.unique(np.concatenate([pos_sorted, neg_sorted]))
+    n_pos = pos_sorted.size
+    n_neg = neg_sorted.size
+    tpr = (n_pos - np.searchsorted(pos_sorted, thresholds, side="left")) / n_pos
+    fpr = (n_neg - np.searchsorted(neg_sorted, thresholds, side="left")) / n_neg
+    xs = np.concatenate([[0.0], fpr[::-1], [1.0]])
+    ys = np.concatenate([[0.0], tpr[::-1], [1.0]])
+    return float(np.trapezoid(ys, xs))
+
+
+def two_sort_auc_judd(sal, fix) -> float:
+    """AUC-Judd as first written: the negatives copied out by a mask."""
+    positives = sal[fix[:, 0], fix[:, 1]]
+    fixated = np.zeros(sal.shape, dtype=bool)
+    fixated[fix[:, 0], fix[:, 1]] = True
+    negatives = sal[~fixated]
+    if negatives.size == 0:
+        raise AllFixated("every pixel is fixated; no negatives remain")
+    return two_sort_roc_area(positives, negatives)
+
+
+def two_sort_shuffled_auc(sal, fix, other_fix, rng_seed) -> float:
+    cap = M.SAUC_NEGATIVE_RATIO * len(fix)
+    if len(other_fix) > cap:
+        keep = np.random.default_rng(rng_seed).choice(len(other_fix), size=cap, replace=False)
+        other_fix = other_fix[keep]
+    return two_sort_roc_area(sal[fix[:, 0], fix[:, 1]], sal[other_fix[:, 0], other_fix[:, 1]])
+
+
 NO_FIXATIONS = np.empty((0, 2), dtype=np.int64)
 
 
@@ -54,6 +88,32 @@ def distinct_map(rng, h, w) -> np.ndarray:
 def sample_fixations(rng, h, w, n) -> np.ndarray:
     cells = rng.choice(h * w, size=n, replace=False)
     return np.array([(int(c // w), int(c % w)) for c in cells])
+
+
+MAP_KINDS = ("8-bit", "4-level", "float32", "one-hot", "signed-zeros")
+
+
+def tied_map(rng, kind, h, w) -> np.ndarray:
+    """A map of one of ``MAP_KINDS``: most have many ties between pixels."""
+    if kind == "8-bit":  # as read from a PGM file
+        return np.round(rng.uniform(0, 1, size=(h, w)) * 255) / 255
+    if kind == "4-level":
+        return rng.integers(0, 4, size=(h, w)) / 3
+    if kind == "float32":
+        return rng.uniform(0, 1, size=(h, w)).astype(np.float32)
+    if kind == "one-hot":
+        sal = np.zeros((h, w))
+        sal[rng.integers(h), rng.integers(w)] = 1.0
+        return sal
+    # -0.0 and 0.0 are one threshold
+    zeros = np.where(rng.uniform(size=(h, w)) < 0.5, -0.0, 0.0)
+    return np.where(rng.uniform(size=(h, w)) < 0.2, 1.0, zeros)
+
+
+def fixations_with_repeats(rng, h, w, n) -> np.ndarray:
+    """``n`` fixations drawn with replacement, then a few of them again."""
+    fix = np.stack([rng.integers(0, h, size=n), rng.integers(0, w, size=n)], axis=1)
+    return np.concatenate([fix, fix[rng.integers(0, n, size=int(rng.integers(1, 4)))]])
 
 
 class TestNss:
@@ -120,6 +180,13 @@ class TestCc:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             M.cc(np.ones((2, 2)), np.ones((3, 3)))
+
+    def test_dot_adds_slices_of_ten_thousand_left_to_right(self):
+        rng = np.random.default_rng(18)
+        a, b = rng.standard_normal(25_000), rng.standard_normal(25_000)
+        assert M._dot(a[:10_000], b[:10_000]) == a[:10_000] @ b[:10_000]
+        parts = [a[i : i + 10_000] @ b[i : i + 10_000] for i in (0, 10_000, 20_000)]
+        assert M._dot(a, b) == (parts[0] + parts[1]) + parts[2]
 
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(4)
@@ -207,6 +274,35 @@ class TestAucJudd:
             warped = np.exp(3.0 * sal) - 0.5
             assert M.auc_judd(warped, fix) == base
 
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_equals_two_sort_oracle(self, kind):
+        rng = np.random.default_rng(MAP_KINDS.index(kind))
+        for _ in range(100):
+            h, w = int(rng.integers(1, 40)), int(rng.integers(2, 40))
+            sal = tied_map(rng, kind, h, w)
+            # fewer draws than pixels, so some pixel is a negative
+            fix = fixations_with_repeats(rng, h, w, int(rng.integers(1, min(12, h * w))))
+            assert M.auc_judd(sal, fix) == two_sort_auc_judd(sal, fix)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_one_negative_equals_two_sort_oracle(self, kind):
+        rng = np.random.default_rng(20 + MAP_KINDS.index(kind))
+        for _ in range(20):
+            sal = tied_map(rng, kind, 4, 5)
+            every = np.array([(r, c) for r in range(4) for c in range(5)])
+            fix = np.delete(every, int(rng.integers(20)), axis=0)
+            fix = np.concatenate([fix, fix[:3]])
+            assert M.auc_judd(sal, fix) == two_sort_auc_judd(sal, fix)
+
+    def test_all_fixated_raises_like_two_sort_oracle(self):
+        rng = np.random.default_rng(30)
+        sal = tied_map(rng, "8-bit", 3, 4)
+        fix = np.array([(r, c) for r in range(3) for c in range(4)] + [(1, 2), (0, 0)])
+        with pytest.raises(AllFixated):
+            two_sort_auc_judd(sal, fix)
+        with pytest.raises(AllFixated):
+            M.auc_judd(sal, fix)
+
 
 class TestShuffledAuc:
     def test_identical_pools_give_half(self):
@@ -262,6 +358,31 @@ class TestShuffledAuc:
         with pytest.raises(OutOfBounds):
             M.shuffled_auc(sal, np.array([(2, 2)]), pool, rng_seed=0)
 
+    def test_out_of_range_pool_point_past_the_cap_raises(self):
+        sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        fix = np.array([(0, 0)])
+        for point in [(4, 0), (0, 4), (-1, 0), (0, -1)]:
+            pool = np.array([(r, c) for r in range(4) for c in range(4)] + [point])
+            # seed 0 keeps 10 of the 17 pool points, and not the last one
+            keep = np.random.default_rng(0).choice(len(pool), size=10, replace=False)
+            assert len(pool) - 1 not in keep
+            with pytest.raises(OutOfBounds):
+                M.shuffled_auc(sal, fix, pool, rng_seed=0)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    @pytest.mark.parametrize("pool_size", ["below-cap", "above-cap"])
+    def test_equals_two_sort_oracle(self, kind, pool_size):
+        rng = np.random.default_rng(40 + MAP_KINDS.index(kind))
+        for seed in range(100):
+            h, w = int(rng.integers(1, 40)), int(rng.integers(2, 40))
+            sal = tied_map(rng, kind, h, w)
+            fix = fixations_with_repeats(rng, h, w, int(rng.integers(1, 12)))
+            cap = M.SAUC_NEGATIVE_RATIO * len(fix)
+            n_other = int(rng.integers(1, cap + 1) if pool_size == "below-cap" else cap + 1 + seed)
+            other = fixations_with_repeats(rng, h, w, n_other)[:n_other]
+            got = M.shuffled_auc(sal, fix, other, rng_seed=seed)
+            assert got == two_sort_shuffled_auc(sal, fix, other, seed)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -271,6 +392,29 @@ class TestShuffledAuc:
             base = M.shuffled_auc(sal, fix, other, rng_seed=1)
             warped = sal**3 + 2.0 * sal
             assert M.shuffled_auc(warped, fix, other, rng_seed=1) == base
+
+
+FIXATION_METRICS = {
+    "nss": lambda sal, fix: M.nss(sal, fix),
+    "auc_judd": lambda sal, fix: M.auc_judd(sal, fix),
+    "shuffled_auc": lambda sal, fix: M.shuffled_auc(sal, fix, fix[:1] * 0, rng_seed=0),
+    "shuffled_auc pool": lambda sal, fix: M.shuffled_auc(sal, fix[:1] * 0, fix, rng_seed=0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize(
+    "point", [(-1, 1), (1, -1), (3, 1), (1, 4)], ids=["row-1", "col-1", "row-h", "col-w"]
+)
+@pytest.mark.parametrize("metric", FIXATION_METRICS)
+def test_fixation_outside_the_map_raises(metric, point, dtype):
+    """Each bound of each column is checked, on a 3x4 map so that a row
+    equal to the width or a column equal to the height would pass."""
+    sal = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    fix = np.array([(0, 0), (2, 3), point, (1, 2)], dtype=dtype)
+    with pytest.raises(OutOfBounds):
+        FIXATION_METRICS[metric](sal, fix)
+    FIXATION_METRICS[metric](sal, np.delete(fix, 2, axis=0))  # the rest are inside
 
 
 class TestEvaluateVideo:

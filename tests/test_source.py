@@ -227,3 +227,24 @@ def test_only_mean_averages():
             if _divides_by_len(node) and (module, function) != ("metrics.py", "_mean")
         ]
     assert dividers == [], f"a division by len(...) outside metrics._mean: {dividers}"
+
+
+def test_only_dot_multiplies_vectors_in_metrics():
+    """OpenBLAS splits a long dot product over threads, which moves its low
+    bits with the thread count, so ``metrics._dot`` is the one function in
+    metrics.py that calls a BLAS product: no other uses ``@`` or ``.dot``,
+    and a score cannot come to depend on the thread count again."""
+    with open(os.path.join(SRC, "metrics.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    products = [
+        f"line {node.lineno} in {function}"
+        for node, function in _in_functions(tree)
+        if (
+            isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute)
+            and node.attr == "dot"
+        )
+        and function != "_dot"
+    ]
+    assert products == [], f"a BLAS product in metrics.py outside _dot: {products}"
