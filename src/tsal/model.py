@@ -171,7 +171,7 @@ class _ConvStepCache:
 @dataclass
 class _LstmStepCache:
     x: np.ndarray
-    h_prev: np.ndarray
+    h_prev: np.ndarray | None  # None: the step began from the zero state
     c_prev: np.ndarray
     gates: np.ndarray  # activated i, f, o, g stacked along channels
     c: np.ndarray
@@ -207,26 +207,28 @@ def convlstm_step(
         raise ValueError("convlstm_step requires a ConvLSTM model")
     assert model.input_conv is not None and model.hidden_conv is not None
     if state is None:
-        # read-only below, so one zero array serves as both
-        h_prev = c_prev = np.zeros((1, model.hidden_channels) + x.shape[2:], model.dtype)
+        h_prev, c_prev = None, np.zeros((1, model.hidden_channels) + x.shape[2:], model.dtype)
     else:
         h_prev, c_prev = state
-    if {h_prev.dtype, c_prev.dtype} != {model.dtype}:
-        raise ValueError(
-            f"a {model.dtype} model needs a {model.dtype} state,"
-            f" got hidden {h_prev.dtype} and cell {c_prev.dtype}"
-        )
-    if h_prev.shape != c_prev.shape:
-        raise DimensionMismatch(f"hidden dims {h_prev.shape} != cell dims {c_prev.shape}")
-    if h_prev.shape[2:] != x.shape[2:]:
-        raise DimensionMismatch(
-            f"state spatial dims {h_prev.shape} do not match frame {x.shape}"
-        )
+        if {h_prev.dtype, c_prev.dtype} != {model.dtype}:
+            raise ValueError(
+                f"a {model.dtype} model needs a {model.dtype} state,"
+                f" got hidden {h_prev.dtype} and cell {c_prev.dtype}"
+            )
+        if h_prev.shape != c_prev.shape:
+            raise DimensionMismatch(f"hidden dims {h_prev.shape} != cell dims {c_prev.shape}")
+        if h_prev.shape[2:] != x.shape[2:]:
+            raise DimensionMismatch(
+                f"state spatial dims {h_prev.shape} do not match frame {x.shape}"
+            )
 
     # activations run in place on the fresh pre-activation buffer: one tanh
     # serves all four gates, as tensor.sigmoid is 0.5 * (1 + tanh(0.5 * v))
-    gates = conv2d_forward(h_prev, model.hidden_conv)
-    gates += conv2d_forward(x, model.input_conv)
+    gates = conv2d_forward(x, model.input_conv)
+    if h_prev is not None:
+        # skipped for the zero state: hidden_conv of it is exactly +0 (zero
+        # bias), and +0 changes no bit of a sum that is never -0 (README)
+        gates += conv2d_forward(h_prev, model.hidden_conv)
     hc = model.hidden_channels
     gates[:, : 3 * hc] *= 0.5
     np.tanh(gates, out=gates)
@@ -314,34 +316,53 @@ def _backward_convlstm(
     assert model.input_conv is not None and model.hidden_conv is not None
     head = _zeros_like(model.head)
     input_conv, hidden_conv = _zeros_like(model.input_conv), _zeros_like(model.hidden_conv)
-    rows = _gate_rows(model.hidden_channels)
-    dh_next = np.zeros_like(steps[-1].h)
-    dc_next = np.zeros_like(dh_next)
+    hc = model.hidden_channels
+    rows = _gate_rows(hc).values()
+    # one gate-gradient buffer and three scratch arrays serve every step; each
+    # expression keeps the operation order of its plain NumPy form
+    d_pre = np.empty((1, 4 * hc) + steps[-1].h.shape[2:], steps[-1].h.dtype)
+    d_i, d_f, d_o, d_g = (d_pre[:, r] for r in rows)
+    tc, dc, tmp = (np.empty_like(d_i) for _ in range(3))
+    dh_next = np.zeros_like(d_i)
+    dc_next = np.zeros_like(d_i)
     for step, dy in zip(reversed(steps), reversed(grad_outputs)):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
-        d_h_head, d_w_head, d_b_head = conv2d_backward(step.h, model.head, d_pre_head)
+        dh, d_w_head, d_b_head = conv2d_backward(step.h, model.head, d_pre_head)
         head.weights += d_w_head
         head.bias += d_b_head
 
-        dh = d_h_head + dh_next
-        i, f, o, g = (step.gates[:, r] for r in rows.values())
-        tc = np.tanh(step.c)
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * step.c_prev
-        di = dc * g
-        dg = dc * i
-        dc_next = dc * f
+        dh += dh_next
+        i, f, o, g = (step.gates[:, r] for r in rows)
+        np.tanh(step.c, out=tc)
+        # d_o = ((dh * tc) * o) * (1 - o)
+        np.multiply(dh, tc, out=d_o)
+        d_o *= o
+        d_o *= np.subtract(1.0, o, out=tmp)
+        # dc = ((dh * o) * (1 - tc * tc)) + dc_next
+        np.multiply(tc, tc, out=tc)
+        np.multiply(dh, o, out=dc)
+        dc *= np.subtract(1.0, tc, out=tc)
+        dc += dc_next
+        # d_f = ((dc * c_prev) * f) * (1 - f)
+        np.multiply(dc, step.c_prev, out=d_f)
+        d_f *= f
+        d_f *= np.subtract(1.0, f, out=tmp)
+        # d_i = ((dc * g) * i) * (1 - i)
+        np.multiply(dc, g, out=d_i)
+        d_i *= i
+        d_i *= np.subtract(1.0, i, out=tmp)
+        # d_g = (dc * i) * (1 - g * g)
+        np.multiply(dc, i, out=d_g)
+        np.multiply(g, g, out=tmp)
+        d_g *= np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dc, f, out=dc_next)
 
-        # gate pre-activation gradients via the cached activations
-        d_pre = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
-            axis=1,
-        )
-        d_hp, step_wh, _ = conv2d_backward(step.h_prev, model.hidden_conv, d_pre)
         _, step_wx, step_b = conv2d_backward(step.x, model.input_conv, d_pre)
         input_conv.weights += step_wx
-        hidden_conv.weights += step_wh
         input_conv.bias += step_b
-        dh_next = d_hp
+        if step.h_prev is not None:
+            # a zero-state step's hidden weight gradient is all ±0, which leaves
+            # every bit of the sum, and its state gradient is never read
+            dh_next, step_wh, _ = conv2d_backward(step.h_prev, model.hidden_conv, d_pre)
+            hidden_conv.weights += step_wh
     return {"head": head, "input_conv": input_conv, "hidden_conv": hidden_conv}

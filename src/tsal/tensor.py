@@ -90,14 +90,20 @@ def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(cols).reshape(b, c * k * k, ho * wo)
 
 
-def _col2im(cols: np.ndarray, b: int, c: int, hp: int, wp: int, k: int) -> np.ndarray:
-    """Scatter-add the inverse of :func:`_im2col` back onto the padded grid."""
-    ho, wo = hp - k + 1, wp - k + 1
-    out = np.zeros((b, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(b, c, k, k, ho, wo)
+def _col2im(cols: np.ndarray, b: int, c: int, h: int, w: int, k: int) -> np.ndarray:
+    """Scatter-add the inverse of :func:`_im2col` onto the unpadded (h, w)
+    grid of a "same" convolution, dropping what lands in the zero padding.
+    Each pixel sums its terms in the order a padded grid would, so the bits
+    match scattering onto the padded grid and cropping."""
+    p = k // 2
+    out = np.zeros((b, c, h, w), dtype=cols.dtype)
+    cols = cols.reshape(b, c, k, k, h, w)
     for di in range(k):
         for dj in range(k):
-            out[:, :, di : di + ho, dj : dj + wo] += cols[:, :, di, dj]
+            dy, dx = di - p, dj - p
+            out[:, :, max(dy, 0) : h + min(dy, 0), max(dx, 0) : w + min(dx, 0)] += cols[
+                :, :, di, dj, max(-dy, 0) : h + min(-dy, 0), max(-dx, 0) : w + min(-dx, 0)
+            ]
     return out
 
 
@@ -126,27 +132,21 @@ def conv2d_backward(
             f"grad_out dims {grad_out.shape} do not match forward output "
             f"({b}, {params.out_channels}, {h}, {w})"
         )
-    x = _pad_spatial(input, p)
-    cols = _im2col(x, k)
+    cols = _im2col(_pad_spatial(input, p), k)
     g_mat = grad_out.reshape(b, params.out_channels, h * w)
 
     grad_bias = g_mat.sum(axis=(0, 2))
-    # one BLAS product over batch and pixels, (C_in*k*k, C_out) then transposed;
-    # tests pin that its bits do not depend on the BLAS thread count
+    # one BLAS product over batch and pixels, in the weights' own C-contiguous
+    # (C_out, C_in*k*k) layout, so accumulating it is a plain add, not a strided
+    # transpose; tests pin that its bits do not depend on the BLAS thread count
     cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
     g_flat = g_mat.transpose(1, 0, 2).reshape(params.out_channels, -1)
-    grad_weights = (cols @ g_flat.T).T.reshape(params.weights.shape)
+    grad_weights = (g_flat @ cols.T).reshape(params.weights.shape)
     del cols  # bounds peak memory: the column gradient below is as large
 
     w_mat = params.weights.reshape(params.out_channels, -1)
     g_cols = np.matmul(w_mat.T[None, :, :], g_mat)
-    grad_padded = _col2im(g_cols, b, params.in_channels, x.shape[2], x.shape[3], k)
-    if p > 0:
-        # a copy, not a view, so the padded buffer is freed: BPTT carries this
-        # gradient to the next step, and the view raised training's peak RSS
-        grad_input = grad_padded[:, :, p:-p, p:-p].copy()
-    else:
-        grad_input = grad_padded
+    grad_input = _col2im(g_cols, b, params.in_channels, h, w, k)
     return grad_input, grad_weights, grad_bias
 
 

@@ -1,13 +1,23 @@
 """Tests for the adaptation networks: forward semantics, BPTT, initialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import central_difference, conv2d_forward_direct, max_rel_err
 from tsal import model as Mo
+from tsal import tensor as T
 from tsal import train as Tr
 from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite
-from tsal.tensor import Conv2dParams, conv2d_backward, conv2d_forward, sigmoid_backward
+from tsal.tensor import (
+    Conv2dParams,
+    conv2d_backward,
+    conv2d_forward,
+    relu_backward,
+    sigmoid,
+    sigmoid_backward,
+)
 
 
 def zero_model(variant: str, hidden: int = 4) -> Mo.AdaptationModel:
@@ -314,6 +324,198 @@ class TestBackwardSequence:
                 assert err < 1e-4, f"{variant} {name}: rel err {err}"
 
 
+def _padded_col2im(cols, b, c, hp, wp, k):
+    """The scatter-add onto the padded grid, as first written."""
+    ho, wo = hp - k + 1, wp - k + 1
+    out = np.zeros((b, c, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(b, c, k, k, ho, wo)
+    for di in range(k):
+        for dj in range(k):
+            out[:, :, di : di + ho, dj : dj + wo] += cols[:, :, di, dj]
+    return out
+
+
+def padded_conv2d_backward(input, params, grad_out):
+    """conv2d_backward as first written: a transposed weight gradient, and
+    the input gradient scattered onto the padded grid, then cropped."""
+    k = params.kernel_size
+    p = k // 2
+    b, _, h, w = input.shape
+    x = T._pad_spatial(input, p)
+    cols = T._im2col(x, k)
+    g_mat = grad_out.reshape(b, params.out_channels, h * w)
+    grad_bias = g_mat.sum(axis=(0, 2))
+    cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+    g_flat = g_mat.transpose(1, 0, 2).reshape(params.out_channels, -1)
+    grad_weights = (cols @ g_flat.T).T.reshape(params.weights.shape)
+    w_mat = params.weights.reshape(params.out_channels, -1)
+    g_cols = np.matmul(w_mat.T[None, :, :], g_mat)
+    grad_padded = _padded_col2im(g_cols, b, params.in_channels, x.shape[2], x.shape[3], k)
+    grad_input = grad_padded[:, :, p:-p, p:-p].copy() if p > 0 else grad_padded
+    return grad_input, grad_weights, grad_bias
+
+
+def full_forward(frames, m):
+    """forward_sequence as first written: ConvLSTM steps convolve the zero
+    state too, hidden product first. Returns outputs, states and caches."""
+    if m.variant == Mo.CONV_ONLY:
+        outputs, steps = Mo.forward_sequence(frames, m)
+        return outputs, [], steps
+    hc = m.hidden_channels
+    h = c = np.zeros((1, hc) + frames[0].shape[2:], m.dtype)
+    outputs, states, steps = [], [], []
+    for x in frames:
+        gates = conv2d_forward(h, m.hidden_conv)
+        gates += conv2d_forward(x, m.input_conv)
+        gates[:, : 3 * hc] *= 0.5
+        np.tanh(gates, out=gates)
+        gates[:, : 3 * hc] += 1.0
+        gates[:, : 3 * hc] *= 0.5
+        i, f, o, g = (gates[:, r] for r in Mo._gate_rows(hc).values())
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        pre_head = conv2d_forward(h_new, m.head)
+        steps.append(Mo._LstmStepCache(x, h, c, gates, c_new, h_new, pre_head))
+        outputs.append(sigmoid(pre_head))
+        states.append((h_new, c_new))
+        h, c = h_new, c_new
+    return outputs, states, steps
+
+
+def full_backward(m, steps, grad_outputs):
+    """backward_sequence as first written: temporaries per step, a
+    concatenated gate gradient, and both gate convolutions on every step."""
+    zeros = lambda conv: Conv2dParams(np.zeros_like(conv.weights), np.zeros_like(conv.bias))
+    head = zeros(m.head)
+    if m.variant == Mo.CONV_ONLY:
+        feature = zeros(m.feature_conv)
+        for step, dy in zip(steps, grad_outputs):
+            d_pre_head = sigmoid_backward(step.pre_head, dy)
+            d_act, d_wh, d_bh = padded_conv2d_backward(step.activated, m.head, d_pre_head)
+            head.weights += d_wh
+            head.bias += d_bh
+            d_pre_feature = relu_backward(step.pre_feature, d_act)
+            _, d_wf, d_bf = padded_conv2d_backward(step.x, m.feature_conv, d_pre_feature)
+            feature.weights += d_wf
+            feature.bias += d_bf
+        return dict(replace(m, head=head, feature_conv=feature).named_parameters())
+    input_conv, hidden_conv = zeros(m.input_conv), zeros(m.hidden_conv)
+    rows = Mo._gate_rows(m.hidden_channels)
+    dh_next = np.zeros_like(steps[-1].h)
+    dc_next = np.zeros_like(dh_next)
+    for step, dy in zip(reversed(steps), reversed(grad_outputs)):
+        d_pre_head = sigmoid_backward(step.pre_head, dy)
+        d_h_head, d_w_head, d_b_head = padded_conv2d_backward(step.h, m.head, d_pre_head)
+        head.weights += d_w_head
+        head.bias += d_b_head
+        dh = d_h_head + dh_next
+        i, f, o, g = (step.gates[:, r] for r in rows.values())
+        tc = np.tanh(step.c)
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        df = dc * step.c_prev
+        di = dc * g
+        dg = dc * i
+        dc_next = dc * f
+        d_pre = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
+            axis=1,
+        )
+        d_hp, step_wh, _ = padded_conv2d_backward(step.h_prev, m.hidden_conv, d_pre)
+        _, step_wx, step_b = padded_conv2d_backward(step.x, m.input_conv, d_pre)
+        input_conv.weights += step_wx
+        hidden_conv.weights += step_wh
+        input_conv.bias += step_b
+        dh_next = d_hp
+    return dict(
+        replace(m, head=head, input_conv=input_conv, hidden_conv=hidden_conv).named_parameters()
+    )
+
+
+def assert_same_bits(got, want, what=""):
+    """Equal values and equal signs of zero, which array_equal alone misses."""
+    np.testing.assert_array_equal(got, want, err_msg=what)
+    assert np.array_equal(np.signbit(got), np.signbit(want)), f"sign of zero differs: {what}"
+
+
+def frames_with_zeros(rng, count, h, w):
+    """Frames with an all-zero band, so products and sums meet signed zeros."""
+    frames = random_frames(rng, count, h, w)
+    for fr in frames:
+        fr[..., : h // 2, :] = 0.0
+    return frames
+
+
+class TestBitIdenticalToTheFullComputation:
+    """The zero state's skipped convolutions, the in-place gate gradients, the
+    unpadded col2im and the weight-gradient orientation change no bit of any
+    output, state or gradient, sign of zero included."""
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    @pytest.mark.parametrize("hidden,grid", [(3, (5, 6)), (8, (5, 6)), (128, (3, 4))])
+    @pytest.mark.parametrize("variant", Mo.VARIANTS)
+    def test_window(self, variant, hidden, grid, length):
+        rng = np.random.default_rng(hidden + length)
+        m = random_model(variant, seed=40 + length, hidden=hidden)
+        frames = frames_with_zeros(rng, length, *grid)
+        projections = [rng.uniform(-1, 1, size=(1, 1) + grid) for _ in frames]
+        projections[-1][..., 0, :] = -0.0
+        outputs, steps = Mo.forward_sequence(frames, m)
+        want_outputs, want_states, want_steps = full_forward(frames, m)
+        for t, (y, y_want) in enumerate(zip(outputs, want_outputs)):
+            assert_same_bits(y, y_want, f"output {t}")
+        for t, ((h, c), step) in enumerate(zip(want_states, steps)):
+            assert_same_bits(step.h, h, f"hidden {t}")
+            assert_same_bits(step.c, c, f"cell {t}")
+            assert_same_bits(step.gates, want_steps[t].gates, f"gates {t}")
+        got = Mo.backward_sequence(m, steps, projections)
+        want = full_backward(m, want_steps, projections)
+        for name, _ in m.named_parameters():
+            assert_same_bits(got[name], want[name], name)
+        if variant == Mo.CONV_LSTM and length == 1:
+            assert not any(np.any(got[f"lstm.wh_{name}"]) for name in Mo.GATES)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cin,cout,k", [(1, 12, 3), (5, 12, 3), (6, 1, 1), (3, 4, 5)])
+    def test_conv2d_backward(self, dtype, cin, cout, k):
+        rng = np.random.default_rng(cin * cout + k)
+        weights = rng.uniform(-1, 1, size=(cout, cin, k, k)).astype(dtype)
+        params = Conv2dParams(weights, np.zeros(cout))
+        x = rng.uniform(-1, 1, size=(1, cin, 6, 7)).astype(dtype)
+        x[..., :2, :] = 0.0
+        g = rng.uniform(-1, 1, size=(1, cout, 6, 7)).astype(dtype)
+        g[..., 4:, :] = -0.0
+        got, want = conv2d_backward(x, params, g), padded_conv2d_backward(x, params, g)
+        for name, a, b in zip(("input", "weights", "bias"), got, want):
+            assert a.dtype == dtype
+            assert_same_bits(a, b, name)
+        # accumulating a transposed view over time would be a strided copy
+        assert got[1].flags["C_CONTIGUOUS"]
+
+
+class TestZeroStateConvolutionsAreSkipped:
+    """A T-frame window runs hidden_conv T - 1 times forward and backward:
+    the first step starts from the zero state, whose products are all zero."""
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_hidden_conv_calls_per_window(self, monkeypatch, length):
+        m = random_model(Mo.CONV_LSTM, seed=50)
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(direction, fn):
+            def wrapper(input, params, *rest):
+                calls[direction] += params is m.hidden_conv
+                return fn(input, params, *rest)
+            return wrapper
+
+        monkeypatch.setattr(Mo, "conv2d_forward", counted("forward", conv2d_forward))
+        monkeypatch.setattr(Mo, "conv2d_backward", counted("backward", conv2d_backward))
+        frames = random_frames(np.random.default_rng(51), length, 4, 4)
+        outputs, steps = Mo.forward_sequence(frames, m)
+        Mo.backward_sequence(m, steps, [np.ones_like(y) for y in outputs])
+        assert calls == {"forward": length - 1, "backward": length - 1}
+
+
 class TestInitParameters:
     def test_deterministic_per_seed(self):
         a = Mo.init_parameters(Mo.CONV_LSTM, rng_seed=5, hidden_channels=6)
@@ -420,14 +622,19 @@ class TestDtype:
 
     def test_none_state_is_the_zero_state(self, tmp_path):
         frame = random_frames(np.random.default_rng(35), 1, 4, 5)[0]
+        frame[..., :2, :] = 0.0
         for model in loaded_and_float64_twin(tmp_path, Mo.CONV_LSTM):
             zeros = np.zeros((1, model.hidden_channels, 4, 5), model.dtype)
-            y, (h, c), _ = Mo.convlstm_step(frame, None, model)
-            y_want, (h_want, c_want), _ = Mo.convlstm_step(frame, (zeros, zeros.copy()), model)
+            y, (h, c), cache = Mo.convlstm_step(frame, None, model)
+            y_want, (h_want, c_want), cache_want = Mo.convlstm_step(
+                frame, (zeros, zeros.copy()), model
+            )
             assert y.dtype == h.dtype == c.dtype == model.dtype
-            np.testing.assert_array_equal(y, y_want)
-            np.testing.assert_array_equal(h, h_want)
-            np.testing.assert_array_equal(c, c_want)
+            assert_same_bits(y, y_want, "output")
+            assert_same_bits(h, h_want, "hidden")
+            assert_same_bits(c, c_want, "cell")
+            for name in ("gates", "c", "h"):
+                assert_same_bits(getattr(cache, name), getattr(cache_want, name), name)
 
     def test_frame_beyond_float32_range_rejected_by_a_loaded_model(self, tmp_path):
         loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_ONLY)
