@@ -15,6 +15,7 @@ re-rendering the same report reproduces identical text.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -147,14 +148,16 @@ def cmd_generate(cfg: dict) -> None:
     if n > cells:
         raise ParseError(f"--fixations-per-frame must be <= height x width = {cells}, got {n}")
     config = D.SyntheticConfig(**{k: v for k, v in cfg.items() if k != "out"})
-    D.generate_synthetic(cfg["out"], config)
-    manifest_path = os.path.join(cfg["out"], "manifest.json")
+    manifest_path = D.generate_synthetic(cfg["out"], config)
     log.info("wrote %d videos x %d frames", config.videos, config.frames)
     print(manifest_path)
 
 
-def _make_output_dirs(*outputs: tuple[str, str]) -> None:
-    """Refuse an output file that names a directory, then make each file's directory."""
+def _make_output_dirs(manifest: str, *outputs: tuple[str, str]) -> None:
+    """Refuse outputs naming --manifest, each other or a directory, then make their directories."""
+    for (flag_a, a), (flag_b, b) in itertools.combinations([("--manifest", manifest), *outputs], 2):
+        if os.path.realpath(a) == os.path.realpath(b):
+            raise ParseError(f"{flag_b} {b} and {flag_a} {a} name the same file")
     for flag, path in outputs:
         if os.path.isdir(path) or not os.path.basename(path):
             raise ParseError(f"{flag} {path} names a directory")
@@ -164,9 +167,7 @@ def _make_output_dirs(*outputs: tuple[str, str]) -> None:
 
 def cmd_train(cfg: dict) -> None:
     loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
-    if os.path.realpath(loss_csv) == os.path.realpath(cfg["ckpt"]):
-        raise ParseError(f"--loss-csv {loss_csv} and --ckpt {cfg['ckpt']} name the same file")
-    _make_output_dirs(("--ckpt", cfg["ckpt"]), ("--loss-csv", loss_csv))
+    _make_output_dirs(cfg["manifest"], ("--ckpt", cfg["ckpt"]), ("--loss-csv", loss_csv))
     manifest = D.load_manifest(cfg["manifest"])
     res = manifest["resolution"]
     samples = []
@@ -253,7 +254,7 @@ def _parse_metric_list(spec: str) -> tuple[str, ...]:
 def cmd_evaluate(cfg: dict) -> None:
     metrics = _parse_metric_list(cfg["metrics"])
     if cfg["out"]:
-        _make_output_dirs(("--out", cfg["out"]))
+        _make_output_dirs(cfg["manifest"], ("--out", cfg["out"]))
     manifest = D.load_manifest(cfg["manifest"])
     res = manifest["resolution"]
     # every video's fixations first: each shuffled-AUC pool holds all the others'

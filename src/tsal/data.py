@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -61,36 +62,26 @@ def frame_file_name(frame_id: int) -> str:
 # portable graymap
 
 
-def _scan_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
-    """First ``count`` whitespace-separated tokens, honoring '#' comments.
+# Magic, width, height and maxval after whitespace and '#' comments, then one whitespace byte; a
+# group the file ends before is None. A comment runs to its line end: backtracking can't cut it.
+_GAP = rb"(?:\s|#[^\n]*(?=\n|\Z))*"
+_PGM_HEADER = re.compile(
+    rb"([^\s#]+)(?:%s([^\s#]+)(?:%s([^\s#]+)(?:%s([^\s#]+)(\s)?)?)?)?" % (_GAP, _GAP, _GAP)
+)
 
-    Returns the tokens and the offset one whitespace byte past the last
-    token (the PGM raster begins there for P5).
-    """
-    tokens: list[bytes] = []
-    pos = 0
-    n = len(blob)
-    while len(tokens) < count:
-        while pos < n and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < n and blob[pos : pos + 1] == b"#":
-            while pos < n and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        if pos >= n:
-            raise TruncatedData("file ended inside the header")
-        start = pos
-        while pos < n and not blob[pos : pos + 1].isspace() and blob[pos : pos + 1] != b"#":
-            pos += 1
-        tokens.append(blob[start:pos])
-    if pos >= n or not blob[pos : pos + 1].isspace():
-        raise TruncatedData("missing whitespace after header")
-    return tokens, pos + 1
+
+# An integer in any file is ASCII digits after at most one '-'; int() also takes '+3' and '1_0'.
+# A fixation line "frame_index,row,col" is three, with whitespace allowed around each comma.
+_INTEGER = "-?[0-9]+"
+_PGM_INTEGER = re.compile(_INTEGER.encode())
+_FIXATION_LINE = re.compile(r"({0})\s*,\s*({0})\s*,\s*({0})".format(_INTEGER))
 
 
 def _header_int(token: bytes, what: str) -> int:
     try:
-        value = int(token)
+        if not _PGM_INTEGER.fullmatch(token):
+            raise ValueError(token)
+        value = int(token)  # ValueError past int()'s 4,300-digit limit too
     except ValueError:
         raise BadHeader(f"{what} is not an integer: {token!r}") from None
     if value <= 0:
@@ -117,28 +108,32 @@ def _decode_pgm(blob: bytes) -> np.ndarray:
     magic = blob[:2]
     if magic not in (b"P5", b"P2"):
         raise BadHeader(f"bad magic {magic!r}, expected P5 or P2")
-    tokens, raster_at = _scan_header_tokens(blob, 4)
+    header = _PGM_HEADER.match(blob)
+    *tokens, space = header.groups()
+    if None in tokens:
+        raise TruncatedData("file ended inside the header")
+    if space is None:
+        raise TruncatedData("missing whitespace after header")
     if tokens[0] != magic:
         raise BadHeader(f"bad magic {tokens[0]!r}, expected P5 or P2")
-    width = _header_int(tokens[1], "width")
-    height = _header_int(tokens[2], "height")
-    maxval = _header_int(tokens[3], "maxval")
+    width, height, maxval = map(_header_int, tokens[1:], ("width", "height", "maxval"))
     if maxval != 255:
         raise UnsupportedDepth(f"maxval {maxval} unsupported, expected 255")
 
     count = width * height
     if magic == b"P5":
-        raster = blob[raster_at : raster_at + count]
+        raster = blob[header.end() : header.end() + count]
         if len(raster) < count:
             raise TruncatedData(f"raster holds {len(raster)} of {count} bytes")
         values = np.frombuffer(raster, dtype=np.uint8)
     else:
-        text = blob[raster_at - 1 :]
-        parts = text.split()
-        if len(parts) < count:
-            raise TruncatedData(f"raster holds {len(parts)} of {count} samples")
+        samples = blob[header.end() :].split()[:count]
+        if len(samples) < count:
+            raise TruncatedData(f"raster holds {len(samples)} of {count} samples")
         try:
-            values = np.array([int(p) for p in parts[:count]], dtype=np.int64)
+            if not all(map(_PGM_INTEGER.fullmatch, samples)):
+                raise ValueError("non-digit sample")
+            values = np.array([int(p) for p in samples], dtype=np.int64)
         except (ValueError, OverflowError):
             raise BadHeader("P2 sample is not an integer in [0, 255]") from None
         if values.min() < 0 or values.max() > 255:
@@ -185,11 +180,14 @@ def load_fixations(path: str, dims: tuple[int, int]) -> dict[int, np.ndarray]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line {line_no}: expected 3 fields, got {len(parts)}")
+        commas = line.count(",")
+        if commas != 2:
+            raise ParseError(f"{path}: line {line_no}: expected 3 fields, got {commas + 1}")
+        fields = _FIXATION_LINE.fullmatch(line)
         try:
-            frame, row, col = (int(p.strip()) for p in parts)
+            if fields is None:
+                raise ValueError(line)
+            frame, row, col = map(int, fields.groups())  # ValueError past int()'s 4,300 digits too
         except ValueError:
             raise ParseError(f"{path}: line {line_no}: non-integer field in {line!r}") from None
         if frame < 0 or row < 0 or col < 0:
@@ -428,8 +426,8 @@ def _walk_positions(rng, config: SyntheticConfig, steps: int) -> np.ndarray:
     return out
 
 
-def generate_synthetic(out_dir: str, config: SyntheticConfig) -> dict:
-    """Write a synthetic dataset tree and its manifest; returns ``load_manifest``'s dict.
+def generate_synthetic(out_dir: str, config: SyntheticConfig) -> str:
+    """Write a synthetic dataset tree and its manifest; returns the manifest's path.
 
     Per video: positions p_0..p_{T+lag-1} of a drifting blob. Frame t's
     static map is blob(p_t) plus clipped Gaussian noise; its ground truth
@@ -478,4 +476,4 @@ def generate_synthetic(out_dir: str, config: SyntheticConfig) -> dict:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"resolution": [h, w], "videos": videos}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return load_manifest(path)
+    return path

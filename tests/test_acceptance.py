@@ -365,7 +365,7 @@ def test_criterion_6_convergence_smoke(tmp_path):
     base = D.SyntheticConfig(videos=4, frames=64, height=32, width=32, seed=7)
 
     # part 1: 200 windows halve the windowed BCE for both variants
-    lag1 = _load_samples(D.generate_synthetic(str(tmp_path / "lag1"), base))
+    lag1 = _load_samples(D.load_manifest(D.generate_synthetic(str(tmp_path / "lag1"), base)))
     ckpt = str(tmp_path / "smoke.ckpt")
     ratios = {}
     for variant in (Mo.CONV_ONLY, Mo.CONV_LSTM):
@@ -376,7 +376,7 @@ def test_criterion_6_convergence_smoke(tmp_path):
 
     # part 2: with lag 2 the recurrent variant ends strictly lower, seed-robust
     lag2_cfg = D.SyntheticConfig(videos=4, frames=64, height=32, width=32, seed=7, lag=2)
-    lag2 = _load_samples(D.generate_synthetic(str(tmp_path / "lag2"), lag2_cfg))
+    lag2 = _load_samples(D.load_manifest(D.generate_synthetic(str(tmp_path / "lag2"), lag2_cfg)))
     margins = []
     separated = True
     for seed in (0, 1, 2):

@@ -33,13 +33,10 @@ def error_lines(stderr):
 
 def make_dataset(tmp_path, name="data", videos=2, frames=6, size=16, seed=1, lag=1):
     out = str(tmp_path / name)
-    D.generate_synthetic(
-        out,
-        D.SyntheticConfig(
-            videos=videos, frames=frames, height=size, width=size, seed=seed, lag=lag
-        ),
+    config = D.SyntheticConfig(
+        videos=videos, frames=frames, height=size, width=size, seed=seed, lag=lag
     )
-    return out, os.path.join(out, "manifest.json")
+    return out, D.generate_synthetic(out, config)
 
 
 def copy_gt_as_predictions(dataset_dir, pred_dir):
@@ -708,6 +705,42 @@ class TestPredict:
         (line,) = error_lines(stderr)
         assert line.startswith("ERROR ParseError:")
         assert sorted(os.listdir(out)) == ["video_000"]
+
+
+class TestOutputOnTheManifest:
+    @pytest.mark.parametrize("spelling", ["same", "symlinked"])
+    @pytest.mark.parametrize(
+        "command, flag", [("train", "--ckpt"), ("train", "--loss-csv"), ("evaluate", "--out")]
+    )
+    def test_is_one_parse_error_before_any_read_or_write(
+        self, tmp_path, capsys, command, flag, spelling
+    ):
+        data_dir, manifest = make_dataset(tmp_path, videos=1, frames=2, size=8)
+        with open(manifest, "rb") as fh:
+            original = fh.read()
+        target = manifest
+        if spelling == "symlinked":
+            (tmp_path / "link").symlink_to(data_dir)
+            target = str(tmp_path / "link" / "manifest.json")
+        new = str(tmp_path / "new")
+        flags = {
+            "train": {"--ckpt": f"{new}/m.ckpt", "--loss-csv": f"{new}/l.csv"},
+            # refused before the (here missing) predictions are read
+            "evaluate": {"--predictions": str(tmp_path / "none"), "--out": f"{new}/s.json"},
+        }[command]
+        flags[flag] = target
+        argv = [arg for item in flags.items() for arg in item]
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        want = f"{flag} {target} and --manifest {manifest} name the same file"
+        assert line == "ERROR ParseError: " + want
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # made no directory
+        with open(manifest, "rb") as fh:
+            assert fh.read() == original
 
 
 class TestFramelessVideo:

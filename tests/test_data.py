@@ -22,6 +22,9 @@ from tsal.errors import (
     UnsupportedDepth,
 )
 
+# more digits than int() converts by default, though every one is an ASCII digit
+LONG_DIGITS = b"9" * 5000
+
 
 class TestLoadMap:
     def test_p5_saturated_white(self, tmp_path):
@@ -87,6 +90,27 @@ class TestLoadMap:
         with open(path, "wb") as fh:
             fh.write(b"P5 4")
         with pytest.raises(TruncatedData, match="^" + re.escape(path) + ": "):
+            D.load_map(path)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"P5 +2 1 255\n\x00\x00", "width is not an integer: b'+2'"),
+            (b"P5 2 1_0 255\n" + b"\x00" * 20, "height is not an integer: b'1_0'"),
+            ("P5 2 1 \u0662\u0665\u0665\n\x00\x00".encode(), "maxval is not an integer"),
+            (b"P2 2 1 255\n+1 0\n", "P2 sample is not an integer in [0, 255]"),
+            (b"P2 2 1 255\n1 0_5\n", "P2 sample is not an integer in [0, 255]"),
+            # int() refuses a decimal string of more than 4,300 digits
+            (b"P5 %s 1 255\n" % LONG_DIGITS, f"width is not an integer: {LONG_DIGITS!r}"),
+            (b"P2 2 1 255\n1 %s\n" % LONG_DIGITS, "P2 sample is not an integer in [0, 255]"),
+        ],
+        ids=["plus", "underscore", "arabic-indic", "p2-plus", "p2-underscore", "long", "p2-long"],
+    )
+    def test_only_ascii_digits_are_integers(self, tmp_path, blob, message):
+        path = str(tmp_path / "sign.pgm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(BadHeader, match="^" + re.escape(f"{path}: {message}")):
             D.load_map(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
@@ -181,6 +205,18 @@ class TestLoadFixations:
         with pytest.raises(ParseError, match="^" + re.escape(path) + ": line 1: "):
             D.load_fixations(path, (8, 8))
 
+    @pytest.mark.parametrize(
+        "line",
+        ["0,1_0,3", "0,1,+3", "\u0661,2,2", "0,--1,2", "0,1,2\u00b2", "0,1," + "9" * 5000],
+        ids=["underscore", "plus", "arabic-indic", "double-minus", "superscript", "long"],
+    )
+    def test_only_ascii_digits_are_integers(self, tmp_path, line):
+        path = tmp_path / "digits.csv"
+        path.write_text(line + "\n", encoding="utf-8")
+        want = f"{path}: line 1: non-integer field in {line!r}"
+        with pytest.raises(ParseError, match="^" + re.escape(want) + "$"):
+            D.load_fixations(str(path), (8, 8))
+
     def test_out_of_bounds_with_dims(self, tmp_path):
         path = str(tmp_path / "ob.csv")
         with open(path, "w") as fh:
@@ -251,9 +287,9 @@ class TestManifest:
     def test_generate_save_load_round_trip(self, tmp_path):
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=2, frames=4, height=12, width=12, seed=3)
-        manifest = D.generate_synthetic(out, config)
-        loaded = D.load_manifest(os.path.join(out, "manifest.json"))
-        assert loaded == manifest
+        path = D.generate_synthetic(out, config)
+        assert path == os.path.join(out, "manifest.json")
+        loaded = D.load_manifest(path)
         assert loaded["resolution"] == (12, 12)
         root = os.path.abspath(out)
         assert loaded["videos"][1] == {
@@ -321,7 +357,7 @@ class TestLoadVideo:
     def test_loads_generated_video(self, tmp_path):
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=5, height=14, width=10, seed=5)
-        manifest = D.generate_synthetic(out, config)
+        manifest = D.load_manifest(D.generate_synthetic(out, config))
         video, res = manifest["videos"][0], manifest["resolution"]
         static_maps = resized_maps(video, "static_map_dir", res)
         gt_maps = resized_maps(video, "gt_map_dir", res)
@@ -376,7 +412,7 @@ class TestLoadVideo:
     def test_missing_file_detected(self, tmp_path):
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
-        manifest = D.generate_synthetic(out, config)
+        manifest = D.load_manifest(D.generate_synthetic(out, config))
         for name, want in (
             ("static/000001.pgm", "frame 1 has no map"),
             ("fixations.csv", "no fixation file"),
@@ -392,7 +428,7 @@ class TestReadMaps:
     def test_yields_each_frame_as_stored(self, tmp_path):
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=3, height=10, width=12, seed=4)
-        video = D.generate_synthetic(out, config)["videos"][0]
+        video = D.load_manifest(D.generate_synthetic(out, config))["videos"][0]
         maps = list(D.read_maps(video, video["gt_map_dir"], MissingInput))
         assert len(maps) == 3
         for frame, sal in zip(video["frames"], maps):
@@ -403,7 +439,7 @@ class TestReadMaps:
     def test_missing_file_raises_the_given_error(self, tmp_path, missing):
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
-        video = D.generate_synthetic(out, config)["videos"][0]
+        video = D.load_manifest(D.generate_synthetic(out, config))["videos"][0]
         os.remove(os.path.join(out, "video_000", "gt", "000002.pgm"))
         maps = D.read_maps(video, video["gt_map_dir"], missing)
         assert next(maps).shape == (10, 10)
@@ -447,7 +483,7 @@ class TestGenerateSynthetic:
         config = D.SyntheticConfig(
             videos=1, frames=40, height=24, width=24, seed=11, lag=2
         )
-        manifest = D.generate_synthetic(out, config)
+        manifest = D.load_manifest(D.generate_synthetic(out, config))
         video, res = manifest["videos"][0], manifest["resolution"]
         static_maps = resized_maps(video, "static_map_dir", res)
         gt_maps = resized_maps(video, "gt_map_dir", res)

@@ -11,6 +11,8 @@ import io
 import json
 import math
 import os
+import re
+import shutil
 import struct
 import tempfile
 import zlib
@@ -26,7 +28,14 @@ from tsal import data as D
 from tsal import metrics as M
 from tsal import model as Mo
 from tsal import train as Tr
-from tsal.errors import CorruptCheckpoint, ParseError, SaliencyError
+from tsal.errors import (
+    BadHeader,
+    CorruptCheckpoint,
+    ParseError,
+    SaliencyError,
+    TruncatedData,
+    UnsupportedDepth,
+)
 
 # derandomized and without an example database, so every run is the same
 FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -54,7 +63,7 @@ def tokens(*pieces: bytes):
 
 PGM_PIECES = (
     b" ", b"\n", b"\t", b"#c\n", b"0", b"1", b"2", b"8", b"255", b"256", b"-1",
-    b"99999999999999999999", b"x", b"\xff", b"\x00",
+    b"99999999999999999999", b"x", b"\xff", b"\x00", b"+", b"_", "\u0661".encode(), b"9" * 5000,
 )
 
 
@@ -77,8 +86,121 @@ def test_load_map_any_bytes(blob):
     )
 )
 @example(b"P2 1 1 255 99999999999999999999 ")
+@example(b"P5 " + b"9" * 5000 + b" 1 255\n")
+@example(b"P2 1 1 255 " + b"9" * 5000 + b" ")
 def test_load_map_header_like_bytes(blob):
     check_map(parse(D.load_map, blob))
+
+
+# The byte-at-a-time header scanner and decoder that data._PGM_HEADER
+# replaced, frozen as the reference the pattern must agree with.
+
+
+def scanner_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
+    tokens: list[bytes] = []
+    pos = 0
+    n = len(blob)
+    while len(tokens) < count:
+        while pos < n and blob[pos : pos + 1].isspace():
+            pos += 1
+        if pos < n and blob[pos : pos + 1] == b"#":
+            while pos < n and blob[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        if pos >= n:
+            raise TruncatedData("file ended inside the header")
+        start = pos
+        while pos < n and not blob[pos : pos + 1].isspace() and blob[pos : pos + 1] != b"#":
+            pos += 1
+        tokens.append(blob[start:pos])
+    if pos >= n or not blob[pos : pos + 1].isspace():
+        raise TruncatedData("missing whitespace after header")
+    return tokens, pos + 1
+
+
+def scanner_header_int(token: bytes, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise BadHeader(f"{what} is not an integer: {token!r}") from None
+    if value <= 0:
+        raise BadHeader(f"{what} must be positive, got {value}")
+    return value
+
+
+def scanner_decode_pgm(blob: bytes) -> np.ndarray:
+    magic = blob[:2]
+    if magic not in (b"P5", b"P2"):
+        raise BadHeader(f"bad magic {magic!r}, expected P5 or P2")
+    tokens, raster_at = scanner_header_tokens(blob, 4)
+    if tokens[0] != magic:
+        raise BadHeader(f"bad magic {tokens[0]!r}, expected P5 or P2")
+    width = scanner_header_int(tokens[1], "width")
+    height = scanner_header_int(tokens[2], "height")
+    maxval = scanner_header_int(tokens[3], "maxval")
+    if maxval != 255:
+        raise UnsupportedDepth(f"maxval {maxval} unsupported, expected 255")
+
+    count = width * height
+    if magic == b"P5":
+        raster = blob[raster_at : raster_at + count]
+        if len(raster) < count:
+            raise TruncatedData(f"raster holds {len(raster)} of {count} bytes")
+        values = np.frombuffer(raster, dtype=np.uint8)
+    else:
+        text = blob[raster_at - 1 :]
+        parts = text.split()
+        if len(parts) < count:
+            raise TruncatedData(f"raster holds {len(parts)} of {count} samples")
+        try:
+            values = np.array([int(p) for p in parts[:count]], dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise BadHeader("P2 sample is not an integer in [0, 255]") from None
+        if values.min() < 0 or values.max() > 255:
+            raise BadHeader("P2 sample outside [0, 255]")
+        values = values.astype(np.uint8)
+    return values.reshape(height, width).astype(np.float64) / 255.0
+
+
+def decoded(decode, blob: bytes):
+    """The map ``decode`` reads from ``blob``, or its exception's class and message."""
+    try:
+        sal = decode(blob)
+    except SaliencyError as exc:
+        return type(exc), str(exc)
+    return sal.shape, sal.tobytes()
+
+
+# No '+', '_' or non-ASCII digit: the scanner's int() read those as numbers.
+# Cutting a blob at every offset ends comments, tokens and rasters anywhere.
+GAP_PIECES = (b" ", b"\n", b"\r", b"\v", b"\f", b"\t", b"#c\n", b"# 2 #\n", b"#\r\n")
+GAPS = st.lists(st.sampled_from(GAP_PIECES), min_size=1, max_size=3).map(b"".join)
+SIDES = st.sampled_from([b"1", b"2", b"3", b"1", b"2", b"3", b"0", b"-1", b"x", b"2#c\n"])
+HEADERS = st.tuples(
+    st.sampled_from([b"P5", b"P2", b"P5", b"P2", b"P5x", b"P2#"]), GAPS, SIDES, GAPS, SIDES, GAPS,
+    st.sampled_from([b"255", b"255", b"255", b"256", b"x"]),
+    st.sampled_from([b"\n", b" ", b"\r", b"\v", b"\f", b"", b"#"]),
+    tokens(b"0", b"1", b"255", b"256", b"-1", b" ", b"\n", b"#", b"x", b"\x00", b"\xff"),
+).map(b"".join)  # fmt: skip
+
+
+@FUZZ
+@given(HEADERS)
+@example(b"P5 1 1 #c 255\n\x00")  # read as maxval 5 if a comment could end early
+@example(b"P5garbage 1 1")  # truncated before its glued magic is refused
+def test_pgm_header_pattern_agrees_with_the_byte_scanner(blob):
+    for end in range(len(blob) + 1):
+        cut = blob[:end]
+        assert decoded(D._decode_pgm, cut) == decoded(scanner_decode_pgm, cut)
+        if cut[:2] not in (b"P5", b"P2"):
+            continue
+        groups = D._PGM_HEADER.match(cut).groups()
+        try:
+            tokens, raster_at = scanner_header_tokens(cut, 4)
+        except TruncatedData:
+            assert None in groups
+        else:
+            assert groups[:4] == tuple(tokens) and D._PGM_HEADER.match(cut).end() == raster_at
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +208,7 @@ def test_load_map_header_like_bytes(blob):
 
 CSV_PIECES = (
     b"0", b"3", b"12", b",", b"\n", b"\r\n", b"\r", b"#", b" ", b"-1", b"x",
-    b"\xff", b"\x00", b"99999999999999999999",
+    b"\xff", b"\x00", b"99999999999999999999", b"+", b"_", "\u0661".encode(), b"9" * 5000,
 )
 
 
@@ -113,6 +235,7 @@ def test_load_fixations_any_bytes(blob):
 @given(tokens(*CSV_PIECES))
 @example(b"0,1,2\n\xff\n")
 @example(b"0,1,99999999999999999999\n")
+@example(b"0,1," + b"9" * 5000 + b"\n")
 def test_load_fixations_csv_like_bytes(blob):
     check_fixations(parse(load_fixations_unbounded, blob))
 
@@ -330,6 +453,109 @@ def test_generate_settings(valid, odd):
             assert code == 1 and len(errors) == 1 and errors[0].startswith("ERROR ParseError:")
             assert "Traceback" not in stderr.getvalue()
             assert not os.path.exists(out)
+
+
+# ---------------------------------------------------------------------------
+# whole commands on a corrupted tree
+
+
+def run_cli(*argv: str) -> tuple[int, str]:
+    """``tsal argv`` in process: its exit code and stderr."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return code, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pristine_tree(tmp_path_factory):
+    """A 2-video, 4-frame, 8x8 dataset with a checkpoint, its predictions and their scores."""
+    root = tmp_path_factory.mktemp("pristine")
+    tree, manifest = str(root / "tree"), str(root / "tree" / "manifest.json")
+    ckpt = os.path.join(tree, "model.tsal")
+    for argv in (
+        ["generate", "--out", tree, "--videos", "2", "--frames", "4", "--height", "8",
+         "--width", "8", "--seed", "3"],
+        ["train", "--manifest", manifest, "--ckpt", ckpt, "--loss-csv", str(root / "loss.csv"),
+         "--hidden", "2", "--max-steps", "1"],
+        ["predict", "--manifest", manifest, "--ckpt", ckpt, "--out", os.path.join(tree, "pred")],
+        ["evaluate", "--manifest", manifest, "--predictions", os.path.join(tree, "pred"),
+         "--out", os.path.join(tree, "scores.json")],
+    ):  # fmt: skip
+        assert run_cli(*argv)[0] == 0
+    files = sorted(
+        os.path.relpath(os.path.join(dirpath, name), tree)
+        for dirpath, _, names in os.walk(tree)
+        for name in names
+    )
+    return tree, files
+
+
+INSERTS = (b"nan", b"1e309", b"-1", b"null", b"+1", b"1_0", b"9" * 5000)
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 2**16), st.none()),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.sampled_from(INSERTS)),
+)
+
+
+def corrupt(blob: bytes, kind: str, at: int, what) -> bytes:
+    if kind == "flip":
+        at %= len(blob)
+        return blob[:at] + bytes([blob[at] ^ what]) + blob[at + 1 :]
+    at %= len(blob) + 1
+    return blob[:at] if kind == "cut" else blob[:at] + what + blob[at:]
+
+
+def check_run(code: int, stderr: str) -> None:
+    """Exit 0 without an ERROR line, or exit 1 with exactly one and no traceback."""
+    errors = [line for line in stderr.splitlines() if line.startswith("ERROR")]
+    assert "Traceback" not in stderr
+    assert (code, len(errors)) in ((0, 0), (1, 1)), stderr
+    assert all(re.match(r"ERROR [A-Za-z]+: ", line) for line in errors)
+
+
+@settings(FUZZ, max_examples=100)  # each draw runs four commands
+@given(st.data(), CORRUPTIONS)
+def test_every_command_on_a_corrupted_file_is_one_error_or_a_valid_result(
+    pristine_tree, data, corruption
+):
+    pristine, files = pristine_tree
+    name = data.draw(st.sampled_from(files), label="file")
+    with tempfile.TemporaryDirectory() as root:
+        tree, out = os.path.join(root, "tree"), os.path.join(root, "out")
+        shutil.copytree(pristine, tree)
+        os.mkdir(out)
+        with open(os.path.join(tree, name), "r+b") as fh:
+            blob = corrupt(fh.read(), *corruption)
+            fh.seek(0)
+            fh.truncate()
+            fh.write(blob)
+        manifest, pred = os.path.join(tree, "manifest.json"), os.path.join(out, "pred")
+        scores = os.path.join(out, "scores.json")
+        for argv in (
+            ["train", "--manifest", manifest, "--ckpt", os.path.join(out, "m.tsal"),
+             "--loss-csv", os.path.join(out, "loss.csv"), "--hidden", "2", "--max-steps", "1"],
+            ["predict", "--manifest", manifest, "--ckpt", os.path.join(tree, "model.tsal"),
+             "--out", pred],
+            ["evaluate", "--manifest", manifest, "--predictions", os.path.join(tree, "pred"),
+             "--out", scores],
+            ["report", os.path.join(tree, "scores.json")],
+        ):  # fmt: skip
+            before = sorted(os.listdir(out))
+            code, stderr = run_cli(*argv)
+            check_run(code, stderr)
+            if code:
+                assert sorted(os.listdir(out)) == before  # wrote nothing, not even a temp tree
+        if os.path.exists(pred):
+            videos = D.load_manifest(manifest)["videos"]
+            assert sorted(os.listdir(pred)) == sorted(video["video_id"] for video in videos)
+            for video in videos:
+                names = sorted(os.listdir(os.path.join(pred, video["video_id"])))
+                assert names == [D.frame_file_name(frame) for frame in video["frames"]]
+        if os.path.exists(scores):
+            with open(scores, encoding="utf-8") as fh:
+                M.checked_report(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
