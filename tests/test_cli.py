@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import json
+import multiprocessing
 import os
 import shutil
 import shlex
@@ -743,6 +744,53 @@ class TestOutputOnTheManifest:
             assert fh.read() == original
 
 
+class TestOutputOnAnInput:
+    @pytest.mark.parametrize("spelling", ["same", "symlinked"])
+    @pytest.mark.parametrize(
+        "command, flag, name, what",
+        [
+            ("evaluate", "--out", "video_000/fixations.csv", "video_000's fixation file"),
+            ("train", "--ckpt", "video_001/static/000000.pgm", "video_001's static map of frame 0"),
+            (
+                "train", "--loss-csv", "video_000/gt/000002.pgm",
+                "video_000's ground-truth map of frame 2",
+            ),
+        ],
+        ids=["evaluate-fixations", "train-static", "train-gt"],
+    )
+    def test_is_one_parse_error_and_leaves_the_input(
+        self, tmp_path, capsys, command, flag, name, what, spelling
+    ):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        target = os.path.join(data_dir, name)
+        with open(target, "rb") as fh:
+            original = fh.read()
+        if spelling == "symlinked":
+            (tmp_path / "link").symlink_to(data_dir)
+            target = str(tmp_path / "link" / name)
+        new = str(tmp_path / "new")
+        flags = {
+            "train": {
+                "--ckpt": f"{new}/m.ckpt", "--loss-csv": f"{new}/l.csv",
+                "--hidden": "2", "--max-steps": "1",
+            },
+            # refused before the (here missing) predictions are read
+            "evaluate": {"--predictions": str(tmp_path / "none"), "--out": f"{new}/s.json"},
+        }[command]
+        flags[flag] = target
+        argv = [arg for item in flags.items() for arg in item]
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == f"ERROR ParseError: {flag} {target} names {what}"
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # made no directory
+        with open(os.path.join(data_dir, name), "rb") as fh:
+            assert fh.read() == original
+
+
 class TestFramelessVideo:
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
     def test_is_one_parse_error_and_writes_nothing(self, tmp_path, capsys, command):
@@ -935,9 +983,36 @@ class TestEvaluate:
         assert code == 1
         assert "ERROR MissingPrediction:" in stderr
 
+    def test_first_failure_in_manifest_order_and_no_worker_left(self, tmp_path, capsys):
+        """Videos score in worker processes, but the error is the one a
+        video-by-video run meets first, and no worker outlives the command."""
+        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=3, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        out_json = tmp_path / "scores.json"
+        argv = ["evaluate", "--manifest", manifest, "--predictions", pred, "--out", str(out_json)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert multiprocessing.active_children() == []
+        out_json.unlink()
+        shutil.rmtree(os.path.join(pred, "video_001"))
+        with open(os.path.join(data_dir, "video_002", "gt", "000001.pgm"), "r+b") as fh:
+            fh.truncate(len(b"P5\n8 8\n255\n"))
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        missing = os.path.join(pred, "video_001", "000000.pgm")
+        assert error_lines(stderr) == [
+            f"ERROR MissingPrediction: video_001: frame 0 has no map {missing}"
+        ]
+        assert "Traceback" not in stderr
+        assert not out_json.exists()
+        assert multiprocessing.active_children() == []
+
     def test_scores_independent_of_blas_threads(self, tmp_path):
         """At 128x128, 16,384 pixels, CC's dot products are longer than
-        OpenBLAS computes on one thread."""
+        OpenBLAS computes on one thread. Pinned to one CPU, the same run
+        scores every video in one worker process instead of one per CPU."""
         data_dir, small = make_dataset(tmp_path, "small", videos=3, frames=4, size=16)
         copy_gt_as_predictions(data_dir, str(tmp_path / "small_pred"))
         _, large = make_dataset(tmp_path, "large", videos=2, frames=3, size=128)
@@ -948,19 +1023,26 @@ class TestEvaluate:
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(tsal.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = {
+            "1": ("1", None),
+            "2": ("2", None),
+            # acts on the child process alone
+            "2-one-cpu": ("2", lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})),
+        }
         for name, manifest, videos in (("small", small, 3), ("large", large, 2)):
             blobs = {}
-            for threads in ("1", "2"):
+            for key, (threads, pin) in runs.items():
                 env["OPENBLAS_NUM_THREADS"] = threads
-                out = tmp_path / f"{name}{threads}.json"
+                out = tmp_path / f"{name}{key}.json"
                 subprocess.run(
                     [sys.executable, "-m", "tsal.cli", "evaluate", "--manifest", manifest,
                      "--predictions", str(tmp_path / f"{name}_pred"), "--out", str(out)],
-                    env=env, check=True, capture_output=True,
+                    env=env, check=True, capture_output=True, preexec_fn=pin,
                 )
-                blobs[threads] = out.read_bytes()
+                blobs[key] = out.read_bytes()
             assert len(json.loads(blobs["1"])["per_video"]) == videos
             assert blobs["1"] == blobs["2"], name
+            assert blobs["2-one-cpu"] == blobs["2"], name
 
     def test_static_maps_of_two_sizes_are_one_error(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=4, size=12)

@@ -90,6 +90,35 @@ def test_only_train_encodes_binary_records():
     assert importers == [], f"struct or zlib imported outside train.py: {importers}"
 
 
+def test_only_cli_starts_processes():
+    """``cli.cmd_evaluate`` is the one place that runs work in other
+    processes, so no other module imports ``multiprocessing`` or
+    ``concurrent.futures``, and the ``"fork"`` start method is named once:
+    ``metrics`` and ``data`` stay free of processes, and perfbench's layer
+    tracing of them still sees every call made in the tracing process."""
+    importers, forks = [], []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == "fork":
+                forks.append(f"{module} line {node.lineno}")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            importers += [
+                f"{module} line {node.lineno}: {name}"
+                for name in modules
+                if name.split(".")[0] in ("multiprocessing", "concurrent") and module != "cli.py"
+            ]
+    assert importers == [], f"process pools imported outside cli.py: {importers}"
+    assert len(forks) == 1, f'the "fork" start method named in {len(forks)} places: {forks}'
+
+
 def test_tensor_allocations_name_their_dtype():
     """np.zeros, np.empty and np.ones default to float64, so one such call
     without ``dtype=`` in tensor.py silently promotes a float32 inference
