@@ -22,9 +22,7 @@ import logging
 import math
 import operator
 import os
-import shutil
 import sys
-import tempfile
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
@@ -148,10 +146,19 @@ def cmd_generate(cfg: dict) -> None:
     n, cells = cfg["fixations_per_frame"], cfg["height"] * cfg["width"]
     if n > cells:
         raise ParseError(f"--fixations-per-frame must be <= height x width = {cells}, got {n}")
+    _check_out_dir(cfg["out"])
     config = D.SyntheticConfig(**{k: v for k, v in cfg.items() if k != "out"})
-    manifest_path = D.generate_synthetic(cfg["out"], config)
+    with D.publish(cfg["out"], directory=True) as tmp:
+        manifest_name = os.path.basename(D.generate_synthetic(tmp, config))
     log.info("wrote %d videos x %d frames", config.videos, config.frames)
-    print(manifest_path)
+    print(os.path.join(cfg["out"], manifest_name))
+
+
+def _check_out_dir(out: str) -> None:
+    """Refuse an --out tree that exists and is not an empty directory, itself no symlink:
+    the finished tree could not be renamed over a symlink."""
+    if os.path.lexists(out) and (os.path.islink(out) or not os.path.isdir(out) or os.listdir(out)):
+        raise ParseError(f"--out {out} exists and is not an empty directory")
 
 
 def _check_outputs(manifest: str, *outputs: tuple[str, str]) -> None:
@@ -164,23 +171,29 @@ def _check_outputs(manifest: str, *outputs: tuple[str, str]) -> None:
             raise ParseError(f"{flag} {path} names a directory")
 
 
-def _make_output_dirs(manifest: dict, *outputs: tuple[str, str]) -> None:
-    """Refuse outputs naming a file the loaded manifest reads, then make their directories."""
-    for flag, path in outputs:
-        real = os.path.realpath(path)
-        folder, name = os.path.split(real)
-        for video in manifest["videos"]:
-            vid = video["video_id"]
-            if real == os.path.realpath(video["fixation_file"]):
-                raise ParseError(f"{flag} {path} names {vid}'s fixation file")
-            # a map is matched through its directory's realpath: one realpath
-            # per map took 94 ms for the 3,072 maps of 24 videos x 64 frames
-            for kind, key in (("static", "static_map_dir"), ("ground-truth", "gt_map_dir")):
-                if folder != os.path.realpath(video[key]):
-                    continue
-                for frame in video["frames"]:
-                    if name == D.frame_file_name(frame):
-                        raise ParseError(f"{flag} {path} names {vid}'s {kind} map of frame {frame}")
+def _make_output_dirs(cfg: dict, manifest: dict, *outputs: tuple[str, str]) -> None:
+    """Refuse an existing output that is a file the command reads, then make their directories.
+
+    A file is known by its (st_ino, st_dev), so a symlink or hard link to an input is refused.
+    """
+    taken = {os.stat(path)[1:3]: f"{flag} {path}" for flag, path in outputs if os.path.exists(path)}
+    inputs = [(cfg["manifest"], "the manifest")]
+    for video in manifest["videos"] if taken else ():
+        vid = video["video_id"]
+        inputs.append((video["fixation_file"], f"{vid}'s fixation file"))
+        maps = [("static", video["static_map_dir"]), ("ground-truth", video["gt_map_dir"])]
+        if "predictions" in cfg:
+            maps.append(("prediction", os.path.join(cfg["predictions"], vid)))
+        for (kind, folder), frame in itertools.product(maps, video["frames"]):
+            path = os.path.join(folder, D.frame_file_name(frame))
+            inputs.append((path, f"{vid}'s {kind} map of frame {frame}"))
+    for path, what in inputs:
+        try:
+            identity = os.stat(path)[1:3]
+        except OSError:  # a missing input is reported when it is read
+            continue
+        if identity in taken:
+            raise ParseError(f"{taken[identity]} names {what}")
     for _, path in outputs:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
@@ -190,7 +203,7 @@ def cmd_train(cfg: dict) -> None:
     outputs = ("--ckpt", cfg["ckpt"]), ("--loss-csv", loss_csv)
     _check_outputs(cfg["manifest"], *outputs)
     manifest = D.load_manifest(cfg["manifest"])
-    _make_output_dirs(manifest, *outputs)
+    _make_output_dirs(cfg, manifest, *outputs)
     res = manifest["resolution"]
     samples = []
     for video in manifest["videos"]:
@@ -205,7 +218,7 @@ def cmd_train(cfg: dict) -> None:
         )
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
     history = Tr.train(model, samples, cfg)
-    with open(loss_csv, "w", encoding="utf-8") as fh:
+    with D.publish(loss_csv) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
         for step, loss in history:
             fh.write(f"{step},{loss!r}\n")
@@ -223,21 +236,12 @@ def cmd_train(cfg: dict) -> None:
 
 def cmd_predict(cfg: dict) -> None:
     out = cfg["out"]
-    if os.path.lexists(out) and not (os.path.isdir(out) and not os.listdir(out)):
-        raise ParseError(f"--out {out} exists and is not an empty directory")
+    _check_out_dir(out)
     manifest = D.load_manifest(cfg["manifest"])
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
     res = manifest["resolution"]
-    # maps go to a sibling temp directory renamed onto --out once all are
-    # written, so a failure part-way leaves no partial tree behind
-    parent = os.path.dirname(os.path.abspath(out))
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".", suffix=".tmp", dir=parent)
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o777 & ~umask)  # the mode os.makedirs would give
-        written = 0
+    written = 0
+    with D.publish(out, directory=True) as tmp:
         for video in manifest["videos"]:
             out_dir = os.path.join(tmp, video["video_id"])
             os.makedirs(out_dir)
@@ -253,10 +257,6 @@ def cmd_predict(cfg: dict) -> None:
                     y, state = Mo.convlstm_step(x, state, model)[:2]
                 D.write_map(np.clip(y[0, 0], 0.0, 1.0), os.path.join(out_dir, name))
                 written += 1
-        os.replace(tmp, out)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
     log.info("wrote %d refined maps to %s", written, out)
     print(out)
 
@@ -301,7 +301,7 @@ def cmd_evaluate(cfg: dict) -> None:
     outputs = (("--out", cfg["out"]),) if cfg["out"] else ()
     _check_outputs(cfg["manifest"], *outputs)
     manifest = D.load_manifest(cfg["manifest"])
-    _make_output_dirs(manifest, *outputs)
+    _make_output_dirs(cfg, manifest, *outputs)
     videos, res = manifest["videos"], manifest["resolution"]
     # Videos score independently, one per worker process at a time. A forked
     # worker needs no re-import of numpy and tsal, and the pool forks every
@@ -331,7 +331,7 @@ def cmd_evaluate(cfg: dict) -> None:
     report = M.aggregate_report(per_video, groups)
 
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
+        with D.publish(cfg["out"]) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("wrote report to %s", cfg["out"])
@@ -514,6 +514,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"ERROR IoError: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"ERROR OutOfMemory: {exc}", file=sys.stderr)
         return 1
     return 0
 

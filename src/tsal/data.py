@@ -14,6 +14,8 @@ own directory:
 maps and ground truth through it, predict static maps, and evaluate ground
 truth and predictions, one video at a time. ``load_video`` reads a video's
 fixations in the frame of its static maps, whose one shared size it checks.
+``publish`` is the one way a command's output reaches its path: written
+beside it, then renamed into place.
 
 The synthetic generator produces videos of a Gaussian blob drifting on a
 momentum random walk; the ground truth is the clean blob ``lag`` frames
@@ -24,9 +26,12 @@ seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
+import shutil
+import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -56,6 +61,28 @@ WALK_KICK = 0.6
 
 def frame_file_name(frame_id: int) -> str:
     return f"{frame_id:0{FRAME_NAME_DIGITS}d}.pgm"
+
+
+@contextlib.contextmanager
+def publish(path: str, directory: bool = False) -> Iterator[str]:
+    """Yield a new temp file (or directory) beside ``path``, with the mode ``open()`` (or
+    ``os.makedirs``) would give, and rename it onto ``path``; on any exception, remove it."""
+    parent, name = os.path.split(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    if directory:
+        tmp = tempfile.mkdtemp(prefix=name + ".", suffix=".tmp", dir=parent)
+    else:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=parent)
+        os.close(fd)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, (0o777 if directory else 0o666) & ~umask)
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        (shutil.rmtree if directory else os.unlink)(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

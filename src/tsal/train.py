@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import replace
 
 import numpy as np
 
+from .data import publish
 from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
@@ -218,8 +218,8 @@ def save_checkpoint(
     """Serialize parameters and momentum buffers at 32-bit precision.
 
     Raises NonFinite, writing nothing, if a value is not finite at 32-bit
-    precision. The write is atomic: a unique sibling temp file is fsynced,
-    then renamed over the target.
+    precision. The write is atomic: ``publish``'s sibling temp file is
+    fsynced, then renamed over the target.
     """
     named = model.named_parameters()
     for name, arr in named:
@@ -238,22 +238,11 @@ def save_checkpoint(
         chunks += [_record_head(name, arr.shape), values.tobytes()]
     body = b"".join(chunks)
 
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body)))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with publish(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_checkpoint(

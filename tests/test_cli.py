@@ -104,6 +104,36 @@ class TestGenerate:
         assert code == 1
         assert "ERROR ParseError:" in stderr
 
+    @pytest.mark.parametrize("existing", ["non-empty directory", "file", "symlink"])
+    def test_out_that_exists_is_one_parse_error_before_any_write(
+        self, tmp_path, capsys, existing
+    ):
+        out = tmp_path / "ds"
+        if existing == "file":
+            out.write_bytes(b"keep")
+        elif existing == "symlink":  # to an empty directory: the final rename would fail
+            (tmp_path / "empty").mkdir()
+            out.symlink_to(tmp_path / "empty")
+        else:
+            out.mkdir()
+            (out / "keep").write_bytes(b"keep")
+        before = sorted(os.listdir(tmp_path)), tree_digest(str(tmp_path))
+        code, stdout, stderr = run(capsys, "generate", "--out", str(out), *SMALL_GENERATE)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == f"ERROR ParseError: --out {out} exists and is not an empty directory"
+        assert (sorted(os.listdir(tmp_path)), tree_digest(str(tmp_path))) == before  # no temp tree
+
+    def test_out_may_be_an_empty_directory(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.mkdir()
+        code, stdout, _ = run(capsys, "generate", "--out", str(out), *SMALL_GENERATE)
+        assert code == 0
+        assert stdout.strip() == os.path.join(out, "manifest.json")
+        assert sorted(os.listdir(out)) == ["manifest.json", "video_000"]
+        assert sorted(os.listdir(tmp_path)) == ["ds"]
+
     def test_negative_zero_noise_is_zero_noise(self, tmp_path, capsys):
         trees = []
         for noise in ("-0.0", "0"):
@@ -789,6 +819,144 @@ class TestOutputOnAnInput:
         assert sorted(os.listdir(tmp_path)) == before  # made no directory
         with open(os.path.join(data_dir, name), "rb") as fh:
             assert fh.read() == original
+
+    @pytest.mark.parametrize(
+        "command, flag, link, name, what",
+        [
+            (
+                "train", "--ckpt", "symlink", "data/video_001/static/000000.pgm",
+                "video_001's static map of frame 0",
+            ),
+            (
+                "train", "--loss-csv", "hardlink", "data/video_000/gt/000002.pgm",
+                "video_000's ground-truth map of frame 2",
+            ),
+            (
+                "evaluate", "--out", None, "pred/video_001/000002.pgm",
+                "video_001's prediction map of frame 2",
+            ),
+            ("evaluate", "--out", "hardlink", "data/manifest.json", "the manifest"),
+        ],
+        ids=["train-symlinked-static", "train-hardlinked-gt", "evaluate-prediction",
+             "evaluate-hardlinked-manifest"],
+    )
+    def test_the_same_file_by_another_name_is_one_parse_error(
+        self, tmp_path, capsys, command, flag, link, name, what
+    ):
+        """An output is refused when it is the input's file, whatever path reaches it."""
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        source = target = str(tmp_path / name)
+        if link == "symlink":  # the input is a symlink to the file --ckpt names
+            target = str(tmp_path / "elsewhere.pgm")
+            os.replace(source, target)
+            os.symlink(target, source)
+        elif link == "hardlink":  # the output is a second name of the input's file
+            target = str(tmp_path / "linked")
+            os.link(source, target)
+        with open(source, "rb") as fh:
+            original = fh.read()
+        new = str(tmp_path / "new")
+        flags = {
+            "train": {
+                "--ckpt": f"{new}/m.ckpt", "--loss-csv": f"{new}/l.csv",
+                "--hidden": "2", "--max-steps": "1",
+            },
+            "evaluate": {"--predictions": str(tmp_path / "pred"), "--out": f"{new}/s.json"},
+        }[command]
+        flags[flag] = target
+        argv = [arg for item in flags.items() for arg in item]
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == f"ERROR ParseError: {flag} {target} names {what}"
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # made no directory
+        with open(source, "rb") as fh:
+            assert fh.read() == original
+
+
+class TestAtomicOutput:
+    def test_a_writer_failing_part_way_leaves_the_old_output(self, tmp_path, capsys, monkeypatch):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        out = tmp_path / "scores" / "s.json"
+        out.parent.mkdir()
+        out.write_bytes(b'{"old": "report"}\n')
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"per_video": ')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        code, _, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred, "--out", str(out)
+        )
+        assert code == 1
+        (line,) = error_lines(stderr)
+        assert line == "ERROR IoError: [Errno 28] No space left on device"
+        assert out.read_bytes() == b'{"old": "report"}\n'
+        assert os.listdir(out.parent) == ["s.json"]  # no temp sibling
+
+    def test_generate_failing_part_way_leaves_no_tree(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(D, "write_fixations", fail)
+        code, _, stderr = run(capsys, "generate", "--out", str(tmp_path / "ds"), *SMALL_GENERATE)
+        assert code == 1
+        (line,) = error_lines(stderr)
+        assert line == "ERROR IoError: [Errno 28] No space left on device"
+        assert os.listdir(tmp_path) == []  # no --out, video_000/ or temp tree
+
+
+def _cap_address_space():
+    """Runs in the child only: its address space is capped at 3 GiB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["generate", "train", "predict", "evaluate"])
+    def test_is_one_error_line_and_leaves_no_output(self, tmp_path, command):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=2)
+        buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+        Tr.save_checkpoint(model, buffers, str(tmp_path / "m.tsal"))
+        with open(manifest, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["resolution"] = [D.MAX_MAP_SIDE, D.MAX_MAP_SIDE]  # 32 GiB a float64 map
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        argv = {
+            "generate": ["--out", str(tmp_path / "ds"), "--height", "65535", "--width", "65535",
+                         "--videos", "1", "--frames", "1"],
+            "train": ["--manifest", manifest, "--ckpt", str(tmp_path / "new.tsal"),
+                      "--hidden", "2"],
+            "predict": ["--manifest", manifest, "--ckpt", str(tmp_path / "m.tsal"),
+                        "--out", str(tmp_path / "out")],
+            "evaluate": ["--manifest", manifest, "--predictions", str(tmp_path / "pred"),
+                         "--out", str(tmp_path / "s.json")],
+        }[command]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        before = sorted(os.listdir(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsal.cli", command, *argv],
+            env=env, capture_output=True, text=True, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = error_lines(proc.stderr)
+        assert line.startswith("ERROR OutOfMemory: Unable to allocate 32.0 GiB")
+        assert "Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == before  # no output and no temp sibling
 
 
 class TestFramelessVideo:

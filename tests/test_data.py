@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -161,6 +162,51 @@ class TestWriteMap:
         D.write_map(loaded, path2)
         with open(path, "rb") as a, open(path2, "rb") as b:
             assert a.read() == b.read()
+
+
+class TestPublish:
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_renames_onto_the_path_with_the_umask_mode(self, tmp_path, directory):
+        target = tmp_path / "new" / "out"
+        old = os.umask(0o027)
+        try:
+            with D.publish(str(target), directory=directory) as tmp:
+                assert os.path.dirname(tmp) == str(target.parent)  # beside the target
+                if directory:
+                    os.mkdir(os.path.join(tmp, "inner"))
+                else:
+                    with open(tmp, "w", encoding="utf-8") as fh:
+                        fh.write("done")
+                assert not target.exists()
+        finally:
+            os.umask(old)
+        assert os.listdir(target.parent) == ["out"]
+        assert stat.S_IMODE(target.stat().st_mode) == (0o750 if directory else 0o640)
+        if directory:
+            assert os.listdir(target) == ["inner"]
+        else:
+            assert target.read_text() == "done"
+
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_an_exception_leaves_the_old_output_and_no_temp(self, tmp_path, directory):
+        target = tmp_path / "out"
+        if directory:
+            target.mkdir()
+        else:
+            target.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with D.publish(str(target), directory=directory) as tmp:
+                if directory:
+                    os.mkdir(os.path.join(tmp, "half"))
+                else:
+                    with open(tmp, "wb") as fh:
+                        fh.write(b"ne")
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == ["out"]
+        if directory:
+            assert os.listdir(target) == []
+        else:
+            assert target.read_bytes() == b"old"
 
 
 class TestLoadFixations:

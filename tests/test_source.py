@@ -119,6 +119,36 @@ def test_only_cli_starts_processes():
     assert len(forks) == 1, f'the "fork" start method named in {len(forks)} places: {forks}'
 
 
+def test_only_publish_renames_outputs_into_place():
+    """``data.publish`` is the one way an output reaches its path: a temp
+    file or directory beside it, given the umask's mode, then renamed onto
+    it. So no other function calls ``tempfile.mkstemp``,
+    ``tempfile.mkdtemp``, ``os.replace`` or ``os.umask``, and a second
+    temp-and-rename copy cannot grow back."""
+    calls = {("tempfile", "mkstemp"), ("tempfile", "mkdtemp"), ("os", "replace"), ("os", "umask")}
+    callers = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)
+        callers += [
+            f"{module} line {node.lineno} in {function}: {node.value.id}.{node.attr}"
+            for node, function in _in_functions(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in calls
+            and (module, function) != ("data.py", "publish")
+        ]
+        callers += [
+            f"{module} line {node.lineno}: from {node.module} import {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if (node.module, alias.name) in calls
+        ]
+    assert callers == [], f"a temp-and-rename step outside data.publish: {callers}"
+
+
 def test_tensor_allocations_name_their_dtype():
     """np.zeros, np.empty and np.ones default to float64, so one such call
     without ``dtype=`` in tensor.py silently promotes a float32 inference
