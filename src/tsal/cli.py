@@ -293,27 +293,13 @@ def _score_video(
 
 
 def cmd_evaluate(cfg: dict) -> None:
-    # imported here, so that train and predict do not load them (about 19 ms and 1 MiB)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     metrics = _parse_metric_list(cfg["metrics"])
     outputs = (("--out", cfg["out"]),) if cfg["out"] else ()
     _check_outputs(cfg["manifest"], *outputs)
     manifest = D.load_manifest(cfg["manifest"])
     _make_output_dirs(cfg, manifest, *outputs)
     videos, res = manifest["videos"], manifest["resolution"]
-    # Videos score independently, one per worker process at a time. A forked
-    # worker needs no re-import of numpy and tsal, and the pool forks every
-    # worker before it starts a thread of its own; "fork" is named because
-    # Python 3.14 no longer defaults to it on Linux. map keeps manifest
-    # order, so the report and the first failure raised do not depend on
-    # the workers.
-    workers = ProcessPoolExecutor(
-        min(len(videos), len(os.sched_getaffinity(0))),
-        mp_context=multiprocessing.get_context("fork"),
-    )
-    try:
+    with D.worker_pool(len(videos)) as workers:
         # every video's fixations first: each shuffled-AUC pool holds all the others'
         fixations = list(workers.map(D.load_video, videos, itertools.repeat(res)))
         everything = np.concatenate([fix for fixs in fixations for fix in fixs])
@@ -322,8 +308,6 @@ def cmd_evaluate(cfg: dict) -> None:
             _score_video, everything=everything, res=res, cfg=cfg, metrics=metrics
         )
         rows = list(workers.map(score, videos, fixations, [0] + ends[:-1], ends))
-    finally:
-        workers.shutdown(cancel_futures=True)
     per_video = {video["video_id"]: row for video, row in zip(videos, rows)}
     groups: dict[str, list[str]] = {}
     for video in videos:

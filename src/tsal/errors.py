@@ -94,3 +94,7 @@ class MissingInput(SaliencyError):
 
 class InconsistentVideos(SaliencyError):
     """Score files given to the report command cover different videos."""
+
+
+class WorkerDied(SaliencyError):
+    """A pool's worker process was killed, as by the out-of-memory killer."""

@@ -5,8 +5,10 @@ import multiprocessing
 import os
 import shutil
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 
@@ -133,6 +135,29 @@ class TestGenerate:
         assert stdout.strip() == os.path.join(out, "manifest.json")
         assert sorted(os.listdir(out)) == ["manifest.json", "video_000"]
         assert sorted(os.listdir(tmp_path)) == ["ds"]
+
+    def test_tree_independent_of_worker_count(self, tmp_path):
+        """Unpinned, the videos are written by one worker process per CPU;
+        pinned to one CPU, by one. Both trees are criterion 7's, byte for byte."""
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = {
+            "all-cpus": None,
+            # acts on the child process alone
+            "one-cpu": lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+        }
+        digests = {}
+        for name, pin in runs.items():
+            out = str(tmp_path / name)
+            subprocess.run(
+                [sys.executable, "-m", "tsal.cli", "generate", "--out", out, "--videos", "2",
+                 "--frames", "10", "--height", "16", "--width", "16", "--seed", "5"],
+                env=env, check=True, capture_output=True, preexec_fn=pin, timeout=120,
+            )
+            digests[name] = tree_digest(out)
+        assert digests["one-cpu"] == digests["all-cpus"]
+        assert digests["all-cpus"][:12] == "6922a7758988"
 
     def test_negative_zero_noise_is_zero_noise(self, tmp_path, capsys):
         trees = []
@@ -912,6 +937,33 @@ class TestAtomicOutput:
         assert line == "ERROR IoError: [Errno 28] No space left on device"
         assert os.listdir(tmp_path) == []  # no --out, video_000/ or temp tree
 
+    def test_generate_reports_the_first_failing_video_and_leaves_no_worker(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Videos are written in worker processes, but the error is the one a
+        video-by-video run meets first, though a later video fails sooner."""
+        write_map = D.write_map
+
+        def fail_from_video_001(sal, path):
+            video = os.path.basename(os.path.dirname(os.path.dirname(path)))
+            if video == "video_001":
+                time.sleep(0.2)
+            if video != "video_000":
+                raise OSError(28, "No space left on device", path)
+            write_map(sal, path)
+
+        monkeypatch.setattr(D, "write_map", fail_from_video_001)
+        argv = ["--out", str(tmp_path / "ds"), "--videos", "3", "--frames", "2"]
+        code, stdout, stderr = run(capsys, "generate", *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR IoError: [Errno 28] No space left on device: ")
+        assert line.endswith(f"{os.sep}video_001{os.sep}static{os.sep}000000.pgm'")
+        assert "Traceback" not in stderr
+        assert os.listdir(tmp_path) == []  # no --out and no temp tree
+        assert multiprocessing.active_children() == []
+
 
 def _cap_address_space():
     """Runs in the child only: its address space is capped at 3 GiB."""
@@ -957,6 +1009,39 @@ class TestOutOfMemory:
         assert line.startswith("ERROR OutOfMemory: Unable to allocate 32.0 GiB")
         assert "Traceback" not in proc.stderr
         assert sorted(os.listdir(tmp_path)) == before  # no output and no temp sibling
+
+
+def _die_in_a_worker(*args):
+    """Stands in for a function that only pool workers call: the worker is killed
+    as the out-of-memory killer would kill it."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerDied:
+    @pytest.mark.parametrize("command, victim", [("generate", "write_map"),
+                                                 ("evaluate", "load_video")])
+    def test_is_one_error_line_and_leaves_no_output(
+        self, tmp_path, capsys, monkeypatch, command, victim
+    ):
+        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=3, size=8)
+        copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        monkeypatch.setattr(D, victim, _die_in_a_worker)
+        out = str(tmp_path / "out")
+        argv = {
+            "generate": ["--out", out, "--videos", "3", "--frames", "2"],
+            "evaluate": ["--manifest", manifest, "--predictions", str(tmp_path / "pred"),
+                         "--out", out],
+        }[command]
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(capsys, command, *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith("ERROR WorkerDied: ")
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before  # no output and no temp sibling
+        assert multiprocessing.active_children() == []
 
 
 class TestFramelessVideo:

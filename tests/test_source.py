@@ -90,32 +90,42 @@ def test_only_train_encodes_binary_records():
     assert importers == [], f"struct or zlib imported outside train.py: {importers}"
 
 
-def test_only_cli_starts_processes():
-    """``cli.cmd_evaluate`` is the one place that runs work in other
-    processes, so no other module imports ``multiprocessing`` or
-    ``concurrent.futures``, and the ``"fork"`` start method is named once:
-    ``metrics`` and ``data`` stay free of processes, and perfbench's layer
-    tracing of them still sees every call made in the tracing process."""
-    importers, forks = [], []
+POOL_NAMES = {"multiprocessing", "concurrent", "ProcessPoolExecutor", "sched_getaffinity", "fork"}
+
+
+def test_only_worker_pool_starts_processes():
+    """``data.worker_pool`` is the one place that starts processes, for
+    ``generate`` and ``evaluate`` alike. So ``data.py`` is the one importer of
+    ``multiprocessing`` and ``concurrent.futures``, inside that function, so
+    that ``train`` and ``predict`` do not load them; no other function names
+    ``ProcessPoolExecutor`` or ``sched_getaffinity``; and the ``"fork"``
+    start method is named once. ``metrics`` stays free of processes.
+    perfbench's traced set-up metric, ``data.generate_synthetic.busy_s``,
+    times the parent's call, which waits for every worker, so it still sees
+    everything it measures."""
+    importers, forks, outside = set(), [], []
     for path in glob.glob(os.path.join(SRC, "*.py")):
         module = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and node.value == "fork":
-                forks.append(f"{module} line {node.lineno}")
+        for node, function in _in_functions(tree):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                names = {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
+                names = {(node.module or "").split(".")[0]}
+            elif isinstance(node, ast.Constant):
+                names = {node.value}
             else:
-                continue
-            importers += [
-                f"{module} line {node.lineno}: {name}"
-                for name in modules
-                if name.split(".")[0] in ("multiprocessing", "concurrent") and module != "cli.py"
-            ]
-    assert importers == [], f"process pools imported outside cli.py: {importers}"
+                names = {getattr(node, "id", getattr(node, "attr", None))}
+            where = f"{module} line {node.lineno} in {function}" if names & POOL_NAMES else ""
+            if names & {"multiprocessing", "concurrent"}:
+                importers.add(module)
+            if "fork" in names:
+                forks.append(where)
+            if where and (module, function) != ("data.py", "worker_pool"):
+                outside.append(where)
+    assert importers == {"data.py"}, f"process pools imported in {sorted(importers)}"
+    assert outside == [], f"process pools started outside data.worker_pool: {outside}"
     assert len(forks) == 1, f'the "fork" start method named in {len(forks)} places: {forks}'
 
 
