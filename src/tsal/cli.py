@@ -234,29 +234,33 @@ def cmd_train(cfg: dict) -> None:
     print(cfg["ckpt"])
 
 
+def _predict_video(video: dict, *, model: Mo.AdaptationModel, res: tuple, root: str) -> int:
+    """Write one video's refined maps to ``root/<video_id>/``; returns how many."""
+    out_dir = os.path.join(root, video["video_id"])
+    os.makedirs(out_dir)
+    state = None
+    statics = D.read_maps(video, video["static_map_dir"], MissingInput)
+    for frame, static in zip(video["frames"], statics):
+        x = D.resize_bilinear(static, res)[None, None]
+        # slicing drops the step cache at once, so it does not outlive the step
+        if model.variant == Mo.CONV_ONLY:
+            y = Mo.conv_block_forward(x, model)[0]
+        else:
+            y, state = Mo.convlstm_step(x, state, model)[:2]
+        D.write_map(np.clip(y[0, 0], 0.0, 1.0), os.path.join(out_dir, D.frame_file_name(frame)))
+    return len(video["frames"])
+
+
 def cmd_predict(cfg: dict) -> None:
     out = cfg["out"]
     _check_out_dir(out)
     manifest = D.load_manifest(cfg["manifest"])
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
-    res = manifest["resolution"]
-    written = 0
-    with D.publish(out, directory=True) as tmp:
-        for video in manifest["videos"]:
-            out_dir = os.path.join(tmp, video["video_id"])
-            os.makedirs(out_dir)
-            state = None
-            statics = D.read_maps(video, video["static_map_dir"], MissingInput)
-            for frame, static in zip(video["frames"], statics):
-                name = D.frame_file_name(frame)
-                x = D.resize_bilinear(static, res)[None, None]
-                # slicing drops the step cache at once, so it does not outlive the step
-                if model.variant == Mo.CONV_ONLY:
-                    y = Mo.conv_block_forward(x, model)[0]
-                else:
-                    y, state = Mo.convlstm_step(x, state, model)[:2]
-                D.write_map(np.clip(y[0, 0], 0.0, 1.0), os.path.join(out_dir, name))
-                written += 1
+    videos, res = manifest["videos"], manifest["resolution"]
+    # the pool inside publish: every worker has ended before a failed run's tree is removed
+    with D.publish(out, directory=True) as tmp, D.worker_pool(len(videos)) as workers:
+        predict = functools.partial(_predict_video, model=model, res=res, root=tmp)
+        written = sum(workers.map(predict, videos))
     log.info("wrote %d refined maps to %s", written, out)
     print(out)
 

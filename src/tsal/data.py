@@ -16,7 +16,7 @@ truth and predictions, one video at a time. ``load_video`` reads a video's
 fixations in the frame of its static maps, whose one shared size it checks.
 ``publish`` is the one way a command's output reaches its path: written
 beside it, then renamed into place. ``worker_pool`` is the one process pool:
-generate writes, and evaluate scores, one video per worker at a time.
+generate writes, predict refines and evaluate scores one video per worker.
 
 The synthetic generator produces videos of a Gaussian blob drifting on a
 momentum random walk; the ground truth is the clean blob ``lag`` frames
@@ -97,21 +97,47 @@ def worker_pool(tasks: int) -> Iterator:
     Forked workers need no re-import, and the pool forks them all before it starts a thread;
     "fork" is named as Python 3.14 no longer defaults to it on Linux. ``map`` keeps input
     order, so its results and the first failure raised do not depend on the worker count.
+    Workers inherit an OpenBLAS thread count of at most CPUs // workers, set in the parent
+    around the fork and restored on leaving, so that workers x threads <= CPUs.
     """
-    # imported here, so train and predict do not load them (about 23 ms and 0.9 MiB)
+    # imported here, so train does not load them (about 23 ms and 0.9 MiB)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    workers = ProcessPoolExecutor(
-        min(tasks, len(os.sched_getaffinity(0))), mp_context=multiprocessing.get_context("fork")
-    )
+    cpus = len(os.sched_getaffinity(0))
+    count = min(tasks, cpus)
+    workers = ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"))
+    blas = _blas_threads()
+    if blas:
+        get_threads, set_threads = blas
+        parent_threads = get_threads()
+        set_threads(min(parent_threads, max(1, cpus // count)))
     try:
         yield workers
     except BrokenProcessPool as exc:
         raise WorkerDied(str(exc)) from None
     finally:
         workers.shutdown(cancel_futures=True)
+        if blas:
+            set_threads(parent_threads)
+
+
+def _blas_threads() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS this process has loaded, or None."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+    for library in map(ctypes.CDLL, paths):
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"), ("scipy_openblas", "64_")):
+            get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -649,7 +649,8 @@ class TestPredict:
                 assert np.max(np.abs(got - D.load_map(want))) * 255 < 1.5
 
     def test_maps_independent_of_blas_threads(self, tmp_path):
-        _, manifest = make_dataset(tmp_path, videos=2, frames=4, size=32)
+        """One video gets one worker process, which keeps the BLAS thread count it is given."""
+        _, manifest = make_dataset(tmp_path, videos=1, frames=8, size=32)
         model = Mo.init_parameters(
             "convlstm", rng_seed=0, hidden_channels=Mo.DEFAULT_HIDDEN_CHANNELS
         )
@@ -672,6 +673,58 @@ class TestPredict:
             }
         assert len(trees["1"]) == 8
         assert trees["1"] == trees["2"]
+
+    def test_tree_independent_of_worker_count(self, tmp_path):
+        """Unpinned, the videos are refined by one worker process per CPU, each
+        with its share of the BLAS threads; pinned to one CPU, by one."""
+        _, manifest = make_dataset(tmp_path, videos=3, frames=4, size=16)
+        model = Mo.init_parameters(
+            "convlstm", rng_seed=0, hidden_channels=Mo.DEFAULT_HIDDEN_CHANNELS
+        )
+        ckpt = str(tmp_path / "m.tsal")
+        Tr.save_checkpoint(model, {n: np.zeros_like(a) for n, a in model.named_parameters()}, ckpt)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = {
+            "all-cpus": None,
+            # acts on the child process alone
+            "one-cpu": lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+        }
+        trees = {}
+        for name, pin in runs.items():
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "tsal.cli", "predict", "--manifest", manifest,
+                 "--ckpt", ckpt, "--out", str(out)],
+                env=env, check=True, capture_output=True, preexec_fn=pin, timeout=120,
+            )
+            trees[name] = {
+                str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*.pgm")
+            }
+        assert len(trees["all-cpus"]) == 12
+        assert trees["one-cpu"] == trees["all-cpus"]
+
+    def test_first_failure_in_manifest_order_and_no_worker_left(self, tmp_path, capsys):
+        """Videos are refined in worker processes, but the error is the one a
+        video-by-video run meets first, though a later video fails sooner."""
+        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=3, size=10)
+        os.remove(os.path.join(data_dir, "video_001", "static", "000002.pgm"))
+        os.remove(os.path.join(data_dir, "video_002", "static", "000000.pgm"))
+        ckpt = self.make_zero_checkpoint(tmp_path, variant="convlstm")
+        code, stdout, stderr = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", ckpt,
+            "--out", str(tmp_path / "pred"),
+        )
+        assert code == 1
+        assert stdout == ""
+        missing = os.path.join(data_dir, "video_001", "static", "000002.pgm")
+        assert error_lines(stderr) == [
+            f"ERROR MissingInput: video_001: frame 2 has no map {missing}"
+        ]
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == ["data", "zero.tsal"]  # no --out, no temp
+        assert multiprocessing.active_children() == []
 
     def test_non_finite_checkpoint_rejected(self, tmp_path, capsys):
         _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)
@@ -1020,16 +1073,21 @@ def _die_in_a_worker(*args):
 
 class TestWorkerDied:
     @pytest.mark.parametrize("command, victim", [("generate", "write_map"),
+                                                 ("predict", "write_map"),
                                                  ("evaluate", "load_video")])
     def test_is_one_error_line_and_leaves_no_output(
         self, tmp_path, capsys, monkeypatch, command, victim
     ):
         data_dir, manifest = make_dataset(tmp_path, videos=3, frames=3, size=8)
         copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=2)
+        buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+        Tr.save_checkpoint(model, buffers, str(tmp_path / "m.tsal"))
         monkeypatch.setattr(D, victim, _die_in_a_worker)
         out = str(tmp_path / "out")
         argv = {
             "generate": ["--out", out, "--videos", "3", "--frames", "2"],
+            "predict": ["--manifest", manifest, "--ckpt", str(tmp_path / "m.tsal"), "--out", out],
             "evaluate": ["--manifest", manifest, "--predictions", str(tmp_path / "pred"),
                          "--out", out],
         }[command]
@@ -1264,11 +1322,12 @@ class TestEvaluate:
 
     def test_scores_independent_of_blas_threads(self, tmp_path):
         """At 128x128, 16,384 pixels, CC's dot products are longer than
-        OpenBLAS computes on one thread. Pinned to one CPU, the same run
-        scores every video in one worker process instead of one per CPU."""
+        OpenBLAS computes on one thread; the large set is one video, whose one
+        worker keeps the BLAS thread count it is given. Pinned to one CPU, the
+        same run scores every video in one worker process instead of one per CPU."""
         data_dir, small = make_dataset(tmp_path, "small", videos=3, frames=4, size=16)
         copy_gt_as_predictions(data_dir, str(tmp_path / "small_pred"))
-        _, large = make_dataset(tmp_path, "large", videos=2, frames=3, size=128)
+        _, large = make_dataset(tmp_path, "large", videos=1, frames=3, size=128)
         os.makedirs(tmp_path / "large_pred")
         for video in D.load_manifest(large)["videos"]:
             # the static maps as predictions, so that CC is not 1
@@ -1282,7 +1341,7 @@ class TestEvaluate:
             # acts on the child process alone
             "2-one-cpu": ("2", lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})),
         }
-        for name, manifest, videos in (("small", small, 3), ("large", large, 2)):
+        for name, manifest, videos in (("small", small, 3), ("large", large, 1)):
             blobs = {}
             for key, (threads, pin) in runs.items():
                 env["OPENBLAS_NUM_THREADS"] = threads

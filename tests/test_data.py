@@ -209,6 +209,47 @@ class TestPublish:
             assert target.read_bytes() == b"old"
 
 
+def _worker_blas_threads(task):
+    get_threads, _ = D._blas_threads()
+    return get_threads()
+
+
+def _fail_in_a_worker(task):
+    raise ValueError("task failed")
+
+
+class TestWorkerPool:
+    def test_finds_the_loaded_openblas(self):
+        """numpy here links OpenBLAS, so the helper must find its thread calls:
+        were it to miss them, the workers' BLAS threads would go unshared."""
+        blas = D._blas_threads()
+        assert blas is not None
+        get_threads, set_threads = blas
+        parent = get_threads()
+        assert parent >= 1
+        set_threads(parent)
+        assert get_threads() == parent
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_workers_share_the_cpus_and_the_parent_count_is_restored(self):
+        """Each of two workers gets at most half the CPUs as BLAS threads; one
+        worker keeps the parent's count; leaving the pool, even on an error,
+        gives the parent its count back."""
+        get_threads, _ = D._blas_threads()
+        parent = get_threads()
+        cpus = len(os.sched_getaffinity(0))
+        with D.worker_pool(2) as workers:
+            assert list(workers.map(_worker_blas_threads, range(4))) == [min(parent, cpus // 2)] * 4
+        assert get_threads() == parent
+        with D.worker_pool(1) as workers:
+            assert list(workers.map(_worker_blas_threads, range(2))) == [parent] * 2
+        assert get_threads() == parent
+        with pytest.raises(ValueError, match="task failed"):
+            with D.worker_pool(2) as workers:
+                list(workers.map(_fail_in_a_worker, range(2)))
+        assert get_threads() == parent
+
+
 class TestLoadFixations:
     def test_grouping(self, tmp_path):
         path = str(tmp_path / "f.csv")

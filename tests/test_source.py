@@ -95,9 +95,9 @@ POOL_NAMES = {"multiprocessing", "concurrent", "ProcessPoolExecutor", "sched_get
 
 def test_only_worker_pool_starts_processes():
     """``data.worker_pool`` is the one place that starts processes, for
-    ``generate`` and ``evaluate`` alike. So ``data.py`` is the one importer of
-    ``multiprocessing`` and ``concurrent.futures``, inside that function, so
-    that ``train`` and ``predict`` do not load them; no other function names
+    ``generate``, ``predict`` and ``evaluate`` alike. So ``data.py`` is the one
+    importer of ``multiprocessing`` and ``concurrent.futures``, inside that
+    function, so that ``train`` does not load them; no other function names
     ``ProcessPoolExecutor`` or ``sched_getaffinity``; and the ``"fork"``
     start method is named once. ``metrics`` stays free of processes.
     perfbench's traced set-up metric, ``data.generate_synthetic.busy_s``,
@@ -127,6 +127,30 @@ def test_only_worker_pool_starts_processes():
     assert importers == {"data.py"}, f"process pools imported in {sorted(importers)}"
     assert outside == [], f"process pools started outside data.worker_pool: {outside}"
     assert len(forks) == 1, f'the "fork" start method named in {len(forks)} places: {forks}'
+
+
+def test_only_the_blas_helper_imports_ctypes():
+    """``data._blas_threads`` is the one function that reaches into a native
+    library: it finds the loaded OpenBLAS and its thread-count calls, which
+    ``worker_pool`` uses to share the CPUs between its workers. So no other
+    function imports ``ctypes``, and no second native binding can grow."""
+    importers = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node, function in _in_functions(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            importers += [
+                (module, function, node.lineno) for name in names if name.split(".")[0] == "ctypes"
+            ]
+    places = [(module, function) for module, function, _ in importers]
+    assert places == [("data.py", "_blas_threads")], f"ctypes imported at {importers}"
 
 
 def test_only_publish_renames_outputs_into_place():
