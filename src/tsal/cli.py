@@ -161,21 +161,18 @@ def _check_out_dir(out: str) -> None:
         raise ParseError(f"--out {out} exists and is not an empty directory")
 
 
-def _check_outputs(manifest: str, *outputs: tuple[str, str]) -> None:
-    """Refuse outputs naming --manifest, each other or a directory."""
-    for (flag_a, a), (flag_b, b) in itertools.combinations([("--manifest", manifest), *outputs], 2):
-        if os.path.realpath(a) == os.path.realpath(b):
-            raise ParseError(f"{flag_b} {b} and {flag_a} {a} name the same file")
-    for flag, path in outputs:
-        if os.path.isdir(path) or not os.path.basename(path):
-            raise ParseError(f"{flag} {path} names a directory")
-
-
-def _make_output_dirs(cfg: dict, manifest: dict, *outputs: tuple[str, str]) -> None:
-    """Refuse an existing output that is a file the command reads, then make their directories.
+def _check_outputs(cfg: dict, manifest: dict, *outputs: tuple[str, str]) -> None:
+    """Refuse an output that names a directory, another output or a file the command reads,
+    then make the outputs' directories.
 
     A file is known by its (st_ino, st_dev), so a symlink or hard link to an input is refused.
     """
+    for flag, path in outputs:
+        if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
+            raise ParseError(f"{flag} {path} names a directory")
+    for (flag_a, a), (flag_b, b) in itertools.combinations(outputs, 2):
+        if os.path.realpath(a) == os.path.realpath(b):
+            raise ParseError(f"{flag_b} {b} and {flag_a} {a} name the same file")
     taken = {os.stat(path)[1:3]: f"{flag} {path}" for flag, path in outputs if os.path.exists(path)}
     inputs = [(cfg["manifest"], "the manifest")]
     for video in manifest["videos"] if taken else ():
@@ -201,9 +198,8 @@ def _make_output_dirs(cfg: dict, manifest: dict, *outputs: tuple[str, str]) -> N
 def cmd_train(cfg: dict) -> None:
     loss_csv = cfg["loss_csv"] or cfg["ckpt"] + ".loss.csv"
     outputs = ("--ckpt", cfg["ckpt"]), ("--loss-csv", loss_csv)
-    _check_outputs(cfg["manifest"], *outputs)
     manifest = D.load_manifest(cfg["manifest"])
-    _make_output_dirs(cfg, manifest, *outputs)
+    _check_outputs(cfg, manifest, *outputs)
     res = manifest["resolution"]
     samples = []
     for video in manifest["videos"]:
@@ -299,9 +295,8 @@ def _score_video(
 def cmd_evaluate(cfg: dict) -> None:
     metrics = _parse_metric_list(cfg["metrics"])
     outputs = (("--out", cfg["out"]),) if cfg["out"] else ()
-    _check_outputs(cfg["manifest"], *outputs)
     manifest = D.load_manifest(cfg["manifest"])
-    _make_output_dirs(cfg, manifest, *outputs)
+    _check_outputs(cfg, manifest, *outputs)
     videos, res = manifest["videos"], manifest["resolution"]
     with D.worker_pool(len(videos)) as workers:
         # every video's fixations first: each shuffled-AUC pool holds all the others'
@@ -460,6 +455,8 @@ def _check(command: str, key: str, value, from_flag: bool):
         or isinstance(value, list) and not all(isinstance(p, str) for p in value)
     ):
         raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {value!r}")
+    if value == "":  # names no file, metric or variant
+        raise ParseError(f"{name} must not be empty")
     if kind is float and not abs(value) <= sys.float_info.max:  # an int may pass float's range
         raise ParseError(f"{name} must be finite, got {value!r}")
     if not all(OPS[op](value, limit) for op, limit in bounds):

@@ -122,13 +122,6 @@ def sim(sal: np.ndarray, gt: np.ndarray) -> float:
     return float(np.minimum(sal / mass_a, gt / mass_b).sum())
 
 
-def _roc_area(positives: np.ndarray, negatives: np.ndarray) -> float:
-    """ROC area of two samples, as ``_ranked_roc_area`` defines it."""
-    ranked = np.sort(np.concatenate([positives, negatives]))
-    positives = np.sort(positives)
-    return _ranked_roc_area(ranked, positives, positives)
-
-
 def _ranked_roc_area(
     ranked: np.ndarray, positives: np.ndarray, not_negatives: np.ndarray
 ) -> float:
@@ -193,7 +186,9 @@ def shuffled_auc(
     if len(other_fix) > cap:
         keep = np.random.default_rng(rng_seed).choice(len(other_fix), size=cap, replace=False)
         other_fix = other_fix[keep]
-    return _roc_area(positives, sal[other_fix[:, 0], other_fix[:, 1]])
+    ranked = np.sort(np.concatenate([positives, sal[other_fix[:, 0], other_fix[:, 1]]]))
+    positives = np.sort(positives)
+    return _ranked_roc_area(ranked, positives, positives)
 
 
 def _mean(values: list) -> float | None:

@@ -131,8 +131,6 @@ def init_parameters(
     The draw order is fixed (feature or gate kernels in GATES order, then
     the head) so a seed pins every parameter bit-exactly.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(rng_seed)
     k = KERNEL_SIZE
     hc = hidden_channels

@@ -205,6 +205,14 @@ BAD_SETTINGS = {
     "config-lr0-past-float": ("train", [], {"lr0": 10**400}),
 }
 
+# (command, flags, config, the setting's name in the error line) -> one empty string each
+EMPTY_SETTINGS = {
+    "evaluate-out": ("evaluate", ["--out", ""], None, "--out"),
+    "train-loss-csv": ("train", ["--loss-csv", ""], None, "--loss-csv"),
+    "generate-out": ("generate", ["--out", ""], None, "--out"),
+    "config-manifest": ("train", [], {"manifest": ""}, "config key 'manifest'"),
+}
+
 
 def manifest_blob(resolution=(8, 8), **fields) -> bytes:
     """A one-video manifest, with ``fields`` overriding its valid entries."""
@@ -276,6 +284,37 @@ class TestSettings:
         assert line.startswith("ERROR ParseError:")
         assert "Traceback" not in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, config, name", EMPTY_SETTINGS.values(), ids=EMPTY_SETTINGS
+    )
+    def test_empty_string_is_one_parse_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, flags, config, name
+    ):
+        data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        argv = {
+            "generate": ["generate", "--videos", "1", "--frames", "2"],
+            "train": ["train", "--ckpt", str(tmp_path / "m.ckpt"), "--hidden", "2",
+                      "--max-steps", "1"],
+            "evaluate": ["evaluate", "--predictions", pred],
+        }[command]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        elif command != "generate":
+            argv += ["--manifest", manifest]
+        monkeypatch.chdir(tmp_path)  # where an output named "" would have been written
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, stderr = run(capsys, *argv, *flags)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line == f"ERROR ParseError: {name} must not be empty"
+        assert "Traceback" not in stderr
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("which, blob, named", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES)
     def test_bad_json_file_is_one_parse_error(self, tmp_path, capsys, which, blob, named):
@@ -416,15 +455,20 @@ class TestTrain:
         assert (tmp_path / "r").exists() == (spelling == "symlinked")  # made before any read
 
     @pytest.mark.parametrize(
-        "flag, directory", [("--ckpt", "runs"), ("--loss-csv", "runs"), ("--ckpt", "new2/")]
+        "flag, directory",
+        [
+            ("--ckpt", "runs"), ("--loss-csv", "runs"), ("--ckpt", "new2/"),
+            ("--ckpt", "new2/."), ("--loss-csv", "new2/.."),
+        ],
     )
     def test_output_that_names_a_directory_rejected(self, tmp_path, capsys, flag, directory):
+        _, manifest = make_dataset(tmp_path, videos=1, frames=3, size=8)
         (tmp_path / "runs").mkdir()
         outputs = {"--ckpt": f"{tmp_path}/new/m.ckpt", "--loss-csv": f"{tmp_path}/new/l.csv"}
         outputs[flag] = f"{tmp_path}/{directory}"
-        # refused before the (here missing) manifest is read
+        before = sorted(os.listdir(tmp_path))
         code, stdout, stderr = run(
-            capsys, "train", "--manifest", str(tmp_path / "none.json"),
+            capsys, "train", "--manifest", manifest, "--hidden", "2", "--max-steps", "1",
             "--ckpt", outputs["--ckpt"], "--loss-csv", outputs["--loss-csv"],
         )
         assert code == 1
@@ -432,7 +476,7 @@ class TestTrain:
         (line,) = error_lines(stderr)
         assert line == f"ERROR ParseError: {flag} {outputs[flag]} names a directory"
         assert "Traceback" not in stderr
-        assert sorted(os.listdir(tmp_path)) == ["runs"]  # made no directory
+        assert sorted(os.listdir(tmp_path)) == before  # made no directory
         assert os.listdir(tmp_path / "runs") == []
 
     def test_creates_missing_output_directories(self, tmp_path, capsys):
@@ -817,7 +861,7 @@ class TestPredict:
 
 
 class TestOutputOnTheManifest:
-    @pytest.mark.parametrize("spelling", ["same", "symlinked"])
+    @pytest.mark.parametrize("spelling", ["same", "symlinked", "hardlinked"])
     @pytest.mark.parametrize(
         "command, flag", [("train", "--ckpt"), ("train", "--loss-csv"), ("evaluate", "--out")]
     )
@@ -831,6 +875,9 @@ class TestOutputOnTheManifest:
         if spelling == "symlinked":
             (tmp_path / "link").symlink_to(data_dir)
             target = str(tmp_path / "link" / "manifest.json")
+        elif spelling == "hardlinked":
+            target = str(tmp_path / "linked.json")
+            os.link(manifest, target)
         new = str(tmp_path / "new")
         flags = {
             "train": {"--ckpt": f"{new}/m.ckpt", "--loss-csv": f"{new}/l.csv"},
@@ -844,8 +891,7 @@ class TestOutputOnTheManifest:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        want = f"{flag} {target} and --manifest {manifest} name the same file"
-        assert line == "ERROR ParseError: " + want
+        assert line == f"ERROR ParseError: {flag} {target} names the manifest"
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # made no directory
         with open(manifest, "rb") as fh:

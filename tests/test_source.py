@@ -183,6 +183,24 @@ def test_only_publish_renames_outputs_into_place():
     assert callers == [], f"a temp-and-rename step outside data.publish: {callers}"
 
 
+def test_only_check_outputs_compares_output_paths():
+    """``cli._check_outputs`` is the one file-output rule of ``train`` and
+    ``evaluate``: it refuses an output that names a directory, another output
+    or a file the command reads, at one moment, with one message per fact. So
+    no other function in cli.py calls ``os.stat`` or ``os.path.realpath``, and
+    a second output rule cannot grow back beside it."""
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = [
+        f"line {node.lineno} in {function}: {node.attr}"
+        for node, function in _in_functions(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("stat", "realpath")
+        and function != "_check_outputs"
+    ]
+    assert callers == [], f"an output path compared outside cli._check_outputs: {callers}"
+
+
 def test_tensor_allocations_name_their_dtype():
     """np.zeros, np.empty and np.ones default to float64, so one such call
     without ``dtype=`` in tensor.py silently promotes a float32 inference
