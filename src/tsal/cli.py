@@ -23,6 +23,7 @@ import math
 import operator
 import os
 import sys
+import time
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
@@ -253,11 +254,16 @@ def cmd_predict(cfg: dict) -> None:
     manifest = D.load_manifest(cfg["manifest"])
     model, _ = Tr.load_checkpoint(cfg["ckpt"])
     videos, res = manifest["videos"], manifest["resolution"]
+    start = time.perf_counter()
     # the pool inside publish: every worker has ended before a failed run's tree is removed
     with D.publish(out, directory=True) as tmp, D.worker_pool(len(videos)) as workers:
         predict = functools.partial(_predict_video, model=model, res=res, root=tmp)
         written = sum(workers.map(predict, videos))
-    log.info("wrote %d refined maps to %s", written, out)
+    seconds = time.perf_counter() - start
+    log.info(
+        "wrote %d refined maps to %s in %.3f s (%.0f frames/s)",
+        written, out, seconds, written / seconds,
+    )
     print(out)
 
 
@@ -299,14 +305,23 @@ def cmd_evaluate(cfg: dict) -> None:
     _check_outputs(cfg, manifest, *outputs)
     videos, res = manifest["videos"], manifest["resolution"]
     with D.worker_pool(len(videos)) as workers:
+        start = time.perf_counter()
         # every video's fixations first: each shuffled-AUC pool holds all the others'
         fixations = list(workers.map(D.load_video, videos, itertools.repeat(res)))
         everything = np.concatenate([fix for fixs in fixations for fix in fixs])
         ends = list(itertools.accumulate(sum(map(len, fixs)) for fixs in fixations))
+        read = time.perf_counter()
         score = functools.partial(
             _score_video, everything=everything, res=res, cfg=cfg, metrics=metrics
         )
         rows = list(workers.map(score, videos, fixations, [0] + ends[:-1], ends))
+        scored = time.perf_counter()
+    frames, no_fix, no_mass = (sum(row[key] for row in rows) for key in M.VIDEO_COUNTS)
+    log.info(
+        "scored %d frames of %d videos in %.3f s (%.0f frames/s) after %.3f s reading"
+        " fixations; skipped %d frames without fixations, %d without ground-truth mass",
+        frames, len(rows), scored - read, frames / (scored - read), read - start, no_fix, no_mass,
+    )
     per_video = {video["video_id"]: row for video, row in zip(videos, rows)}
     groups: dict[str, list[str]] = {}
     for video in videos:

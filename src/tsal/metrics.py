@@ -16,7 +16,9 @@ A saliency map is a 2-D float64 array with values in [0, 1], and a
 fixation set an (N, 2) int64 array of (row, col) pixel coordinates, where
 a repeated point counts once per occurrence. Both are checked where they
 are read and written (``tsal.data``); the metrics check only that each
-fixation lies inside the map.
+fixation lies inside the map, and ``evaluate_video`` a shuffled-AUC pool
+once per map size; ``_negatives`` draws each frame's sample of the pool
+once, with seed ``shuffle_seed + i`` for frame i.
 
 A score report is the JSON object ``tsal evaluate --out`` writes:
 ``per_video`` maps each video id to a row holding the five
@@ -75,19 +77,20 @@ def nss(sal: np.ndarray, fix: np.ndarray) -> float:
     if len(fix) == 0:
         raise EmptyFixations("NSS needs at least one fixation")
     at_fix = _values_at(sal, fix)
-    mean = sal.mean()
-    std = sal.std()
+    mean = sal.sum() / sal.size
+    dev = sal - mean
+    std = np.sqrt(np.square(dev, out=dev).sum() / sal.size)  # np.std's steps, unwrapped
     if std == 0.0:
         return 0.0
-    return float((at_fix - mean).mean() / std)
+    return float((at_fix - mean).sum() / at_fix.size / std)
 
 
 def cc(sal: np.ndarray, gt: np.ndarray) -> float | None:
     """Pearson correlation over pixels; ``None`` when either map is constant."""
     if sal.shape != gt.shape:
         raise DimensionMismatch(f"map dims {sal.shape} != {gt.shape}")
-    a = sal.ravel() - sal.mean()
-    b = gt.ravel() - gt.mean()
+    a = sal.ravel() - sal.sum() / sal.size
+    b = gt.ravel() - gt.sum() / gt.size
     var_a = float(_dot(a, a))
     var_b = float(_dot(b, b))
     if var_a == 0.0 or var_b == 0.0:
@@ -139,17 +142,19 @@ def _ranked_roc_area(
     first = np.empty(ranked.size, dtype=bool)
     first[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    thresholds = ranked[first]
     # count >= t via sorted rank; a threshold's first copy in ``ranked`` is its rank
+    ranks = np.flatnonzero(first)
+    thresholds = ranked[ranks]
     n_pos = positives.size
     n_neg = ranked.size - not_negatives.size
     pos_at_or_above = n_pos - np.searchsorted(positives, thresholds)
-    neg_at_or_above = (ranked.size - np.flatnonzero(first)) - (
+    neg_at_or_above = (ranked.size - ranks) - (
         not_negatives.size - np.searchsorted(not_negatives, thresholds)
     )
-    # thresholds ascending makes rates descending
-    xs = np.concatenate([[0.0], (neg_at_or_above / n_neg)[::-1], [1.0]])
-    ys = np.concatenate([[0.0], (pos_at_or_above / n_pos)[::-1], [1.0]])
+    # thresholds ascending makes rates descending; the curve runs from (0,0) to (1,1)
+    xs, ys = curve = np.empty((2, thresholds.size + 2))
+    curve[:, 0], curve[:, -1] = 0.0, 1.0
+    xs[-2:0:-1], ys[-2:0:-1] = neg_at_or_above / n_neg, pos_at_or_above / n_pos
     # np.trapezoid(ys, xs), as numpy evaluates it for a 1-D xs
     return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0).sum())
 
@@ -182,13 +187,19 @@ def shuffled_auc(
         raise EmptyNegatives("shuffled AUC needs a nonempty negative pool")
     positives = _values_at(sal, fix)
     _check_inside(sal, other_fix)  # the whole pool, though only a sample is read
-    cap = SAUC_NEGATIVE_RATIO * len(fix)
-    if len(other_fix) > cap:
-        keep = np.random.default_rng(rng_seed).choice(len(other_fix), size=cap, replace=False)
-        other_fix = other_fix[keep]
+    other_fix = _negatives(other_fix, len(fix), rng_seed)
     ranked = np.sort(np.concatenate([positives, sal[other_fix[:, 0], other_fix[:, 1]]]))
     positives = np.sort(positives)
     return _ranked_roc_area(ranked, positives, positives)
+
+
+def _negatives(pool: np.ndarray, n_fix: int, rng_seed: int) -> np.ndarray:
+    """A frame's shuffled-AUC negatives: ``pool``, or once it holds more than
+    ``SAUC_NEGATIVE_RATIO * n_fix`` points, that many drawn without replacement."""
+    cap = SAUC_NEGATIVE_RATIO * n_fix
+    if len(pool) > cap:
+        return pool[np.random.default_rng(rng_seed).choice(len(pool), size=cap, replace=False)]
+    return pool
 
 
 def _mean(values: list) -> float | None:
@@ -224,6 +235,7 @@ def evaluate_video(
 
     scores: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
     skipped_fix = skipped_mass = 0
+    pool_checked = set()  # the map shapes the pool is known to lie inside
     for i, (sal, fix, gt) in enumerate(zip(maps, fixs, gts)):
         if len(fix) > 0:
             if "nss" in metrics:
@@ -231,7 +243,11 @@ def evaluate_video(
             if "auc_j" in metrics:
                 scores["auc_j"].append(auc_judd(sal, fix))
             if "s_auc" in metrics and len(shuffle_pool) > 0:
-                scores["s_auc"].append(shuffled_auc(sal, fix, shuffle_pool, seed + i))
+                if sal.shape not in pool_checked:
+                    _check_inside(sal, shuffle_pool)
+                    pool_checked.add(sal.shape)
+                negatives = _negatives(shuffle_pool, len(fix), seed + i)
+                scores["s_auc"].append(shuffled_auc(sal, fix, negatives, seed + i))
         else:
             skipped_fix += 1
         if gt.sum() > 0.0:

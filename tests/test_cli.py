@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import shlex
 import signal
@@ -603,13 +604,14 @@ class TestPredict:
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=4, size=10)
         ckpt = self.make_zero_checkpoint(tmp_path, variant="convlstm")
         out = str(tmp_path / "pred")
-        code, _, _ = run(
+        code, _, stderr = run(
             capsys, "predict", "--manifest", manifest, "--ckpt", ckpt, "--out", out
         )
         assert code == 0
         for vid in ("video_000", "video_001"):
             files = sorted(os.listdir(os.path.join(out, vid)))
             assert files == [D.frame_file_name(t) for t in range(4)]
+        assert re.search(r"^wrote 8 refined maps to .+ in [\d.]+ s \(\d+ frames/s\)$", stderr, re.M)
 
     def test_conv_variant_identical_frames_identical_outputs(self, tmp_path, capsys):
         # hand-built dataset with two byte-identical static frames
@@ -1282,6 +1284,34 @@ class TestEvaluate:
         assert line == f"ERROR ParseError: --out {out.parent} names a directory"
         assert "Traceback" not in stderr
         assert os.listdir(out.parent) == ["scores.json"]
+
+    def test_log_line_counts_equal_the_report(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=3, frames=4, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        # a frame without fixations and a ground truth without mass, so neither count is 0
+        fixations = os.path.join(data_dir, "video_000", "fixations.csv")
+        with open(fixations) as fh:
+            lines = [line for line in fh if not line.startswith("1,")]
+        with open(fixations, "w") as fh:
+            fh.writelines(lines)
+        D.write_map(np.zeros((8, 8)), os.path.join(data_dir, "video_001", "gt", "000002.pgm"))
+        out_json = tmp_path / "report.json"
+        code, _, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
+            "--out", str(out_json),
+        )
+        assert code == 0
+        (counts,) = re.findall(
+            r"^scored (\d+) frames of (\d+) videos in [\d.]+ s \(\d+ frames/s\) after [\d.]+ s"
+            r" reading fixations; skipped (\d+) frames without fixations, (\d+) without"
+            r" ground-truth mass$",
+            stderr,
+            re.M,
+        )
+        rows = json.loads(out_json.read_text())["per_video"].values()
+        sums = [sum(row[key] for row in rows) for key in M.VIDEO_COUNTS]
+        assert [int(n) for n in counts] == [sums[0], len(rows), *sums[1:]] == [12, 3, 1, 1]
 
     def test_metric_filtering(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=4, size=12)

@@ -1,5 +1,6 @@
 """Tests for the five gaze metrics and the aggregation machinery."""
 
+import itertools
 import json
 
 import numpy as np
@@ -417,6 +418,168 @@ def test_fixation_outside_the_map_raises(metric, point, dtype):
     FIXATION_METRICS[metric](sal, np.delete(fix, 2, axis=0))  # the rest are inside
 
 
+def old_ranked_roc_area(ranked, positives, not_negatives) -> float:
+    """``metrics._ranked_roc_area`` as it was before it wrote xs and ys into
+    preallocated arrays and found the thresholds' ranks once."""
+    first = np.empty(ranked.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    thresholds = ranked[first]
+    n_pos = positives.size
+    n_neg = ranked.size - not_negatives.size
+    pos_at_or_above = n_pos - np.searchsorted(positives, thresholds)
+    neg_at_or_above = (ranked.size - np.flatnonzero(first)) - (
+        not_negatives.size - np.searchsorted(not_negatives, thresholds)
+    )
+    xs = np.concatenate([[0.0], (neg_at_or_above / n_neg)[::-1], [1.0]])
+    ys = np.concatenate([[0.0], (pos_at_or_above / n_pos)[::-1], [1.0]])
+    return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0).sum())
+
+
+def old_nss(sal, fix) -> float:
+    """``metrics.nss`` as it was, through np.mean and np.std."""
+    if len(fix) == 0:
+        raise EmptyFixations("NSS needs at least one fixation")
+    at_fix = M._values_at(sal, fix)
+    mean = sal.mean()
+    std = sal.std()
+    if std == 0.0:
+        return 0.0
+    return float((at_fix - mean).mean() / std)
+
+
+def old_cc(sal, gt):
+    """``metrics.cc`` as it was, through np.mean."""
+    if sal.shape != gt.shape:
+        raise DimensionMismatch(f"map dims {sal.shape} != {gt.shape}")
+    a = sal.ravel() - sal.mean()
+    b = gt.ravel() - gt.mean()
+    var_a = float(M._dot(a, a))
+    var_b = float(M._dot(b, b))
+    if var_a == 0.0 or var_b == 0.0:
+        return None
+    return float(M._dot(a, b) / np.sqrt(var_a * var_b))
+
+
+def old_shuffled_auc(sal, fix, other_fix, rng_seed) -> float:
+    """``metrics.shuffled_auc`` as it was, drawing its own sample."""
+    if len(fix) == 0:
+        raise EmptyFixations("shuffled AUC needs at least one fixation")
+    if len(other_fix) == 0:
+        raise EmptyNegatives("shuffled AUC needs a nonempty negative pool")
+    positives = M._values_at(sal, fix)
+    M._check_inside(sal, other_fix)
+    cap = M.SAUC_NEGATIVE_RATIO * len(fix)
+    if len(other_fix) > cap:
+        keep = np.random.default_rng(rng_seed).choice(len(other_fix), size=cap, replace=False)
+        other_fix = other_fix[keep]
+    ranked = np.sort(np.concatenate([positives, sal[other_fix[:, 0], other_fix[:, 1]]]))
+    positives = np.sort(positives)
+    return old_ranked_roc_area(ranked, positives, positives)
+
+
+def outcome(fn, *args):
+    """What ``fn`` gives, as exact bytes, ``None``, or the error it raises;
+    floating-point warnings silenced, so that both versions run to the end."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+    return value if value is None else (type(value), np.float64(value).tobytes())
+
+
+def judd_inputs(sal, fix):
+    """``_ranked_roc_area``'s arguments as ``auc_judd`` builds them."""
+    fixated = np.zeros(sal.shape, dtype=bool)
+    fixated[fix[:, 0], fix[:, 1]] = True
+    return np.sort(sal, axis=None), np.sort(sal[fix[:, 0], fix[:, 1]]), np.sort(sal[fixated])
+
+
+# 1-D shapes beside random ones, and values whose squares underflow to 0
+# (1e-300) or are subnormal (1e-160 in float64, 1e-20 in float32)
+SHAPES = ("random", "1xN", "Nx1")
+TINY = ((np.float64, 1e-300), (np.float64, 1e-160), (np.float32, 1e-20))
+
+
+def shaped(rng, shape):
+    n = int(rng.integers(2, 40))
+    if shape == "1xN":
+        return 1, n
+    if shape == "Nx1":
+        return n, 1
+    return int(rng.integers(1, 40)), int(rng.integers(1, 40))
+
+
+class TestBitIdenticalToTheOldMetrics:
+    """NSS and CC through sum / size and np.std's own steps, the ROC's one
+    ``flatnonzero`` and preallocated xs and ys, and the sample drawn once by
+    ``_negatives`` change no bit of any score, sign of zero included."""
+
+    def check(self, rng, sal, gt):
+        h, w = sal.shape
+        fix = fixations_with_repeats(rng, h, w, int(rng.integers(1, 12)))
+        assert outcome(M.nss, sal, fix) == outcome(old_nss, sal, fix)
+        assert outcome(M.cc, sal, gt) == outcome(old_cc, sal, gt)
+        assert outcome(M.cc, gt, sal) == outcome(old_cc, gt, sal)
+        ranked, positives, taken = judd_inputs(sal, fix)
+        if taken.size < sal.size:
+            args = ranked, positives, taken
+            assert outcome(M._ranked_roc_area, *args) == outcome(old_ranked_roc_area, *args)
+        cap = M.SAUC_NEGATIVE_RATIO * len(fix)
+        for n_other in (int(rng.integers(1, cap)), cap, cap + 1, cap + int(rng.integers(2, 90))):
+            other = fixations_with_repeats(rng, h, w, n_other)[:n_other]
+            seed = int(rng.integers(1000))
+            got = outcome(M.shuffled_auc, sal, fix, other, seed)
+            assert got == outcome(old_shuffled_auc, sal, fix, other, seed)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_map_kinds(self, kind, shape):
+        rng = np.random.default_rng(60 + MAP_KINDS.index(kind) + 10 * SHAPES.index(shape))
+        for _ in range(40):
+            h, w = shaped(rng, shape)
+            self.check(rng, tied_map(rng, kind, h, w), tied_map(rng, kind, h, w))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_constant_maps(self, dtype, shape):
+        rng = np.random.default_rng(90 + SHAPES.index(shape))
+        for value in (0.0, -0.0, 0.25, 1.0):
+            h, w = shaped(rng, shape)
+            sal = np.full((h, w), value, dtype=dtype)
+            fix = fixations_with_repeats(rng, h, w, 3)
+            assert M.nss(sal, fix) == 0.0 and outcome(M.nss, sal, fix) == outcome(old_nss, sal, fix)
+            gt = rng.uniform(size=(h, w)).astype(dtype)
+            assert M.cc(sal, gt) is None and old_cc(sal, gt) is None
+            self.check(rng, sal, gt)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype,scale", TINY, ids=["f64-1e-300", "f64-1e-160", "f32-1e-20"])
+    def test_tiny_values(self, dtype, scale, shape):
+        rng = np.random.default_rng(100 + SHAPES.index(shape) + 10 * TINY.index((dtype, scale)))
+        for _ in range(40):
+            h, w = shaped(rng, shape)
+            sal = (rng.uniform(size=(h, w)) * scale).astype(dtype)
+            tiny_gt = (rng.uniform(size=(h, w)) * scale).astype(dtype)
+            self.check(rng, sal, tiny_gt)
+            self.check(rng, sal, rng.uniform(size=(h, w)).astype(dtype))
+
+
+class TestNegatives:
+    def test_pool_at_or_below_the_cap_comes_back_unchanged(self):
+        pool = sample_fixations(np.random.default_rng(18), 8, 8, 30)
+        for n_fix in (3, 4, 10):  # a cap of exactly 30, then above it
+            assert M._negatives(pool, n_fix, rng_seed=5) is pool
+
+    def test_pool_above_the_cap_is_sampled_with_the_seed(self):
+        pool = sample_fixations(np.random.default_rng(19), 8, 8, 31)
+        keep = np.random.default_rng(5).choice(31, size=30, replace=False)
+        sample = M._negatives(pool, 3, rng_seed=5)
+        np.testing.assert_array_equal(sample, pool[keep])
+        assert M._negatives(sample, 3, rng_seed=6) is sample  # a sample is never drawn again
+
+
 class TestEvaluateVideo:
     def test_single_frame_equals_frame_metrics(self):
         rng = np.random.default_rng(14)
@@ -425,11 +588,11 @@ class TestEvaluateVideo:
         fix = sample_fixations(rng, 6, 6, 3)
         pool = sample_fixations(rng, 6, 6, 10)
         vs = M.evaluate_video([sal], [fix], [gt], pool, seed=0)
-        assert vs["nss"] == pytest.approx(M.nss(sal, fix))
-        assert vs["auc_j"] == pytest.approx(M.auc_judd(sal, fix))
-        assert vs["s_auc"] == pytest.approx(M.shuffled_auc(sal, fix, pool, rng_seed=0))
-        assert vs["cc"] == pytest.approx(M.cc(sal, gt))
-        assert vs["sim"] == pytest.approx(M.sim(sal, gt))
+        assert vs["nss"] == M.nss(sal, fix)
+        assert vs["auc_j"] == M.auc_judd(sal, fix)
+        assert vs["s_auc"] == M.shuffled_auc(sal, fix, pool, rng_seed=0)
+        assert vs["cc"] == M.cc(sal, gt)
+        assert vs["sim"] == M.sim(sal, gt)
 
     def test_mean_over_frames(self):
         # two maps engineered to give NSS 1.0 and 3.0 at their fixations
@@ -497,6 +660,47 @@ class TestEvaluateVideo:
         pool = np.array([(r, c) for r in range(4) for c in range(4)] + [(4, 0)])
         with pytest.raises(OutOfBounds):
             M.evaluate_video([sal], [np.array([(0, 0)])], [sal], pool, seed=0)
+
+    def test_pool_is_checked_against_each_map_size(self):
+        maps = [np.linspace(0.0, 1.0, 64).reshape(8, 8), np.linspace(0.0, 1.0, 16).reshape(4, 4)]
+        fixs = [np.array([(0, 0)]), np.array([(1, 1)])]
+        # (5, 5) lies inside the 8x8 frame and outside the 4x4 one, past the cap
+        pool = np.array([(r, c) for r in range(4) for c in range(4)] + [(5, 5)])
+        assert len(pool) - 1 not in np.random.default_rng(1).choice(len(pool), 10, replace=False)
+        M.evaluate_video(maps[:1], fixs[:1], maps[:1], pool, seed=0)
+        with pytest.raises(OutOfBounds, match="4x4"):
+            M.evaluate_video(maps, fixs, maps, pool, seed=0)
+
+    def test_unused_pool_is_not_checked(self):
+        sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        pool = np.array([(0, 0), (4, 0)])
+        metrics = tuple(name for name in M.METRIC_NAMES if name != "s_auc")
+        row = M.evaluate_video([sal], [np.array([(0, 0)])], [sal], pool, seed=0, metrics=metrics)
+        assert row["s_auc"] is None and row["nss"] is not None
+
+    def test_row_equals_the_public_metrics_frame_by_frame(self):
+        """Twelve frames of 1 to 12 fixations against a 200-point pool, above
+        every frame's cap, so each frame draws its own sample: the row is the
+        frames' public scores, with the whole pool and seed + i, averaged."""
+        rng = np.random.default_rng(20)
+        maps = [tied_map(rng, "8-bit", 10, 12) for _ in range(12)]
+        gts = [rng.uniform(0, 1, size=(10, 12)) for _ in range(12)]
+        fixs = [sample_fixations(rng, 10, 12, n) for n in range(1, 13)]
+        pool = fixations_with_repeats(rng, 10, 12, 200)[:200]
+        frames = list(enumerate(zip(maps, fixs, gts)))
+        scores = {
+            "auc_j": [M.auc_judd(sal, fix) for _, (sal, fix, _) in frames],
+            "s_auc": [M.shuffled_auc(sal, fix, pool, 7 + i) for i, (sal, fix, _) in frames],
+            "nss": [M.nss(sal, fix) for _, (sal, fix, _) in frames],
+            "cc": [M.cc(sal, gt) for _, (sal, _, gt) in frames],
+            "sim": [M.sim(sal, gt) for _, (sal, _, gt) in frames],
+        }
+        want = {name: np.float64(M._mean(values)).tobytes() for name, values in scores.items()}
+        for n in range(1, len(M.METRIC_NAMES) + 1):
+            for subset in itertools.combinations(M.METRIC_NAMES, n):
+                row = M.evaluate_video(maps, fixs, gts, pool, seed=7, metrics=subset)
+                got = {name: np.float64(row[name]).tobytes() for name in subset}
+                assert got == {name: want[name] for name in subset}
 
     def test_frame_i_uses_seed_plus_i(self):
         rng = np.random.default_rng(17)

@@ -359,3 +359,37 @@ def test_only_dot_multiplies_vectors_in_metrics():
         and function != "_dot"
     ]
     assert products == [], f"a BLAS product in metrics.py outside _dot: {products}"
+
+
+def test_only_negatives_samples_the_shuffled_auc_pool():
+    """``metrics._negatives`` is the one sampling rule of shuffled AUC: it
+    draws each frame's negatives from the pool, which ``evaluate_video``
+    then hands to ``shuffled_auc``, so a sample is drawn once. No other
+    function in metrics.py names ``default_rng`` or calls ``.choice``, and
+    a second copy of the rule cannot grow back in either caller."""
+    with open(os.path.join(SRC, "metrics.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    samplers = [
+        f"line {node.lineno} in {function}: {node.attr}"
+        for node, function in _in_functions(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("default_rng", "choice")
+        and function != "_negatives"
+    ]
+    assert samplers == [], f"the shuffled-AUC pool sampled outside _negatives: {samplers}"
+
+
+def test_metrics_take_means_as_sum_over_size():
+    """NSS and CC take each mean as ``sum / size`` and NSS its standard
+    deviation through np.std's own steps, which give the same bits without
+    the Python wrappers of ``mean``, ``std`` and ``var`` (about 25 us a
+    frame for ``std`` alone). Because the bits are the same, no score test
+    can see a wrapper put back, so no code in metrics.py names one."""
+    with open(os.path.join(SRC, "metrics.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    wrappers = [
+        f"line {node.lineno} in {function}: {node.attr}"
+        for node, function in _in_functions(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("mean", "std", "var", "average")
+    ]
+    assert wrappers == [], f"a NumPy mean or deviation wrapper in metrics.py: {wrappers}"
