@@ -6,7 +6,9 @@ over built-in defaults. Each setting is declared once, in ``SETTINGS``,
 with its default, type and bounds; every resolved value is checked
 against it before work starts, and then logged to stderr. All failures,
 usage errors included, exit 1 with a single machine-parseable
-``ERROR <code>: <message>`` line on stderr.
+``ERROR <code>: <message>`` line on stderr. SIGINT and SIGTERM end a
+command the same way, with ``ERROR Interrupted: <signal>`` and exit
+128 + the signal number, once its partial outputs and workers are gone.
 
 Rendered tables round to three decimals, half up, and are byte-stable:
 re-rendering the same report reproduces identical text.
@@ -22,6 +24,7 @@ import logging
 import math
 import operator
 import os
+import signal
 import sys
 import time
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -497,6 +500,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return {key: _check(args.command, key, merged[key], key in flags) for key in table}
 
 
+def _interrupt(signum: int, frame) -> None:
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     # bind to the current sys.stderr on every invocation
     handler = logging.StreamHandler(sys.stderr)
@@ -504,6 +511,8 @@ def main(argv: list[str] | None = None) -> int:
     log.handlers[:] = [handler]
     log.setLevel(logging.INFO)
     log.propagate = False
+    # SIGTERM raises as SIGINT does, so every output and worker is cleaned up on the way out
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
@@ -518,6 +527,12 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"ERROR OutOfMemory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"ERROR Interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -10,6 +10,10 @@ inference calls them frame by frame, ``forward_sequence`` over a clip.
 Each returns its step cache last; ``backward_sequence`` takes the list of
 them and produces exact parameter gradients.
 
+A model is one dict of stacked arrays, such as ``input.weights``, held by
+``AdaptationModel``; ``named_parameters`` is the one place that splits them
+into the per-gate names the optimizer, checkpoints and gradients use.
+
 A ConvLSTM state is the plain ``(hidden, cell)`` pair of (1, hc, H, W)
 arrays that ``convlstm_step`` returns; passing ``None`` as the state starts
 from the zero state, so no caller builds a first state.
@@ -22,13 +26,12 @@ a ConvLSTM state of another dtype is refused rather than promoting the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite
 from .tensor import (
-    Conv2dParams,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -50,57 +53,46 @@ KERNEL_SIZE = 3
 
 @dataclass
 class AdaptationModel:
-    """Parameters of one adaptation network.
+    """One adaptation network, as its named arrays.
 
-    ConvOnly uses ``feature_conv`` + ``head``. ConvLSTM stacks its four
-    gates, hc rows each in GATES order, into ``input_conv`` (1 -> 4*hc,
-    owns the gate biases) and ``hidden_conv`` (hc -> 4*hc, bias fixed at
-    zero and never trained). The head is a 1x1 convolution to a single
-    channel, followed by a sigmoid, so outputs lie in (0,1). Every
-    convolution holds the same dtype, which is the model's ``dtype``.
+    ConvOnly holds ``feature.weights`` (hc, 1, 3, 3), ``feature.bias`` and
+    the head. ConvLSTM stacks its four gates, hc rows each in GATES order,
+    into ``input.weights`` (4*hc, 1, 3, 3) with the gate biases
+    ``input.bias``, and ``hidden.weights`` (4*hc, hc, 3, 3), which has no
+    bias. The head, ``head.weights`` (1, hc, 1, 1) and ``head.bias``, is a
+    1x1 convolution to a single channel followed by a sigmoid, so outputs
+    lie in (0,1). The variant, width and dtype are read from the keys and
+    shapes; ``init_parameters`` and ``train.load_checkpoint`` make every
+    model, so the arrays are checked where they are made.
     """
 
-    variant: str
-    hidden_channels: int
-    head: Conv2dParams
-    feature_conv: Conv2dParams | None = None
-    input_conv: Conv2dParams | None = None
-    hidden_conv: Conv2dParams | None = None
+    arrays: dict[str, np.ndarray]
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == CONV_ONLY and self.feature_conv is None:
-            raise ValueError("ConvOnly model requires feature_conv")
-        if self.variant == CONV_LSTM:
-            n = len(GATES) * self.hidden_channels
-            if any(c is None or c.out_channels != n for c in (self.input_conv, self.hidden_conv)):
-                raise ValueError(f"ConvLSTM model requires {n}-row gate convolutions")
-        convs = (self.head, self.feature_conv, self.input_conv, self.hidden_conv)
-        if len({c.weights.dtype for c in convs if c is not None}) != 1:
-            raise ValueError("all convolutions of a model must hold one dtype")
+    @property
+    def variant(self) -> str:
+        return CONV_ONLY if "feature.weights" in self.arrays else CONV_LSTM
+
+    @property
+    def hidden_channels(self) -> int:
+        return self.arrays["head.weights"].shape[1]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.head.weights.dtype
+        return self.arrays["head.weights"].dtype
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """Trainable tensors in the fixed order used by the optimizer and
         the checkpoint format. Arrays are live references, not copies."""
-        out: list[tuple[str, np.ndarray]] = []
+        a = self.arrays
         if self.variant == CONV_ONLY:
-            assert self.feature_conv is not None
-            out.append(("feature.weights", self.feature_conv.weights))
-            out.append(("feature.bias", self.feature_conv.bias))
+            out = [("feature.weights", a["feature.weights"]), ("feature.bias", a["feature.bias"])]
         else:
-            assert self.input_conv is not None and self.hidden_conv is not None
+            out = []
             for name, rows in _gate_rows(self.hidden_channels).items():
-                out.append((f"lstm.wx_{name}", self.input_conv.weights[rows]))
-                out.append((f"lstm.wh_{name}", self.hidden_conv.weights[rows]))
-                out.append((f"lstm.b_{name}", self.input_conv.bias[rows]))
-        out.append(("head.weights", self.head.weights))
-        out.append(("head.bias", self.head.bias))
-        return out
+                out.append((f"lstm.wx_{name}", a["input.weights"][rows]))
+                out.append((f"lstm.wh_{name}", a["hidden.weights"][rows]))
+                out.append((f"lstm.b_{name}", a["input.bias"][rows]))
+        return out + [("head.weights", a["head.weights"]), ("head.bias", a["head.bias"])]
 
 
 def _gate_rows(hc: int) -> dict[str, slice]:
@@ -131,6 +123,8 @@ def init_parameters(
     The draw order is fixed (feature or gate kernels in GATES order, then
     the head) so a seed pins every parameter bit-exactly.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(rng_seed)
     k = KERNEL_SIZE
     hc = hidden_channels
@@ -140,22 +134,16 @@ def init_parameters(
         return rng.uniform(-s, s, size=(out_ch, in_ch, kernel, kernel))
 
     if variant == CONV_ONLY:
-        feature = Conv2dParams(draw(hc, 1, k), np.zeros(hc))
-        head = Conv2dParams(draw(1, hc, 1), np.zeros(1))
-        return AdaptationModel(
-            variant=variant, hidden_channels=hc, head=head, feature_conv=feature
-        )
-
-    n = len(GATES) * hc
-    wx, wh, bias = np.empty((n, 1, k, k)), np.empty((n, hc, k, k)), np.zeros(n)
-    for rows in _gate_rows(hc).values():
-        wx[rows] = draw(hc, 1, k)
-        wh[rows] = draw(hc, hc, k)
-    bias[_gate_rows(hc)["f"]] = 1.0
-    head = Conv2dParams(draw(1, hc, 1), np.zeros(1))
-    input_conv = Conv2dParams(wx, bias)
-    hidden_conv = Conv2dParams(wh, np.zeros(n))
-    return AdaptationModel(variant, hc, head, input_conv=input_conv, hidden_conv=hidden_conv)
+        arrays = {"feature.weights": draw(hc, 1, k), "feature.bias": np.zeros(hc)}
+    else:
+        n = len(GATES) * hc
+        wx, wh, bias = np.empty((n, 1, k, k)), np.empty((n, hc, k, k)), np.zeros(n)
+        for rows in _gate_rows(hc).values():
+            wx[rows] = draw(hc, 1, k)
+            wh[rows] = draw(hc, hc, k)
+        bias[_gate_rows(hc)["f"]] = 1.0
+        arrays = {"input.weights": wx, "input.bias": bias, "hidden.weights": wh}
+    return AdaptationModel({**arrays, "head.weights": draw(1, hc, 1), "head.bias": np.zeros(1)})
 
 
 @dataclass
@@ -180,14 +168,14 @@ class _LstmStepCache:
 def conv_block_forward(
     x: np.ndarray, model: AdaptationModel
 ) -> tuple[np.ndarray, _ConvStepCache]:
-    """One ConvOnly frame, sigmoid(head(relu(feature_conv(x)))), and its step cache."""
+    """One ConvOnly frame, sigmoid(head(relu(feature(x)))), and its step cache."""
     x = _check_frame(x, model.dtype)
     if model.variant != CONV_ONLY:
         raise ValueError("conv_block_forward requires a ConvOnly model")
-    assert model.feature_conv is not None
-    pre_feature = conv2d_forward(x, model.feature_conv)
+    a = model.arrays
+    pre_feature = conv2d_forward(x, a["feature.weights"], a["feature.bias"])
     activated = relu(pre_feature)
-    pre_head = conv2d_forward(activated, model.head)
+    pre_head = conv2d_forward(activated, a["head.weights"], a["head.bias"])
     y = sigmoid(pre_head)
     return y, _ConvStepCache(x, pre_feature, activated, pre_head)
 
@@ -203,7 +191,6 @@ def convlstm_step(
     x = _check_frame(x, model.dtype)
     if model.variant != CONV_LSTM:
         raise ValueError("convlstm_step requires a ConvLSTM model")
-    assert model.input_conv is not None and model.hidden_conv is not None
     if state is None:
         h_prev, c_prev = None, np.zeros((1, model.hidden_channels) + x.shape[2:], model.dtype)
     else:
@@ -222,11 +209,12 @@ def convlstm_step(
 
     # activations run in place on the fresh pre-activation buffer: one tanh
     # serves all four gates, as tensor.sigmoid is 0.5 * (1 + tanh(0.5 * v))
-    gates = conv2d_forward(x, model.input_conv)
+    a = model.arrays
+    gates = conv2d_forward(x, a["input.weights"], a["input.bias"])
     if h_prev is not None:
-        # skipped for the zero state: hidden_conv of it is exactly +0 (zero
-        # bias), and +0 changes no bit of a sum that is never -0 (README)
-        gates += conv2d_forward(h_prev, model.hidden_conv)
+        # skipped for the zero state, whose hidden product is all ±0: adding
+        # ±0 changes no bit of a sum that is never -0 (README)
+        gates += conv2d_forward(h_prev, a["hidden.weights"])
     hc = model.hidden_channels
     gates[:, : 3 * hc] *= 0.5
     np.tanh(gates, out=gates)
@@ -235,7 +223,7 @@ def convlstm_step(
     i, f, o, g = (gates[:, rows] for rows in _gate_rows(hc).values())
     c = f * c_prev + i * g
     h = o * np.tanh(c)
-    pre_head = conv2d_forward(h, model.head)
+    pre_head = conv2d_forward(h, a["head.weights"], a["head.bias"])
     y = sigmoid(pre_head)
     cache = _LstmStepCache(x, h_prev, c_prev, gates, c, h, pre_head)
     return y, (h, c), cache
@@ -282,39 +270,37 @@ def backward_sequence(
         raise LengthMismatch(
             f"{len(grad_outputs)} output grads for {len(steps)} cached steps"
         )
+    grads = {key: np.zeros_like(arr) for key, arr in model.arrays.items()}
     backward = _backward_conv_only if model.variant == CONV_ONLY else _backward_convlstm
-    grads = backward(steps, grad_outputs, model)
-    return dict(replace(model, **grads).named_parameters())
-
-
-def _zeros_like(conv: Conv2dParams) -> Conv2dParams:
-    return Conv2dParams(np.zeros_like(conv.weights), np.zeros_like(conv.bias))
+    backward(steps, grad_outputs, model, grads)
+    return dict(AdaptationModel(grads).named_parameters())
 
 
 def _backward_conv_only(
-    steps: list[_ConvStepCache], grad_outputs: list[np.ndarray], model: AdaptationModel
-) -> dict[str, Conv2dParams]:
-    assert model.feature_conv is not None
-    head, feature = _zeros_like(model.head), _zeros_like(model.feature_conv)
+    steps: list[_ConvStepCache],
+    grad_outputs: list[np.ndarray],
+    model: AdaptationModel,
+    grads: dict[str, np.ndarray],
+) -> None:
+    a = model.arrays
     for step, dy in zip(steps, grad_outputs):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
-        d_act, d_wh, d_bh = conv2d_backward(step.activated, model.head, d_pre_head)
-        head.weights += d_wh
-        head.bias += d_bh
+        d_act, d_wh, d_bh = conv2d_backward(step.activated, a["head.weights"], d_pre_head)
+        grads["head.weights"] += d_wh
+        grads["head.bias"] += d_bh
         d_pre_feature = relu_backward(step.pre_feature, d_act)
-        _, d_wf, d_bf = conv2d_backward(step.x, model.feature_conv, d_pre_feature)
-        feature.weights += d_wf
-        feature.bias += d_bf
-    return {"head": head, "feature_conv": feature}
+        _, d_wf, d_bf = conv2d_backward(step.x, a["feature.weights"], d_pre_feature)
+        grads["feature.weights"] += d_wf
+        grads["feature.bias"] += d_bf
 
 
 def _backward_convlstm(
-    steps: list[_LstmStepCache], grad_outputs: list[np.ndarray], model: AdaptationModel
-) -> dict[str, Conv2dParams]:
-    assert model.input_conv is not None and model.hidden_conv is not None
-    head = _zeros_like(model.head)
-    input_conv, hidden_conv = _zeros_like(model.input_conv), _zeros_like(model.hidden_conv)
-    hc = model.hidden_channels
+    steps: list[_LstmStepCache],
+    grad_outputs: list[np.ndarray],
+    model: AdaptationModel,
+    grads: dict[str, np.ndarray],
+) -> None:
+    a, hc = model.arrays, model.hidden_channels
     rows = _gate_rows(hc).values()
     # one gate-gradient buffer and three scratch arrays serve every step; each
     # expression keeps the operation order of its plain NumPy form
@@ -325,9 +311,9 @@ def _backward_convlstm(
     dc_next = np.zeros_like(d_i)
     for step, dy in zip(reversed(steps), reversed(grad_outputs)):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
-        dh, d_w_head, d_b_head = conv2d_backward(step.h, model.head, d_pre_head)
-        head.weights += d_w_head
-        head.bias += d_b_head
+        dh, d_w_head, d_b_head = conv2d_backward(step.h, a["head.weights"], d_pre_head)
+        grads["head.weights"] += d_w_head
+        grads["head.bias"] += d_b_head
 
         dh += dh_next
         i, f, o, g = (step.gates[:, r] for r in rows)
@@ -355,12 +341,11 @@ def _backward_convlstm(
         d_g *= np.subtract(1.0, tmp, out=tmp)
         np.multiply(dc, f, out=dc_next)
 
-        _, step_wx, step_b = conv2d_backward(step.x, model.input_conv, d_pre)
-        input_conv.weights += step_wx
-        input_conv.bias += step_b
+        _, step_wx, step_b = conv2d_backward(step.x, a["input.weights"], d_pre)
+        grads["input.weights"] += step_wx
+        grads["input.bias"] += step_b
         if step.h_prev is not None:
             # a zero-state step's hidden weight gradient is all ±0, which leaves
             # every bit of the sum, and its state gradient is never read
-            dh_next, step_wh, _ = conv2d_backward(step.h_prev, model.hidden_conv, d_pre)
-            hidden_conv.weights += step_wh
-    return {"head": head, "input_conv": input_conv, "hidden_conv": hidden_conv}
+            dh_next, step_wh, _ = conv2d_backward(step.h_prev, a["hidden.weights"], d_pre)
+            grads["hidden.weights"] += step_wh

@@ -11,55 +11,17 @@ finiteness is checked where values enter the model (``model._check_frame``)
 and after each training step, not per operation.
 
 Convolutions are stride 1 with "same" zero padding (k // 2), computed as
-im2col followed by one matrix multiply.
+im2col followed by one matrix multiply. A convolution is its plain
+``(out_channels, in_channels, k, k)`` weights, with a square odd kernel,
+and an optional ``(out_channels,)`` bias of the same dtype; each call
+checks their shapes against each other and against its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
-
-
-@dataclass
-class Conv2dParams:
-    """Weights (out_channels, in_channels, kh, kw) and per-filter bias.
-
-    Stride is fixed at 1. Kernels must be square with odd extent so that
-    symmetric padding of k // 2 preserves spatial dims. float32 weights
-    stay float32, with the bias cast to match; anything else becomes float64.
-    """
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        dtype = np.float32 if np.asarray(self.weights).dtype == np.float32 else np.float64
-        self.weights = np.ascontiguousarray(self.weights, dtype=dtype)
-        self.bias = np.ascontiguousarray(self.bias, dtype=dtype)
-        if self.weights.ndim != 4:
-            raise DimensionMismatch(f"weights must be rank 4, got shape {self.weights.shape}")
-        kh, kw = self.weights.shape[2], self.weights.shape[3]
-        if kh != kw or kh % 2 == 0:
-            raise DimensionMismatch(f"kernel must be square with odd extent, got {kh}x{kw}")
-        if self.bias.ndim != 1 or self.bias.shape[0] != self.weights.shape[0]:
-            raise DimensionMismatch(
-                f"bias length {self.bias.shape} does not match out_channels {self.weights.shape[0]}"
-            )
-
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def kernel_size(self) -> int:
-        return self.weights.shape[2]
 
 
 def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
@@ -72,10 +34,19 @@ def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _check_conv_args(input: np.ndarray, params: Conv2dParams) -> None:
+def _check_conv_args(input: np.ndarray, weights: np.ndarray, bias: np.ndarray | None) -> None:
+    if weights.ndim != 4:
+        raise DimensionMismatch(f"weights must be rank 4, got shape {weights.shape}")
+    out_channels, in_channels, kh, kw = weights.shape
+    if kh != kw or kh % 2 == 0:
+        raise DimensionMismatch(f"kernel must be square with odd extent, got {kh}x{kw}")
+    if bias is not None and (bias.ndim != 1 or bias.shape[0] != out_channels):
+        raise DimensionMismatch(
+            f"bias length {bias.shape} does not match out_channels {out_channels}"
+        )
     _, c, h, w = input.shape
-    if c != params.in_channels:
-        raise DimensionMismatch(f"input has {c} channels, kernel expects {params.in_channels}")
+    if c != in_channels:
+        raise DimensionMismatch(f"input has {c} channels, kernel expects {in_channels}")
     if h < 1 or w < 1:
         raise DimensionMismatch(f"spatial dims {h}x{w} are empty")
 
@@ -107,46 +78,48 @@ def _col2im(cols: np.ndarray, b: int, c: int, h: int, w: int, k: int) -> np.ndar
     return out
 
 
-def conv2d_forward(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
-    """Stride-1 2-D convolution with symmetric zero padding (im2col path)."""
-    _check_conv_args(input, params)
-    k = params.kernel_size
+def conv2d_forward(
+    input: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None
+) -> np.ndarray:
+    """Stride-1 2-D convolution with symmetric zero padding (im2col path),
+    plus a per-filter ``bias`` if one is given."""
+    _check_conv_args(input, weights, bias)
+    out_channels, _, k, _ = weights.shape
     b, _, h, w = input.shape
     cols = _im2col(_pad_spatial(input, k // 2), k)
-    w_mat = params.weights.reshape(params.out_channels, -1)
-    out = np.matmul(w_mat[None, :, :], cols)
-    out += params.bias[None, :, None]
-    return out.reshape(b, params.out_channels, h, w)
+    out = np.matmul(weights.reshape(out_channels, -1)[None, :, :], cols)
+    if bias is not None:
+        out += bias[None, :, None]
+    return out.reshape(b, out_channels, h, w)
 
 
 def conv2d_backward(
-    input: np.ndarray, params: Conv2dParams, grad_out: np.ndarray
+    input: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of the convolution w.r.t. input, weights, and bias."""
-    _check_conv_args(input, params)
-    k = params.kernel_size
-    p = k // 2
+    _check_conv_args(input, weights, None)
+    out_channels, in_channels, k, _ = weights.shape
     b, _, h, w = input.shape
-    if grad_out.shape != (b, params.out_channels, h, w):
+    if grad_out.shape != (b, out_channels, h, w):
         raise DimensionMismatch(
             f"grad_out dims {grad_out.shape} do not match forward output "
-            f"({b}, {params.out_channels}, {h}, {w})"
+            f"({b}, {out_channels}, {h}, {w})"
         )
-    cols = _im2col(_pad_spatial(input, p), k)
-    g_mat = grad_out.reshape(b, params.out_channels, h * w)
+    cols = _im2col(_pad_spatial(input, k // 2), k)
+    g_mat = grad_out.reshape(b, out_channels, h * w)
 
     grad_bias = g_mat.sum(axis=(0, 2))
     # one BLAS product over batch and pixels, in the weights' own C-contiguous
     # (C_out, C_in*k*k) layout, so accumulating it is a plain add, not a strided
     # transpose; tests pin that its bits do not depend on the BLAS thread count
     cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
-    g_flat = g_mat.transpose(1, 0, 2).reshape(params.out_channels, -1)
-    grad_weights = (g_flat @ cols.T).reshape(params.weights.shape)
+    g_flat = g_mat.transpose(1, 0, 2).reshape(out_channels, -1)
+    grad_weights = (g_flat @ cols.T).reshape(weights.shape)
     del cols  # bounds peak memory: the column gradient below is as large
 
-    w_mat = params.weights.reshape(params.out_channels, -1)
+    w_mat = weights.reshape(out_channels, -1)
     g_cols = np.matmul(w_mat.T[None, :, :], g_mat)
-    grad_input = _col2im(g_cols, b, params.in_channels, h, w, k)
+    grad_input = _col2im(g_cols, b, in_channels, h, w, k)
     return grad_input, grad_weights, grad_bias
 
 

@@ -19,7 +19,6 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .model import (
     forward_sequence,
     init_parameters,
 )
-from .tensor import Conv2dParams
 
 BCE_CLAMP = 1e-7
 CLIP_NORM = 10.0  # global gradient-norm bound of every step
@@ -291,17 +289,9 @@ def _decode_checkpoint(
     if hidden_channels < 1 or 8 * widest > len(body):
         raise CorruptCheckpoint(f"hidden width {hidden_channels} does not fit the file")
 
-    # init_parameters gives each convolution its shape; float32 weights make
-    # Conv2dParams keep the model, bias included, at the file's precision
+    # init_parameters gives each array its key and shape, kept at the file's precision
     template = init_parameters(variant, rng_seed=0, hidden_channels=hidden_channels)
-    model = replace(
-        template,
-        **{
-            key: Conv2dParams(conv.weights.astype(np.float32), conv.bias)
-            for key in ("head", "feature_conv", "input_conv", "hidden_conv")
-            if (conv := getattr(template, key)) is not None
-        },
-    )
+    model = AdaptationModel({k: v.astype(np.float32) for k, v in template.arrays.items()})
     named = model.named_parameters()
     if tensor_count != len(named):
         raise CorruptCheckpoint(f"{tensor_count} tensors in file, model needs {len(named)}")

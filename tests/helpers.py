@@ -13,7 +13,6 @@ import numpy as np
 from tsal.cli import SETTINGS
 from tsal.data import read_maps, resize_bilinear
 from tsal.errors import MissingInput
-from tsal.tensor import Conv2dParams
 
 FD_STEP = 1e-6
 
@@ -46,23 +45,22 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def conv2d_forward_direct(input: np.ndarray, params: Conv2dParams) -> np.ndarray:
+def conv2d_forward_direct(input: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Reference convolution: explicit sliding-window loops, sequential accumulation.
 
     Semantically defines ``tsal.tensor.conv2d_forward``; only used at test scale.
     """
-    k = params.kernel_size
+    out_channels, in_channels, k, _ = w.shape
     p = k // 2
     x = np.pad(input, ((0, 0), (0, 0), (p, p), (p, p)))
     b, _, ho, wo = input.shape
-    out = np.empty((b, params.out_channels, ho, wo))
-    w = params.weights
+    out = np.empty((b, out_channels, ho, wo))
     for bi in range(b):
-        for co in range(params.out_channels):
+        for co in range(out_channels):
             for oi in range(ho):
                 for oj in range(wo):
-                    acc = params.bias[co]
-                    for ci in range(params.in_channels):
+                    acc = bias[co]
+                    for ci in range(in_channels):
                         for ki in range(k):
                             for kj in range(k):
                                 acc += w[co, ci, ki, kj] * x[bi, ci, oi + ki, oj + kj]

@@ -23,7 +23,6 @@ from tsal import model as Mo
 from tsal import train as Tr
 from tsal.errors import CorruptCheckpoint
 from tsal.tensor import (
-    Conv2dParams,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -227,12 +226,9 @@ def test_criterion_4_gradient_checks():
         proj = rng.uniform(-1, 1, size=(b, cout, h, w))
 
         def conv_loss():
-            params = Conv2dParams(weights=weights, bias=bias)
-            return float(np.sum(proj * conv2d_forward(x, params)))
+            return float(np.sum(proj * conv2d_forward(x, weights, bias)))
 
-        gi, gw, gb = conv2d_backward(
-            x, Conv2dParams(weights=weights, bias=bias), proj
-        )
+        gi, gw, gb = conv2d_backward(x, weights, proj)
         worst = max(worst, max_rel_err(gi, central_difference(conv_loss, x)))
         worst = max(worst, max_rel_err(gw, central_difference(conv_loss, weights)))
         worst = max(worst, max_rel_err(gb, central_difference(conv_loss, bias)))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness."""
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -961,10 +962,8 @@ class TestOutputOnAnInput:
                 "evaluate", "--out", None, "pred/video_001/000002.pgm",
                 "video_001's prediction map of frame 2",
             ),
-            ("evaluate", "--out", "hardlink", "data/manifest.json", "the manifest"),
         ],
-        ids=["train-symlinked-static", "train-hardlinked-gt", "evaluate-prediction",
-             "evaluate-hardlinked-manifest"],
+        ids=["train-symlinked-static", "train-hardlinked-gt", "evaluate-prediction"],
     )
     def test_the_same_file_by_another_name_is_one_parse_error(
         self, tmp_path, capsys, command, flag, link, name, what
@@ -1148,6 +1147,105 @@ class TestWorkerDied:
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # no output and no temp sibling
         assert multiprocessing.active_children() == []
+
+
+def _children(pid):
+    """The pids whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    """True while ``pid`` runs or sleeps; a zombie has ended."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def long_videos(tmp_path_factory):
+    """Two 1,500-frame videos, a width-8 checkpoint and their ground truth
+    as predictions: each worker's video takes long enough to interrupt."""
+    root = tmp_path_factory.mktemp("long")
+    data_dir, manifest = make_dataset(root, videos=2, frames=1500, size=32)
+    model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=8)
+    buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+    Tr.save_checkpoint(model, buffers, str(root / "m.tsal"))
+    os.makedirs(root / "pred")
+    for vid in ("video_000", "video_001"):
+        os.symlink(os.path.join(data_dir, vid, "gt"), root / "pred" / vid)
+    return root, manifest
+
+
+class TestInterrupt:
+    """SIGTERM to the parent, or Ctrl-C's SIGINT to its process group, in the
+    middle of a command's worker pool is one error line and 128 + the signal
+    as exit code; the temp tree is removed and every worker has ended."""
+
+    @pytest.mark.parametrize(
+        "command, signum, group",
+        [
+            ("generate", signal.SIGTERM, False),
+            ("predict", signal.SIGTERM, False),
+            ("evaluate", signal.SIGTERM, False),
+            ("predict", signal.SIGINT, True),
+        ],
+        ids=["generate-term", "predict-term", "evaluate-term", "predict-int-group"],
+    )
+    def test_is_one_error_line_and_leaves_nothing(
+        self, tmp_path, long_videos, command, signum, group
+    ):
+        root, manifest = long_videos
+        out = str(tmp_path / "out")
+        argv = {
+            "generate": ["--out", out, "--videos", "2", "--frames", "1500"],
+            "predict": ["--manifest", manifest, "--ckpt", str(root / "m.tsal"), "--out", out],
+            "evaluate": ["--manifest", manifest, "--predictions", str(root / "pred"),
+                         "--out", out],
+        }[command]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(tsal.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tsal.cli", command, *argv], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            pool_size = min(2, len(os.sched_getaffinity(0)))
+            workers = []
+            deadline = time.monotonic() + 60
+            while len(workers) < pool_size and proc.poll() is None and time.monotonic() < deadline:
+                workers = sorted(set(workers) | set(_children(proc.pid)))
+                time.sleep(0.005)
+            assert len(workers) == pool_size, "the pool never started"
+            if group:
+                os.killpg(proc.pid, signum)
+            else:
+                proc.send_signal(signum)
+            signalled = time.monotonic()
+            stdout, stderr = proc.communicate(timeout=30)
+            assert proc.returncode == 128 + signum
+            assert stdout == ""
+            assert error_lines(stderr) == [f"ERROR Interrupted: {signal.Signals(signum).name}"]
+            assert "Traceback" not in stderr
+            assert os.listdir(tmp_path) == []  # no output and no temp sibling
+            while any(map(_alive, workers)) and time.monotonic() < signalled + 2:
+                time.sleep(0.01)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:  # a failing run's orphaned workers would hold the pipes open
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestFramelessVideo:

@@ -1,7 +1,5 @@
 """Tests for the adaptation networks: forward semantics, BPTT, initialization."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from tsal import tensor as T
 from tsal import train as Tr
 from tsal.errors import DimensionMismatch, EmptySequence, LengthMismatch, NonFinite
 from tsal.tensor import (
-    Conv2dParams,
     conv2d_backward,
     conv2d_forward,
     relu_backward,
@@ -35,13 +32,14 @@ def random_frames(rng, count: int, h: int, w: int) -> list[np.ndarray]:
     return [rng.uniform(0, 1, size=(1, 1, h, w)) for _ in range(count)]
 
 
-def gate_convs(m: Mo.AdaptationModel, name: str) -> tuple[Conv2dParams, Conv2dParams]:
-    """One gate's input-to-state and state-to-state convolutions, on their own."""
+def gate_convs(m: Mo.AdaptationModel, name: str) -> tuple[tuple, tuple]:
+    """One gate's input-to-state and state-to-state convolutions, on their
+    own, each as its (weights, bias) pair."""
     p = dict(m.named_parameters())
     hc = m.hidden_channels
     return (
-        Conv2dParams(p[f"lstm.wx_{name}"], p[f"lstm.b_{name}"]),
-        Conv2dParams(p[f"lstm.wh_{name}"], np.zeros(hc)),
+        (p[f"lstm.wx_{name}"], p[f"lstm.b_{name}"]),
+        (p[f"lstm.wh_{name}"], np.zeros(hc)),
     )
 
 
@@ -54,7 +52,7 @@ class TestConvBlockForward:
 
     def test_bias_only_path(self):
         m = zero_model(Mo.CONV_ONLY)
-        m.head.bias[...] = 1.3
+        m.arrays["head.bias"][...] = 1.3
         x = np.zeros((1, 1, 4, 4)) + 0.2
         y, _ = Mo.conv_block_forward(x, m)
         expected = 1.0 / (1.0 + np.exp(-1.3))
@@ -66,9 +64,10 @@ class TestConvBlockForward:
             m = random_model(Mo.CONV_ONLY, seed=seed, hidden=3)
             x = rng.uniform(0, 1, size=(1, 1, 5, 6))
             got, _ = Mo.conv_block_forward(x, m)
-            z1 = conv2d_forward_direct(x, m.feature_conv)
+            a = m.arrays
+            z1 = conv2d_forward_direct(x, a["feature.weights"], a["feature.bias"])
             r = np.maximum(z1, 0.0)
-            z2 = conv2d_forward_direct(r, m.head)
+            z2 = conv2d_forward_direct(r, a["head.weights"], a["head.bias"])
             want = 1.0 / (1.0 + np.exp(-z2))
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -110,8 +109,8 @@ class TestConvLstmStep:
         def pre(name):
             input_conv, hidden_conv = gate_convs(m, name)
             return (
-                conv2d_forward_direct(x, input_conv)
-                + conv2d_forward_direct(h, hidden_conv)
+                conv2d_forward_direct(x, *input_conv)
+                + conv2d_forward_direct(h, *hidden_conv)
             )
 
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -119,7 +118,7 @@ class TestConvLstmStep:
         g = np.tanh(pre("g"))
         c_want = f * c + i * g
         h_want = o * np.tanh(c_want)
-        z = conv2d_forward_direct(h_want, m.head)
+        z = conv2d_forward_direct(h_want, m.arrays["head.weights"], m.arrays["head.bias"])
         y_want = sig(z)
         assert np.max(np.abs(c_new - c_want)) < 1e-12
         assert np.max(np.abs(h_new - h_want)) < 1e-12
@@ -227,7 +226,7 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
     steps = []
     for x in frames:
         pre = {
-            name: conv2d_forward(x, wx) + conv2d_forward(h, wh)
+            name: conv2d_forward(x, *wx) + conv2d_forward(h, *wh)
             for name, (wx, wh) in convs.items()
         }
         i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), np.tanh(pre["g"])
@@ -240,9 +239,9 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
     dh_next = np.zeros_like(h)
     dc_next = np.zeros_like(h)
     for (x, h_prev, c_prev, i, f, o, g, c, h), dy in zip(reversed(steps), reversed(grad_outputs)):
-        pre_head = conv2d_forward(h, m.head)
+        pre_head = conv2d_forward(h, m.arrays["head.weights"], m.arrays["head.bias"])
         d_pre_head = sigmoid_backward(pre_head, dy)
-        d_h_head, d_w, d_b = conv2d_backward(h, m.head, d_pre_head)
+        d_h_head, d_w, d_b = conv2d_backward(h, m.arrays["head.weights"], d_pre_head)
         grads["head.weights"] += d_w
         grads["head.bias"] += d_b
         dh = d_h_head + dh_next
@@ -259,8 +258,8 @@ def per_gate_grads(m, frames, grad_outputs) -> dict[str, np.ndarray]:
         for name in Mo.GATES:
             wx, wh = convs[name]
             da = d_pre[name]
-            _, d_wx, d_b = conv2d_backward(x, wx, da)
-            d_hp, d_wh, _ = conv2d_backward(h_prev, wh, da)
+            _, d_wx, d_b = conv2d_backward(x, wx[0], da)
+            d_hp, d_wh, _ = conv2d_backward(h_prev, wh[0], da)
             grads[f"lstm.wx_{name}"] += d_wx
             grads[f"lstm.wh_{name}"] += d_wh
             grads[f"lstm.b_{name}"] += d_b
@@ -335,38 +334,39 @@ def _padded_col2im(cols, b, c, hp, wp, k):
     return out
 
 
-def padded_conv2d_backward(input, params, grad_out):
+def padded_conv2d_backward(input, weights, grad_out):
     """conv2d_backward as first written: a transposed weight gradient, and
     the input gradient scattered onto the padded grid, then cropped."""
-    k = params.kernel_size
+    out_channels, in_channels, k, _ = weights.shape
     p = k // 2
     b, _, h, w = input.shape
     x = T._pad_spatial(input, p)
     cols = T._im2col(x, k)
-    g_mat = grad_out.reshape(b, params.out_channels, h * w)
+    g_mat = grad_out.reshape(b, out_channels, h * w)
     grad_bias = g_mat.sum(axis=(0, 2))
     cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
-    g_flat = g_mat.transpose(1, 0, 2).reshape(params.out_channels, -1)
-    grad_weights = (cols @ g_flat.T).T.reshape(params.weights.shape)
-    w_mat = params.weights.reshape(params.out_channels, -1)
+    g_flat = g_mat.transpose(1, 0, 2).reshape(out_channels, -1)
+    grad_weights = (cols @ g_flat.T).T.reshape(weights.shape)
+    w_mat = weights.reshape(out_channels, -1)
     g_cols = np.matmul(w_mat.T[None, :, :], g_mat)
-    grad_padded = _padded_col2im(g_cols, b, params.in_channels, x.shape[2], x.shape[3], k)
+    grad_padded = _padded_col2im(g_cols, b, in_channels, x.shape[2], x.shape[3], k)
     grad_input = grad_padded[:, :, p:-p, p:-p].copy() if p > 0 else grad_padded
     return grad_input, grad_weights, grad_bias
 
 
 def full_forward(frames, m):
     """forward_sequence as first written: ConvLSTM steps convolve the zero
-    state too, hidden product first. Returns outputs, states and caches."""
+    state too, hidden product first, with a zero hidden bias. Returns
+    outputs, states and caches."""
     if m.variant == Mo.CONV_ONLY:
         outputs, steps = Mo.forward_sequence(frames, m)
         return outputs, [], steps
-    hc = m.hidden_channels
+    hc, a = m.hidden_channels, m.arrays
     h = c = np.zeros((1, hc) + frames[0].shape[2:], m.dtype)
     outputs, states, steps = [], [], []
     for x in frames:
-        gates = conv2d_forward(h, m.hidden_conv)
-        gates += conv2d_forward(x, m.input_conv)
+        gates = conv2d_forward(h, a["hidden.weights"], np.zeros(4 * hc, m.dtype))
+        gates += conv2d_forward(x, a["input.weights"], a["input.bias"])
         gates[:, : 3 * hc] *= 0.5
         np.tanh(gates, out=gates)
         gates[:, : 3 * hc] += 1.0
@@ -374,7 +374,7 @@ def full_forward(frames, m):
         i, f, o, g = (gates[:, r] for r in Mo._gate_rows(hc).values())
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
-        pre_head = conv2d_forward(h_new, m.head)
+        pre_head = conv2d_forward(h_new, a["head.weights"], a["head.bias"])
         steps.append(Mo._LstmStepCache(x, h, c, gates, c_new, h_new, pre_head))
         outputs.append(sigmoid(pre_head))
         states.append((h_new, c_new))
@@ -385,29 +385,28 @@ def full_forward(frames, m):
 def full_backward(m, steps, grad_outputs):
     """backward_sequence as first written: temporaries per step, a
     concatenated gate gradient, and both gate convolutions on every step."""
-    zeros = lambda conv: Conv2dParams(np.zeros_like(conv.weights), np.zeros_like(conv.bias))
-    head = zeros(m.head)
+    a = m.arrays
+    head = a["head.weights"]
+    grads = {key: np.zeros_like(arr) for key, arr in a.items()}
     if m.variant == Mo.CONV_ONLY:
-        feature = zeros(m.feature_conv)
         for step, dy in zip(steps, grad_outputs):
             d_pre_head = sigmoid_backward(step.pre_head, dy)
-            d_act, d_wh, d_bh = padded_conv2d_backward(step.activated, m.head, d_pre_head)
-            head.weights += d_wh
-            head.bias += d_bh
+            d_act, d_wh, d_bh = padded_conv2d_backward(step.activated, head, d_pre_head)
+            grads["head.weights"] += d_wh
+            grads["head.bias"] += d_bh
             d_pre_feature = relu_backward(step.pre_feature, d_act)
-            _, d_wf, d_bf = padded_conv2d_backward(step.x, m.feature_conv, d_pre_feature)
-            feature.weights += d_wf
-            feature.bias += d_bf
-        return dict(replace(m, head=head, feature_conv=feature).named_parameters())
-    input_conv, hidden_conv = zeros(m.input_conv), zeros(m.hidden_conv)
+            _, d_wf, d_bf = padded_conv2d_backward(step.x, a["feature.weights"], d_pre_feature)
+            grads["feature.weights"] += d_wf
+            grads["feature.bias"] += d_bf
+        return dict(Mo.AdaptationModel(grads).named_parameters())
     rows = Mo._gate_rows(m.hidden_channels)
     dh_next = np.zeros_like(steps[-1].h)
     dc_next = np.zeros_like(dh_next)
     for step, dy in zip(reversed(steps), reversed(grad_outputs)):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
-        d_h_head, d_w_head, d_b_head = padded_conv2d_backward(step.h, m.head, d_pre_head)
-        head.weights += d_w_head
-        head.bias += d_b_head
+        d_h_head, d_w_head, d_b_head = padded_conv2d_backward(step.h, head, d_pre_head)
+        grads["head.weights"] += d_w_head
+        grads["head.bias"] += d_b_head
         dh = d_h_head + dh_next
         i, f, o, g = (step.gates[:, r] for r in rows.values())
         tc = np.tanh(step.c)
@@ -421,15 +420,13 @@ def full_backward(m, steps, grad_outputs):
             [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
             axis=1,
         )
-        d_hp, step_wh, _ = padded_conv2d_backward(step.h_prev, m.hidden_conv, d_pre)
-        _, step_wx, step_b = padded_conv2d_backward(step.x, m.input_conv, d_pre)
-        input_conv.weights += step_wx
-        hidden_conv.weights += step_wh
-        input_conv.bias += step_b
+        d_hp, step_wh, _ = padded_conv2d_backward(step.h_prev, a["hidden.weights"], d_pre)
+        _, step_wx, step_b = padded_conv2d_backward(step.x, a["input.weights"], d_pre)
+        grads["input.weights"] += step_wx
+        grads["hidden.weights"] += step_wh
+        grads["input.bias"] += step_b
         dh_next = d_hp
-    return dict(
-        replace(m, head=head, input_conv=input_conv, hidden_conv=hidden_conv).named_parameters()
-    )
+    return dict(Mo.AdaptationModel(grads).named_parameters())
 
 
 def assert_same_bits(got, want, what=""):
@@ -480,12 +477,11 @@ class TestBitIdenticalToTheFullComputation:
     def test_conv2d_backward(self, dtype, cin, cout, k):
         rng = np.random.default_rng(cin * cout + k)
         weights = rng.uniform(-1, 1, size=(cout, cin, k, k)).astype(dtype)
-        params = Conv2dParams(weights, np.zeros(cout))
         x = rng.uniform(-1, 1, size=(1, cin, 6, 7)).astype(dtype)
         x[..., :2, :] = 0.0
         g = rng.uniform(-1, 1, size=(1, cout, 6, 7)).astype(dtype)
         g[..., 4:, :] = -0.0
-        got, want = conv2d_backward(x, params, g), padded_conv2d_backward(x, params, g)
+        got, want = conv2d_backward(x, weights, g), padded_conv2d_backward(x, weights, g)
         for name, a, b in zip(("input", "weights", "bias"), got, want):
             assert a.dtype == dtype
             assert_same_bits(a, b, name)
@@ -494,8 +490,9 @@ class TestBitIdenticalToTheFullComputation:
 
 
 class TestZeroStateConvolutionsAreSkipped:
-    """A T-frame window runs hidden_conv T - 1 times forward and backward:
-    the first step starts from the zero state, whose products are all zero."""
+    """A T-frame window runs the hidden convolution T - 1 times forward and
+    backward: the first step starts from the zero state, whose products are
+    all zero."""
 
     @pytest.mark.parametrize("length", [1, 2, 4])
     def test_hidden_conv_calls_per_window(self, monkeypatch, length):
@@ -503,9 +500,9 @@ class TestZeroStateConvolutionsAreSkipped:
         calls = {"forward": 0, "backward": 0}
 
         def counted(direction, fn):
-            def wrapper(input, params, *rest):
-                calls[direction] += params is m.hidden_conv
-                return fn(input, params, *rest)
+            def wrapper(input, weights, *rest):
+                calls[direction] += weights is m.arrays["hidden.weights"]
+                return fn(input, weights, *rest)
             return wrapper
 
         monkeypatch.setattr(Mo, "conv2d_forward", counted("forward", conv2d_forward))
@@ -535,7 +532,7 @@ class TestInitParameters:
         assert np.all(params["lstm.b_f"] == 1.0)
         for name in ("i", "o", "g"):
             assert np.all(params[f"lstm.b_{name}"] == 0.0)
-        assert np.all(m.head.bias == 0.0)
+        assert np.all(m.arrays["head.bias"] == 0.0)
 
     def test_kernel_bounds(self):
         m = Mo.init_parameters(Mo.CONV_LSTM, rng_seed=1, hidden_channels=8)
@@ -544,7 +541,7 @@ class TestInitParameters:
             wx, wh = params[f"lstm.wx_{name}"], params[f"lstm.wh_{name}"]
             assert np.max(np.abs(wx)) <= np.sqrt(1.0 / 9.0)
             assert np.max(np.abs(wh)) <= np.sqrt(1.0 / (8 * 9))
-        assert np.max(np.abs(m.head.weights)) <= np.sqrt(1.0 / 8.0)
+        assert np.max(np.abs(m.arrays["head.weights"])) <= np.sqrt(1.0 / 8.0)
 
     def test_empirical_mean_near_zero(self):
         # >= 1e5 kernel draws pooled across tensors, each scaled to [-1, 1]
@@ -555,21 +552,15 @@ class TestInitParameters:
             wx, wh = params[f"lstm.wx_{name}"], params[f"lstm.wh_{name}"]
             pooled.append(wx.ravel() / np.sqrt(1.0 / 9.0))
             pooled.append(wh.ravel() / np.sqrt(1.0 / (64 * 9)))
-        pooled.append(m.head.weights.ravel() / np.sqrt(1.0 / 64.0))
+        pooled.append(m.arrays["head.weights"].ravel() / np.sqrt(1.0 / 64.0))
         draws = np.concatenate(pooled)
         assert draws.size >= 100_000
         three_sigma = 3.0 / np.sqrt(3.0 * draws.size)
         assert abs(draws.mean()) < three_sigma
 
     def test_structural_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'transformer'"):
             Mo.init_parameters("transformer", rng_seed=0)
-        m = Mo.init_parameters(Mo.CONV_ONLY, rng_seed=0, hidden_channels=3)
-        with pytest.raises(ValueError):
-            Mo.AdaptationModel(
-                variant=Mo.CONV_LSTM, hidden_channels=3, head=m.head,
-                input_conv=None, hidden_conv=None,
-            )
 
 
 def loaded_and_float64_twin(tmp_path, variant: str):
@@ -655,9 +646,3 @@ class TestDtype:
         mixed = (np.zeros((1, 4, 4, 4), np.float32), np.zeros((1, 4, 4, 4)))
         with pytest.raises(ValueError, match="hidden float32 and cell float64"):
             Mo.convlstm_step(frame, mixed, loaded)
-
-    def test_convolutions_must_share_a_dtype(self):
-        m = random_model(Mo.CONV_ONLY, seed=33)
-        head32 = Conv2dParams(m.head.weights.astype(np.float32), m.head.bias)
-        with pytest.raises(ValueError, match="one dtype"):
-            Mo.AdaptationModel(Mo.CONV_ONLY, 4, head32, feature_conv=m.feature_conv)

@@ -290,8 +290,9 @@ def _in_functions(node: ast.AST, function: str | None = None):
 
 
 def test_only_named_parameters_names_lstm_tensors():
-    """``AdaptationModel.named_parameters`` names the ConvLSTM tensors and
-    splits the stacked gate rows for the optimizer, the checkpoint and the
+    """``AdaptationModel.named_parameters`` splits the stacked
+    ``input.weights``, ``hidden.weights`` and ``input.bias`` arrays into the
+    per-gate ``lstm.*`` row views for the optimizer, the checkpoint and the
     gradients alike, so no other function builds a string that starts with
     ``lstm.``: a second copy of the gate naming cannot grow back. An
     f-string's leading text is such a string too."""
@@ -308,6 +309,31 @@ def test_only_named_parameters_names_lstm_tensors():
             and function != "named_parameters"
         ]
     assert builders == [], f"an 'lstm.' name built outside named_parameters: {builders}"
+
+
+def test_arrays_are_not_wrapped_in_classes():
+    """A convolution is its plain weights (and bias) arrays, and a model is
+    one dict of them, so tensor.py defines no class and no module imports
+    ``dataclasses.replace``, which only a typed holder of arrays would need
+    to copy itself with one field swapped."""
+    found = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and module == "tensor.py":
+                found.append(f"{module} line {node.lineno}: class {node.name}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found += [
+                    f"{module} line {node.lineno}: dataclasses.replace"
+                    for alias in node.names
+                    if alias.name == "replace"
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "replace":
+                if isinstance(node.value, ast.Name) and node.value.id == "dataclasses":
+                    found.append(f"{module} line {node.lineno}: dataclasses.replace")
+    assert found == [], f"a typed holder of arrays: {found}"
 
 
 def _divides_by_len(node: ast.AST) -> bool:
