@@ -8,7 +8,9 @@ with full backpropagation through time.
 ``conv_block_forward`` and ``convlstm_step`` are the only step functions:
 inference calls them frame by frame, ``forward_sequence`` over a clip.
 Each returns its step cache last; ``backward_sequence`` takes the list of
-them and produces exact parameter gradients.
+them and produces exact parameter gradients. A step cache holds each array
+once, and nothing backward can rebuild without a convolution: backward
+recomputes ``relu(pre_feature)`` and the ConvLSTM hidden state, bit for bit.
 
 A model is one dict of stacked arrays, such as ``input.weights``, held by
 ``AdaptationModel``; ``named_parameters`` is the one place that splits them
@@ -62,8 +64,9 @@ class AdaptationModel:
     bias. The head, ``head.weights`` (1, hc, 1, 1) and ``head.bias``, is a
     1x1 convolution to a single channel followed by a sigmoid, so outputs
     lie in (0,1). The variant, width and dtype are read from the keys and
-    shapes; ``init_parameters`` and ``train.load_checkpoint`` make every
-    model, so the arrays are checked where they are made.
+    shapes; ``zero_parameters`` lays out every model, which
+    ``init_parameters`` and ``train.load_checkpoint`` fill, so the arrays
+    are checked where they are made.
     """
 
     arrays: dict[str, np.ndarray]
@@ -112,6 +115,19 @@ def _check_frame(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return x
 
 
+def zero_parameters(variant: str, hidden_channels: int, dtype: type) -> AdaptationModel:
+    """A model of all-zero arrays: the one place that gives each array its
+    key and shape. ``init_parameters`` draws into it, ``load_checkpoint``
+    reads a file into it."""
+    k, hc, n = KERNEL_SIZE, hidden_channels, len(GATES) * hidden_channels
+    if variant == CONV_ONLY:
+        shapes = {"feature.weights": (hc, 1, k, k), "feature.bias": (hc,)}
+    else:
+        shapes = {"input.weights": (n, 1, k, k), "input.bias": (n,), "hidden.weights": (n, hc, k, k)}
+    shapes.update({"head.weights": (1, hc, 1, 1), "head.bias": (1,)})
+    return AdaptationModel({key: np.zeros(shape, dtype) for key, shape in shapes.items()})
+
+
 def init_parameters(
     variant: str,
     rng_seed: int,
@@ -126,42 +142,38 @@ def init_parameters(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(rng_seed)
-    k = KERNEL_SIZE
-    hc = hidden_channels
+    model = zero_parameters(variant, hidden_channels, np.float64)
+    a = model.arrays
 
-    def draw(out_ch: int, in_ch: int, kernel: int) -> np.ndarray:
-        s = np.sqrt(1.0 / (in_ch * kernel * kernel))
-        return rng.uniform(-s, s, size=(out_ch, in_ch, kernel, kernel))
+    def draw(weights: np.ndarray) -> None:
+        s = np.sqrt(1.0 / weights[0].size)  # fan_in: in_channels * k * k
+        weights[...] = rng.uniform(-s, s, size=weights.shape)
 
     if variant == CONV_ONLY:
-        arrays = {"feature.weights": draw(hc, 1, k), "feature.bias": np.zeros(hc)}
+        draw(a["feature.weights"])
     else:
-        n = len(GATES) * hc
-        wx, wh, bias = np.empty((n, 1, k, k)), np.empty((n, hc, k, k)), np.zeros(n)
-        for rows in _gate_rows(hc).values():
-            wx[rows] = draw(hc, 1, k)
-            wh[rows] = draw(hc, hc, k)
-        bias[_gate_rows(hc)["f"]] = 1.0
-        arrays = {"input.weights": wx, "input.bias": bias, "hidden.weights": wh}
-    return AdaptationModel({**arrays, "head.weights": draw(1, hc, 1), "head.bias": np.zeros(1)})
+        for rows in _gate_rows(hidden_channels).values():
+            draw(a["input.weights"][rows])
+            draw(a["hidden.weights"][rows])
+        a["input.bias"][_gate_rows(hidden_channels)["f"]] = 1.0
+    draw(a["head.weights"])
+    return model
 
 
 @dataclass
 class _ConvStepCache:
     x: np.ndarray
     pre_feature: np.ndarray
-    activated: np.ndarray
     pre_head: np.ndarray
 
 
 @dataclass
 class _LstmStepCache:
     x: np.ndarray
-    h_prev: np.ndarray | None  # None: the step began from the zero state
+    zero_state: bool  # the step began from the zero state
     c_prev: np.ndarray
     gates: np.ndarray  # activated i, f, o, g stacked along channels
     c: np.ndarray
-    h: np.ndarray
     pre_head: np.ndarray
 
 
@@ -177,7 +189,7 @@ def conv_block_forward(
     activated = relu(pre_feature)
     pre_head = conv2d_forward(activated, a["head.weights"], a["head.bias"])
     y = sigmoid(pre_head)
-    return y, _ConvStepCache(x, pre_feature, activated, pre_head)
+    return y, _ConvStepCache(x, pre_feature, pre_head)
 
 
 def convlstm_step(
@@ -225,7 +237,7 @@ def convlstm_step(
     h = o * np.tanh(c)
     pre_head = conv2d_forward(h, a["head.weights"], a["head.bias"])
     y = sigmoid(pre_head)
-    cache = _LstmStepCache(x, h_prev, c_prev, gates, c, h, pre_head)
+    cache = _LstmStepCache(x, h_prev is None, c_prev, gates, c, pre_head)
     return y, (h, c), cache
 
 
@@ -285,7 +297,7 @@ def _backward_conv_only(
     a = model.arrays
     for step, dy in zip(steps, grad_outputs):
         d_pre_head = sigmoid_backward(step.pre_head, dy)
-        d_act, d_wh, d_bh = conv2d_backward(step.activated, a["head.weights"], d_pre_head)
+        d_act, d_wh, d_bh = conv2d_backward(relu(step.pre_feature), a["head.weights"], d_pre_head)
         grads["head.weights"] += d_wh
         grads["head.bias"] += d_bh
         d_pre_feature = relu_backward(step.pre_feature, d_act)
@@ -300,24 +312,33 @@ def _backward_convlstm(
     model: AdaptationModel,
     grads: dict[str, np.ndarray],
 ) -> None:
+    """Reverse-time gradients. Each h_t = o_t * tanh(c_t) is rebuilt with the
+    forward's ufuncs, so with its bits, one step early: step t+1's hidden
+    weight gradient needs it, then step t reuses it for its head gradient and
+    its tanh(c_t) for its gate gradients, so no tanh or convolution is extra."""
+    if not steps[0].zero_state:
+        raise ValueError("backward_sequence needs a window that began at the zero state")
     a, hc = model.arrays, model.hidden_channels
-    rows = _gate_rows(hc).values()
-    # one gate-gradient buffer and three scratch arrays serve every step; each
+    rows = _gate_rows(hc)
+    # one gate-gradient buffer and four scratch arrays serve every step; each
     # expression keeps the operation order of its plain NumPy form
-    d_pre = np.empty((1, 4 * hc) + steps[-1].h.shape[2:], steps[-1].h.dtype)
-    d_i, d_f, d_o, d_g = (d_pre[:, r] for r in rows)
-    tc, dc, tmp = (np.empty_like(d_i) for _ in range(3))
+    last = steps[-1]
+    d_pre = np.empty((1, 4 * hc) + last.c.shape[2:], last.c.dtype)
+    d_i, d_f, d_o, d_g = (d_pre[:, r] for r in rows.values())
+    dc, tmp = np.empty_like(d_i), np.empty_like(d_i)
+    tc = np.tanh(last.c)
+    h = last.gates[:, rows["o"]] * tc
     dh_next = np.zeros_like(d_i)
     dc_next = np.zeros_like(d_i)
-    for step, dy in zip(reversed(steps), reversed(grad_outputs)):
-        d_pre_head = sigmoid_backward(step.pre_head, dy)
-        dh, d_w_head, d_b_head = conv2d_backward(step.h, a["head.weights"], d_pre_head)
+    for t in reversed(range(len(steps))):
+        step = steps[t]
+        d_pre_head = sigmoid_backward(step.pre_head, grad_outputs[t])
+        dh, d_w_head, d_b_head = conv2d_backward(h, a["head.weights"], d_pre_head)
         grads["head.weights"] += d_w_head
         grads["head.bias"] += d_b_head
 
         dh += dh_next
-        i, f, o, g = (step.gates[:, r] for r in rows)
-        np.tanh(step.c, out=tc)
+        i, f, o, g = (step.gates[:, r] for r in rows.values())
         # d_o = ((dh * tc) * o) * (1 - o)
         np.multiply(dh, tc, out=d_o)
         d_o *= o
@@ -344,8 +365,12 @@ def _backward_convlstm(
         _, step_wx, step_b = conv2d_backward(step.x, a["input.weights"], d_pre)
         grads["input.weights"] += step_wx
         grads["input.bias"] += step_b
-        if step.h_prev is not None:
+        if not step.zero_state:
             # a zero-state step's hidden weight gradient is all ±0, which leaves
             # every bit of the sum, and its state gradient is never read
-            dh_next, step_wh, _ = conv2d_backward(step.h_prev, a["hidden.weights"], d_pre)
+            prev = steps[t - 1]
+            np.tanh(prev.c, out=tc)
+            np.multiply(prev.gates[:, rows["o"]], tc, out=h)
+            dh_next, step_wh, _ = conv2d_backward(h, a["hidden.weights"], d_pre)
             grads["hidden.weights"] += step_wh
+            del step_wh  # as large as the weights: freed before the next im2col

@@ -35,7 +35,7 @@ from .model import (
     AdaptationModel,
     backward_sequence,
     forward_sequence,
-    init_parameters,
+    zero_parameters,
 )
 
 BCE_CLAMP = 1e-7
@@ -132,7 +132,9 @@ def train(
         raise ValueError(f"train needs a float64 model, got {model.dtype}")
     if not samples:
         raise EmptyDataset("no training samples")
-    buffers = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
+    # np.zeros pages are not paid for until the first sgd_step writes them,
+    # after the window's step caches are freed
+    buffers = {name: np.zeros(arr.shape, arr.dtype) for name, arr in model.named_parameters()}
     rng = np.random.default_rng(cfg["seed"])
     clip_length, max_steps = cfg["clip_length"], cfg["max_steps"]
     momentum, weight_decay = cfg["momentum"], cfg["weight_decay"]
@@ -266,7 +268,8 @@ def _decode_checkpoint(
 ) -> tuple[AdaptationModel, dict[str, np.ndarray]]:
     if len(blob) < CHECKPOINT_HEADER.size + 4:
         raise CorruptCheckpoint("file too small to be a checkpoint")
-    body, (stored_crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    # a memoryview: checksumming, slicing and reading the body copy nothing
+    body, (stored_crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != stored_crc:
         raise CorruptCheckpoint("checksum mismatch")
 
@@ -289,16 +292,15 @@ def _decode_checkpoint(
     if hidden_channels < 1 or 8 * widest > len(body):
         raise CorruptCheckpoint(f"hidden width {hidden_channels} does not fit the file")
 
-    # init_parameters gives each array its key and shape, kept at the file's precision
-    template = init_parameters(variant, rng_seed=0, hidden_channels=hidden_channels)
-    model = AdaptationModel({k: v.astype(np.float32) for k, v in template.arrays.items()})
+    # at the file's precision; each record is read straight into its array
+    model = zero_parameters(variant, hidden_channels, np.float32)
     named = model.named_parameters()
     if tensor_count != len(named):
         raise CorruptCheckpoint(f"{tensor_count} tensors in file, model needs {len(named)}")
+    buffers = {name: np.zeros(arr.shape, np.float32) for name, arr in named}
     # the variant and width fix every record head, so each is compared, not parsed
-    stored: list[np.ndarray] = []
     pos = CHECKPOINT_HEADER.size
-    for name, arr in named + named:
+    for name, arr in named + list(buffers.items()):
         head = _record_head(name, arr.shape)
         start, end = pos + len(head), pos + len(head) + 4 * arr.size
         if end > len(body):
@@ -308,10 +310,8 @@ def _decode_checkpoint(
         values = np.frombuffer(body, dtype="<f4", count=arr.size, offset=start)
         if not np.all(np.isfinite(values)):
             raise CorruptCheckpoint(f"tensor {name!r} holds NaN or Inf")
-        stored.append(values.astype(np.float32).reshape(arr.shape))
+        arr[...] = values.reshape(arr.shape)
         pos = end
     if pos != len(body):
         raise CorruptCheckpoint("trailing bytes after tensor data")
-    for (_, arr), values in zip(named, stored):
-        arr[...] = values
-    return model, {name: values for (name, _), values in zip(named, stored[len(named) :])}
+    return model, buffers

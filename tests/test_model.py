@@ -1,5 +1,8 @@
 """Tests for the adaptation networks: forward semantics, BPTT, initialization."""
 
+import tracemalloc
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -296,6 +299,15 @@ class TestBackwardSequence:
         with pytest.raises(LengthMismatch):
             Mo.backward_sequence(m, steps, [np.zeros((1, 1, 4, 4))])
 
+    def test_window_must_begin_at_the_zero_state(self):
+        # the hidden state before a window's first step is not cached, so a
+        # window cut from a longer run cannot rebuild it
+        m = random_model(Mo.CONV_LSTM, seed=13)
+        frames = random_frames(np.random.default_rng(14), 3, 4, 4)
+        _, steps = Mo.forward_sequence(frames, m)
+        with pytest.raises(ValueError, match="began at the zero state"):
+            Mo.backward_sequence(m, steps[1:], [np.ones((1, 1, 4, 4))] * 2)
+
     @pytest.mark.parametrize("variant", Mo.VARIANTS)
     def test_gradients_are_named_and_shaped_like_the_parameters(self, tmp_path, variant):
         frames = random_frames(np.random.default_rng(17), 2, 4, 5)
@@ -354,14 +366,25 @@ def padded_conv2d_backward(input, weights, grad_out):
     return grad_input, grad_weights, grad_bias
 
 
+# the reference's own step records, holding every activation as first written
+FullConvStep = namedtuple("FullConvStep", "x pre_feature activated pre_head")
+FullLstmStep = namedtuple("FullLstmStep", "x h_prev c_prev gates c h pre_head")
+
+
 def full_forward(frames, m):
-    """forward_sequence as first written: ConvLSTM steps convolve the zero
-    state too, hidden product first, with a zero hidden bias. Returns
-    outputs, states and caches."""
-    if m.variant == Mo.CONV_ONLY:
-        outputs, steps = Mo.forward_sequence(frames, m)
-        return outputs, [], steps
+    """forward_sequence as first written: every step caches its activations,
+    and ConvLSTM steps convolve the zero state too, hidden product first,
+    with a zero hidden bias. Returns outputs, states and caches."""
     hc, a = m.hidden_channels, m.arrays
+    if m.variant == Mo.CONV_ONLY:
+        outputs, steps = [], []
+        for x in frames:
+            pre_feature = conv2d_forward(x, a["feature.weights"], a["feature.bias"])
+            activated = np.maximum(pre_feature, 0.0)
+            pre_head = conv2d_forward(activated, a["head.weights"], a["head.bias"])
+            steps.append(FullConvStep(x, pre_feature, activated, pre_head))
+            outputs.append(sigmoid(pre_head))
+        return outputs, [], steps
     h = c = np.zeros((1, hc) + frames[0].shape[2:], m.dtype)
     outputs, states, steps = [], [], []
     for x in frames:
@@ -375,7 +398,7 @@ def full_forward(frames, m):
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
         pre_head = conv2d_forward(h_new, a["head.weights"], a["head.bias"])
-        steps.append(Mo._LstmStepCache(x, h, c, gates, c_new, h_new, pre_head))
+        steps.append(FullLstmStep(x, h, c, gates, c_new, h_new, pre_head))
         outputs.append(sigmoid(pre_head))
         states.append((h_new, c_new))
         h, c = h_new, c_new
@@ -461,10 +484,14 @@ class TestBitIdenticalToTheFullComputation:
         want_outputs, want_states, want_steps = full_forward(frames, m)
         for t, (y, y_want) in enumerate(zip(outputs, want_outputs)):
             assert_same_bits(y, y_want, f"output {t}")
-        for t, ((h, c), step) in enumerate(zip(want_states, steps)):
-            assert_same_bits(step.h, h, f"hidden {t}")
-            assert_same_bits(step.c, c, f"cell {t}")
+        state = None
+        for t, (x, (h_want, c_want), step) in enumerate(zip(frames, want_states, steps)):
+            _, state, _ = Mo.convlstm_step(x, state, m)
+            assert_same_bits(state[0], h_want, f"hidden {t}")
+            assert_same_bits(state[1], c_want, f"cell {t}")
+            assert_same_bits(step.c, c_want, f"cached cell {t}")
             assert_same_bits(step.gates, want_steps[t].gates, f"gates {t}")
+            assert step.zero_state == (t == 0)
         got = Mo.backward_sequence(m, steps, projections)
         want = full_backward(m, want_steps, projections)
         for name, _ in m.named_parameters():
@@ -511,6 +538,38 @@ class TestZeroStateConvolutionsAreSkipped:
         outputs, steps = Mo.forward_sequence(frames, m)
         Mo.backward_sequence(m, steps, [np.ones_like(y) for y in outputs])
         assert calls == {"forward": length - 1, "backward": length - 1}
+
+
+class TestWindowMemory:
+    """A window's step caches hold each step's gates and cell and nothing that
+    backward can rebuild, such as the hidden state, and a step's hidden weight
+    gradient is freed before the next step's im2col."""
+
+    HIDDEN, GRID, FRAMES = 32, (16, 16), 6
+
+    def traced_peak(self, length):
+        m = random_model(Mo.CONV_LSTM, seed=60, hidden=self.HIDDEN)
+        frames = random_frames(np.random.default_rng(61), length, *self.GRID)
+        projections = [np.ones_like(x) for x in frames]
+        tracemalloc.start()
+        try:
+            outputs, steps = Mo.forward_sequence(frames, m)
+            Mo.backward_sequence(m, steps, projections)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_one_step_cache_a_frame(self):
+        cell = 8 * self.HIDDEN * self.GRID[0] * self.GRID[1]  # one float64 (1, hc, H, W)
+        step_cache = len(Mo.GATES) * cell + cell
+        # a 2-frame window runs one hidden-convolution backward, the largest
+        # step: its peak less its two step caches is one step's transients
+        one_step_transients = self.traced_peak(2) - 2 * step_cache
+        # slack for the four further steps' one-channel head arrays and Python
+        # objects: one hidden state, so a hidden state cached per step shows
+        small = cell
+        bound = self.FRAMES * step_cache + one_step_transients + small
+        assert self.traced_peak(self.FRAMES) <= bound
 
 
 class TestInitParameters:
@@ -624,8 +683,9 @@ class TestDtype:
             assert_same_bits(y, y_want, "output")
             assert_same_bits(h, h_want, "hidden")
             assert_same_bits(c, c_want, "cell")
-            for name in ("gates", "c", "h"):
+            for name in ("gates", "c", "c_prev"):
                 assert_same_bits(getattr(cache, name), getattr(cache_want, name), name)
+            assert cache.zero_state and not cache_want.zero_state
 
     def test_frame_beyond_float32_range_rejected_by_a_loaded_model(self, tmp_path):
         loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_ONLY)

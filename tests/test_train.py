@@ -296,6 +296,18 @@ class TestCheckpoint:
             np.testing.assert_array_equal(buffers[name], buf.astype(np.float32), strict=True)
             assert buffers[name].flags.writeable
 
+    @pytest.mark.parametrize("variant", [Mo.CONV_ONLY, Mo.CONV_LSTM])
+    def test_loaded_arrays_are_writable_float32_and_share_no_memory(self, tmp_path, variant):
+        # no loaded array may be a view of the file's bytes or of another array
+        _, _, path = self.roundtrip(tmp_path, variant)
+        loaded, buffers = Tr.load_checkpoint(path)
+        arrays = list(loaded.arrays.values()) + list(buffers.values())
+        for arr in arrays:
+            assert arr.dtype == np.float32 and arr.flags.writeable and arr.flags.owndata
+        for j, a in enumerate(arrays):
+            for b in arrays[j + 1 :]:
+                assert not np.shares_memory(a, b)
+
     def test_double_round_trip_identical_bytes(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path, Mo.CONV_LSTM)
         loaded, buffers = Tr.load_checkpoint(path)
