@@ -27,6 +27,7 @@ import os
 import signal
 import sys
 import time
+from collections.abc import Iterator
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
@@ -51,6 +52,11 @@ NEEDED = object()  # default of a setting the user must give
 GE0, GE1 = ((">=", 0),), ((">=", 1),)
 # frame files are named with FRAME_NAME_DIGITS digits
 FRAME_NAMES = (("<=", 10**D.FRAME_NAME_DIGITS - 1),)
+# the maps of one training window, inputs then targets
+TRAIN_MAPS = ("static_map_dir", "gt_map_dir")
+# frames of ground truth and of predictions an evaluate worker reads and holds at a time;
+# as fast as whole videos, where one frame at a time was not
+EVAL_BLOCK = 16
 
 # SETTINGS[command][name] = (default, type, bounds). Every flag and config
 # key comes from here; resolve_config checks each value against its entry.
@@ -204,18 +210,15 @@ def cmd_train(cfg: dict) -> None:
     outputs = ("--ckpt", cfg["ckpt"]), ("--loss-csv", loss_csv)
     manifest = D.load_manifest(cfg["manifest"])
     _check_outputs(cfg, manifest, *outputs)
-    res = manifest["resolution"]
-    samples = []
-    for video in manifest["videos"]:
-        statics = D.read_maps(video, video["static_map_dir"], MissingInput)
-        gts = D.read_maps(video, video["gt_map_dir"], MissingInput)
-        samples.append(
-            (
-                video["video_id"],
-                [D.resize_bilinear(s, res)[None, None] for s in statics],
-                [D.resize_bilinear(g, res)[None, None] for g in gts],
-            )
-        )
+    videos, res = manifest["videos"], manifest["resolution"]
+    # every map is checked before the first step, then read again when its window runs
+    for video, key in itertools.product(videos, TRAIN_MAPS):
+        for _ in D.read_maps(video, video[key], MissingInput):
+            pass
+    samples = [
+        (video["video_id"], len(video["frames"]), functools.partial(_read_window, video, res))
+        for video in videos
+    ]
     model = Mo.init_parameters(cfg["variant"], rng_seed=cfg["seed"], hidden_channels=cfg["hidden"])
     history = Tr.train(model, samples, cfg)
     with D.publish(loss_csv) as tmp, open(tmp, "w", encoding="utf-8") as fh:
@@ -234,14 +237,31 @@ def cmd_train(cfg: dict) -> None:
     print(cfg["ckpt"])
 
 
+def _resized_maps(
+    video: dict, directory: str, missing: type, res: tuple, window: slice = slice(None)
+) -> Iterator[np.ndarray]:
+    """The maps of ``video``'s frames ``window`` in ``directory``, read one at a time
+    through ``read_maps`` and resized to ``res``."""
+    return (D.resize_bilinear(m, res) for m in D.read_maps(video, directory, missing, window))
+
+
+def _read_window(video: dict, res: tuple, window: slice) -> tuple[list, list]:
+    """The static maps and ground truth of ``video``'s frames ``window``, as (1, 1, H, W)
+    arrays: one training window."""
+    return tuple(
+        [m[None, None] for m in _resized_maps(video, video[key], MissingInput, res, window)]
+        for key in TRAIN_MAPS
+    )
+
+
 def _predict_video(video: dict, *, model: Mo.AdaptationModel, res: tuple, root: str) -> int:
     """Write one video's refined maps to ``root/<video_id>/``; returns how many."""
     out_dir = os.path.join(root, video["video_id"])
     os.makedirs(out_dir)
     state = None
-    statics = D.read_maps(video, video["static_map_dir"], MissingInput)
+    statics = _resized_maps(video, video["static_map_dir"], MissingInput, res)
     for frame, static in zip(video["frames"], statics):
-        x = D.resize_bilinear(static, res)[None, None]
+        x = static[None, None]
         # slicing drops the step cache at once, so it does not outlive the step
         if model.variant == Mo.CONV_ONLY:
             y = Mo.conv_block_forward(x, model)[0]
@@ -295,10 +315,22 @@ def _score_video(
 ) -> dict:
     """One video's ``per_video`` row; ``everything[start:end]`` are its own fixations."""
     pred_dir = os.path.join(cfg["predictions"], video["video_id"])
-    gts = [D.resize_bilinear(g, res) for g in D.read_maps(video, video["gt_map_dir"], MissingInput)]
-    preds = [D.resize_bilinear(p, res) for p in D.read_maps(video, pred_dir, MissingPrediction)]
+    # a missing map is found before any is read, ground truth first; then evaluate_video
+    # takes each frame's ground truth before its map, so a block's before its predictions
+    for folder, missing in ((video["gt_map_dir"], MissingInput), (pred_dir, MissingPrediction)):
+        for _ in D.map_paths(video, folder, missing):
+            pass
+    gts = _in_blocks(video, video["gt_map_dir"], MissingInput, res)
+    preds = _in_blocks(video, pred_dir, MissingPrediction, res)
     pool = np.concatenate([everything[:start], everything[end:]])
     return M.evaluate_video(preds, fixs, gts, pool, seed=cfg["shuffle_seed"], metrics=metrics)
+
+
+def _in_blocks(video: dict, directory: str, missing: type, res: tuple) -> Iterator[np.ndarray]:
+    """``video``'s maps in ``directory``, resized to ``res``, read EVAL_BLOCK frames at a time."""
+    for start in range(0, len(video["frames"]), EVAL_BLOCK):
+        window = slice(start, start + EVAL_BLOCK)
+        yield from list(_resized_maps(video, directory, missing, res, window))
 
 
 def cmd_evaluate(cfg: dict) -> None:

@@ -10,10 +10,12 @@ own directory:
     <root>/<video_id>/fixations.csv       gaze points
 
 ``load_manifest`` returns that JSON as a checked dict, its paths resolved.
-``read_maps`` is the one reader of a video's map files: train reads static
-maps and ground truth through it, predict static maps, and evaluate ground
-truth and predictions, one video at a time. ``load_video`` reads a video's
-fixations in the frame of its static maps, whose one shared size it checks.
+``read_maps`` is the one reader of a video's map files, of all its frames
+or of a slice of them, one file at a time: train reads one window of static
+maps and ground truth through it at a time, predict one static map, and
+evaluate one block of ground truth and predictions; ``map_paths`` finds
+the files without reading them. ``load_video`` reads a video's fixations
+in the frame of its static maps, whose one shared size it checks.
 ``publish`` is the one way a command's output reaches its path: written
 beside it, then renamed into place. ``worker_pool`` is the one process pool:
 generate writes, predict refines and evaluate scores one video per worker.
@@ -431,16 +433,25 @@ def load_manifest(path: str) -> dict:
     return {"resolution": resolution, "videos": videos}
 
 
-def read_maps(video: dict, directory: str, missing: type[SaliencyError]) -> Iterator[np.ndarray]:
-    """Each frame's map of one ``load_manifest`` video from ``directory``, as stored.
+def map_paths(
+    video: dict, directory: str, missing: type[SaliencyError], window: slice = slice(None)
+) -> Iterator[str]:
+    """The map file in ``directory`` of each of one ``load_manifest`` video's frames ``window``.
 
     A frame without a file raises ``missing``, naming the video, the frame and the path.
     """
-    for frame in video["frames"]:
+    for frame in video["frames"][window]:
         path = os.path.join(directory, frame_file_name(frame))
         if not os.path.isfile(path):
             raise missing(f"{video['video_id']}: frame {frame} has no map {path}")
-        yield load_map(path)
+        yield path
+
+
+def read_maps(
+    video: dict, directory: str, missing: type[SaliencyError], window: slice = slice(None)
+) -> Iterator[np.ndarray]:
+    """Each map file ``map_paths`` finds, read as stored when it is reached."""
+    return map(load_map, map_paths(video, directory, missing, window))
 
 
 def load_video(video: dict, resolution: tuple[int, int]) -> list[np.ndarray]:

@@ -30,8 +30,10 @@ five metric means over its members.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -51,6 +53,7 @@ VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 
 # negatives per positive kept when subsampling the shuffled-AUC pool
 SAUC_NEGATIVE_RATIO = 10
+_END = object()  # what ``evaluate_video`` reads past a stream's end
 # OpenBLAS (0.3.31) computes a dot product on one thread up to this length
 _DOT_SLICE = 10_000
 
@@ -209,14 +212,19 @@ def _mean(values: list) -> float | None:
 
 
 def evaluate_video(
-    maps: list[np.ndarray],
-    fixs: list[np.ndarray],
-    gts: list[np.ndarray],
+    maps: Iterable[np.ndarray],
+    fixs: Iterable[np.ndarray],
+    gts: Iterable[np.ndarray],
     shuffle_pool: np.ndarray,
     seed: int,
     metrics: tuple[str, ...] = METRIC_NAMES,
 ) -> dict:
     """One video's ``per_video`` row: per-frame metrics averaged, plus counts.
+
+    The three streams may be any iterables. They are consumed in step, one
+    frame at a time, each frame's ground truth before its map, so a caller
+    can read them as they are scored. Unequal lengths, found when the
+    shortest ends, or no frame at all raise LengthMismatch.
 
     Fixation-based metrics (AUC-J, sAUC, NSS) use only frames with at
     least one fixation; CC and SIM use only frames whose ground truth has
@@ -226,17 +234,22 @@ def evaluate_video(
     The sAUC subsampling seed for frame i is ``seed + i``, so a frame's
     score does not depend on which other frames are evaluated.
     """
-    if not (len(maps) == len(fixs) == len(gts)):
-        raise LengthMismatch(
-            f"sequence lengths differ: {len(maps)} maps, {len(fixs)} fixations, {len(gts)} gts"
-        )
-    if len(maps) == 0:
-        raise LengthMismatch("at least one frame is required")
-
     scores: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
     skipped_fix = skipped_mass = 0
     pool_checked = set()  # the map shapes the pool is known to lie inside
-    for i, (sal, fix, gt) in enumerate(zip(maps, fixs, gts)):
+    streams = iter(gts), iter(maps), iter(fixs)
+    i = -1
+    for i, frame in enumerate(itertools.zip_longest(*streams, fillvalue=_END)):
+        gt, sal, fix = frame
+        if gt is _END or sal is _END or fix is _END:
+            # each stream's length: what was taken, then what is left
+            n_gts, n_maps, n_fixs = (
+                i + (item is not _END) + sum(1 for _ in stream)
+                for item, stream in zip(frame, streams)
+            )
+            raise LengthMismatch(
+                f"sequence lengths differ: {n_maps} maps, {n_fixs} fixations, {n_gts} gts"
+            )
         if len(fix) > 0:
             if "nss" in metrics:
                 scores["nss"].append(nss(sal, fix))
@@ -258,8 +271,10 @@ def evaluate_video(
         else:
             skipped_mass += 1
 
+    if i < 0:
+        raise LengthMismatch("at least one frame is required")
     row = {name: _mean(scores[name]) for name in METRIC_NAMES}
-    row.update(frames=len(maps), skipped_no_fixations=skipped_fix, skipped_no_gt_mass=skipped_mass)
+    row.update(frames=i + 1, skipped_no_fixations=skipped_fix, skipped_no_gt_mass=skipped_mass)
     return row
 
 

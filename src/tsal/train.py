@@ -19,6 +19,7 @@ import math
 import os
 import struct
 import zlib
+from collections.abc import Callable
 
 import numpy as np
 
@@ -111,22 +112,24 @@ def sgd_step(
 
 def train(
     model: AdaptationModel,
-    samples: list[tuple[str, list[np.ndarray], list[np.ndarray]]],
+    samples: list[tuple[str, int, Callable[[slice], tuple[list, list]]]],
     cfg: dict,
 ) -> list[tuple[int, float]]:
     """Train ``model`` in place; returns the (step, window loss) history.
 
-    ``samples`` holds one ``(video_id, frames, targets)`` tuple per video,
-    its frames and targets aligned (1, 1, H, W) arrays. ``cfg`` is the
-    ``train`` settings dict that ``cli.resolve_config`` checked; the run is
-    deterministic for a fixed ``cfg["seed"]``. Each epoch shuffles video
-    order, splits every video into windows of ``clip_length`` frames, and
-    performs one clipped SGD step per window (loss is the sum of per-frame
-    BCE means), until ``max_steps`` steps if that is set. The model and its
-    momentum buffers are written to ``cfg["ckpt"]`` after every epoch. The
-    model must be float64: the gradient checks need that precision, and a
-    loaded checkpoint's float32 model would otherwise train at float32
-    without a word.
+    ``samples`` holds one ``(video_id, frame_count, read_window)`` tuple per
+    video. ``read_window(window)`` returns the frames and targets of that
+    slice of the video's frames, aligned (1, 1, H, W) arrays; it is called
+    as each window runs, so one window's maps are held at a time. ``cfg``
+    is the ``train`` settings dict that ``cli.resolve_config`` checked; the
+    run is deterministic for a fixed ``cfg["seed"]``. Each epoch shuffles
+    video order, splits every video into windows of ``clip_length``
+    frames, and performs one clipped SGD step per window (loss is the sum
+    of per-frame BCE means), until ``max_steps`` steps if that is set. The
+    model and its momentum buffers are written to ``cfg["ckpt"]`` after
+    every epoch. The model must be float64: the gradient checks need that
+    precision, and a loaded checkpoint's float32 model would otherwise
+    train at float32 without a word.
     """
     if model.dtype != np.float64:
         raise ValueError(f"train needs a float64 model, got {model.dtype}")
@@ -144,14 +147,14 @@ def train(
         lr = lr_schedule(cfg["lr0"], cfg["decay_every"], epoch)
         order = rng.permutation(len(samples))
         for idx in order:
-            video_id, frames, targets = samples[idx]
-            for start in range(0, len(frames), clip_length):
+            video_id, frame_count, read_window = samples[idx]
+            for start in range(0, frame_count, clip_length):
                 if max_steps is not None and len(history) >= max_steps:
                     break
-                window = slice(start, start + clip_length)
+                frames, targets = read_window(slice(start, start + clip_length))
                 try:
                     loss = _train_window(
-                        model, frames[window], targets[window], buffers, lr, momentum, weight_decay
+                        model, frames, targets, buffers, lr, momentum, weight_decay
                     )
                 except NonFinite as exc:
                     raise NonFinite(

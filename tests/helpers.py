@@ -1,15 +1,20 @@
 """Shared test utilities: finite differences, error metrics, a reference
-convolution, a video's maps read as the commands read them, the train
-settings dict, and a digest of a directory tree."""
+convolution, a video's maps read as the commands read them, a train sample
+held in memory, the train settings dict, a digest of a directory tree, and
+the peak memory of a command run in a child process."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
+import sys
+import tempfile
 from typing import Callable
 
 import numpy as np
 
+import tsal
 from tsal.cli import SETTINGS
 from tsal.data import read_maps, resize_bilinear
 from tsal.errors import MissingInput
@@ -73,6 +78,11 @@ def resized_maps(video: dict, key: str, resolution: tuple[int, int]) -> list[np.
     return [resize_bilinear(m, resolution) for m in read_maps(video, video[key], MissingInput)]
 
 
+def in_memory(video_id: str, frames: list, targets: list) -> tuple:
+    """A ``train`` sample whose window reader slices lists already in memory."""
+    return video_id, len(frames), lambda window: (frames[window], targets[window])
+
+
 def train_settings(**overrides) -> dict:
     """The ``train`` settings dict: the ``cli.SETTINGS`` defaults, then ``overrides``."""
     defaults = {key: default for key, (default, _, _) in SETTINGS["train"].items()}
@@ -90,3 +100,22 @@ def tree_digest(root: str) -> str:
             with open(full, "rb") as fh:
                 digest.update(fh.read())
     return digest.hexdigest()
+
+
+def peak_rss_mib(argv: list[str]) -> float:
+    """Run ``tsal <argv>`` in a child process, which must exit 0, and return its peak
+    resident memory in MiB: ``os.wait4``'s ``ru_maxrss``, which covers the reaped
+    pool workers too."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(tsal.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tsal.cli", *argv],
+            env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        stderr.seek(0)
+        assert proc.returncode == 0, stderr.read().decode()
+    return usage.ru_maxrss / 1024.0

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import central_difference, max_rel_err, resized_maps, train_settings, tree_digest
+from helpers import (
+    central_difference,
+    in_memory,
+    max_rel_err,
+    resized_maps,
+    train_settings,
+    tree_digest,
+)
 from tsal import cli
 from tsal import data as D
 from tsal import metrics as M
@@ -341,7 +348,7 @@ def _smoke_train(samples, variant, seed, ckpt) -> tuple[Mo.AdaptationModel, list
         ckpt=ckpt, epochs=10**6, clip_length=16, seed=seed, max_steps=SMOKE_WINDOWS,
         lr0=SMOKE_LR, decay_every=10**6,
     )
-    return model, Tr.train(model, samples, cfg)
+    return model, Tr.train(model, [in_memory(*sample) for sample in samples], cfg)
 
 
 def _dataset_bce(model, samples) -> float:

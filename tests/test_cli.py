@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import resized_maps, tree_digest
+from helpers import peak_rss_mib, resized_maps, tree_digest
 from tsal import data as D
 from tsal import metrics as M
 from tsal import model as Mo
@@ -1248,6 +1248,43 @@ class TestInterrupt:
             proc.wait()
 
 
+class TestMemoryBoundedByAWindow:
+    """Train holds one window of maps and an evaluate worker one block, so a video
+    4x longer costs a command next to no memory; a whole video's maps, held as
+    float64, would cost 64 KiB a 64x64 frame, about 56 MiB over these 900 frames."""
+
+    GROWTH_BOUND_MIB = 8
+
+    @pytest.fixture(scope="class")
+    def short_and_long(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("memory")
+        manifest = make_dataset(root, videos=1, frames=1200, size=64)[1]
+        os.makedirs(root / "pred")
+        os.symlink(os.path.join(root, "data", "video_000", "gt"), root / "pred" / "video_000")
+        with open(manifest, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        manifests = {}
+        for frames in (300, 1200):
+            payload["videos"][0]["frames"] = list(range(frames))
+            manifests[frames] = os.path.join(root, "data", f"first_{frames}.json")
+            with open(manifests[frames], "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        return root, manifests
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_peak_rss_does_not_grow_with_video_length(self, short_and_long, command):
+        root, manifests = short_and_long
+        peaks = {}
+        for frames, manifest in manifests.items():
+            flags = {
+                "train": ["--ckpt", str(root / f"m{frames}.tsal"), "--hidden", "8",
+                          "--max-steps", "1"],
+                "evaluate": ["--predictions", str(root / "pred")],
+            }[command]
+            peaks[frames] = peak_rss_mib([command, "--manifest", manifest, *flags])
+        assert peaks[1200] - peaks[300] < self.GROWTH_BOUND_MIB, peaks
+
+
 class TestFramelessVideo:
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
     def test_is_one_parse_error_and_writes_nothing(self, tmp_path, capsys, command):
@@ -1340,6 +1377,87 @@ class TestBadInputFile:
         assert line == "ERROR " + message.format(bad)
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before
+
+
+def _truncate_raster(path, side):
+    with open(path, "r+b") as fh:
+        fh.truncate(len(f"P5\n{side} {side}\n255\n"))
+
+
+class TestFirstErrorOrder:
+    """Train reads each window's maps when it runs, and evaluate reads a video's maps
+    in blocks of 16 frames; the first error of a tree with two bad files is pinned here."""
+
+    def test_train_checks_every_map_before_its_first_step(self, tmp_path, capsys):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=6, size=8)
+        missing = os.path.join(data_dir, "video_000", "gt", "000005.pgm")
+        os.remove(missing)
+        os.remove(os.path.join(data_dir, "video_001", "static", "000000.pgm"))
+        ckpt = tmp_path / "m.tsal"
+        # one 2-frame step would read neither missing map, were the maps not checked first
+        code, stdout, stderr = run(
+            capsys, "train", "--manifest", manifest, "--ckpt", str(ckpt),
+            "--hidden", "2", "--clip-length", "2", "--max-steps", "1",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(stderr) == [
+            f"ERROR MissingInput: video_000: frame 5 has no map {missing}"
+        ]
+        assert not ckpt.exists()
+
+    def _evaluate(self, tmp_path, capsys, frames=48):
+        data_dir, manifest = make_dataset(tmp_path, videos=1, frames=frames, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        gt_dir, pred_dir = os.path.join(data_dir, "video_000", "gt"), os.path.join(pred, "video_000")
+        argv = ["evaluate", "--manifest", manifest, "--predictions", pred]
+        return gt_dir, pred_dir, lambda: run(capsys, *argv)
+
+    def test_evaluate_reports_a_missing_ground_truth_before_a_missing_prediction(
+        self, tmp_path, capsys
+    ):
+        gt_dir, pred_dir, evaluate = self._evaluate(tmp_path, capsys)
+        missing = os.path.join(gt_dir, "000040.pgm")
+        os.remove(missing)
+        os.remove(os.path.join(pred_dir, "000000.pgm"))
+        code, stdout, stderr = evaluate()
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(stderr) == [
+            f"ERROR MissingInput: video_000: frame 40 has no map {missing}"
+        ]
+
+    def test_evaluate_reports_a_missing_map_before_a_corrupt_one(self, tmp_path, capsys):
+        gt_dir, pred_dir, evaluate = self._evaluate(tmp_path, capsys)
+        _truncate_raster(os.path.join(gt_dir, "000000.pgm"), 8)
+        missing = os.path.join(pred_dir, "000047.pgm")
+        os.remove(missing)
+        code, _, stderr = evaluate()
+        assert code == 1
+        assert error_lines(stderr) == [
+            f"ERROR MissingPrediction: video_000: frame 47 has no map {missing}"
+        ]
+
+    @pytest.mark.parametrize(
+        "gt_frame, named", [(3, "gt"), (40, "pred")], ids=["same-block", "later-block"]
+    )
+    def test_evaluate_reports_the_first_corrupt_map_in_block_order(
+        self, tmp_path, capsys, gt_frame, named
+    ):
+        """Within a 16-frame block, ground truth is read before predictions."""
+        gt_dir, pred_dir, evaluate = self._evaluate(tmp_path, capsys)
+        bad = {
+            "gt": os.path.join(gt_dir, D.frame_file_name(gt_frame)),
+            "pred": os.path.join(pred_dir, "000000.pgm"),
+        }
+        for path in bad.values():
+            _truncate_raster(path, 8)
+        code, _, stderr = evaluate()
+        assert code == 1
+        assert error_lines(stderr) == [
+            f"ERROR TruncatedData: {bad[named]}: raster holds 0 of 64 bytes"
+        ]
 
 
 class TestEvaluate:

@@ -654,6 +654,59 @@ class TestEvaluateVideo:
         with pytest.raises(LengthMismatch):
             M.evaluate_video([sal], [], [sal], NO_FIXATIONS, seed=0)
 
+    def test_generators_give_the_lists_row_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        maps = [tied_map(rng, "8-bit", 10, 12) for _ in range(20)]
+        gts = [rng.uniform(0, 1, size=(10, 12)) for _ in range(19)] + [np.zeros((10, 12))]
+        fixs = [sample_fixations(rng, 10, 12, n % 4) for n in range(20)]
+        pool = fixations_with_repeats(rng, 10, 12, 60)[:60]
+        lists = M.evaluate_video(maps, fixs, gts, pool, seed=5)
+        streams = M.evaluate_video(
+            (m for m in maps), iter(fixs), (g for g in gts), pool, seed=5
+        )
+        assert lists["skipped_no_fixations"] > 0 and lists["skipped_no_gt_mass"] == 1
+        assert json.dumps(streams) == json.dumps(lists)
+        for name in M.METRIC_NAMES:
+            assert np.float64(streams[name]).tobytes() == np.float64(lists[name]).tobytes()
+
+    def test_each_frame_takes_its_ground_truth_before_its_map(self):
+        taken = []
+
+        def stream(name, n):
+            for i in range(n):
+                taken.append((name, i))
+                yield np.linspace(0.0, 1.0, 16).reshape(4, 4)
+
+        fixs = [np.array([(0, 0)])] * 3
+        M.evaluate_video(stream("map", 3), fixs, stream("gt", 3), NO_FIXATIONS, seed=0)
+        assert taken == [(name, i) for i in range(3) for name in ("gt", "map")]
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ((3, 2, 3), "sequence lengths differ: 3 maps, 2 fixations, 3 gts"),
+            ((3, 3, 4), "sequence lengths differ: 3 maps, 3 fixations, 4 gts"),
+            ((5, 3, 3), "sequence lengths differ: 5 maps, 3 fixations, 3 gts"),
+            ((0, 1, 1), "sequence lengths differ: 0 maps, 1 fixations, 1 gts"),
+            ((1, 1, 0), "sequence lengths differ: 1 maps, 1 fixations, 0 gts"),
+            ((0, 0, 0), "at least one frame is required"),
+        ],
+        ids=["short-fixations", "long-gts", "long-maps", "empty-maps", "empty-gts", "all-empty"],
+    )
+    def test_streams_of_unequal_length_or_none_raise(self, lengths, message):
+        sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        fix = np.array([(1, 1)])
+        n_maps, n_fixs, n_gts = lengths
+        with pytest.raises(LengthMismatch) as raised:
+            M.evaluate_video(
+                (sal for _ in range(n_maps)),
+                (fix for _ in range(n_fixs)),
+                (sal for _ in range(n_gts)),
+                NO_FIXATIONS,
+                seed=0,
+            )
+        assert str(raised.value) == message
+
     def test_out_of_range_pool_fixation_raises(self):
         # the bad point sits past the subsampling cap, so only the bounds check finds it
         sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)

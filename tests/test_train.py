@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err, train_settings
+from helpers import central_difference, in_memory, max_rel_err, train_settings
 from tsal import model as Mo
 from tsal import train as Tr
 from tsal.errors import (
@@ -158,7 +158,7 @@ def blob_sample(rng, video_id: str, frames: int = 8, size: int = 8) -> tuple:
         x = rng.uniform(0, 1, size=(1, 1, size, size))
         xs.append(x)
         ts.append((x > 0.5).astype(float))
-    return video_id, xs, ts
+    return in_memory(video_id, xs, ts)
 
 
 class TestTrainLoop:
@@ -236,7 +236,8 @@ class TestTrainLoop:
         lr0 = 1e36 if fault == "huge-lr" else 1e-5
         params = dict(model.named_parameters())
         if fault == "nan-target":
-            sample[2][3][0, 0, 0, 0] = np.nan
+            _, targets = sample[2](slice(None))
+            targets[3][0, 0, 0, 0] = np.nan  # the array the reader hands out
         elif fault == "huge-weights":
             params["feature.weights"][...] = 1e300
             params["head.weights"][...] = 1e-300
@@ -250,6 +251,20 @@ class TestTrainLoop:
             f"non-finite values in video 'v0' window starting at frame {start}: {reason}"
         )
         assert not ckpt.exists()
+
+    def test_reads_each_window_when_it_runs(self, tmp_path):
+        """One read per step, of that step's frames only, and none past max_steps."""
+        video_id, frame_count, read_window = blob_sample(np.random.default_rng(11), "v0", 10)
+        windows = []
+
+        def reader(window):
+            windows.append((window.start, window.stop))
+            return read_window(window)
+
+        cfg = train_settings(ckpt=str(tmp_path / "m.tsal"), epochs=2, clip_length=4, max_steps=4)
+        history = Tr.train(tiny_model(Mo.CONV_ONLY), [(video_id, frame_count, reader)], cfg)
+        assert len(history) == 4
+        assert windows == [(0, 4), (4, 8), (8, 12), (0, 4)]
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
