@@ -212,8 +212,9 @@ def cmd_train(cfg: dict) -> None:
     _check_outputs(cfg, manifest, *outputs)
     videos, res = manifest["videos"], manifest["resolution"]
     # every map is checked before the first step, then read again when its window runs
-    for video, key in itertools.product(videos, TRAIN_MAPS):
-        for _ in D.read_maps(video, video[key], MissingInput):
+    for video in videos:
+        found = [D.map_paths(video, video[key], MissingInput) for key in TRAIN_MAPS]
+        for _ in D.read_maps(itertools.chain(*found)):
             pass
     samples = [
         (video["video_id"], len(video["frames"]), functools.partial(_read_window, video, res))
@@ -237,21 +238,16 @@ def cmd_train(cfg: dict) -> None:
     print(cfg["ckpt"])
 
 
-def _resized_maps(
-    video: dict, directory: str, missing: type, res: tuple, window: slice = slice(None)
-) -> Iterator[np.ndarray]:
-    """The maps of ``video``'s frames ``window`` in ``directory``, read one at a time
-    through ``read_maps`` and resized to ``res``."""
-    return (D.resize_bilinear(m, res) for m in D.read_maps(video, directory, missing, window))
+def _resized_maps(paths: list[str], res: tuple) -> Iterator[np.ndarray]:
+    """The maps of ``paths``, read one at a time through ``read_maps`` and resized to ``res``."""
+    return (D.resize_bilinear(m, res) for m in D.read_maps(paths))
 
 
 def _read_window(video: dict, res: tuple, window: slice) -> tuple[list, list]:
     """The static maps and ground truth of ``video``'s frames ``window``, as (1, 1, H, W)
     arrays: one training window."""
-    return tuple(
-        [m[None, None] for m in _resized_maps(video, video[key], MissingInput, res, window)]
-        for key in TRAIN_MAPS
-    )
+    found = [D.map_paths(video, video[key], MissingInput, window) for key in TRAIN_MAPS]
+    return tuple([m[None, None] for m in _resized_maps(paths, res)] for paths in found)
 
 
 def _predict_video(video: dict, *, model: Mo.AdaptationModel, res: tuple, root: str) -> int:
@@ -259,7 +255,7 @@ def _predict_video(video: dict, *, model: Mo.AdaptationModel, res: tuple, root: 
     out_dir = os.path.join(root, video["video_id"])
     os.makedirs(out_dir)
     state = None
-    statics = _resized_maps(video, video["static_map_dir"], MissingInput, res)
+    statics = _resized_maps(D.map_paths(video, video["static_map_dir"], MissingInput), res)
     for frame, static in zip(video["frames"], statics):
         x = static[None, None]
         # slicing drops the step cache at once, so it does not outlive the step
@@ -315,22 +311,18 @@ def _score_video(
 ) -> dict:
     """One video's ``per_video`` row; ``everything[start:end]`` are its own fixations."""
     pred_dir = os.path.join(cfg["predictions"], video["video_id"])
-    # a missing map is found before any is read, ground truth first; then evaluate_video
-    # takes each frame's ground truth before its map, so a block's before its predictions
-    for folder, missing in ((video["gt_map_dir"], MissingInput), (pred_dir, MissingPrediction)):
-        for _ in D.map_paths(video, folder, missing):
-            pass
-    gts = _in_blocks(video, video["gt_map_dir"], MissingInput, res)
-    preds = _in_blocks(video, pred_dir, MissingPrediction, res)
+    # every map is found before any is read, ground truth first; then evaluate_video takes
+    # each frame's ground truth before its map, so a block's before its predictions
+    gts = _in_blocks(D.map_paths(video, video["gt_map_dir"], MissingInput), res)
+    preds = _in_blocks(D.map_paths(video, pred_dir, MissingPrediction), res)
     pool = np.concatenate([everything[:start], everything[end:]])
     return M.evaluate_video(preds, fixs, gts, pool, seed=cfg["shuffle_seed"], metrics=metrics)
 
 
-def _in_blocks(video: dict, directory: str, missing: type, res: tuple) -> Iterator[np.ndarray]:
-    """``video``'s maps in ``directory``, resized to ``res``, read EVAL_BLOCK frames at a time."""
-    for start in range(0, len(video["frames"]), EVAL_BLOCK):
-        window = slice(start, start + EVAL_BLOCK)
-        yield from list(_resized_maps(video, directory, missing, res, window))
+def _in_blocks(paths: list[str], res: tuple) -> Iterator[np.ndarray]:
+    """The maps of ``paths``, resized to ``res``, read EVAL_BLOCK frames at a time."""
+    for start in range(0, len(paths), EVAL_BLOCK):
+        yield from list(_resized_maps(paths[start : start + EVAL_BLOCK], res))
 
 
 def cmd_evaluate(cfg: dict) -> None:
@@ -394,6 +386,9 @@ def cmd_report(cfg: dict) -> None:
     paths = cfg["scores"]
     if isinstance(paths, str):
         paths = [paths]
+    for a, b in itertools.combinations(paths, 2):
+        if _model_name(a) == _model_name(b):
+            raise ParseError(f"{a} and {b} both name model {_model_name(a)!r}")
     models: list[tuple[str, dict[str, dict]]] = []
     first: dict | None = None
     for path in paths:

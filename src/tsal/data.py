@@ -10,11 +10,12 @@ own directory:
     <root>/<video_id>/fixations.csv       gaze points
 
 ``load_manifest`` returns that JSON as a checked dict, its paths resolved.
-``read_maps`` is the one reader of a video's map files, of all its frames
-or of a slice of them, one file at a time: train reads one window of static
-maps and ground truth through it at a time, predict one static map, and
-evaluate one block of ground truth and predictions; ``map_paths`` finds
-the files without reading them. ``load_video`` reads a video's fixations
+``map_paths`` is the one finder of a video's map files, of all its frames or
+of a slice of them: it checks that every file exists before it returns
+their paths. ``read_maps`` reads the paths it is given, one file at a time:
+train reads one window of static maps and ground truth through it at a
+time, predict one static map, and evaluate one block of ground truth and
+predictions. ``load_video`` reads a video's fixations
 in the frame of its static maps, whose one shared size it checks.
 ``publish`` is the one way a command's output reaches its path: written
 beside it, then renamed into place. ``worker_pool`` is the one process pool:
@@ -38,7 +39,7 @@ import re
 import shutil
 import signal
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,23 +436,24 @@ def load_manifest(path: str) -> dict:
 
 def map_paths(
     video: dict, directory: str, missing: type[SaliencyError], window: slice = slice(None)
-) -> Iterator[str]:
-    """The map file in ``directory`` of each of one ``load_manifest`` video's frames ``window``.
+) -> list[str]:
+    """The map file in ``directory`` of each of one ``load_manifest`` video's frames ``window``,
+    every one found before the list is returned.
 
-    A frame without a file raises ``missing``, naming the video, the frame and the path.
+    The first frame without a file raises ``missing``, naming the video, the frame and the path.
     """
+    paths = []
     for frame in video["frames"][window]:
         path = os.path.join(directory, frame_file_name(frame))
         if not os.path.isfile(path):
             raise missing(f"{video['video_id']}: frame {frame} has no map {path}")
-        yield path
+        paths.append(path)
+    return paths
 
 
-def read_maps(
-    video: dict, directory: str, missing: type[SaliencyError], window: slice = slice(None)
-) -> Iterator[np.ndarray]:
-    """Each map file ``map_paths`` finds, read as stored when it is reached."""
-    return map(load_map, map_paths(video, directory, missing, window))
+def read_maps(paths: Iterable[str]) -> Iterator[np.ndarray]:
+    """Each map file of ``paths``, read as stored when it is reached."""
+    return map(load_map, paths)
 
 
 def load_video(video: dict, resolution: tuple[int, int]) -> list[np.ndarray]:
@@ -460,7 +462,8 @@ def load_video(video: dict, resolution: tuple[int, int]) -> list[np.ndarray]:
     They are read in the frame of its static maps, which must share one size.
     """
     vid, frames, path = video["video_id"], video["frames"], video["fixation_file"]
-    for frame, static in zip(frames, read_maps(video, video["static_map_dir"], MissingInput)):
+    statics = read_maps(map_paths(video, video["static_map_dir"], MissingInput))
+    for frame, static in zip(frames, statics):
         if frame == frames[0]:
             native_dims = static.shape
         elif static.shape != native_dims:

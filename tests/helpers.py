@@ -16,7 +16,7 @@ import numpy as np
 
 import tsal
 from tsal.cli import SETTINGS
-from tsal.data import read_maps, resize_bilinear
+from tsal.data import map_paths, read_maps, resize_bilinear
 from tsal.errors import MissingInput
 
 FD_STEP = 1e-6
@@ -75,7 +75,8 @@ def conv2d_forward_direct(input: np.ndarray, w: np.ndarray, bias: np.ndarray) ->
 
 def resized_maps(video: dict, key: str, resolution: tuple[int, int]) -> list[np.ndarray]:
     """The maps of ``video``'s directory ``key``, resized to ``resolution`` as train does."""
-    return [resize_bilinear(m, resolution) for m in read_maps(video, video[key], MissingInput)]
+    paths = map_paths(video, video[key], MissingInput)
+    return [resize_bilinear(m, resolution) for m in read_maps(paths)]
 
 
 def in_memory(video_id: str, frames: list, targets: list) -> tuple:

@@ -1385,8 +1385,43 @@ def _truncate_raster(path, side):
 
 
 class TestFirstErrorOrder:
-    """Train reads each window's maps when it runs, and evaluate reads a video's maps
-    in blocks of 16 frames; the first error of a tree with two bad files is pinned here."""
+    """One rule picks the error of a tree with two bad files. Video by video, in manifest
+    order, a command finds every map file it will read of that video, static maps, then
+    ground truth, then predictions, before it reads any; it then reads them in frame order.
+    So a missing map is reported before a malformed one. Evaluate makes two such passes,
+    static maps first, and then reads ground truth and predictions in 16-frame blocks, each
+    block's ground truth before its predictions."""
+
+    @pytest.mark.parametrize(
+        "command, missing_dir",
+        [("train", "static"), ("train", "gt"), ("predict", "static"), ("evaluate", "static")],
+    )
+    def test_a_missing_map_is_reported_before_an_earlier_malformed_one(
+        self, tmp_path, capsys, command, missing_dir
+    ):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=6, size=8)
+        video_dir = os.path.join(data_dir, "video_000")
+        _truncate_raster(os.path.join(video_dir, "static", "000001.pgm"), 8)
+        missing = os.path.join(video_dir, missing_dir, "000003.pgm")
+        os.remove(missing)
+        ckpt = str(tmp_path / "m.tsal")
+        if command == "predict":
+            model = Mo.init_parameters("convlstm", rng_seed=0, hidden_channels=2)
+            buffers = {n: np.zeros_like(a) for n, a in model.named_parameters()}
+            Tr.save_checkpoint(model, buffers, ckpt)
+        if command == "evaluate":
+            copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        flags = {
+            "train": ["--ckpt", ckpt, "--hidden", "2"],
+            "predict": ["--ckpt", ckpt, "--out", str(tmp_path / "out")],
+            "evaluate": ["--predictions", str(tmp_path / "pred")],
+        }[command]
+        code, stdout, stderr = run(capsys, command, "--manifest", manifest, *flags)
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(stderr) == [
+            f"ERROR MissingInput: video_000: frame 3 has no map {missing}"
+        ]
 
     def test_train_checks_every_map_before_its_first_step(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=6, size=8)
@@ -1478,6 +1513,25 @@ class TestEvaluate:
             assert row["sim"] == pytest.approx(1.0)
         assert "AVERAGE" in stdout
         assert "[free-viewing]" in stdout and "[task-driven]" in stdout
+
+    def test_each_map_file_is_statted_once(self, tmp_path, monkeypatch):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=40, size=8)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred)
+        manifest = D.load_manifest(manifest)
+        video, res = manifest["videos"][0], manifest["resolution"]
+        fixs = [D.load_video(v, res) for v in manifest["videos"]]
+        everything = np.concatenate(fixs[0] + fixs[1])
+        stats, isfile = [], os.path.isfile
+        monkeypatch.setattr(os.path, "isfile", lambda path: stats.append(path) or isfile(path))
+        row = tsal.cli._score_video(
+            video, fixs[0], 0, sum(map(len, fixs[0])), everything=everything, res=res,
+            cfg={"predictions": pred, "shuffle_seed": 42}, metrics=M.METRIC_NAMES,
+        )
+        assert row["frames"] == 40  # three blocks: 16, 16 and 8 frames
+        names = [D.frame_file_name(frame) for frame in video["frames"]]
+        folders = video["gt_map_dir"], os.path.join(pred, "video_000")
+        assert sorted(stats) == sorted(os.path.join(d, name) for d in folders for name in names)
 
     def test_out_directory_is_made_and_a_directory_refused(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
@@ -1740,6 +1794,19 @@ class TestReport:
         code, _, stderr = run(capsys, "report", a, b)
         assert code == 1
         assert "ERROR InconsistentVideos:" in stderr
+
+    def test_two_files_of_one_model_name_are_one_parse_error(self, tmp_path, capsys):
+        paths = []
+        for folder in ("a", "b", "c"):
+            os.makedirs(tmp_path / folder)
+            paths.append(str(tmp_path / folder / ("scores.json" if folder != "b" else "b.json")))
+            write_report_json(paths[-1], {"v": 1.0}, {"free-viewing": ["v"]})
+        code, stdout, stderr = run(capsys, "report", *paths)
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(stderr) == [
+            f"ERROR ParseError: {paths[0]} and {paths[2]} both name model 'scores'"
+        ]
 
     @pytest.mark.parametrize(
         "groups", [{"g": ["a"]}, {"g": ["a", "b"], "h": ["b"]}], ids=["subset", "shared"]

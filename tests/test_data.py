@@ -516,23 +516,24 @@ class TestReadMaps:
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=3, height=10, width=12, seed=4)
         video = D.load_manifest(D.generate_synthetic(out, config))["videos"][0]
-        maps = list(D.read_maps(video, video["gt_map_dir"], MissingInput))
+        maps = list(D.read_maps(D.map_paths(video, video["gt_map_dir"], MissingInput)))
         assert len(maps) == 3
         for frame, sal in zip(video["frames"], maps):
             want = D.load_map(os.path.join(video["gt_map_dir"], D.frame_file_name(frame)))
             assert np.array_equal(sal, want)
 
     @pytest.mark.parametrize("missing", [MissingInput, MissingPrediction])
-    def test_missing_file_raises_the_given_error(self, tmp_path, missing):
+    def test_missing_file_raises_the_given_error(self, tmp_path, monkeypatch, missing):
+        """``map_paths`` finds the missing file before any map is read."""
         out = str(tmp_path / "data")
         config = D.SyntheticConfig(videos=1, frames=3, height=10, width=10, seed=4)
         video = D.load_manifest(D.generate_synthetic(out, config))["videos"][0]
         os.remove(os.path.join(out, "video_000", "gt", "000002.pgm"))
-        maps = D.read_maps(video, video["gt_map_dir"], missing)
-        assert next(maps).shape == (10, 10)
-        assert next(maps).shape == (10, 10)
+        read = []
+        monkeypatch.setattr(D, "load_map", read.append)
         with pytest.raises(missing, match="^video_000: frame 2 has no map .*gt/000002.pgm$"):
-            next(maps)
+            D.map_paths(video, video["gt_map_dir"], missing)
+        assert read == []
 
 
 class TestGenerateSynthetic:

@@ -48,7 +48,7 @@ def test_every_public_definition_is_used_in_the_package():
 def test_only_data_reads_map_files():
     """``data.read_maps`` is the one reader of a video's map files, so no
     module but ``data`` names ``load_map``: a second copy of the loop that
-    finds, checks and loads each frame's file cannot grow back elsewhere."""
+    loads each frame's file cannot grow back elsewhere."""
     readers = []
     for path in glob.glob(os.path.join(SRC, "*.py")):
         if os.path.basename(path) == "data.py":
@@ -62,6 +62,23 @@ def test_only_data_reads_map_files():
             or isinstance(node, ast.Attribute) and node.attr == "load_map"
         ]
     assert readers == [], f"load_map named outside data.py: {readers}"
+
+
+def test_only_map_paths_finds_map_files():
+    """``data.map_paths`` is the one finder of a video's map files: it checks
+    that each exists once, before any is read. So no other function calls
+    ``os.path.isfile`` but ``load_video``, on the fixation file, and a second
+    finder, with its own stat of every map file, cannot grow back."""
+    callers = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        callers += [
+            (os.path.basename(path), function)
+            for node, function in _in_functions(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "isfile"
+        ]
+    assert sorted(callers) == [("data.py", "load_video"), ("data.py", "map_paths")], callers
 
 
 def test_only_train_encodes_binary_records():
