@@ -43,6 +43,7 @@ from .errors import (
     MissingPrediction,
     ParseError,
     SaliencyError,
+    UnknownVideo,
 )
 
 log = logging.getLogger("tsal")
@@ -311,18 +312,22 @@ def _score_video(
 ) -> dict:
     """One video's ``per_video`` row; ``everything[start:end]`` are its own fixations."""
     pred_dir = os.path.join(cfg["predictions"], video["video_id"])
-    # every map is found before any is read, ground truth first; then evaluate_video takes
-    # each frame's ground truth before its map, so a block's before its predictions
-    gts = _in_blocks(D.map_paths(video, video["gt_map_dir"], MissingInput), res)
-    preds = _in_blocks(D.map_paths(video, pred_dir, MissingPrediction), res)
+    # every map is found before any is read, ground truth first
+    gts = D.map_paths(video, video["gt_map_dir"], MissingInput)
+    preds = D.map_paths(video, pred_dir, MissingPrediction)
     pool = np.concatenate([everything[:start], everything[end:]])
-    return M.evaluate_video(preds, fixs, gts, pool, seed=cfg["shuffle_seed"], metrics=metrics)
+    frames = _in_blocks(gts, preds, fixs, res)
+    return M.evaluate_video(frames, pool, seed=cfg["shuffle_seed"], metrics=metrics)
 
 
-def _in_blocks(paths: list[str], res: tuple) -> Iterator[np.ndarray]:
-    """The maps of ``paths``, resized to ``res``, read EVAL_BLOCK frames at a time."""
-    for start in range(0, len(paths), EVAL_BLOCK):
-        yield from list(_resized_maps(paths[start : start + EVAL_BLOCK], res))
+def _in_blocks(gts: list[str], preds: list[str], fixs: list, res: tuple) -> Iterator[tuple]:
+    """Each frame's (prediction, fixations, ground truth), the maps resized to ``res``,
+    read EVAL_BLOCK frames at a time: a block's ground truth, then its predictions."""
+    for start in range(0, len(gts), EVAL_BLOCK):
+        block = slice(start, start + EVAL_BLOCK)
+        gt = list(_resized_maps(gts[block], res))
+        pred = list(_resized_maps(preds[block], res))
+        yield from zip(pred, fixs[block], gt, strict=True)
 
 
 def cmd_evaluate(cfg: dict) -> None:
@@ -400,14 +405,17 @@ def cmd_report(cfg: dict) -> None:
         models.append((_model_name(path), report["per_video"]))
     assert first is not None
 
-    grouping = first["groups"]
+    grouping, source = first["groups"], cfg["grouping"] or paths[0]
     if cfg["grouping"]:
-        payload = D.read_json(cfg["grouping"])
         try:
-            grouping = M.groups_from_dict(payload)
+            grouping = M.groups_from_dict(D.read_json(source))
         except ValueError as exc:
-            raise ParseError(f"{cfg['grouping']}: bad grouping file: {exc}") from None
-    print(render_comparison(models, grouping, cfg["metric"]))
+            raise ParseError(f"{source}: bad grouping file: {exc}") from None
+    try:
+        table = render_comparison(models, grouping, cfg["metric"])
+    except UnknownVideo as exc:
+        raise UnknownVideo(f"{source}: {exc}") from None
+    print(table)
 
 
 def render_comparison(

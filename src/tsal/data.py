@@ -53,6 +53,7 @@ from .errors import (
     ParseError,
     SaliencyError,
     TruncatedData,
+    UnknownVideo,
     UnsupportedDepth,
     WorkerDied,
 )
@@ -364,6 +365,8 @@ def load_scores(path: str) -> dict:
         return checked_report(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a score file: {exc!r}") from None
+    except UnknownVideo as exc:  # a group names a video the file has no row for
+        raise UnknownVideo(f"{path}: {exc}") from None
 
 
 # each manifest field's JSON type: a list of integers, or a string

@@ -30,7 +30,6 @@ five metric means over its members.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import sys
 from collections.abc import Iterable
@@ -53,7 +52,6 @@ VIDEO_COUNTS = ("frames", "skipped_no_fixations", "skipped_no_gt_mass")
 
 # negatives per positive kept when subsampling the shuffled-AUC pool
 SAUC_NEGATIVE_RATIO = 10
-_END = object()  # what ``evaluate_video`` reads past a stream's end
 # OpenBLAS (0.3.31) computes a dot product on one thread up to this length
 _DOT_SLICE = 10_000
 
@@ -212,19 +210,16 @@ def _mean(values: list) -> float | None:
 
 
 def evaluate_video(
-    maps: Iterable[np.ndarray],
-    fixs: Iterable[np.ndarray],
-    gts: Iterable[np.ndarray],
+    frames: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
     shuffle_pool: np.ndarray,
     seed: int,
     metrics: tuple[str, ...] = METRIC_NAMES,
 ) -> dict:
     """One video's ``per_video`` row: per-frame metrics averaged, plus counts.
 
-    The three streams may be any iterables. They are consumed in step, one
-    frame at a time, each frame's ground truth before its map, so a caller
-    can read them as they are scored. Unequal lengths, found when the
-    shortest ends, or no frame at all raise LengthMismatch.
+    ``frames`` yields each frame's ``(map, fixations, gt)`` in order; it may
+    be any iterable, taken one frame at a time, so a caller can read each
+    frame's files as it is scored. No frame at all raises LengthMismatch.
 
     Fixation-based metrics (AUC-J, sAUC, NSS) use only frames with at
     least one fixation; CC and SIM use only frames whose ground truth has
@@ -237,19 +232,8 @@ def evaluate_video(
     scores: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
     skipped_fix = skipped_mass = 0
     pool_checked = set()  # the map shapes the pool is known to lie inside
-    streams = iter(gts), iter(maps), iter(fixs)
     i = -1
-    for i, frame in enumerate(itertools.zip_longest(*streams, fillvalue=_END)):
-        gt, sal, fix = frame
-        if gt is _END or sal is _END or fix is _END:
-            # each stream's length: what was taken, then what is left
-            n_gts, n_maps, n_fixs = (
-                i + (item is not _END) + sum(1 for _ in stream)
-                for item, stream in zip(frame, streams)
-            )
-            raise LengthMismatch(
-                f"sequence lengths differ: {n_maps} maps, {n_fixs} fixations, {n_gts} gts"
-            )
+    for i, (sal, fix, gt) in enumerate(frames):
         if len(fix) > 0:
             if "nss" in metrics:
                 scores["nss"].append(nss(sal, fix))
@@ -327,11 +311,14 @@ def groups_from_dict(payload: dict) -> dict[str, list[str]]:
     """Group label -> member video ids, as a score or grouping file holds them.
 
     Raises ValueError, naming the group, unless the payload is an object
-    whose every member list is a list of strings.
+    whose every member list is a list of strings, each video once.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"groups must be an object, got {payload!r}")
     for label, members in payload.items():
         if not (isinstance(members, list) and all(type(vid) is str for vid in members)):
             raise ValueError(f"group {label!r} must list video ids as strings, got {members!r}")
+        if len(set(members)) < len(members):
+            twice = [vid for vid in members if members.count(vid) > 1]
+            raise ValueError(f"group {label!r} lists video {twice[0]!r} more than once")
     return payload

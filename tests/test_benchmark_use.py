@@ -1,9 +1,11 @@
-"""The benchmark in perfbench/ drives tsal through its public functions:
+"""The benchmark in perfbench/ drives tsal through its public names:
 ``init_parameters``, ``named_parameters``, ``save_checkpoint``,
-``load_checkpoint`` and ``hidden_channels``, ``generate_synthetic`` and
-``cli.main``. These tests run three of its workloads at seed 0 in process, so a
-change to any of them that would make a benchmark run fail, or move its
-outputs off the recorded references, fails here first."""
+``load_checkpoint`` with its ``expect_variant=`` keyword and
+``hidden_channels``, ``generate_synthetic`` with ``SyntheticConfig``'s keyword
+defaults, ``errors.SaliencyError`` and ``cli.main``. These tests run three of
+its workloads at seed 0 in process, so a change to any of them that would make
+a benchmark run fail, or move its outputs off the recorded references, fails
+here first."""
 
 import os
 import sys

@@ -1831,7 +1831,37 @@ class TestReport:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        assert line.startswith("ERROR UnknownVideo:")
+        assert line.startswith(f"ERROR UnknownVideo: {grouping}: ")
+
+    def test_score_file_group_names_unknown_video(self, tmp_path, capsys):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        write_report_json(a, {"v1": 1.0}, {"free-viewing": ["v1"]})
+        with open(b, "w") as fh:
+            json.dump({"per_video": {"v1": {}}, "groups": {"free-viewing": ["v1", "v9"]}}, fh)
+        code, stdout, stderr = run(capsys, "report", a, b)
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(stderr) == [
+            f"ERROR UnknownVideo: {b}: group 'free-viewing' references unknown video 'v9'"
+        ]
+
+    @pytest.mark.parametrize("where", ["score-file", "grouping-file"])
+    def test_a_video_listed_twice_in_a_group_is_one_parse_error(self, tmp_path, capsys, where):
+        """Listed twice, a video would count twice in its group's average."""
+        path, grouping = tmp_path / "m.json", tmp_path / "groups.json"
+        twice = {"free-viewing": ["a", "b", "b"]}
+        per_video = {"a": {"nss": 1.0, "frames": 1}, "b": {"nss": 4.0, "frames": 1}}
+        groups = twice if where == "score-file" else {"free-viewing": ["a", "b"]}
+        path.write_text(json.dumps({"per_video": per_video, "groups": groups}))
+        grouping.write_text(json.dumps(twice))
+        argv = [str(path)] + (["--grouping", str(grouping)] if where == "grouping-file" else [])
+        code, stdout, stderr = run(capsys, "report", *argv)
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        bad = path if where == "score-file" else grouping
+        assert line.startswith(f"ERROR ParseError: {bad}: ")
+        assert "group 'free-viewing' lists video 'b' more than once" in line
 
     def test_grouping_override(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")

@@ -314,6 +314,7 @@ def check_scores(report):
             assert all(type(n) is int and n >= 0 for n in counts)
         for members in report["groups"].values():
             assert type(members) is list and all(type(vid) is str for vid in members)
+            assert len(set(members)) == len(members)
 
 
 @FUZZ

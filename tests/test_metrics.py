@@ -587,7 +587,7 @@ class TestEvaluateVideo:
         gt = rng.uniform(0, 1, size=(6, 6))
         fix = sample_fixations(rng, 6, 6, 3)
         pool = sample_fixations(rng, 6, 6, 10)
-        vs = M.evaluate_video([sal], [fix], [gt], pool, seed=0)
+        vs = M.evaluate_video(zip([sal], [fix], [gt]), pool, seed=0)
         assert vs["nss"] == M.nss(sal, fix)
         assert vs["auc_j"] == M.auc_judd(sal, fix)
         assert vs["s_auc"] == M.shuffled_auc(sal, fix, pool, rng_seed=0)
@@ -603,9 +603,7 @@ class TestEvaluateVideo:
         fix_peak = np.array([(0, 0)])
 
         vs = M.evaluate_video(
-            [sal, sal],
-            [fix_peak, fix_peak],
-            [sal, sal],
+            zip([sal, sal], [fix_peak, fix_peak], [sal, sal]),
             NO_FIXATIONS,
             seed=0,
             metrics=("nss",),
@@ -613,9 +611,7 @@ class TestEvaluateVideo:
         assert vs["nss"] == pytest.approx(z)
 
         two_means = M.evaluate_video(
-            [sal, sal],
-            [np.array([(0, 0)]), np.array([(0, 1)])],
-            [sal, sal],
+            zip([sal, sal], [np.array([(0, 0)]), np.array([(0, 1)])], [sal, sal]),
             NO_FIXATIONS,
             seed=0,
             metrics=("nss",),
@@ -631,7 +627,7 @@ class TestEvaluateVideo:
         fix = sample_fixations(rng, 4, 4, 2)
         pool = sample_fixations(rng, 4, 4, 6)
 
-        vs = M.evaluate_video([sal1, sal2], [fix, NO_FIXATIONS], [gt, gt], pool, seed=0)
+        vs = M.evaluate_video(zip([sal1, sal2], [fix, NO_FIXATIONS], [gt, gt]), pool, seed=0)
         # frame 2 skipped for fixation metrics, still counted for CC/SIM
         assert vs["skipped_no_fixations"] == 1
         assert vs["nss"] == pytest.approx(M.nss(sal1, fix))
@@ -643,16 +639,11 @@ class TestEvaluateVideo:
         sal = distinct_map(rng, 4, 4)
         gt_zero = np.zeros((4, 4))
         fix = sample_fixations(rng, 4, 4, 2)
-        vs = M.evaluate_video([sal], [fix], [gt_zero], NO_FIXATIONS, seed=0)
+        vs = M.evaluate_video(zip([sal], [fix], [gt_zero]), NO_FIXATIONS, seed=0)
         assert vs["skipped_no_gt_mass"] == 1
         assert vs["cc"] is None
         assert vs["sim"] is None
         assert vs["nss"] is not None
-
-    def test_length_mismatch(self):
-        sal = np.ones((2, 2))
-        with pytest.raises(LengthMismatch):
-            M.evaluate_video([sal], [], [sal], NO_FIXATIONS, seed=0)
 
     def test_generators_give_the_lists_row_bit_for_bit(self):
         rng = np.random.default_rng(21)
@@ -660,59 +651,28 @@ class TestEvaluateVideo:
         gts = [rng.uniform(0, 1, size=(10, 12)) for _ in range(19)] + [np.zeros((10, 12))]
         fixs = [sample_fixations(rng, 10, 12, n % 4) for n in range(20)]
         pool = fixations_with_repeats(rng, 10, 12, 60)[:60]
-        lists = M.evaluate_video(maps, fixs, gts, pool, seed=5)
+        lists = M.evaluate_video(list(zip(maps, fixs, gts)), pool, seed=5)
         streams = M.evaluate_video(
-            (m for m in maps), iter(fixs), (g for g in gts), pool, seed=5
+            zip((m for m in maps), iter(fixs), (g for g in gts)), pool, seed=5
         )
         assert lists["skipped_no_fixations"] > 0 and lists["skipped_no_gt_mass"] == 1
         assert json.dumps(streams) == json.dumps(lists)
         for name in M.METRIC_NAMES:
             assert np.float64(streams[name]).tobytes() == np.float64(lists[name]).tobytes()
 
-    def test_each_frame_takes_its_ground_truth_before_its_map(self):
-        taken = []
-
-        def stream(name, n):
-            for i in range(n):
-                taken.append((name, i))
-                yield np.linspace(0.0, 1.0, 16).reshape(4, 4)
-
-        fixs = [np.array([(0, 0)])] * 3
-        M.evaluate_video(stream("map", 3), fixs, stream("gt", 3), NO_FIXATIONS, seed=0)
-        assert taken == [(name, i) for i in range(3) for name in ("gt", "map")]
-
-    @pytest.mark.parametrize(
-        "lengths, message",
-        [
-            ((3, 2, 3), "sequence lengths differ: 3 maps, 2 fixations, 3 gts"),
-            ((3, 3, 4), "sequence lengths differ: 3 maps, 3 fixations, 4 gts"),
-            ((5, 3, 3), "sequence lengths differ: 5 maps, 3 fixations, 3 gts"),
-            ((0, 1, 1), "sequence lengths differ: 0 maps, 1 fixations, 1 gts"),
-            ((1, 1, 0), "sequence lengths differ: 1 maps, 1 fixations, 0 gts"),
-            ((0, 0, 0), "at least one frame is required"),
-        ],
-        ids=["short-fixations", "long-gts", "long-maps", "empty-maps", "empty-gts", "all-empty"],
-    )
-    def test_streams_of_unequal_length_or_none_raise(self, lengths, message):
-        sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
-        fix = np.array([(1, 1)])
-        n_maps, n_fixs, n_gts = lengths
+    @pytest.mark.parametrize("frames", [()], ids=["all-empty"])
+    def test_streams_of_unequal_length_or_none_raise(self, frames):
         with pytest.raises(LengthMismatch) as raised:
-            M.evaluate_video(
-                (sal for _ in range(n_maps)),
-                (fix for _ in range(n_fixs)),
-                (sal for _ in range(n_gts)),
-                NO_FIXATIONS,
-                seed=0,
-            )
-        assert str(raised.value) == message
+            M.evaluate_video(frames, NO_FIXATIONS, seed=0)
+        assert str(raised.value) == "at least one frame is required"
+
 
     def test_out_of_range_pool_fixation_raises(self):
         # the bad point sits past the subsampling cap, so only the bounds check finds it
         sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
         pool = np.array([(r, c) for r in range(4) for c in range(4)] + [(4, 0)])
         with pytest.raises(OutOfBounds):
-            M.evaluate_video([sal], [np.array([(0, 0)])], [sal], pool, seed=0)
+            M.evaluate_video(zip([sal], [np.array([(0, 0)])], [sal]), pool, seed=0)
 
     def test_pool_is_checked_against_each_map_size(self):
         maps = [np.linspace(0.0, 1.0, 64).reshape(8, 8), np.linspace(0.0, 1.0, 16).reshape(4, 4)]
@@ -720,15 +680,16 @@ class TestEvaluateVideo:
         # (5, 5) lies inside the 8x8 frame and outside the 4x4 one, past the cap
         pool = np.array([(r, c) for r in range(4) for c in range(4)] + [(5, 5)])
         assert len(pool) - 1 not in np.random.default_rng(1).choice(len(pool), 10, replace=False)
-        M.evaluate_video(maps[:1], fixs[:1], maps[:1], pool, seed=0)
+        M.evaluate_video(zip(maps[:1], fixs[:1], maps[:1]), pool, seed=0)
         with pytest.raises(OutOfBounds, match="4x4"):
-            M.evaluate_video(maps, fixs, maps, pool, seed=0)
+            M.evaluate_video(zip(maps, fixs, maps), pool, seed=0)
 
     def test_unused_pool_is_not_checked(self):
         sal = np.linspace(0.0, 1.0, 16).reshape(4, 4)
         pool = np.array([(0, 0), (4, 0)])
         metrics = tuple(name for name in M.METRIC_NAMES if name != "s_auc")
-        row = M.evaluate_video([sal], [np.array([(0, 0)])], [sal], pool, seed=0, metrics=metrics)
+        frames = zip([sal], [np.array([(0, 0)])], [sal])
+        row = M.evaluate_video(frames, pool, seed=0, metrics=metrics)
         assert row["s_auc"] is None and row["nss"] is not None
 
     def test_row_equals_the_public_metrics_frame_by_frame(self):
@@ -751,7 +712,7 @@ class TestEvaluateVideo:
         want = {name: np.float64(M._mean(values)).tobytes() for name, values in scores.items()}
         for n in range(1, len(M.METRIC_NAMES) + 1):
             for subset in itertools.combinations(M.METRIC_NAMES, n):
-                row = M.evaluate_video(maps, fixs, gts, pool, seed=7, metrics=subset)
+                row = M.evaluate_video(zip(maps, fixs, gts), pool, seed=7, metrics=subset)
                 got = {name: np.float64(row[name]).tobytes() for name in subset}
                 assert got == {name: want[name] for name in subset}
 
@@ -761,10 +722,10 @@ class TestEvaluateVideo:
         gts = [rng.uniform(0, 1, size=(8, 8)) for _ in range(12)]
         fixs = [sample_fixations(rng, 8, 8, 3) for _ in range(12)]
         pool = sample_fixations(rng, 8, 8, 40)  # above the cap of 30, so sAUC subsamples
-        whole = M.evaluate_video(maps, fixs, gts, pool, seed=3, metrics=("s_auc",))
+        whole = M.evaluate_video(zip(maps, fixs, gts), pool, seed=3, metrics=("s_auc",))
         per_frame = [
             M.evaluate_video(
-                [maps[i]], [fixs[i]], [gts[i]], pool, seed=3 + i, metrics=("s_auc",)
+                zip([maps[i]], [fixs[i]], [gts[i]]), pool, seed=3 + i, metrics=("s_auc",)
             )["s_auc"]
             for i in range(12)
         ]

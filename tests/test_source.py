@@ -436,3 +436,27 @@ def test_metrics_take_means_as_sum_over_size():
         if isinstance(node, ast.Attribute) and node.attr in ("mean", "std", "var", "average")
     ]
     assert wrappers == [], f"a NumPy mean or deviation wrapper in metrics.py: {wrappers}"
+
+
+def test_evaluate_video_consumes_one_stream():
+    """``evaluate_video`` takes each frame's ``(map, fixations, gt)`` from the
+    one iterable it is given, which ``cli._in_blocks`` builds and aligns. So
+    no function in metrics.py calls ``iter`` or ``next``, and metrics.py does
+    not import ``itertools``: a second reconciler of parallel per-frame
+    streams, with its own end-of-stream and length rules, cannot grow back."""
+    with open(os.path.join(SRC, "metrics.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = [
+        f"line {node.lineno} in {function}: {node.func.id}"
+        for node, function in _in_functions(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("iter", "next")
+    ]
+    found += [
+        f"line {node.lineno}: import itertools"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "itertools" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "itertools"
+    ]
+    assert found == [], f"metrics.py reconciles parallel streams: {found}"
