@@ -98,7 +98,6 @@ SETTINGS: dict[str, dict[str, tuple]] = {
     "evaluate": {
         "manifest": (NEEDED, str, ()),
         "predictions": (NEEDED, str, ()),
-        "metrics": (",".join(M.METRIC_NAMES), str, ()),
         "shuffle_seed": (42, int, GE0),
         "out": (None, str, ()),
     },
@@ -287,18 +286,6 @@ def cmd_predict(cfg: dict) -> None:
     print(out)
 
 
-def _parse_metric_list(spec: str) -> tuple[str, ...]:
-    names = tuple(name.strip() for name in spec.split(",") if name.strip())
-    for name in names:
-        if name not in M.METRIC_NAMES:
-            raise ParseError(f"unknown metric {name!r}; choose from {M.METRIC_NAMES}")
-    if not names:
-        raise ParseError("metric list is empty")
-    if len(set(names)) != len(names):
-        raise ParseError(f"metric list {spec!r} names a metric twice")
-    return names
-
-
 def _score_video(
     video: dict,
     fixs: list,
@@ -308,7 +295,6 @@ def _score_video(
     everything: np.ndarray,
     res: tuple,
     cfg: dict,
-    metrics: tuple,
 ) -> dict:
     """One video's ``per_video`` row; ``everything[start:end]`` are its own fixations."""
     pred_dir = os.path.join(cfg["predictions"], video["video_id"])
@@ -317,7 +303,7 @@ def _score_video(
     preds = D.map_paths(video, pred_dir, MissingPrediction)
     pool = np.concatenate([everything[:start], everything[end:]])
     frames = _in_blocks(gts, preds, fixs, res)
-    return M.evaluate_video(frames, pool, seed=cfg["shuffle_seed"], metrics=metrics)
+    return M.evaluate_video(frames, pool, seed=cfg["shuffle_seed"])
 
 
 def _in_blocks(gts: list[str], preds: list[str], fixs: list, res: tuple) -> Iterator[tuple]:
@@ -331,7 +317,6 @@ def _in_blocks(gts: list[str], preds: list[str], fixs: list, res: tuple) -> Iter
 
 
 def cmd_evaluate(cfg: dict) -> None:
-    metrics = _parse_metric_list(cfg["metrics"])
     outputs = (("--out", cfg["out"]),) if cfg["out"] else ()
     manifest = D.load_manifest(cfg["manifest"])
     _check_outputs(cfg, manifest, *outputs)
@@ -343,9 +328,7 @@ def cmd_evaluate(cfg: dict) -> None:
         everything = np.concatenate([fix for fixs in fixations for fix in fixs])
         ends = list(itertools.accumulate(sum(map(len, fixs)) for fixs in fixations))
         read = time.perf_counter()
-        score = functools.partial(
-            _score_video, everything=everything, res=res, cfg=cfg, metrics=metrics
-        )
+        score = functools.partial(_score_video, everything=everything, res=res, cfg=cfg)
         rows = list(workers.map(score, videos, fixations, [0] + ends[:-1], ends))
         scored = time.perf_counter()
     frames, no_fix, no_mass = (sum(row[key] for row in rows) for key in M.VIDEO_COUNTS)
@@ -365,20 +348,17 @@ def cmd_evaluate(cfg: dict) -> None:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("wrote report to %s", cfg["out"])
-    print(render_eval_report(report, metrics))
+    print(render_eval_report(report))
 
 
-def render_eval_report(report: dict, metrics: tuple[str, ...]) -> str:
+def render_eval_report(report: dict) -> str:
+    """One table per group: each member's five metrics, then the group's averages."""
     blocks = []
     for label, members in report["groups"].items():
-        headers = ["video"] + list(metrics)
-        rows = []
-        for vid in members:
-            row = report["per_video"][vid]
-            rows.append([vid] + [fmt3(row[name]) for name in metrics])
-        avg = report["group_averages"][label]
-        rows.append(["AVERAGE"] + [fmt3(avg[name]) for name in metrics])
-        blocks.append(f"[{label}]\n" + render_table(headers, rows))
+        named = [(vid, report["per_video"][vid]) for vid in members]
+        named.append(("AVERAGE", report["group_averages"][label]))
+        rows = [[name] + [fmt3(row[key]) for key in M.METRIC_NAMES] for name, row in named]
+        blocks.append(f"[{label}]\n" + render_table(["video", *M.METRIC_NAMES], rows))
     return "\n\n".join(blocks)
 
 

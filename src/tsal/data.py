@@ -363,8 +363,8 @@ def load_scores(path: str) -> dict:
     payload = read_json(path)
     try:
         return checked_report(payload)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: not a score file: {exc!r}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a score file: {exc}") from None
     except UnknownVideo as exc:  # a group names a video the file has no row for
         raise UnknownVideo(f"{path}: {exc}") from None
 
@@ -395,34 +395,39 @@ def load_manifest(path: str) -> dict:
 
     Each video is a dict of the six ``MANIFEST_FIELDS``, with its map
     directories and fixation file joined to the manifest's directory; the
-    files they name are checked as they are opened.
+    files they name are checked as they are opened. A member of the wrong
+    JSON type, or missing, is a ParseError naming it.
     """
     payload = read_json(path)
     root = os.path.dirname(os.path.abspath(path))
-    try:
-        resolution = tuple(_json_field(payload["resolution"], list, "resolution"))
-        videos = []
-        for i, entry in enumerate(payload["videos"]):
-            vid = entry["video_id"]
-            where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
-            video = {
-                key: _json_field(entry[key], kind, f"{where}: {key}")
-                for key, kind in MANIFEST_FIELDS.items()
-            }
-            if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
-                raise ParseError(f"{where}: video_id may not be '', '.', '..' or hold '/' or NUL")
-            label, frames = video["group_label"], video["frames"]
-            if label not in GROUP_LABELS:
-                raise ParseError(f"{vid}: group_label {label!r} not in {GROUP_LABELS}")
-            if not frames:
-                raise ParseError(f"{vid}: video lists no frames")
-            if any(b <= a for a, b in zip(frames, frames[1:])):
-                raise ParseError(f"{vid}: frame ids must be strictly increasing")
-            for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
-                video[key] = os.path.join(root, video[key])
-            videos.append(video)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"manifest field error: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError("manifest must be a JSON object")
+    resolution = tuple(_json_field(payload.get("resolution"), list, "resolution"))
+    entries = payload.get("videos")
+    if not isinstance(entries, list):
+        raise ParseError("manifest videos must be a list")
+    videos = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"manifest video #{i} must be an object")
+        vid = entry.get("video_id")
+        where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
+        video = {
+            key: _json_field(entry.get(key), kind, f"{where}: {key}")
+            for key, kind in MANIFEST_FIELDS.items()
+        }
+        if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+            raise ParseError(f"{where}: video_id may not be '', '.', '..' or hold '/' or NUL")
+        label, frames = video["group_label"], video["frames"]
+        if label not in GROUP_LABELS:
+            raise ParseError(f"{vid}: group_label {label!r} not in {GROUP_LABELS}")
+        if not frames:
+            raise ParseError(f"{vid}: video lists no frames")
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise ParseError(f"{vid}: frame ids must be strictly increasing")
+        for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
+            video[key] = os.path.join(root, video[key])
+        videos.append(video)
     if not videos:
         raise ParseError("manifest lists no videos")
     if len(resolution) != 2 or not all(1 <= n <= MAX_MAP_SIDE for n in resolution):

@@ -27,7 +27,7 @@ class EmptySequence(SaliencyError):
 
 
 class LengthMismatch(SaliencyError):
-    """Parallel sequences (maps / fixations / ground truths) differ in length."""
+    """``backward_sequence`` was given output gradients and step caches of different lengths."""
 
 
 class EmptyFixations(SaliencyError):

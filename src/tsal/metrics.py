@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFixations,
     EmptyNegatives,
-    LengthMismatch,
+    EmptySequence,
     OutOfBounds,
     UnknownVideo,
     ZeroMass,
@@ -213,19 +213,18 @@ def evaluate_video(
     frames: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
     shuffle_pool: np.ndarray,
     seed: int,
-    metrics: tuple[str, ...] = METRIC_NAMES,
 ) -> dict:
-    """One video's ``per_video`` row: per-frame metrics averaged, plus counts.
+    """One video's ``per_video`` row: the five metrics averaged over frames, plus counts.
 
     ``frames`` yields each frame's ``(map, fixations, gt)`` in order; it may
     be any iterable, taken one frame at a time, so a caller can read each
-    frame's files as it is scored. No frame at all raises LengthMismatch.
+    frame's files as it is scored. No frame at all raises EmptySequence.
 
     Fixation-based metrics (AUC-J, sAUC, NSS) use only frames with at
     least one fixation; CC and SIM use only frames whose ground truth has
     positive mass. A frame where an individual metric is undefined (for
     example CC against a constant map) is excluded from that metric's
-    mean; a metric defined on no frame, or not requested, is ``None``.
+    mean; a metric defined on no frame is ``None``.
     The sAUC subsampling seed for frame i is ``seed + i``, so a frame's
     score does not depend on which other frames are evaluated.
     """
@@ -235,11 +234,9 @@ def evaluate_video(
     i = -1
     for i, (sal, fix, gt) in enumerate(frames):
         if len(fix) > 0:
-            if "nss" in metrics:
-                scores["nss"].append(nss(sal, fix))
-            if "auc_j" in metrics:
-                scores["auc_j"].append(auc_judd(sal, fix))
-            if "s_auc" in metrics and len(shuffle_pool) > 0:
+            scores["nss"].append(nss(sal, fix))
+            scores["auc_j"].append(auc_judd(sal, fix))
+            if len(shuffle_pool) > 0:
                 if sal.shape not in pool_checked:
                     _check_inside(sal, shuffle_pool)
                     pool_checked.add(sal.shape)
@@ -248,15 +245,15 @@ def evaluate_video(
         else:
             skipped_fix += 1
         if gt.sum() > 0.0:
-            if "cc" in metrics and (value := cc(sal, gt)) is not None:
+            if (value := cc(sal, gt)) is not None:
                 scores["cc"].append(value)
-            if "sim" in metrics and sal.sum() > 0.0:
+            if sal.sum() > 0.0:
                 scores["sim"].append(sim(sal, gt))
         else:
             skipped_mass += 1
 
     if i < 0:
-        raise LengthMismatch("at least one frame is required")
+        raise EmptySequence("evaluate_video needs at least one frame")
     row = {name: _mean(scores[name]) for name in METRIC_NAMES}
     row.update(frames=i + 1, skipped_no_fixations=skipped_fix, skipped_no_gt_mass=skipped_mass)
     return row
@@ -281,16 +278,23 @@ def aggregate_report(per_video: dict[str, dict], grouping: dict[str, list[str]])
     }
 
 
-def checked_report(payload: dict) -> dict:
+def checked_report(payload) -> dict:
     """A loaded score report, checked, with its group averages recomputed.
 
-    Raises ValueError, naming the video and the key, unless every metric is
+    Raises ValueError, naming the member at fault, unless the payload is an
+    object whose ``per_video`` is an object of row objects, every metric is
     null or a finite number and every count a non-negative integer. Each
     row comes back with exactly the metric and count keys: others are
     dropped, a missing metric is ``None`` and a missing count 0.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("the top level must be a JSON object")
+    if not isinstance(payload.get("per_video"), dict):
+        raise ValueError("per_video must be an object")
     per_video = {}
     for vid, loaded in payload["per_video"].items():
+        if not isinstance(loaded, dict):
+            raise ValueError(f"video {vid!r} must be an object")
         row = {key: loaded.get(key) for key in METRIC_NAMES}
         row.update({key: loaded.get(key, 0) for key in VIDEO_COUNTS})
         for key in METRIC_NAMES:
@@ -314,7 +318,7 @@ def groups_from_dict(payload: dict) -> dict[str, list[str]]:
     whose every member list is a list of strings, each video once.
     """
     if not isinstance(payload, dict):
-        raise ValueError(f"groups must be an object, got {payload!r}")
+        raise ValueError("groups must be an object")
     for label, members in payload.items():
         if not (isinstance(members, list) and all(type(vid) is str for vid in members)):
             raise ValueError(f"group {label!r} must list video ids as strings, got {members!r}")

@@ -187,12 +187,10 @@ BAD_SETTINGS = {
     "config-videos-string": ("generate", [], {"videos": "3"}),
     "config-lr0-string": ("train", [], {"lr0": "x"}),
     "config-shuffle-seed-string": ("evaluate", [], {"shuffle_seed": "x"}),
-    "config-metrics-number": ("evaluate", [], {"metrics": 5}),
     "videos-abc": ("generate", ["--videos", "abc"], None),
     "unknown-flag": ("generate", ["--bogus", "1"], None),
     "lr0-nan": ("train", ["--lr0", "nan"], None),
     "shuffle-seed-x": ("evaluate", ["--shuffle-seed", "x"], None),
-    "metrics-repeated": ("evaluate", ["--metrics", "nss,nss,cc"], None),
     "height-65536": ("generate", ["--height", "65536", "--videos", "1", "--frames", "1"], None),
     "frames-huge": ("generate", [*SMALL_GENERATE, "--frames", HUGE], None),
     "lag-huge": ("generate", [*SMALL_GENERATE, "--lag", HUGE], None),
@@ -259,7 +257,29 @@ BAD_JSON_FILES = {
     "manifest-resolution-2pow63": (
         "manifest", manifest_blob(resolution=[2**63, 8]), ("resolution",),
     ),
+    # payloads of the wrong shape: each names the member at fault
+    "scores-per-video-number": ("scores", b'{"per_video": 3}', ("per_video", "an object")),
+    "scores-row-number": (
+        "scores", b'{"per_video": {"a": 3}, "groups": {}}', ("video 'a'", "an object"),
+    ),
+    "scores-list": ("scores", b"[]", ("a JSON object",)),
+    "grouping-list": ("grouping", b"[1, 2]", ("groups must be an object",)),
+    "manifest-list": ("manifest", b"[1]", ("a JSON object",)),
+    "manifest-video-number": (
+        "manifest", b'{"resolution": [8, 8], "videos": [3]}', ("video #0", "an object"),
+    ),
+    "manifest-no-video-id": (
+        "manifest",
+        json.dumps({"resolution": [8, 8], "videos": [{"frames": [0]}]}).encode(),
+        ("video #0: video_id", "got None"),
+    ),
+    "manifest-no-resolution": ("manifest", b'{"videos": []}', ("resolution", "got None")),
+    "manifest-videos-string": (
+        "manifest", b'{"resolution": [8, 8], "videos": "ab"}', ("videos must be a list",),
+    ),
 }
+# Python's own exception text, which no ERROR line may carry
+PYTHON_TEXT = ("Error(", "object is not subscriptable", "indices must be", "has no attribute")
 
 
 class TestSettings:
@@ -337,6 +357,29 @@ class TestSettings:
         assert line.startswith("ERROR ParseError:")
         for word in named:
             assert word in line
+        for text in PYTHON_TEXT:
+            assert text not in line
+
+    @pytest.mark.parametrize(
+        "flags, config, want",
+        [
+            (["--metrics", "nss"], None, "unrecognized arguments: --metrics nss"),
+            ([], {"metrics": "nss"}, "unknown config key 'metrics' for evaluate"),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_evaluate_has_no_metrics_setting(self, tmp_path, capsys, flags, config, want):
+        """Every evaluate run scores the five metrics: a subset is refused, by flag or config,
+        before the manifest is read."""
+        argv = ["evaluate", "--manifest", str(tmp_path / "none.json"), "--predictions", ".", *flags]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert error_lines(stderr) == [f"ERROR ParseError: {want}"]
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["train", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -1526,7 +1569,7 @@ class TestEvaluate:
         monkeypatch.setattr(os.path, "isfile", lambda path: stats.append(path) or isfile(path))
         row = tsal.cli._score_video(
             video, fixs[0], 0, sum(map(len, fixs[0])), everything=everything, res=res,
-            cfg={"predictions": pred, "shuffle_seed": 42}, metrics=M.METRIC_NAMES,
+            cfg={"predictions": pred, "shuffle_seed": 42},
         )
         assert row["frames"] == 40  # three blocks: 16, 16 and 8 frames
         names = [D.frame_file_name(frame) for frame in video["frames"]]
@@ -1583,19 +1626,6 @@ class TestEvaluate:
         sums = [sum(row[key] for row in rows) for key in M.VIDEO_COUNTS]
         assert [int(n) for n in counts] == [sums[0], len(rows), *sums[1:]] == [12, 3, 1, 1]
 
-    def test_metric_filtering(self, tmp_path, capsys):
-        data_dir, manifest = make_dataset(tmp_path, videos=1, frames=4, size=12)
-        pred = str(tmp_path / "pred")
-        copy_gt_as_predictions(data_dir, pred)
-        code, stdout, _ = run(
-            capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
-            "--metrics", "nss",
-        )
-        assert code == 0
-        assert "nss" in stdout
-        for other in ("auc_j", "s_auc", "cc", "sim"):
-            assert other not in stdout
-
     def test_duplicate_video_id_rejected(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
         pred = str(tmp_path / "pred")
@@ -1617,12 +1647,16 @@ class TestEvaluate:
         data_dir, manifest = make_dataset(tmp_path, videos=3, frames=4, size=12)
         pred = str(tmp_path / "pred")
         copy_gt_as_predictions(data_dir, pred)
+        # constant predictions leave video_000's CC undefined, so the file holds a null
+        for name in os.listdir(os.path.join(pred, "video_000")):
+            D.write_map(np.full((12, 12), 0.5), os.path.join(pred, "video_000", name))
         out_json = tmp_path / "report.json"
         code, _, _ = run(
             capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
-            "--metrics", "nss,s_auc,cc", "--out", str(out_json),
+            "--out", str(out_json),
         )
         assert code == 0
+        assert json.loads(out_json.read_text())["per_video"]["video_000"]["cc"] is None
         again = tmp_path / "again.json"
         with open(again, "w", encoding="utf-8") as fh:
             json.dump(D.load_scores(str(out_json)), fh, indent=2, sort_keys=True)

@@ -418,7 +418,8 @@ class TestManifest:
 
     def test_missing_field_is_a_parse_error(self, tmp_path):
         entry = {key: value for key, value in VIDEO.items() if key != "gt_map_dir"}
-        with pytest.raises(ParseError, match="^manifest field error: 'gt_map_dir'$"):
+        want = "^manifest video 'v': gt_map_dir must be a string, got None$"
+        with pytest.raises(ParseError, match=want):
             D.load_manifest(write_manifest(tmp_path, [entry]))
 
     def test_no_videos(self, tmp_path):

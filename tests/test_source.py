@@ -460,3 +460,22 @@ def test_evaluate_video_consumes_one_stream():
         or isinstance(node, ast.ImportFrom) and node.module == "itertools"
     ]
     assert found == [], f"metrics.py reconciles parallel streams: {found}"
+
+
+def test_no_except_catches_python_type_faults():
+    """Every JSON input's shape is checked by name, member by member, so no
+    ``except`` in the package names ``AttributeError``, ``KeyError`` or
+    ``TypeError``: catching one would turn a payload of the wrong shape into
+    an ``ERROR`` line that carries Python's own exception text."""
+    caught = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught += [
+                    f"{os.path.basename(path)} line {node.lineno}: {name}"
+                    for name in sorted(names & {"AttributeError", "KeyError", "TypeError"})
+                ]
+    assert caught == [], f"an except catches a Python type fault: {caught}"
