@@ -44,6 +44,8 @@ from .errors import (
     ParseError,
     SaliencyError,
     UnknownVideo,
+    brief,
+    misfit,
 )
 
 log = logging.getLogger("tsal")
@@ -275,9 +277,9 @@ def cmd_predict(cfg: dict) -> None:
     videos, res = manifest["videos"], manifest["resolution"]
     start = time.perf_counter()
     # the pool inside publish: every worker has ended before a failed run's tree is removed
-    with D.publish(out, directory=True) as tmp, D.worker_pool(len(videos)) as workers:
+    with D.publish(out, directory=True) as tmp:
         predict = functools.partial(_predict_video, model=model, res=res, root=tmp)
-        written = sum(workers.map(predict, videos))
+        written = sum(D.worker_map(predict, videos))
     seconds = time.perf_counter() - start
     log.info(
         "wrote %d refined maps to %s in %.3f s (%.0f frames/s)",
@@ -321,16 +323,15 @@ def cmd_evaluate(cfg: dict) -> None:
     manifest = D.load_manifest(cfg["manifest"])
     _check_outputs(cfg, manifest, *outputs)
     videos, res = manifest["videos"], manifest["resolution"]
-    with D.worker_pool(len(videos)) as workers:
-        start = time.perf_counter()
-        # every video's fixations first: each shuffled-AUC pool holds all the others'
-        fixations = list(workers.map(D.load_video, videos, itertools.repeat(res)))
-        everything = np.concatenate([fix for fixs in fixations for fix in fixs])
-        ends = list(itertools.accumulate(sum(map(len, fixs)) for fixs in fixations))
-        read = time.perf_counter()
-        score = functools.partial(_score_video, everything=everything, res=res, cfg=cfg)
-        rows = list(workers.map(score, videos, fixations, [0] + ends[:-1], ends))
-        scored = time.perf_counter()
+    start = time.perf_counter()
+    # every video's fixations first: each shuffled-AUC pool holds all the others'
+    fixations = [D.load_video(video, res) for video in videos]
+    everything = np.concatenate([fix for fixs in fixations for fix in fixs])
+    ends = list(itertools.accumulate(sum(map(len, fixs)) for fixs in fixations))
+    read = time.perf_counter()
+    score = functools.partial(_score_video, everything=everything, res=res, cfg=cfg)
+    rows = D.worker_map(score, videos, fixations, [0] + ends[:-1], ends)
+    scored = time.perf_counter()
     frames, no_fix, no_mass = (sum(row[key] for row in rows) for key in M.VIDEO_COUNTS)
     log.info(
         "scored %d frames of %d videos in %.3f s (%.0f frames/s) after %.3f s reading"
@@ -480,20 +481,17 @@ def _check(command: str, key: str, value, from_flag: bool):
         try:
             value = kind(value)
         except ValueError:
-            raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {value!r}") from None
+            raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {brief(value)}") from None
     allowed = (int, float) if kind is float else kind  # an int is a valid float
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, allowed)
-        or isinstance(value, list) and not all(isinstance(p, str) for p in value)
-    ):
-        raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, got {value!r}")
+    fault = misfit(value, str) if kind == (list, str) and isinstance(value, list) else None
+    if isinstance(value, bool) or not isinstance(value, allowed) or fault:
+        raise ParseError(f"{name} must be {TYPE_NAMES[kind]}, {fault or f'got {brief(value)}'}")
     if value == "":  # names no file, metric or variant
         raise ParseError(f"{name} must not be empty")
     if kind is float and not abs(value) <= sys.float_info.max:  # an int may pass float's range
-        raise ParseError(f"{name} must be finite, got {value!r}")
+        raise ParseError(f"{name} must be finite, got {brief(value)}")
     if not all(OPS[op](value, limit) for op, limit in bounds):
-        raise ParseError(f"{name} must be {_describe(bounds)}, got {value!r}")
+        raise ParseError(f"{name} must be {_describe(bounds)}, got {brief(value)}")
     return value + 0.0 if isinstance(value, float) else value  # reads -0.0 as 0.0
 
 

@@ -15,11 +15,13 @@ of a slice of them: it checks that every file exists before it returns
 their paths. ``read_maps`` reads the paths it is given, one file at a time:
 train reads one window of static maps and ground truth through it at a
 time, predict one static map, and evaluate one block of ground truth and
-predictions. ``load_video`` reads a video's fixations
-in the frame of its static maps, whose one shared size it checks.
-``publish`` is the one way a command's output reaches its path: written
-beside it, then renamed into place. ``worker_pool`` is the one process pool:
-generate writes, predict refines and evaluate scores one video per worker.
+predictions. ``load_video`` reads a video's fixations in the frame of its
+static maps, whose one shared size it checks; evaluate reads every video's in
+its own process before it scores any. ``publish`` is the one way a command's
+output reaches its path: written beside it, then renamed into place.
+``worker_map`` is the one process pool, one call a command, whose workers inherit
+by fork the function they run: generate writes, predict refines and evaluate
+scores one video per worker.
 
 The synthetic generator produces videos of a Gaussian blob drifting on a
 momentum random walk; the ground truth is the clean blob ``lag`` frames
@@ -56,6 +58,8 @@ from .errors import (
     UnknownVideo,
     UnsupportedDepth,
     WorkerDied,
+    brief,
+    misfit,
 )
 from .metrics import checked_report
 
@@ -94,35 +98,35 @@ def publish(path: str, directory: bool = False) -> Iterator[str]:
         raise
 
 
-@contextlib.contextmanager
-def worker_pool(tasks: int) -> Iterator:
-    """Yield a fork process pool, one worker per usable CPU and at most ``tasks``; a worker
-    that dies is one WorkerDied, and on leaving, pending work is cancelled and workers end.
+def worker_map(fn, *iterables) -> list:
+    """``fn`` of each item of the zipped ``iterables``, as a list in input order, computed in a
+    fork process pool of one worker per usable CPU and at most one per item.
 
-    Forked workers need no re-import, and the pool forks them all before it starts a thread;
-    "fork" is named as Python 3.14 no longer defaults to it on Linux. ``map`` keeps input
-    order, so its results and the first failure raised do not depend on the worker count.
+    Each worker inherits ``fn`` by fork, through the pool's initializer, so only each item's
+    own arguments are pickled. The pool forks every worker before it starts a thread; "fork"
+    is named as Python 3.14 no longer defaults to it on Linux. The first failure in input
+    order is raised, so neither it nor the results depend on the worker count; a worker that
+    dies is one WorkerDied, and on return pending items are cancelled and workers have ended.
     Workers inherit an OpenBLAS thread count of at most CPUs // workers, set in the parent
-    around the fork and restored on leaving, so that workers x threads <= CPUs. A worker ends
-    at once and in silence on SIGINT or SIGTERM: reporting an interrupt is the parent's part.
+    around the fork and restored on return, so that workers x threads <= CPUs.
     """
     # imported here, so train does not load them (about 23 ms and 0.9 MiB)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    items = list(zip(*iterables))
     cpus = len(os.sched_getaffinity(0))
-    count = min(tasks, cpus)
-    workers = ProcessPoolExecutor(
-        count, mp_context=multiprocessing.get_context("fork"), initializer=_default_signals
-    )
+    count = min(len(items), cpus)
+    context = multiprocessing.get_context("fork")
+    workers = ProcessPoolExecutor(count, context, initializer=_start, initargs=(fn,))
     blas = _blas_threads()
     if blas:
         get_threads, set_threads = blas
         parent_threads = get_threads()
         set_threads(min(parent_threads, max(1, cpus // count)))
     try:
-        yield workers
+        return list(workers.map(_run, items))
     except BrokenProcessPool as exc:
         raise WorkerDied(str(exc)) from None
     finally:
@@ -131,9 +135,18 @@ def worker_pool(tasks: int) -> Iterator:
             set_threads(parent_threads)
 
 
-def _default_signals() -> None:
+def _start(fn) -> None:
+    """A worker's initializer, which calls no OpenBLAS function (that made workers spin): keep
+    ``fn`` for ``_run``, and end at once and in silence on SIGINT or SIGTERM, as reporting an
+    interrupt is the parent's part."""
+    global _worker_fn
+    _worker_fn = fn
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.SIG_DFL)
+
+
+def _run(args: tuple):
+    return _worker_fn(*args)
 
 
 def _blas_threads() -> tuple | None:
@@ -382,11 +395,10 @@ MANIFEST_FIELDS = {
 
 def _json_field(value, kind: type, where: str):
     """``value`` if it has its manifest JSON type, else a ParseError naming ``where``."""
-    if kind is list:
-        if not (isinstance(value, list) and all(type(v) is int for v in value)):
-            raise ParseError(f"manifest {where} must be a list of integers, got {value!r}")
-    elif type(value) is not kind:
-        raise ParseError(f"manifest {where} must be a string, got {value!r}")
+    if kind is list and (fault := misfit(value, int)):
+        raise ParseError(f"manifest {where} must be a list of integers, {fault}")
+    if kind is str and type(value) is not str:
+        raise ParseError(f"manifest {where} must be a string, got {brief(value)}")
     return value
 
 
@@ -396,49 +408,48 @@ def load_manifest(path: str) -> dict:
     Each video is a dict of the six ``MANIFEST_FIELDS``, with its map
     directories and fixation file joined to the manifest's directory; the
     files they name are checked as they are opened. A member of the wrong
-    JSON type, or missing, is a ParseError naming it.
+    JSON type, or missing, is a ParseError naming it. Every ParseError begins with ``path``.
     """
     payload = read_json(path)
     root = os.path.dirname(os.path.abspath(path))
-    if not isinstance(payload, dict):
-        raise ParseError("manifest must be a JSON object")
-    resolution = tuple(_json_field(payload.get("resolution"), list, "resolution"))
-    entries = payload.get("videos")
-    if not isinstance(entries, list):
-        raise ParseError("manifest videos must be a list")
-    videos = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ParseError(f"manifest video #{i} must be an object")
-        vid = entry.get("video_id")
-        where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
-        video = {
-            key: _json_field(entry.get(key), kind, f"{where}: {key}")
-            for key, kind in MANIFEST_FIELDS.items()
-        }
-        if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
-            raise ParseError(f"{where}: video_id may not be '', '.', '..' or hold '/' or NUL")
-        label, frames = video["group_label"], video["frames"]
-        if label not in GROUP_LABELS:
-            raise ParseError(f"{vid}: group_label {label!r} not in {GROUP_LABELS}")
-        if not frames:
-            raise ParseError(f"{vid}: video lists no frames")
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ParseError(f"{vid}: frame ids must be strictly increasing")
-        for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
-            video[key] = os.path.join(root, video[key])
-        videos.append(video)
-    if not videos:
-        raise ParseError("manifest lists no videos")
-    if len(resolution) != 2 or not all(1 <= n <= MAX_MAP_SIDE for n in resolution):
-        raise ParseError(
-            f"resolution must be [height, width], each in [1, {MAX_MAP_SIDE}], got {resolution}"
-        )
-    seen: set[str] = set()
-    for video in videos:
-        if video["video_id"] in seen:
-            raise ParseError(f"video id {video['video_id']!r} is listed twice")
-        seen.add(video["video_id"])
+    try:
+        if not isinstance(payload, dict):
+            raise ParseError("manifest must be a JSON object")
+        resolution = tuple(_json_field(payload.get("resolution"), list, "resolution"))
+        entries = payload.get("videos")
+        if fault := misfit(entries, dict):
+            raise ParseError(f"manifest videos must be a list of objects, {fault}")
+        videos = []
+        for i, entry in enumerate(entries):
+            vid = entry.get("video_id")
+            where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
+            video = {
+                key: _json_field(entry.get(key), kind, f"{where}: {key}")
+                for key, kind in MANIFEST_FIELDS.items()
+            }
+            if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+                raise ParseError(f"{where}: video_id may not be '', '.', '..' or hold '/' or NUL")
+            label, frames = video["group_label"], video["frames"]
+            if label not in GROUP_LABELS:
+                raise ParseError(f"{vid}: group_label {brief(label)} not in {GROUP_LABELS}")
+            if not frames:
+                raise ParseError(f"{vid}: video lists no frames")
+            if any(b <= a for a, b in zip(frames, frames[1:])):
+                raise ParseError(f"{vid}: frame ids must be strictly increasing")
+            for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
+                video[key] = os.path.join(root, video[key])
+            videos.append(video)
+        if not videos:
+            raise ParseError("manifest lists no videos")
+        if len(resolution) != 2 or not all(1 <= n <= MAX_MAP_SIDE for n in resolution):
+            raise ParseError(f"resolution must be [height, width], each in [1, {MAX_MAP_SIDE}]")
+        seen: set[str] = set()
+        for video in videos:
+            if video["video_id"] in seen:
+                raise ParseError(f"video id {video['video_id']!r} is listed twice")
+            seen.add(video["video_id"])
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return {"resolution": resolution, "videos": videos}
 
 
@@ -585,8 +596,7 @@ def generate_synthetic(out_dir: str, config: SyntheticConfig) -> str:
     """
     os.makedirs(out_dir, exist_ok=True)
     write = functools.partial(_write_video, out_dir, config)
-    with worker_pool(config.videos) as workers:
-        videos = list(workers.map(write, range(config.videos)))
+    videos = worker_map(write, range(config.videos))
     manifest = {"resolution": [config.height, config.width], "videos": videos}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and how their messages give a loaded JSON value.
 
 Every error that callers are expected to catch subclasses
 :class:`SaliencyError`, so the CLI can map any failure to a stable
@@ -98,3 +98,22 @@ class InconsistentVideos(SaliencyError):
 
 class WorkerDied(SaliencyError):
     """A pool's worker process was killed, as by the out-of-memory killer."""
+
+
+
+def brief(value) -> str:
+    """A loaded JSON value as an error line gives it, never growing with the input: a scalar's
+    repr of at most 40 characters, else the value's JSON type."""
+    text = "" if isinstance(value, (dict, list)) else repr(value)
+    if 0 < len(text) <= 40:
+        return text
+    return {dict: "an object", list: "a list", str: "a string"}.get(type(value), "an integer")
+
+
+def misfit(value, item: type) -> str | None:
+    """None if a loaded ``value`` is a list of ``item`` values; else what an error line says of
+    it: ``got <brief>``, or ``item <i> is <brief>`` of its first item of another type."""
+    if type(value) is not list:
+        return f"got {brief(value)}"
+    bad = (f"item {i} is {brief(v)}" for i, v in enumerate(value) if type(v) is not item)
+    return next(bad, None)

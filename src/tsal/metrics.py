@@ -45,6 +45,8 @@ from .errors import (
     OutOfBounds,
     UnknownVideo,
     ZeroMass,
+    brief,
+    misfit,
 )
 
 METRIC_NAMES = ("auc_j", "s_auc", "nss", "cc", "sim")
@@ -298,15 +300,15 @@ def checked_report(payload) -> dict:
         row = {key: loaded.get(key) for key in METRIC_NAMES}
         row.update({key: loaded.get(key, 0) for key in VIDEO_COUNTS})
         for key in METRIC_NAMES:
-            value = row[key]
-            if value is not None and not (
+            if (value := row[key]) is not None and not (
                 type(value) in (int, float) and abs(value) <= sys.float_info.max
             ):
-                raise ValueError(f"video {vid!r}: {key} must be null or finite, got {value!r}")
+                raise ValueError(f"video {vid!r}: {key} must be null or finite, got {brief(value)}")
         for key in VIDEO_COUNTS:
-            value = row[key]
-            if type(value) is not int or value < 0:
-                raise ValueError(f"video {vid!r}: {key} must be an integer >= 0, got {value!r}")
+            if type(value := row[key]) is not int or value < 0:
+                raise ValueError(
+                    f"video {vid!r}: {key} must be an integer >= 0, got {brief(value)}"
+                )
         per_video[vid] = row
     return aggregate_report(per_video, groups_from_dict(payload.get("groups", {})))
 
@@ -320,8 +322,8 @@ def groups_from_dict(payload: dict) -> dict[str, list[str]]:
     if not isinstance(payload, dict):
         raise ValueError("groups must be an object")
     for label, members in payload.items():
-        if not (isinstance(members, list) and all(type(vid) is str for vid in members)):
-            raise ValueError(f"group {label!r} must list video ids as strings, got {members!r}")
+        if fault := misfit(members, str):
+            raise ValueError(f"group {label!r} must list video ids as strings, {fault}")
         if len(set(members)) < len(members):
             twice = [vid for vid in members if members.count(vid) > 1]
             raise ValueError(f"group {label!r} lists video {twice[0]!r} more than once")

@@ -266,7 +266,8 @@ BAD_JSON_FILES = {
     "grouping-list": ("grouping", b"[1, 2]", ("groups must be an object",)),
     "manifest-list": ("manifest", b"[1]", ("a JSON object",)),
     "manifest-video-number": (
-        "manifest", b'{"resolution": [8, 8], "videos": [3]}', ("video #0", "an object"),
+        "manifest", b'{"resolution": [8, 8], "videos": [3]}',
+        ("videos must be a list of objects", "item 0 is 3"),
     ),
     "manifest-no-video-id": (
         "manifest",
@@ -276,6 +277,22 @@ BAD_JSON_FILES = {
     "manifest-no-resolution": ("manifest", b'{"videos": []}', ("resolution", "got None")),
     "manifest-videos-string": (
         "manifest", b'{"resolution": [8, 8], "videos": "ab"}', ("videos must be a list",),
+    ),
+    # a long value is named by its JSON type, and a list by its first bad item, never echoed
+    "manifest-frames-long": (
+        "manifest", manifest_blob(frames=[*range(5000), 0.5]),
+        ("'v'", "frames", "item 5000 is 0.5"),
+    ),
+    "scores-group-long": (
+        "scores", json.dumps({"per_video": {}, "groups": {"g": [*range(5000)]}}).encode(),
+        ("group 'g'", "item 0 is 0"),
+    ),
+    "scores-metric-long": (
+        "scores", json.dumps({"per_video": {"a": {"nss": [0] * 5000}}}).encode(),
+        ("video 'a': nss", "got a list"),
+    ),
+    "config-value-long": (
+        "config", json.dumps({"metric": "n" * 5000}).encode(), ("'metric'", "got a string"),
     ),
 }
 # Python's own exception text, which no ERROR line may carry
@@ -354,7 +371,9 @@ class TestSettings:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        assert line.startswith("ERROR ParseError:")
+        # every file but a config names itself first
+        assert line.startswith("ERROR ParseError: " + ("" if which == "config" else f"{bad}: "))
+        assert len(line.encode()) <= 300
         for word in named:
             assert word in line
         for text in PYTHON_TEXT:
@@ -1164,7 +1183,7 @@ def _die_in_a_worker(*args):
 class TestWorkerDied:
     @pytest.mark.parametrize("command, victim", [("generate", "write_map"),
                                                  ("predict", "write_map"),
-                                                 ("evaluate", "load_video")])
+                                                 ("evaluate", "resize_bilinear")])
     def test_is_one_error_line_and_leaves_no_output(
         self, tmp_path, capsys, monkeypatch, command, victim
     ):
@@ -1353,7 +1372,7 @@ class TestFramelessVideo:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        assert line == "ERROR ParseError: video_001: video lists no frames"
+        assert line == f"ERROR ParseError: {manifest}: video_001: video lists no frames"
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # no checkpoint, --out or temp tree
 
@@ -1383,7 +1402,8 @@ class TestUnsafeVideoId:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        assert line.startswith(f"ERROR ParseError: video {vid!r}: video_id may not be")
+        want = f"ERROR ParseError: {manifest}: video {vid!r}: video_id may not be"
+        assert line.startswith(want)
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # no --out, escaped or temp tree
 
@@ -1575,6 +1595,34 @@ class TestEvaluate:
         names = [D.frame_file_name(frame) for frame in video["frames"]]
         folders = video["gt_map_dir"], os.path.join(pred, "video_000")
         assert sorted(stats) == sorted(os.path.join(d, name) for d in folders for name in names)
+
+    def test_bytes_sent_to_workers_grow_linearly_with_the_videos(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The parent sends each video's worker that video's own arguments, so 4x
+        the videos send less than 6x the bytes. Pickling every fixation of the
+        dataset into each video's task grew them as the square of the videos."""
+        config = D.SyntheticConfig(videos=16, frames=4, height=8, width=8, fixations_per_frame=10)
+        manifest = D.generate_synthetic(str(tmp_path / "data"), config)
+        copy_gt_as_predictions(str(tmp_path / "data"), str(tmp_path / "pred"))
+        with open(manifest, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["videos"] = payload["videos"][:4]
+        first_4 = str(tmp_path / "data" / "first_4.json")
+        with open(first_4, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        pickler = multiprocessing.reduction.ForkingPickler
+        dumps, sent = pickler.dumps, []
+        monkeypatch.setattr(pickler, "dumps", lambda *a: sent.append(len(b := dumps(*a))) or b)
+        totals = []
+        for path in (first_4, manifest):
+            sent.clear()
+            code, _, _ = run(
+                capsys, "evaluate", "--manifest", path, "--predictions", str(tmp_path / "pred")
+            )
+            assert code == 0
+            totals.append(sum(sent))
+        assert totals[1] < 6 * totals[0], totals
 
     def test_out_directory_is_made_and_a_directory_refused(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)

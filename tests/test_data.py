@@ -1,9 +1,12 @@
 """Tests for PGM I/O, fixation files, manifests, and synthesis."""
 
+import functools
 import json
 import os
+import pickle
 import re
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -218,6 +221,11 @@ def _fail_in_a_worker(task):
     raise ValueError("task failed")
 
 
+def _locked_sum(lock, a, b):
+    with lock:
+        return a + b
+
+
 class TestWorkerPool:
     def test_finds_the_loaded_openblas(self):
         """numpy here links OpenBLAS, so the helper must find its thread calls:
@@ -232,22 +240,27 @@ class TestWorkerPool:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
     def test_workers_share_the_cpus_and_the_parent_count_is_restored(self):
-        """Each of two workers gets at most half the CPUs as BLAS threads; one
-        worker keeps the parent's count; leaving the pool, even on an error,
-        gives the parent its count back."""
+        """Each of two workers, one per item, gets at most half the CPUs as
+        BLAS threads; one worker keeps the parent's count; returning, even on
+        an error, gives the parent its count back."""
         get_threads, _ = D._blas_threads()
         parent = get_threads()
         cpus = len(os.sched_getaffinity(0))
-        with D.worker_pool(2) as workers:
-            assert list(workers.map(_worker_blas_threads, range(4))) == [min(parent, cpus // 2)] * 4
+        assert D.worker_map(_worker_blas_threads, range(2)) == [min(parent, cpus // 2)] * 2
         assert get_threads() == parent
-        with D.worker_pool(1) as workers:
-            assert list(workers.map(_worker_blas_threads, range(2))) == [parent] * 2
+        assert D.worker_map(_worker_blas_threads, range(1)) == [parent]
         assert get_threads() == parent
         with pytest.raises(ValueError, match="task failed"):
-            with D.worker_pool(2) as workers:
-                list(workers.map(_fail_in_a_worker, range(2)))
+            D.worker_map(_fail_in_a_worker, range(2))
         assert get_threads() == parent
+
+    def test_the_function_reaches_the_workers_by_fork_not_by_pickle(self):
+        """A function holding a lock cannot be pickled, yet each worker runs
+        it: only the items' arguments cross a pipe, and come back in order."""
+        add = functools.partial(_locked_sum, threading.Lock())
+        with pytest.raises(TypeError):
+            pickle.dumps(add)
+        assert D.worker_map(add, [1, 2, 3], [10, 20, 30]) == [11, 22, 33]
 
 
 class TestLoadFixations:
@@ -370,6 +383,11 @@ def write_manifest(tmp_path, videos=(VIDEO,), resolution=(8, 8)) -> str:
     return str(path)
 
 
+def named(path: str, pattern: str) -> str:
+    """A pattern for a manifest error: ``path``, then the message ``pattern`` matches."""
+    return "^" + re.escape(f"{path}: ") + pattern
+
+
 class TestManifest:
     def test_generate_save_load_round_trip(self, tmp_path):
         out = str(tmp_path / "data")
@@ -404,40 +422,48 @@ class TestManifest:
             D.load_manifest(path)
 
     def test_bad_group_label(self, tmp_path):
-        with pytest.raises(ParseError, match="^v: group_label 'wandering' not in"):
-            D.load_manifest(write_manifest(tmp_path, [{**VIDEO, "group_label": "wandering"}]))
+        path = write_manifest(tmp_path, [{**VIDEO, "group_label": "wandering"}])
+        with pytest.raises(ParseError, match=named(path, "v: group_label 'wandering' not in")):
+            D.load_manifest(path)
 
     def test_non_increasing_frames(self, tmp_path):
-        with pytest.raises(ParseError, match="^v: frame ids must be strictly increasing$"):
-            D.load_manifest(write_manifest(tmp_path, [{**VIDEO, "frames": [0, 2, 2]}]))
+        path = write_manifest(tmp_path, [{**VIDEO, "frames": [0, 2, 2]}])
+        want = named(path, "v: frame ids must be strictly increasing$")
+        with pytest.raises(ParseError, match=want):
+            D.load_manifest(path)
 
     def test_field_types_are_checked_before_the_group_label(self, tmp_path):
         path = write_manifest(tmp_path, [{**VIDEO, "group_label": "x", "frames": "0"}])
-        with pytest.raises(ParseError, match="^manifest video 'v': frames must be a list"):
+        want = named(path, "manifest video 'v': frames must be a list of integers, got '0'$")
+        with pytest.raises(ParseError, match=want):
             D.load_manifest(path)
 
     def test_missing_field_is_a_parse_error(self, tmp_path):
         entry = {key: value for key, value in VIDEO.items() if key != "gt_map_dir"}
-        want = "^manifest video 'v': gt_map_dir must be a string, got None$"
+        path = write_manifest(tmp_path, [entry])
+        want = named(path, "manifest video 'v': gt_map_dir must be a string, got None$")
         with pytest.raises(ParseError, match=want):
-            D.load_manifest(write_manifest(tmp_path, [entry]))
+            D.load_manifest(path)
 
     def test_no_videos(self, tmp_path):
-        with pytest.raises(ParseError, match="^manifest lists no videos$"):
-            D.load_manifest(write_manifest(tmp_path, []))
+        path = write_manifest(tmp_path, [])
+        with pytest.raises(ParseError, match=named(path, "manifest lists no videos$")):
+            D.load_manifest(path)
 
     @pytest.mark.parametrize("resolution", [(0, 8), (8, 65536), (8, 8, 8)])
     def test_resolution_out_of_bounds(self, tmp_path, resolution):
-        want = f"resolution must be [height, width], each in [1, 65535], got {resolution}"
-        with pytest.raises(ParseError, match="^" + re.escape(want) + "$"):
-            D.load_manifest(write_manifest(tmp_path, resolution=resolution))
+        path = write_manifest(tmp_path, resolution=resolution)
+        text = "resolution must be [height, width], each in [1, 65535]"
+        want = named(path, re.escape(text) + "$")
+        with pytest.raises(ParseError, match=want):
+            D.load_manifest(path)
 
     def test_duplicate_id_is_checked_after_the_resolution(self, tmp_path):
         path = write_manifest(tmp_path, [VIDEO, VIDEO])
-        with pytest.raises(ParseError, match="^video id 'v' is listed twice$"):
+        with pytest.raises(ParseError, match=named(path, "video id 'v' is listed twice$")):
             D.load_manifest(path)
         path = write_manifest(tmp_path, [VIDEO, VIDEO], resolution=(0, 8))
-        with pytest.raises(ParseError, match="^resolution must"):
+        with pytest.raises(ParseError, match=named(path, "resolution must")):
             D.load_manifest(path)
 
 
@@ -478,7 +504,7 @@ class TestLoadVideo:
 
     def test_video_without_frames_is_a_parse_error(self, tmp_path):
         path = write_manifest(tmp_path, [{**VIDEO, "video_id": "video_000", "frames": []}])
-        with pytest.raises(ParseError, match="^video_000: video lists no frames$"):
+        with pytest.raises(ParseError, match=named(path, "video_000: video lists no frames$")):
             D.load_manifest(path)
 
     def test_static_maps_of_one_video_share_one_size(self, tmp_path):

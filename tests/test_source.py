@@ -110,17 +110,19 @@ def test_only_train_encodes_binary_records():
 POOL_NAMES = {"multiprocessing", "concurrent", "ProcessPoolExecutor", "sched_getaffinity", "fork"}
 
 
-def test_only_worker_pool_starts_processes():
-    """``data.worker_pool`` is the one place that starts processes, for
+def test_only_worker_map_starts_processes():
+    """``data.worker_map`` is the one place that starts processes, for
     ``generate``, ``predict`` and ``evaluate`` alike. So ``data.py`` is the one
     importer of ``multiprocessing`` and ``concurrent.futures``, inside that
     function, so that ``train`` does not load them; no other function names
     ``ProcessPoolExecutor`` or ``sched_getaffinity``; and the ``"fork"``
-    start method is named once. ``metrics`` stays free of processes.
+    start method is named once. ``metrics`` stays free of processes. Each
+    command makes one ``worker_map`` call: ``evaluate`` reads its fixations
+    in its own process and scores in one pass.
     perfbench's traced set-up metric, ``data.generate_synthetic.busy_s``,
     times the parent's call, which waits for every worker, so it still sees
     everything it measures."""
-    importers, forks, outside = set(), [], []
+    importers, forks, outside, callers = set(), [], [], []
     for path in glob.glob(os.path.join(SRC, "*.py")):
         module = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
@@ -139,17 +141,21 @@ def test_only_worker_pool_starts_processes():
                 importers.add(module)
             if "fork" in names:
                 forks.append(where)
-            if where and (module, function) != ("data.py", "worker_pool"):
+            if where and (module, function) != ("data.py", "worker_map"):
                 outside.append(where)
+            if "worker_map" in names:
+                callers.append((module, function))
     assert importers == {"data.py"}, f"process pools imported in {sorted(importers)}"
-    assert outside == [], f"process pools started outside data.worker_pool: {outside}"
+    assert outside == [], f"process pools started outside data.worker_map: {outside}"
     assert len(forks) == 1, f'the "fork" start method named in {len(forks)} places: {forks}'
+    want = [("cli.py", "cmd_evaluate"), ("cli.py", "cmd_predict"), ("data.py", "generate_synthetic")]
+    assert sorted(callers) == want, f"worker_map named at {callers}"
 
 
 def test_only_the_blas_helper_imports_ctypes():
     """``data._blas_threads`` is the one function that reaches into a native
     library: it finds the loaded OpenBLAS and its thread-count calls, which
-    ``worker_pool`` uses to share the CPUs between its workers. So no other
+    ``worker_map`` uses to share the CPUs between its workers. So no other
     function imports ``ctypes``, and no second native binding can grow."""
     importers = []
     for path in glob.glob(os.path.join(SRC, "*.py")):
