@@ -258,13 +258,10 @@ def _predict_video(video: dict, *, model: Mo.AdaptationModel, res: tuple, root: 
     os.makedirs(out_dir)
     state = None
     statics = _resized_maps(D.map_paths(video, video["static_map_dir"], MissingInput), res)
+    step = Mo.step_function(model.variant)
     for frame, static in zip(video["frames"], statics):
-        x = static[None, None]
         # slicing drops the step cache at once, so it does not outlive the step
-        if model.variant == Mo.CONV_ONLY:
-            y = Mo.conv_block_forward(x, model)[0]
-        else:
-            y, state = Mo.convlstm_step(x, state, model)[:2]
+        y, state = step(static[None, None], state, model)[:2]
         D.write_map(np.clip(y[0, 0], 0.0, 1.0), os.path.join(out_dir, D.frame_file_name(frame)))
     return len(video["frames"])
 

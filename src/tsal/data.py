@@ -297,11 +297,11 @@ def load_fixations(path: str, dims: tuple[int, int]) -> dict[int, np.ndarray]:
                 raise ValueError(line)
             frame, row, col = map(int, fields.groups())  # ValueError past int()'s 4,300 digits too
         except ValueError:
-            raise ParseError(f"{path}: line {line_no}: non-integer field in {line!r}") from None
+            raise ParseError(f"{path}: line {line_no}: non-integer field in {brief(line)}") from None
         if frame < 0 or row < 0 or col < 0:
-            raise ParseError(f"{path}: line {line_no}: negative value in {line!r}")
+            raise ParseError(f"{path}: line {line_no}: negative value in {brief(line)}")
         if max(frame, row, col) >= 2**63:  # points are held as int64
-            raise ParseError(f"{path}: line {line_no}: value too large in {line!r}")
+            raise ParseError(f"{path}: line {line_no}: value too large in {brief(line)}")
         if row >= dims[0] or col >= dims[1]:
             raise OutOfBounds(
                 f"{path}: line {line_no}: point ({row}, {col}) outside {dims[0]}x{dims[1]}"

@@ -38,10 +38,6 @@ class EmptyNegatives(SaliencyError):
     """Shuffled AUC was given an empty negative pool."""
 
 
-class AllFixated(SaliencyError):
-    """AUC needs at least one non-fixated pixel."""
-
-
 class OutOfBounds(SaliencyError):
     """A fixation lies outside the map."""
 
@@ -102,8 +98,8 @@ class WorkerDied(SaliencyError):
 
 
 def brief(value) -> str:
-    """A loaded JSON value as an error line gives it, never growing with the input: a scalar's
-    repr of at most 40 characters, else the value's JSON type."""
+    """A loaded JSON value or fixation line as an error line gives it, never growing with the
+    input: a scalar's repr of at most 40 characters, else the value's JSON type."""
     text = "" if isinstance(value, (dict, list)) else repr(value)
     if 0 < len(text) <= 40:
         return text

@@ -6,8 +6,9 @@ at fixations), and the distribution comparisons CC (Pearson) and SIM
 (histogram intersection) against a continuous ground-truth map.
 
 Metrics that are undefined for an input (constant map for CC, zero-mass
-map for SIM, no fixations) are represented as ``None`` and excluded from
-averages rather than poisoning them. ``_mean`` is the one averaging rule:
+map for SIM, no fixations, every pixel fixated for AUC-Judd) are
+represented as ``None`` and excluded from averages rather than poisoning
+them. ``_mean`` is the one averaging rule:
 it makes each video's row from its frames' scores and each group's
 average from its members' rows, adding left to right on every Python
 version and giving ``None`` when nothing is defined.
@@ -37,7 +38,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import (
-    AllFixated,
     DimensionMismatch,
     EmptyFixations,
     EmptyNegatives,
@@ -162,8 +162,9 @@ def _ranked_roc_area(
     return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0).sum())
 
 
-def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float:
-    """ROC area with fixated pixels as positives, all other pixels as negatives."""
+def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float | None:
+    """ROC area with fixated pixels as positives, all other pixels as negatives;
+    ``None`` when every pixel is fixated, so no negative remains."""
     if len(fix) == 0:
         raise EmptyFixations("AUC needs at least one fixation")
     positives = np.sort(_values_at(sal, fix))
@@ -171,7 +172,7 @@ def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float:
     fixated[fix[:, 0], fix[:, 1]] = True
     taken = np.sort(sal[fixated])  # each fixated pixel once, however often fixated
     if taken.size == sal.size:
-        raise AllFixated("every pixel is fixated; no negatives remain")
+        return None
     return _ranked_roc_area(np.sort(sal, axis=None), positives, taken)
 
 
@@ -225,8 +226,8 @@ def evaluate_video(
     Fixation-based metrics (AUC-J, sAUC, NSS) use only frames with at
     least one fixation; CC and SIM use only frames whose ground truth has
     positive mass. A frame where an individual metric is undefined (for
-    example CC against a constant map) is excluded from that metric's
-    mean; a metric defined on no frame is ``None``.
+    example CC against a constant map, or AUC-J with every pixel fixated)
+    is excluded from that metric's mean; a metric defined on no frame is ``None``.
     The sAUC subsampling seed for frame i is ``seed + i``, so a frame's
     score does not depend on which other frames are evaluated.
     """
@@ -237,7 +238,8 @@ def evaluate_video(
     for i, (sal, fix, gt) in enumerate(frames):
         if len(fix) > 0:
             scores["nss"].append(nss(sal, fix))
-            scores["auc_j"].append(auc_judd(sal, fix))
+            if (value := auc_judd(sal, fix)) is not None:
+                scores["auc_j"].append(value)
             if len(shuffle_pool) > 0:
                 if sal.shape not in pool_checked:
                     _check_inside(sal, shuffle_pool)

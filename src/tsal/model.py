@@ -5,11 +5,12 @@ of the same size. The conv variant treats frames independently; the
 ConvLSTM variant carries a hidden/cell state through time and is trained
 with full backpropagation through time.
 
-``conv_block_forward`` and ``convlstm_step`` are the only step functions:
-inference calls them frame by frame, ``forward_sequence`` over a clip.
-Each returns its step cache last; ``backward_sequence`` takes the list of
-them and produces exact parameter gradients. A step cache holds each array
-once, and nothing backward can rebuild without a convolution: backward
+Both variants step as ``(x, state, model) -> (y, state, step cache)``, and
+``step_function`` is the one table that picks a variant's step,
+``conv_block_forward`` or ``convlstm_step``: inference steps frame by frame,
+``forward_sequence`` over a clip. ``backward_sequence`` takes the list of
+step caches and produces exact parameter gradients. A step cache holds each
+array once, and nothing backward can rebuild without a convolution: backward
 recomputes ``relu(pre_feature)`` and the ConvLSTM hidden state, bit for bit.
 
 A model is one dict of stacked arrays, such as ``input.weights``, held by
@@ -18,7 +19,8 @@ into the per-gate names the optimizer, checkpoints and gradients use.
 
 A ConvLSTM state is the plain ``(hidden, cell)`` pair of (1, hc, H, W)
 arrays that ``convlstm_step`` returns; passing ``None`` as the state starts
-from the zero state, so no caller builds a first state.
+from the zero state, so no caller builds a first state. A ConvOnly step
+carries no state: it takes ``None`` and returns ``None``.
 
 A model computes in the dtype of its parameters: float64 from
 ``init_parameters``, float32 from a loaded checkpoint. Each step casts its
@@ -28,6 +30,7 @@ a ConvLSTM state of another dtype is refused rather than promoting the step.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,18 +181,17 @@ class _LstmStepCache:
 
 
 def conv_block_forward(
-    x: np.ndarray, model: AdaptationModel
-) -> tuple[np.ndarray, _ConvStepCache]:
-    """One ConvOnly frame, sigmoid(head(relu(feature(x)))), and its step cache."""
+    x: np.ndarray, state: None, model: AdaptationModel
+) -> tuple[np.ndarray, None, _ConvStepCache]:
+    """One ConvOnly frame, sigmoid(head(relu(feature(x)))), and its step cache.
+    Frames are independent, so ``state`` is None in and out."""
     x = _check_frame(x, model.dtype)
-    if model.variant != CONV_ONLY:
-        raise ValueError("conv_block_forward requires a ConvOnly model")
     a = model.arrays
     pre_feature = conv2d_forward(x, a["feature.weights"], a["feature.bias"])
     activated = relu(pre_feature)
     pre_head = conv2d_forward(activated, a["head.weights"], a["head.bias"])
     y = sigmoid(pre_head)
-    return y, _ConvStepCache(x, pre_feature, pre_head)
+    return y, None, _ConvStepCache(x, pre_feature, pre_head)
 
 
 def convlstm_step(
@@ -201,8 +203,6 @@ def convlstm_step(
     zero state in the model's dtype.
     """
     x = _check_frame(x, model.dtype)
-    if model.variant != CONV_LSTM:
-        raise ValueError("convlstm_step requires a ConvLSTM model")
     if state is None:
         h_prev, c_prev = None, np.zeros((1, model.hidden_channels) + x.shape[2:], model.dtype)
     else:
@@ -255,15 +255,13 @@ def forward_sequence(
     first = frames[0]
     outputs, steps = [], []
     state = None
+    step_fn = step_function(model.variant)
     for fr in frames:
         if fr.shape != first.shape:
             raise DimensionMismatch(
                 f"frame dims {fr.shape} differ from first frame {first.shape}"
             )
-        if model.variant == CONV_ONLY:
-            y, step = conv_block_forward(fr, model)
-        else:
-            y, state, step = convlstm_step(fr, state, model)
+        y, state, step = step_fn(fr, state, model)
         outputs.append(y)
         steps.append(step)
     return outputs, steps
@@ -279,12 +277,9 @@ def backward_sequence(
     and shared-kernel gradients sum over time.
     """
     if len(grad_outputs) != len(steps):
-        raise LengthMismatch(
-            f"{len(grad_outputs)} output grads for {len(steps)} cached steps"
-        )
+        raise LengthMismatch(f"{len(grad_outputs)} output grads for {len(steps)} cached steps")
     grads = {key: np.zeros_like(arr) for key, arr in model.arrays.items()}
-    backward = _backward_conv_only if model.variant == CONV_ONLY else _backward_convlstm
-    backward(steps, grad_outputs, model, grads)
+    _BACKWARDS[model.variant](steps, grad_outputs, model, grads)
     return dict(AdaptationModel(grads).named_parameters())
 
 
@@ -374,3 +369,11 @@ def _backward_convlstm(
             dh_next, step_wh, _ = conv2d_backward(h, a["hidden.weights"], d_pre)
             grads["hidden.weights"] += step_wh
             del step_wh  # as large as the weights: freed before the next im2col
+
+
+def step_function(variant: str) -> Callable:
+    """The one table of steps, built per call so that perfbench's tracer sees a step it rebinds."""
+    return {CONV_ONLY: conv_block_forward, CONV_LSTM: convlstm_step}[variant]
+
+
+_BACKWARDS = {CONV_ONLY: _backward_conv_only, CONV_LSTM: _backward_convlstm}

@@ -44,14 +44,14 @@ def make_dataset(tmp_path, name="data", videos=2, frames=6, size=16, seed=1, lag
     return out, D.generate_synthetic(out, config)
 
 
-def copy_gt_as_predictions(dataset_dir, pred_dir):
+def copy_gt_as_predictions(dataset_dir, pred_dir, maps="gt_map_dir"):
     manifest = D.load_manifest(os.path.join(dataset_dir, "manifest.json"))
     for video in manifest["videos"]:
         os.makedirs(os.path.join(pred_dir, video["video_id"]), exist_ok=True)
         for frame in video["frames"]:
             name = D.frame_file_name(frame)
             shutil.copyfile(
-                os.path.join(video["gt_map_dir"], name),
+                os.path.join(video[maps], name),
                 os.path.join(pred_dir, video["video_id"], name),
             )
 
@@ -1441,6 +1441,26 @@ class TestBadInputFile:
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize(
+        "field", ["9" * 20_000, "9" * 4_000, "-" + "9" * 4_000],
+        ids=["non-integer", "too-large", "negative"],
+    )
+    def test_a_long_fixation_line_is_one_bounded_error(self, tmp_path, capsys, field):
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        copy_gt_as_predictions(data_dir, str(tmp_path / "pred"))
+        bad = os.path.join(data_dir, "video_001", "fixations.csv")
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write(f"0,1,{field}\n")  # line 11, after a header and 3 frames x 3 fixations
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", str(tmp_path / "pred")
+        )
+        assert code == 1
+        assert stdout == ""
+        (line,) = error_lines(stderr)
+        assert line.startswith(f"ERROR ParseError: {bad}: line 11: ")
+        assert len(line.encode()) <= 300
+        assert "Traceback" not in stderr
+
 
 def _truncate_raster(path, side):
     with open(path, "r+b") as fh:
@@ -1710,6 +1730,31 @@ class TestEvaluate:
             json.dump(D.load_scores(str(out_json)), fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert again.read_bytes() == out_json.read_bytes()
+
+    def test_every_pixel_fixated_leaves_auc_j_undefined(self, tmp_path, capsys):
+        # at 1x1 each frame's one pixel is fixated, so AUC-J has no negatives
+        data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=8)
+        with open(manifest, encoding="utf-8") as fh:
+            fields = json.load(fh)
+        fields["resolution"] = [1, 1]
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(fields, fh)
+        pred = str(tmp_path / "pred")
+        copy_gt_as_predictions(data_dir, pred, maps="static_map_dir")
+        out_json = str(tmp_path / "report.json")
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--manifest", manifest, "--predictions", pred,
+            "--out", out_json,
+        )
+        assert code == 0, stderr
+        assert error_lines(stderr) == []
+        with open(out_json) as fh:
+            rows = json.load(fh)["per_video"]
+        for row in rows.values():
+            assert row["auc_j"] is None
+            assert (row["s_auc"], row["nss"], row["cc"], row["sim"]) == (0.5, 0.0, None, 1.0)
+            assert row["frames"] == 3 and row["skipped_no_fixations"] == 0
+        assert "video_000    n/a  0.500  0.000  n/a  1.000" in stdout
 
     def test_missing_prediction(self, tmp_path, capsys):
         data_dir, manifest = make_dataset(tmp_path, videos=1, frames=3, size=10)

@@ -306,14 +306,21 @@ class TestLoadFixations:
             D.load_fixations(path, (8, 8))
 
     @pytest.mark.parametrize(
-        "line",
-        ["0,1_0,3", "0,1,+3", "\u0661,2,2", "0,--1,2", "0,1,2\u00b2", "0,1," + "9" * 5000],
+        "line, shown",
+        [
+            ("0,1_0,3", "'0,1_0,3'"),
+            ("0,1,+3", "'0,1,+3'"),
+            ("\u0661,2,2", "'\u0661,2,2'"),
+            ("0,--1,2", "'0,--1,2'"),
+            ("0,1,2\u00b2", "'0,1,2\u00b2'"),
+            ("0,1," + "9" * 5000, "a string"),  # a long line is not echoed
+        ],
         ids=["underscore", "plus", "arabic-indic", "double-minus", "superscript", "long"],
     )
-    def test_only_ascii_digits_are_integers(self, tmp_path, line):
+    def test_only_ascii_digits_are_integers(self, tmp_path, line, shown):
         path = tmp_path / "digits.csv"
         path.write_text(line + "\n", encoding="utf-8")
-        want = f"{path}: line 1: non-integer field in {line!r}"
+        want = f"{path}: line 1: non-integer field in {shown}"
         with pytest.raises(ParseError, match="^" + re.escape(want) + "$"):
             D.load_fixations(str(path), (8, 8))
 

@@ -7,7 +7,6 @@ import pytest
 
 from tsal import metrics as M
 from tsal.errors import (
-    AllFixated,
     DimensionMismatch,
     EmptyFixations,
     EmptyNegatives,
@@ -57,14 +56,14 @@ def two_sort_roc_area(positives, negatives) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def two_sort_auc_judd(sal, fix) -> float:
+def two_sort_auc_judd(sal, fix) -> float | None:
     """AUC-Judd as first written: the negatives copied out by a mask."""
     positives = sal[fix[:, 0], fix[:, 1]]
     fixated = np.zeros(sal.shape, dtype=bool)
     fixated[fix[:, 0], fix[:, 1]] = True
     negatives = sal[~fixated]
     if negatives.size == 0:
-        raise AllFixated("every pixel is fixated; no negatives remain")
+        return None
     return two_sort_roc_area(positives, negatives)
 
 
@@ -260,10 +259,9 @@ class TestAucJudd:
             ]
             assert M.auc_judd(sal, fix) == pytest.approx(mann_whitney_auc(pos, neg), abs=1e-9)
 
-    def test_all_fixated_raises(self):
+    def test_all_fixated_is_undefined(self):
         sal = np.ones((1, 2))
-        with pytest.raises(AllFixated):
-            M.auc_judd(sal, np.array([(0, 0), (0, 1)]))
+        assert M.auc_judd(sal, np.array([(0, 0), (0, 1)])) is None
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
@@ -294,14 +292,12 @@ class TestAucJudd:
             fix = np.concatenate([fix, fix[:3]])
             assert M.auc_judd(sal, fix) == two_sort_auc_judd(sal, fix)
 
-    def test_all_fixated_raises_like_two_sort_oracle(self):
+    def test_all_fixated_is_undefined_like_two_sort_oracle(self):
         rng = np.random.default_rng(30)
         sal = tied_map(rng, "8-bit", 3, 4)
         fix = np.array([(r, c) for r in range(3) for c in range(4)] + [(1, 2), (0, 0)])
-        with pytest.raises(AllFixated):
-            two_sort_auc_judd(sal, fix)
-        with pytest.raises(AllFixated):
-            M.auc_judd(sal, fix)
+        assert two_sort_auc_judd(sal, fix) is None
+        assert M.auc_judd(sal, fix) is None
 
 
 class TestShuffledAuc:
@@ -592,6 +588,17 @@ class TestEvaluateVideo:
         assert vs["s_auc"] == M.shuffled_auc(sal, fix, pool, rng_seed=0)
         assert vs["cc"] == M.cc(sal, gt)
         assert vs["sim"] == M.sim(sal, gt)
+
+    def test_all_fixated_frame_left_out_of_auc_j(self):
+        rng = np.random.default_rng(15)
+        sal = distinct_map(rng, 2, 2)
+        every = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+        some = np.array([(0, 0)])
+        vs = M.evaluate_video(zip([sal, sal], [every, some], [sal, sal]), NO_FIXATIONS, seed=0)
+        assert vs["auc_j"] == M.auc_judd(sal, some)
+        assert vs["nss"] == (M.nss(sal, every) + M.nss(sal, some)) / 2
+        alone = M.evaluate_video(zip([sal], [every], [sal]), NO_FIXATIONS, seed=0)
+        assert alone["auc_j"] is None and alone["frames"] == 1
 
     def test_mean_over_frames(self):
         # two maps engineered to give NSS 1.0 and 3.0 at their fixations

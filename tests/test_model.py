@@ -50,14 +50,14 @@ class TestConvBlockForward:
     def test_zero_network_outputs_half(self):
         m = zero_model(Mo.CONV_ONLY)
         x = np.random.default_rng(0).uniform(0, 1, size=(1, 1, 5, 5))
-        y, _ = Mo.conv_block_forward(x, m)
+        y, _, _ = Mo.conv_block_forward(x, None, m)
         assert np.allclose(y, 0.5)
 
     def test_bias_only_path(self):
         m = zero_model(Mo.CONV_ONLY)
         m.arrays["head.bias"][...] = 1.3
         x = np.zeros((1, 1, 4, 4)) + 0.2
-        y, _ = Mo.conv_block_forward(x, m)
+        y, _, _ = Mo.conv_block_forward(x, None, m)
         expected = 1.0 / (1.0 + np.exp(-1.3))
         assert np.allclose(y, expected)
 
@@ -66,7 +66,7 @@ class TestConvBlockForward:
         for seed in range(5):
             m = random_model(Mo.CONV_ONLY, seed=seed, hidden=3)
             x = rng.uniform(0, 1, size=(1, 1, 5, 6))
-            got, _ = Mo.conv_block_forward(x, m)
+            got, _, _ = Mo.conv_block_forward(x, None, m)
             a = m.arrays
             z1 = conv2d_forward_direct(x, a["feature.weights"], a["feature.bias"])
             r = np.maximum(z1, 0.0)
@@ -74,13 +74,16 @@ class TestConvBlockForward:
             want = 1.0 / (1.0 + np.exp(-z2))
             assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_rejects_wrong_variant_and_dims(self):
-        m = zero_model(Mo.CONV_LSTM)
-        x = np.zeros((1, 1, 4, 4))
-        with pytest.raises(ValueError):
-            Mo.conv_block_forward(x, m)
+    def test_rejects_wrong_dims(self):
         with pytest.raises(DimensionMismatch):
-            Mo.conv_block_forward(np.zeros((2, 1, 4, 4)), zero_model(Mo.CONV_ONLY))
+            Mo.conv_block_forward(np.zeros((2, 1, 4, 4)), None, zero_model(Mo.CONV_ONLY))
+
+    def test_state_is_none_in_and_out(self):
+        m = random_model(Mo.CONV_ONLY, seed=7, hidden=3)
+        x = np.random.default_rng(7).uniform(0, 1, size=(1, 1, 4, 5))
+        y, state, _ = Mo.conv_block_forward(x, None, m)
+        assert state is None
+        np.testing.assert_array_equal(y, Mo.forward_sequence([x], m)[0][0])
 
 
 class TestConvLstmStep:
@@ -636,9 +639,7 @@ def loaded_and_float64_twin(tmp_path, variant: str):
 
 def step(model, frame, state):
     """One step of either variant, as predict runs it: (output, state)."""
-    if model.variant == Mo.CONV_ONLY:
-        return Mo.conv_block_forward(frame, model)[0], None
-    return Mo.convlstm_step(frame, state, model)[:2]
+    return Mo.step_function(model.variant)(frame, state, model)[:2]
 
 
 class TestDtype:
@@ -690,9 +691,9 @@ class TestDtype:
     def test_frame_beyond_float32_range_rejected_by_a_loaded_model(self, tmp_path):
         loaded, twin = loaded_and_float64_twin(tmp_path, Mo.CONV_ONLY)
         frame = np.full((1, 1, 4, 4), 1e39)  # finite as float64, not as float32
-        Mo.conv_block_forward(frame, twin)
+        Mo.conv_block_forward(frame, None, twin)
         with pytest.raises(NonFinite, match="float32"):
-            Mo.conv_block_forward(frame, loaded)
+            Mo.conv_block_forward(frame, None, loaded)
 
     def test_state_of_another_dtype_is_refused(self, tmp_path):
         # a float64 state would silently promote a loaded model's step to float64

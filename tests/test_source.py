@@ -9,7 +9,9 @@ from tsal.cli import SETTINGS
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "tsal")
 
 # perfbench's tensor.activations.busy_s metric traces tanh_act (and names
-# tanh_backward beside it), so both stay until that metric is re-pointed
+# tanh_backward beside it), and acceptance criterion 4 checks tanh_act's
+# derivative by finite differences, so deleting tanh_act changes that
+# criterion as well as the metric; both stay until each is re-pointed
 USED_OUTSIDE_THE_PACKAGE = {"tanh_act", "tanh_backward"}
 # perfbench/workloads.py builds its datasets with SyntheticConfig's keyword
 # defaults, so they stay until the benchmark generates through the CLI
@@ -310,6 +312,46 @@ def _in_functions(node: ast.AST, function: str | None = None):
             continue
         yield child, function
         yield from _in_functions(child, function)
+
+
+STEP_FUNCTIONS = {"conv_block_forward", "convlstm_step"}
+
+
+def _compares_a_variant(node: ast.AST) -> bool:
+    """A comparison with a model's ``.variant``, a variant constant or a variant name."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Attribute) and side.attr in ("variant", "CONV_ONLY", "CONV_LSTM")
+        or isinstance(side, ast.Name) and side.id in ("CONV_ONLY", "CONV_LSTM")
+        or isinstance(side, ast.Constant) and side.value in ("conv", "convlstm")
+        for side in [node.left, *node.comparators]
+    )
+
+
+def test_one_table_picks_the_step():
+    """Both variants step as ``(x, state, model) -> (y, state, step cache)``, so
+    ``model.step_function`` is the one place that picks a variant's step: no
+    other function in src/tsal names ``conv_block_forward`` or
+    ``convlstm_step``, cli.py names neither nor ``CONV_ONLY`` and compares
+    nothing with a variant, and neither do ``forward_sequence`` and
+    ``backward_sequence``. A second copy of the choice cannot grow back."""
+    found = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node, function in _in_functions(tree):
+            # a name, an attribute, or an imported name (ast.alias)
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            where = f"{module} line {getattr(node, 'lineno', '?')} in {function}"
+            if name in STEP_FUNCTIONS and function != "step_function":
+                found.append(f"{where}: {name}")
+            elif module == "cli.py" and name == "CONV_ONLY":
+                found.append(f"{where}: {name}")
+            if _compares_a_variant(node) and (
+                module == "cli.py" or function in ("forward_sequence", "backward_sequence")
+            ):
+                found.append(f"{where}: compares a variant")
+    assert found == [], f"a step picked outside model.step_function: {found}"
 
 
 def test_only_named_parameters_names_lstm_tensors():
