@@ -436,6 +436,8 @@ def load_manifest(path: str) -> dict:
                 raise ParseError(f"{vid}: video lists no frames")
             if any(b <= a for a, b in zip(frames, frames[1:])):
                 raise ParseError(f"{vid}: frame ids must be strictly increasing")
+            if frames[0] < 0 or frames[-1] >= 2**63:  # as load_fixations reads frame indices
+                raise ParseError(f"{vid}: frame ids must lie in [0, 2**63)")
             for key in ("static_map_dir", "gt_map_dir", "fixation_file"):
                 video[key] = os.path.join(root, video[key])
             videos.append(video)

@@ -30,20 +30,8 @@ class LengthMismatch(SaliencyError):
     """``backward_sequence`` was given output gradients and step caches of different lengths."""
 
 
-class EmptyFixations(SaliencyError):
-    """A fixation-based metric was called with no fixations."""
-
-
-class EmptyNegatives(SaliencyError):
-    """Shuffled AUC was given an empty negative pool."""
-
-
 class OutOfBounds(SaliencyError):
     """A fixation lies outside the map."""
-
-
-class ZeroMass(SaliencyError):
-    """A map with zero total mass cannot be normalized to a distribution."""
 
 
 class UnknownVideo(SaliencyError):

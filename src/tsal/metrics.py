@@ -5,10 +5,11 @@ shuffled AUC against discrete fixations, NSS (mean standardized saliency
 at fixations), and the distribution comparisons CC (Pearson) and SIM
 (histogram intersection) against a continuous ground-truth map.
 
-Metrics that are undefined for an input (constant map for CC, zero-mass
-map for SIM, no fixations, every pixel fixated for AUC-Judd) are
-represented as ``None`` and excluded from averages rather than poisoning
-them. ``_mean`` is the one averaging rule:
+A metric returns ``None`` where it is undefined, and never raises for it:
+NSS, AUC-Judd and shuffled AUC with no fixation, shuffled AUC with an
+empty pool, AUC-Judd with every pixel fixated, CC against a constant map
+and SIM against a zero-mass map. ``evaluate_video`` leaves a ``None`` out
+of that metric's mean rather than poisoning it. ``_mean`` is the one averaging rule:
 it makes each video's row from its frames' scores and each group's
 average from its members' rows, adding left to right on every Python
 version and giving ``None`` when nothing is defined.
@@ -39,12 +40,9 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyFixations,
-    EmptyNegatives,
     EmptySequence,
     OutOfBounds,
     UnknownVideo,
-    ZeroMass,
     brief,
     misfit,
 )
@@ -60,7 +58,7 @@ _DOT_SLICE = 10_000
 
 def _check_inside(sal: np.ndarray, fix: np.ndarray) -> None:
     # one min over both columns, one max per column; every caller has
-    # refused an empty ``fix``, whose min would raise
+    # returned None for an empty ``fix``, whose min would raise
     rows, cols = fix.T
     h, w = sal.shape
     if fix.min() < 0 or rows.max() >= h or cols.max() >= w:
@@ -72,13 +70,13 @@ def _values_at(sal: np.ndarray, fix: np.ndarray) -> np.ndarray:
     return sal[fix[:, 0], fix[:, 1]]
 
 
-def nss(sal: np.ndarray, fix: np.ndarray) -> float:
-    """Mean standardized saliency at fixations; 0 for a constant map.
+def nss(sal: np.ndarray, fix: np.ndarray) -> float | None:
+    """Mean standardized saliency at fixations; 0 for a constant map, ``None`` with no fixation.
 
     Standardization uses the population standard deviation (divide by N).
     """
     if len(fix) == 0:
-        raise EmptyFixations("NSS needs at least one fixation")
+        return None
     at_fix = _values_at(sal, fix)
     mean = sal.sum() / sal.size
     dev = sal - mean
@@ -117,14 +115,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.floating:
     return total
 
 
-def sim(sal: np.ndarray, gt: np.ndarray) -> float:
-    """Histogram intersection after normalizing both maps to unit mass."""
+def sim(sal: np.ndarray, gt: np.ndarray) -> float | None:
+    """Histogram intersection after normalizing both maps to unit mass;
+    ``None`` when either map has zero mass."""
     if sal.shape != gt.shape:
         raise DimensionMismatch(f"map dims {sal.shape} != {gt.shape}")
     mass_a = sal.sum()
     mass_b = gt.sum()
     if mass_a == 0.0 or mass_b == 0.0:
-        raise ZeroMass("SIM is undefined for a zero-mass map")
+        return None
     return float(np.minimum(sal / mass_a, gt / mass_b).sum())
 
 
@@ -164,9 +163,9 @@ def _ranked_roc_area(
 
 def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float | None:
     """ROC area with fixated pixels as positives, all other pixels as negatives;
-    ``None`` when every pixel is fixated, so no negative remains."""
+    ``None`` with no fixation, or when every pixel is fixated, so no negative remains."""
     if len(fix) == 0:
-        raise EmptyFixations("AUC needs at least one fixation")
+        return None
     positives = np.sort(_values_at(sal, fix))
     fixated = np.zeros(sal.shape, dtype=bool)
     fixated[fix[:, 0], fix[:, 1]] = True
@@ -178,17 +177,16 @@ def auc_judd(sal: np.ndarray, fix: np.ndarray) -> float | None:
 
 def shuffled_auc(
     sal: np.ndarray, fix: np.ndarray, other_fix: np.ndarray, rng_seed: int
-) -> float:
-    """ROC area whose negatives are saliency values at other frames' fixations.
+) -> float | None:
+    """ROC area whose negatives are saliency values at other frames' fixations;
+    ``None`` with no fixation or an empty pool.
 
     If the negative pool exceeds ``SAUC_NEGATIVE_RATIO`` times the number
     of positives it is subsampled without replacement, deterministically
     for a fixed ``rng_seed``.
     """
-    if len(fix) == 0:
-        raise EmptyFixations("shuffled AUC needs at least one fixation")
-    if len(other_fix) == 0:
-        raise EmptyNegatives("shuffled AUC needs a nonempty negative pool")
+    if len(fix) == 0 or len(other_fix) == 0:
+        return None
     positives = _values_at(sal, fix)
     _check_inside(sal, other_fix)  # the whole pool, though only a sample is read
     other_fix = _negatives(other_fix, len(fix), rng_seed)
@@ -223,11 +221,10 @@ def evaluate_video(
     be any iterable, taken one frame at a time, so a caller can read each
     frame's files as it is scored. No frame at all raises EmptySequence.
 
-    Fixation-based metrics (AUC-J, sAUC, NSS) use only frames with at
-    least one fixation; CC and SIM use only frames whose ground truth has
-    positive mass. A frame where an individual metric is undefined (for
-    example CC against a constant map, or AUC-J with every pixel fixated)
-    is excluded from that metric's mean; a metric defined on no frame is ``None``.
+    Every frame is scored by all five metrics; a metric's ``None`` on a
+    frame (see the module docstring) is left out of its mean, and a metric
+    defined on no frame is ``None``. The counts give the frames without a
+    fixation and those whose ground truth has no positive mass.
     The sAUC subsampling seed for frame i is ``seed + i``, so a frame's
     score does not depend on which other frames are evaluated.
     """
@@ -236,25 +233,24 @@ def evaluate_video(
     pool_checked = set()  # the map shapes the pool is known to lie inside
     i = -1
     for i, (sal, fix, gt) in enumerate(frames):
-        if len(fix) > 0:
-            scores["nss"].append(nss(sal, fix))
-            if (value := auc_judd(sal, fix)) is not None:
-                scores["auc_j"].append(value)
-            if len(shuffle_pool) > 0:
-                if sal.shape not in pool_checked:
-                    _check_inside(sal, shuffle_pool)
-                    pool_checked.add(sal.shape)
-                negatives = _negatives(shuffle_pool, len(fix), seed + i)
-                scores["s_auc"].append(shuffled_auc(sal, fix, negatives, seed + i))
-        else:
-            skipped_fix += 1
-        if gt.sum() > 0.0:
-            if (value := cc(sal, gt)) is not None:
-                scores["cc"].append(value)
-            if sal.sum() > 0.0:
-                scores["sim"].append(sim(sal, gt))
-        else:
-            skipped_mass += 1
+        negatives = shuffle_pool
+        if len(fix) > 0 and len(shuffle_pool) > 0:
+            if sal.shape not in pool_checked:
+                _check_inside(sal, shuffle_pool)
+                pool_checked.add(sal.shape)
+            negatives = _negatives(shuffle_pool, len(fix), seed + i)
+        values = (
+            auc_judd(sal, fix),
+            shuffled_auc(sal, fix, negatives, seed + i),
+            nss(sal, fix),
+            cc(sal, gt),
+            sim(sal, gt),
+        )
+        for name, value in zip(METRIC_NAMES, values):
+            if value is not None:
+                scores[name].append(value)
+        skipped_fix += len(fix) == 0
+        skipped_mass += not gt.sum() > 0.0
 
     if i < 0:
         raise EmptySequence("evaluate_video needs at least one frame")

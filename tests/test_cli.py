@@ -4,6 +4,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import shutil
 import shlex
@@ -923,6 +924,32 @@ class TestPredict:
         (line,) = error_lines(stderr)
         assert line.startswith("ERROR ParseError:")
         assert sorted(os.listdir(out)) == ["video_000"]
+
+    def test_a_stale_temporary_tree_is_left_alone(self, tmp_path, capsys):
+        """A SIGKILLed run leaves its ``<out>.<random>.tmp`` tree beside --out:
+        the next run over that --out is not blocked by it and does not touch it."""
+        _, manifest = make_dataset(tmp_path, videos=1, frames=2, size=10)
+        ckpt = self.make_zero_checkpoint(tmp_path)
+        out = tmp_path / "pred"
+        stale = tmp_path / "pred.x.tmp"
+        (stale / "video_000").mkdir(parents=True)
+        (stale / "video_000" / D.frame_file_name(0)).write_bytes(b"P5\n10 10\n255\n")
+
+        def snapshot():  # each directory's mtime, entries and file bytes
+            return [
+                (d, os.stat(d).st_mtime_ns, sorted(dirs))
+                + tuple((f, pathlib.Path(d, f).read_bytes()) for f in sorted(files))
+                for d, dirs, files in sorted(os.walk(stale))
+            ]
+
+        before = snapshot()
+        code, stdout, _ = run(
+            capsys, "predict", "--manifest", manifest, "--ckpt", ckpt, "--out", str(out)
+        )
+        assert code == 0 and stdout == f"{out}\n"
+        assert sorted(os.listdir(out / "video_000")) == [D.frame_file_name(t) for t in range(2)]
+        assert sorted(p.name for p in tmp_path.glob("pred.*")) == ["pred.x.tmp"]
+        assert snapshot() == before
 
 
 class TestOutputOnTheManifest:

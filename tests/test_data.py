@@ -439,6 +439,13 @@ class TestManifest:
         with pytest.raises(ParseError, match=want):
             D.load_manifest(path)
 
+    @pytest.mark.parametrize("frames", [[-1, 0], [0, 2**63]], ids=["negative", "2**63"])
+    def test_frame_ids_a_fixation_file_cannot_name(self, tmp_path, frames):
+        path = write_manifest(tmp_path, [{**VIDEO, "frames": frames}])
+        want = named(path, re.escape("v: frame ids must lie in [0, 2**63)") + "$")
+        with pytest.raises(ParseError, match=want):
+            D.load_manifest(path)
+
     def test_field_types_are_checked_before_the_group_label(self, tmp_path):
         path = write_manifest(tmp_path, [{**VIDEO, "group_label": "x", "frames": "0"}])
         want = named(path, "manifest video 'v': frames must be a list of integers, got '0'$")

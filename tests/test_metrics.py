@@ -8,12 +8,9 @@ import pytest
 from tsal import metrics as M
 from tsal.errors import (
     DimensionMismatch,
-    EmptyFixations,
-    EmptyNegatives,
     EmptySequence,
     OutOfBounds,
     UnknownVideo,
-    ZeroMass,
 )
 
 
@@ -132,8 +129,7 @@ class TestNss:
         assert M.nss(sal, np.array([(2, 3)])) == pytest.approx(v, abs=1e-12)
 
     def test_empty_fixations(self):
-        with pytest.raises(EmptyFixations):
-            M.nss(np.ones((2, 2)), NO_FIXATIONS)
+        assert M.nss(np.ones((2, 2)), NO_FIXATIONS) is None
 
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
@@ -216,9 +212,9 @@ class TestSim:
         b = np.full((2, 2), 1.0)
         assert M.sim(a, b) == pytest.approx(0.5, abs=1e-12)
 
-    def test_zero_mass_raises(self):
-        with pytest.raises(ZeroMass):
-            M.sim(np.zeros((2, 2)), np.ones((2, 2)))
+    def test_zero_mass_is_undefined(self):
+        assert M.sim(np.zeros((2, 2)), np.ones((2, 2))) is None
+        assert M.sim(np.ones((2, 2)), np.zeros((2, 2))) is None
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(6)
@@ -262,6 +258,9 @@ class TestAucJudd:
     def test_all_fixated_is_undefined(self):
         sal = np.ones((1, 2))
         assert M.auc_judd(sal, np.array([(0, 0), (0, 1)])) is None
+
+    def test_no_fixation_is_undefined(self):
+        assert M.auc_judd(np.ones((2, 2)), NO_FIXATIONS) is None
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
@@ -342,10 +341,10 @@ class TestShuffledAuc:
         c = M.shuffled_auc(sal, fix, pool, rng_seed=4)
         assert a != c
 
-    def test_empty_pool_raises(self):
+    def test_empty_pool_is_undefined(self):
         sal = np.ones((2, 2))
-        with pytest.raises(EmptyNegatives):
-            M.shuffled_auc(sal, np.array([(0, 0)]), NO_FIXATIONS, rng_seed=0)
+        assert M.shuffled_auc(sal, np.array([(0, 0)]), NO_FIXATIONS, rng_seed=0) is None
+        assert M.shuffled_auc(sal, NO_FIXATIONS, np.array([(0, 0)]), rng_seed=0) is None
 
     @pytest.mark.parametrize("point", [(3, 0), (0, 3), (-1, 0), (0, -1)])
     def test_out_of_range_pool_fixation_raises(self, point):
@@ -431,10 +430,10 @@ def old_ranked_roc_area(ranked, positives, not_negatives) -> float:
     return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0).sum())
 
 
-def old_nss(sal, fix) -> float:
+def old_nss(sal, fix) -> float | None:
     """``metrics.nss`` as it was, through np.mean and np.std."""
     if len(fix) == 0:
-        raise EmptyFixations("NSS needs at least one fixation")
+        return None
     at_fix = M._values_at(sal, fix)
     mean = sal.mean()
     std = sal.std()
@@ -456,12 +455,10 @@ def old_cc(sal, gt):
     return float(M._dot(a, b) / np.sqrt(var_a * var_b))
 
 
-def old_shuffled_auc(sal, fix, other_fix, rng_seed) -> float:
+def old_shuffled_auc(sal, fix, other_fix, rng_seed) -> float | None:
     """``metrics.shuffled_auc`` as it was, drawing its own sample."""
-    if len(fix) == 0:
-        raise EmptyFixations("shuffled AUC needs at least one fixation")
-    if len(other_fix) == 0:
-        raise EmptyNegatives("shuffled AUC needs a nonempty negative pool")
+    if len(fix) == 0 or len(other_fix) == 0:
+        return None
     positives = M._values_at(sal, fix)
     M._check_inside(sal, other_fix)
     cap = M.SAUC_NEGATIVE_RATIO * len(fix)
@@ -706,6 +703,50 @@ class TestEvaluateVideo:
         want = {name: np.float64(M._mean(values)).tobytes() for name, values in scores.items()}
         row = M.evaluate_video(zip(maps, fixs, gts), pool, seed=7)
         assert {name: np.float64(row[name]).tobytes() for name in M.METRIC_NAMES} == want
+
+    @pytest.mark.parametrize("pool_size", [0, 40])
+    def test_row_is_the_defined_public_scores_where_some_are_undefined(self, pool_size):
+        """Frames without a fixation, with zero-mass ground truth, with a
+        zero-mass or a constant prediction and with every pixel fixated, against
+        an empty pool and a 40-point one: each metric of the row is the mean of
+        its public scores that are not None, frame by frame."""
+        rng = np.random.default_rng(22)
+        h, w = 6, 7
+        sal, gt = tied_map(rng, "8-bit", h, w), rng.uniform(0.1, 1, size=(h, w))
+        some = sample_fixations(rng, h, w, 3)  # a cap of 30, below the pool
+        every = np.array([(r, c) for r in range(h) for c in range(w)])
+        frames = [
+            (sal, NO_FIXATIONS, gt),
+            (sal, some, np.zeros((h, w))),
+            (np.zeros((h, w)), some, gt),
+            (np.full((h, w), 0.5), some, gt),
+            (sal, every, gt),
+            (sal, some, gt),
+        ]
+        pool = sample_fixations(rng, h, w, pool_size)
+        per_frame = []
+        for i, (sal, fix, gt) in enumerate(frames):
+            values = (
+                M.auc_judd(sal, fix),
+                M.shuffled_auc(sal, fix, pool, 9 + i),
+                M.nss(sal, fix),
+                M.cc(sal, gt),
+                M.sim(sal, gt),
+            )
+            per_frame.append(dict(zip(M.METRIC_NAMES, values)))
+        no_pool = {"s_auc"} if pool_size == 0 else set()
+        assert [{name for name, v in scores.items() if v is None} for scores in per_frame] == [
+            {"auc_j", "s_auc", "nss"}, {"cc", "sim"} | no_pool, {"cc", "sim"} | no_pool,
+            {"cc"} | no_pool, {"auc_j"} | no_pool, no_pool,
+        ]
+        row = M.evaluate_video(frames, pool, seed=9)
+        assert row == {
+            **{
+                name: M._mean([s[name] for s in per_frame if s[name] is not None])
+                for name in M.METRIC_NAMES
+            },
+            "frames": 6, "skipped_no_fixations": 1, "skipped_no_gt_mass": 1,
+        }
 
     def test_frame_i_uses_seed_plus_i(self):
         rng = np.random.default_rng(17)

@@ -510,6 +510,42 @@ def test_evaluate_video_consumes_one_stream():
     assert found == [], f"metrics.py reconciles parallel streams: {found}"
 
 
+METRIC_FUNCTIONS = ("auc_judd", "shuffled_auc", "nss", "cc", "sim")
+
+
+def test_evaluate_video_calls_every_metric_on_every_frame():
+    """Each metric returns None where it is undefined, so ``evaluate_video``
+    calls each of the five once, on every frame, and keeps the values that
+    are not None: no call to a metric there sits under an ``if``, a
+    conditional expression or an ``and``/``or``, and a second copy of a
+    metric's undefined case, as a guard of its own, cannot grow back."""
+    with open(os.path.join(SRC, "metrics.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (function,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "evaluate_video"
+    ]
+
+    def metric_calls(node: ast.AST) -> list[ast.Call]:
+        return [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in METRIC_FUNCTIONS
+        ]
+
+    assert sorted(call.func.id for call in metric_calls(function)) == sorted(METRIC_FUNCTIONS)
+    guarded = {
+        f"line {call.lineno}: {call.func.id}"
+        for branch in ast.walk(function)
+        if isinstance(branch, (ast.If, ast.IfExp, ast.BoolOp))
+        for call in metric_calls(branch)
+    }
+    assert guarded == set(), f"a metric called under a condition in evaluate_video: {guarded}"
+
+
 def test_no_except_catches_python_type_faults():
     """Every JSON input's shape is checked by name, member by member, so no
     ``except`` in the package names ``AttributeError``, ``KeyError`` or
