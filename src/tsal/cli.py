@@ -372,18 +372,14 @@ def cmd_report(cfg: dict) -> None:
     for a, b in itertools.combinations(paths, 2):
         if _model_name(a) == _model_name(b):
             raise ParseError(f"{a} and {b} both name model {_model_name(a)!r}")
-    models: list[tuple[str, dict[str, dict]]] = []
-    first: dict | None = None
+    reports: list[dict] = []
     for path in paths:
-        report = D.load_scores(path)
-        if first is None:
-            first = report
-        elif report["per_video"].keys() != first["per_video"].keys():
+        reports.append(D.load_scores(path))
+        if reports[-1]["per_video"].keys() != reports[0]["per_video"].keys():
             raise InconsistentVideos(f"{path} covers different videos than the first score file")
-        models.append((_model_name(path), report["per_video"]))
-    assert first is not None
+    models = [(_model_name(path), report["per_video"]) for path, report in zip(paths, reports)]
 
-    grouping, source = first["groups"], cfg["grouping"] or paths[0]
+    grouping, source = reports[0]["groups"], cfg["grouping"] or paths[0]
     if cfg["grouping"]:
         try:
             grouping = M.groups_from_dict(D.read_json(source))

@@ -66,6 +66,8 @@ from .metrics import checked_report
 GROUP_LABELS = ("free-viewing", "task-driven")
 # the largest manifest resolution side; it keeps map sizes inside numpy's index range
 MAX_MAP_SIDE = 65535
+# the longest video id, in UTF-8 bytes: Linux's NAME_MAX, as it names a directory
+NAME_MAX = 255
 FRAME_NAME_DIGITS = 6
 # the synthetic blob's velocity: kept share per frame, and the std of each kick
 WALK_PERSISTENCE = 0.9
@@ -363,10 +365,13 @@ def rescale_fixations(
 
 
 def read_json(path: str):
-    """Parse a UTF-8 JSON file; malformed or too deeply nested text is a ParseError."""
+    """Parse a UTF-8 JSON file; malformed or too deeply nested text, or a
+    lone surrogate escape such as ``"\\ud800"``, is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
+        json.dumps(payload, ensure_ascii=False).encode()  # no lone surrogate
+        return payload
     except (ValueError, RecursionError) as exc:  # ValueError covers non-UTF-8 bytes
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
@@ -422,13 +427,17 @@ def load_manifest(path: str) -> dict:
         videos = []
         for i, entry in enumerate(entries):
             vid = entry.get("video_id")
-            where = f"video {vid!r}" if type(vid) is str else f"video #{i}"
+            named = type(vid) is str and len(vid.encode()) <= NAME_MAX
+            where = f"video {vid!r}" if named else f"video #{i}"
             video = {
                 key: _json_field(entry.get(key), kind, f"{where}: {key}")
                 for key, kind in MANIFEST_FIELDS.items()
             }
-            if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
-                raise ParseError(f"{where}: video_id may not be '', '.', '..' or hold '/' or NUL")
+            if not named or vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+                raise ParseError(
+                    f"{where}: video_id may not be '', '.', '..', over {NAME_MAX} UTF-8 bytes"
+                    " or hold '/' or NUL"
+                )
             label, frames = video["group_label"], video["frames"]
             if label not in GROUP_LABELS:
                 raise ParseError(f"{vid}: group_label {brief(label)} not in {GROUP_LABELS}")

@@ -31,6 +31,7 @@ five metric means over its members.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import sys
@@ -322,7 +323,7 @@ def groups_from_dict(payload: dict) -> dict[str, list[str]]:
     for label, members in payload.items():
         if fault := misfit(members, str):
             raise ValueError(f"group {label!r} must list video ids as strings, {fault}")
-        if len(set(members)) < len(members):
-            twice = [vid for vid in members if members.count(vid) > 1]
+        counts = collections.Counter(members)
+        if twice := [vid for vid in members if counts[vid] > 1]:
             raise ValueError(f"group {label!r} lists video {twice[0]!r} more than once")
     return payload

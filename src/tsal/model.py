@@ -120,8 +120,10 @@ def _check_frame(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 def zero_parameters(variant: str, hidden_channels: int, dtype: type) -> AdaptationModel:
     """A model of all-zero arrays: the one place that gives each array its
-    key and shape. ``init_parameters`` draws into it, ``load_checkpoint``
-    reads a file into it."""
+    key and shape, and that checks the variant. ``init_parameters`` draws
+    into it, ``load_checkpoint`` reads a file into it."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     k, hc, n = KERNEL_SIZE, hidden_channels, len(GATES) * hidden_channels
     if variant == CONV_ONLY:
         shapes = {"feature.weights": (hc, 1, k, k), "feature.bias": (hc,)}
@@ -139,27 +141,17 @@ def init_parameters(
     """Seeded initialization: kernels uniform in [-s, s] with
     s = sqrt(1 / fan_in); biases zero except the forget gate's, which is 1.
 
-    The draw order is fixed (feature or gate kernels in GATES order, then
-    the head) so a seed pins every parameter bit-exactly.
+    Kernels are drawn in ``named_parameters`` order, the checkpoint's, so a
+    seed pins every parameter bit-exactly.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(rng_seed)
     model = zero_parameters(variant, hidden_channels, np.float64)
-    a = model.arrays
-
-    def draw(weights: np.ndarray) -> None:
-        s = np.sqrt(1.0 / weights[0].size)  # fan_in: in_channels * k * k
-        weights[...] = rng.uniform(-s, s, size=weights.shape)
-
-    if variant == CONV_ONLY:
-        draw(a["feature.weights"])
-    else:
-        for rows in _gate_rows(hidden_channels).values():
-            draw(a["input.weights"][rows])
-            draw(a["hidden.weights"][rows])
-        a["input.bias"][_gate_rows(hidden_channels)["f"]] = 1.0
-    draw(a["head.weights"])
+    for _, arr in model.named_parameters():
+        if arr.ndim == 4:  # a kernel; its fan_in is in_channels * k * k
+            s = np.sqrt(1.0 / arr[0].size)
+            arr[...] = rng.uniform(-s, s, size=arr.shape)
+    if variant == CONV_LSTM:
+        model.arrays["input.bias"][_gate_rows(hidden_channels)["f"]] = 1.0
     return model
 
 

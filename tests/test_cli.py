@@ -229,6 +229,8 @@ def manifest_blob(resolution=(8, 8), **fields) -> bytes:
     return json.dumps({"resolution": list(resolution), "videos": [entry]}).encode()
 
 
+# what read_json says of any file that holds a lone surrogate escape, naming it
+LONE_SURROGATE = ("bad.json: not valid JSON", "surrogates not allowed")
 # (which file, its bytes, words the error line must hold) -> one bad file each
 BAD_JSON_FILES = {
     "config-non-utf8": ("config", b'{"metric": "\xff"}', ()),
@@ -295,6 +297,17 @@ BAD_JSON_FILES = {
     "config-value-long": (
         "config", json.dumps({"metric": "n" * 5000}).encode(), ("'metric'", "got a string"),
     ),
+    # a lone surrogate escape decodes, but no path or output can hold it
+    "config-lone-surrogate": ("config", b'{"grouping": "g\\ud800"}', LONE_SURROGATE),
+    "scores-lone-surrogate": (
+        "scores",
+        json.dumps(
+            {"per_video": {"v\ud800": {"nss": 1.0, "frames": 1}}, "groups": {"g": ["v\ud800"]}}
+        ).encode(),
+        LONE_SURROGATE,
+    ),
+    "grouping-lone-surrogate": ("grouping", b'{"free-viewing": ["v\\ud800"]}', LONE_SURROGATE),
+    "manifest-lone-surrogate": ("manifest", manifest_blob(video_id="v\ud800"), LONE_SURROGATE),
 }
 # Python's own exception text, which no ERROR line may carry
 PYTHON_TEXT = ("Error(", "object is not subscriptable", "indices must be", "has no attribute")
@@ -379,6 +392,14 @@ class TestSettings:
             assert word in line
         for text in PYTHON_TEXT:
             assert text not in line
+
+    def test_an_escaped_surrogate_pair_is_one_character(self, tmp_path, capsys):
+        scores = tmp_path / "m.json"
+        write_report_json(str(scores), {"v\U0001f600": 1.0}, {"free-viewing": ["v\U0001f600"]})
+        assert b'"v\\ud83d\\ude00"' in scores.read_bytes()
+        code, stdout, stderr = run(capsys, "report", str(scores))
+        assert code == 0, stderr
+        assert "v\U0001f600" in stdout
 
     @pytest.mark.parametrize(
         "flags, config, want",
@@ -1405,7 +1426,10 @@ class TestFramelessVideo:
 
 
 class TestUnsafeVideoId:
-    @pytest.mark.parametrize("vid", ["../escaped", "a\u0000b"])
+    @pytest.mark.parametrize(
+        # the last can name no directory: 256 UTF-8 bytes, past Linux's NAME_MAX
+        "vid", ["../escaped", "a\u0000b", pytest.param("\u00e9" * 128, id="256-bytes")]
+    )
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_is_one_parse_error_before_any_read_or_write(self, tmp_path, capsys, command, vid):
         data_dir, manifest = make_dataset(tmp_path, videos=2, frames=3, size=10)
@@ -1429,8 +1453,9 @@ class TestUnsafeVideoId:
         assert code == 1
         assert stdout == ""
         (line,) = error_lines(stderr)
-        want = f"ERROR ParseError: {manifest}: video {vid!r}: video_id may not be"
-        assert line.startswith(want)
+        where = f"video {vid!r}" if len(vid.encode()) <= 255 else "video #1"  # never echoed
+        assert line.startswith(f"ERROR ParseError: {manifest}: {where}: video_id may not be")
+        assert len(line.encode()) <= 300
         assert "Traceback" not in stderr
         assert sorted(os.listdir(tmp_path)) == before  # no --out, escaped or temp tree
 

@@ -1,6 +1,7 @@
 """Tests for the five gaze metrics and the aggregation machinery."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -817,3 +818,16 @@ class TestAggregateReport:
         assert clone["per_video"]["b"]["skipped_no_fixations"] == 1
         assert clone["group_averages"]["g"]["nss"] == pytest.approx(1.5)
         assert clone["group_averages"]["g"]["sim"] is None
+
+
+class TestGroupsFromDict:
+    def test_names_the_first_member_listed_twice(self):
+        with pytest.raises(ValueError, match="group 'g' lists video 'a' more than once"):
+            M.groups_from_dict({"g": ["a", "b", "b", "a"]})
+
+    def test_a_large_group_is_checked_in_linear_time(self):
+        members = [f"v{i}" for i in range(40_000)] + ["v7"]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="lists video 'v7' more than once"):
+            M.groups_from_dict({"g": members})
+        assert time.perf_counter() - start < 5.0

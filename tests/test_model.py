@@ -624,6 +624,11 @@ class TestInitParameters:
         with pytest.raises(ValueError, match="unknown variant 'transformer'"):
             Mo.init_parameters("transformer", rng_seed=0)
 
+    def test_zero_parameters_checks_the_variant(self):
+        """Every layout, drawn or loaded, is checked where it is made."""
+        with pytest.raises(ValueError, match="unknown variant 'transformer'"):
+            Mo.zero_parameters("transformer", 2, np.float64)
+
 
 def loaded_and_float64_twin(tmp_path, variant: str):
     """A checkpoint's float32 model, and a float64 model holding the same

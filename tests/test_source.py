@@ -376,6 +376,24 @@ def test_only_named_parameters_names_lstm_tensors():
     assert builders == [], f"an 'lstm.' name built outside named_parameters: {builders}"
 
 
+def test_init_parameters_draws_through_named_parameters():
+    """``model.init_parameters`` draws every kernel in ``named_parameters``
+    order, the order checkpoints are written in, so it names no
+    ``*.weights`` key: a second list of each variant's kernels, which could
+    drift from the named order and so from the seeded bits, cannot grow back."""
+    with open(os.path.join(SRC, "model.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = [
+        f"line {node.lineno}: {node.value!r}"
+        for node, function in _in_functions(tree)
+        if function == "init_parameters"
+        and isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.endswith(".weights")
+    ]
+    assert found == [], f"init_parameters names a kernel key: {found}"
+
+
 def test_arrays_are_not_wrapped_in_classes():
     """A convolution is its plain weights (and bias) arrays, and a model is
     one dict of them, so tensor.py defines no class and no module imports
